@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, SimulatorError
 from .policy import Objective, policy_table_text
 from .runner import export_metrics, run_scenario
 from .scenario import build_scenario, load_scenario
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args)
         print(policy_table_text(), end="")
         return 0
-    except (ScenarioParseError, ScenarioValidationError) as exc:
+    except SimulatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -100,15 +100,6 @@ class Simulator:
         heapq.heappush(self._heap, (event.time_us, event.seq, event, callback, handle))
         return handle
 
-    def schedule_after(
-        self,
-        delay_us: int,
-        kind: str,
-        callback: EventCallback | None = None,
-        **data: object,
-    ) -> EventHandle:
-        return self.schedule(self._now + int(delay_us), kind, callback, **data)
-
     def run_until(self, t_end_us: int) -> list[Event]:
         """Process every pending event with time <= ``t_end_us``.
 
@@ -133,6 +124,3 @@ class Simulator:
         if self._heap:
             self._now = t_end_us
         return processed
-
-    def pending_count(self) -> int:
-        return sum(1 for entry in self._heap if not entry[4].cancelled)

@@ -38,10 +38,6 @@ class ReplicaNotSyncedError(SimulatorError):
     """Handover was requested before the replica finished its initial copy."""
 
 
-class InsufficientCapacityError(SimulatorError):
-    """The target host cannot fit a duplicate instance."""
-
-
 class InvalidCombinationError(SimulatorError):
     """A (function kind, statefulness) combination that cannot occur."""
 

@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    InsufficientCapacityError,
     InvariantViolation,
     ReplicaNotSyncedError,
     StrategyInapplicableError,
@@ -473,9 +472,6 @@ class ReplicaHandle:
     def now_us(self) -> int:
         return self._cursor
 
-    def out_of_sync_count(self) -> int:
-        return self.image.dirty_count
-
     def _complete_initial_copy(self) -> None:
         batch = self.image.take_transfer_batch(BatchFilter.ALL)
         self.image.mark_copied(batch)
@@ -565,19 +561,9 @@ def start_replica_sync(
     params: MigrationParams,
     dirty_process: DirtyProcess,
     now_us: int = 0,
-    available_capacity: float | None = None,
 ) -> ReplicaHandle:
-    """Instantiate a synchronized duplicate of ``nf`` at the target.
-
-    ``available_capacity`` is the target host's free compute (if known);
-    the duplicate needs the instance's demand on top of whatever runs there.
-    """
+    """Instantiate a synchronized duplicate of ``nf`` at the target."""
     image = _require_stateful(nf)
-    if available_capacity is not None and available_capacity < nf.cpu_demand:
-        raise InsufficientCapacityError(
-            f"target has {available_capacity} free units; duplicate of '{nf.id}' "
-            f"needs {nf.cpu_demand}"
-        )
     image.reset_for_transfer()
     return ReplicaHandle(nf, channel, params, dirty_process, started_at_us=now_us)
 

@@ -113,12 +113,6 @@ class Plane(str, Enum):
     CONTROL = "control"
 
 
-class AvailabilityClass(str, Enum):
-    STANDARD = "standard"
-    HIGH = "high"
-    CRITICAL = "critical"
-
-
 class SessionType(str, Enum):
     IP = "ip"
     ETHERNET = "ethernet"
@@ -194,7 +188,6 @@ class NfInstance:
     stateful: bool | None = None
     plane: Plane | None = None
     memory: MemoryImage | None = None
-    availability_class: AvailabilityClass = AvailabilityClass.STANDARD
     cpu_demand: float = 1.0
 
     def __post_init__(self):
@@ -335,14 +328,6 @@ class ValidatedTopology:
             return Channel(None, float(self.intra_host_latency_us))
         path = self.path_between(a, b)
         return Channel(path.bandwidth_bps, self.one_way_latency_us(a, b))
-
-    def used_capacity(self, placements: Mapping[str, str] | None = None) -> dict[str, float]:
-        """Compute units consumed per host under ``placements`` (default: as deployed)."""
-        load = {host_id: 0.0 for host_id in self.hosts}
-        for nf in self.nfs.values():
-            host_id = placements[nf.id] if placements is not None else nf.host
-            load[host_id] += nf.cpu_demand
-        return load
 
 
 def _check_nf_invariants(nf: NfInstance) -> None:

@@ -16,6 +16,7 @@ the authentication server needs high isolation, hosts have finite compute).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -158,17 +159,54 @@ class PlacementViolation:
     detail: str
 
 
+class HostLoad:
+    """The host each function is assigned to, and so the compute in use per host.
+
+    A host's load is summed over its members in topology order whenever it
+    is asked for, so it cannot drift: a move and its reverse give back the
+    same float, equal to a recount of the assignment.
+    """
+
+    def __init__(self, topology: ValidatedTopology):
+        self._rank = {nf_id: rank for rank, nf_id in enumerate(topology.nfs)}
+        self._demand = [nf.cpu_demand for nf in topology.nfs.values()]
+        self._host = {nf.id: nf.host for nf in topology.nfs.values()}
+        self._members: dict[str, list[int]] = {host_id: [] for host_id in topology.hosts}
+        for rank, nf in enumerate(topology.nfs.values()):
+            self._members[nf.host].append(rank)
+
+    def used_by_others(self, host_id: str, nf_id: str) -> float:
+        """Compute in use on ``host_id`` by every function except ``nf_id``.
+
+        ``nf_id`` need not be deployed: a candidate function is counted
+        against everything assigned to the host.
+        """
+        rank = self._rank.get(nf_id)
+        used = 0.0
+        for other in self._members[host_id]:
+            if other != rank:
+                used += self._demand[other]
+        return used
+
+    def move(self, nf_id: str, host_id: str) -> None:
+        """Assign ``nf_id`` to ``host_id``."""
+        rank = self._rank[nf_id]
+        self._members[self._host[nf_id]].remove(rank)
+        insort(self._members[host_id], rank)
+        self._host[nf_id] = host_id
+
+
 def check_placement(
     nf: NfInstance,
     host: HostNode,
     sessions: Sequence[PduSession],
     topology: ValidatedTopology,
-    placements: Mapping[str, str] | None = None,
+    load: HostLoad | None = None,
 ) -> list[PlacementViolation]:
     """Constraints violated by putting ``nf`` on ``host``; empty means feasible.
 
-    ``placements`` maps function ids to their current hosts when they have
-    moved since deployment; capacity accounting excludes ``nf`` itself.
+    ``load`` holds where every function is assigned now (default: as
+    deployed); capacity accounting excludes ``nf`` itself.
     """
     profile = topology.drivers[host.attached_driver]
     violations: list[PlacementViolation] = []
@@ -200,13 +238,9 @@ def check_placement(
             )
         )
 
-    used = 0.0
-    for other in topology.nfs.values():
-        if other.id == nf.id:
-            continue
-        other_host = placements[other.id] if placements is not None else other.host
-        if other_host == host.id:
-            used += other.cpu_demand
+    if load is None:
+        load = HostLoad(topology)
+    used = load.used_by_others(host.id, nf.id)
     if used + nf.cpu_demand > host.cpu_capacity:
         violations.append(
             PlacementViolation(

@@ -30,7 +30,7 @@ from .migration import (
     start_replica_sync,
 )
 from .model import HostNode, NfInstance, NfKind
-from .policy import check_placement, select_strategy
+from .policy import HostLoad, check_placement, select_strategy
 from .scenario import Scenario
 
 MIGRATIONS_CSV_HEADER = (
@@ -90,7 +90,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     sim = Simulator(effective_seed)
 
     placement = {nf.id: nf.host for nf in topology.nfs.values()}
-    pending_target: dict[str, str] = {}
+    # Where each function is assigned: its target from the moment its
+    # migration is scheduled, while ``placement`` flips on completion.
+    load = HostLoad(topology)
     ue_zone = scenario.ue.zone if scenario.ue else None
     dirty_procs: dict[str, DirtyProcess] = {
         nf_id: spec.build(rng_stream(f"dirty:{nf_id}", effective_seed))
@@ -127,34 +129,23 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         if next_at <= scenario.duration_us:
             sim_.schedule(next_at, "rtt-sample", sample_rtt)
 
-    def effective_placements() -> dict[str, str]:
-        return {**placement, **pending_target}
-
     def choose_target(nf: NfInstance, hall: str) -> HostNode | None:
         rep = zone_representative(hall)
         if rep is None:
             return None
-        current = effective_placements()
         feasible = []
         for host in topology.hosts_in_hall(hall):
-            if check_placement(nf, host, topology.sessions, topology, placements=current):
+            if check_placement(nf, host, topology.sessions, topology, load):
                 continue
             feasible.append((topology.one_way_latency_us(host.id, rep), host.id, host))
         if not feasible:
             return None
         return min(feasible)[2]
 
-    def free_capacity(host: HostNode) -> float:
-        current = effective_placements()
-        used = sum(
-            nf.cpu_demand for nf in topology.nfs.values() if current[nf.id] == host.id
-        )
-        return host.cpu_capacity - used
-
     def complete_migration(sim_: Simulator, event: Event) -> None:
         nf_id = event.data["nf"]
         placement[nf_id] = event.data["target"]
-        pending_target.pop(nf_id, None)
+        load.move(nf_id, event.data["target"])
 
     def on_trigger(sim_: Simulator, event: Event) -> None:
         nonlocal ue_zone
@@ -201,7 +192,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
                     params,
                     dirty_procs[nf.id],
                     now_us=started,
-                    available_capacity=free_capacity(target),
                 )
                 sim_.schedule(
                     started,
@@ -238,7 +228,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
                     end_us=timeline_base + phase.end_us,
                 )
             completion = timeline_base + report.migration_time_us
-            pending_target[nf.id] = target.id
+            load.move(nf.id, target.id)
             sim_.schedule(
                 completion,
                 "migration-complete",

@@ -5,8 +5,7 @@ omitted parameter has a documented default:
 
 * host ``cpu_capacity`` 4.0; link ``extra_latency_us`` 0
 * topology ``intra_host_latency_us`` 25, ``l2_overlay_enabled`` false
-* function ``stateful`` per kind (UDM defaults stateless), ``cpu_demand`` 1.0,
-  ``availability`` "standard"
+* function ``stateful`` per kind (UDM defaults stateless), ``cpu_demand`` 1.0
 * memory ``num_pages`` 256, ``page_size`` 4096, ``working_set_fraction`` 0.2,
   ``dirty_model`` constant-rate at 50 pages/s
 * ``migration_params`` see :class:`~nfmigsim.migration.MigrationParams`
@@ -27,6 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import (
+    NoPathError,
     ScenarioParseError,
     ScenarioValidationError,
     SimulatorError,
@@ -34,7 +34,6 @@ from .errors import (
 from .memory import BernoulliDirty, ConstantRateDirty, DirtyProcess, MemoryImage
 from .migration import MigrationParams
 from .model import (
-    AvailabilityClass,
     DriverKind,
     HostNode,
     IsolationLevel,
@@ -329,23 +328,17 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     for i, raw_nf in enumerate(top.optional("nfs", list, [])):
         reader = _Reader(raw_nf, f"nfs[{i}]")
         reader.reject_unknown(
-            {"id", "kind", "host", "stateful", "cpu_demand", "availability", "memory"}
+            {"id", "kind", "host", "stateful", "cpu_demand", "memory"}
         )
         nf_id = reader.require("id", str)
         kind = _enum_value(NfKind, reader.require("kind", str), f"{reader.path}.kind")
         stateful = reader.optional("stateful", bool, None)
         demand = reader.optional("cpu_demand", float, 1.0)
-        availability = _enum_value(
-            AvailabilityClass,
-            reader.optional("availability", str, AvailabilityClass.STANDARD.value),
-            f"{reader.path}.availability",
-        )
         nf = NfInstance(
             id=nf_id,
             kind=kind,
             host=reader.require("host", str),
             stateful=stateful,
-            availability_class=availability,
             cpu_demand=demand,
         )
         if nf.stateful:
@@ -439,7 +432,6 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     except SimulatorError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 
-    halls = {host.hall for host in hosts}
     for i, trigger in enumerate(triggers):
         if trigger.time_us > duration_us:
             raise ScenarioValidationError(
@@ -449,12 +441,25 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
             raise ScenarioValidationError(
                 f"triggers[{i}] references unknown UE '{trigger.ue_id}'"
             )
-        if trigger.new_zone not in halls:
-            raise ScenarioValidationError(
-                f"triggers[{i}].new_zone '{trigger.new_zone}' matches no host hall"
-            )
-    if ue is not None and ue.zone not in halls:
-        raise ScenarioValidationError(f"ue.zone '{ue.zone}' matches no host hall")
+    zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(triggers)]
+    if ue is not None:
+        zones.append(("ue.zone", ue.zone))
+    halls = {host.hall for host in hosts}
+    # Functions only ever run on hosts reachable from where they started.
+    origin = min((nf.host for nf in nfs), default=None)
+    for where, zone in zones:
+        if zone not in halls:
+            raise ScenarioValidationError(f"{where} '{zone}' matches no host hall")
+        for host in hosts:
+            if origin is None or host.hall != zone:
+                continue
+            try:
+                topology.path_between(origin, host.id)
+            except NoPathError:
+                raise ScenarioValidationError(
+                    f"{where} '{zone}': host '{host.id}' cannot be reached from the "
+                    "hosts that run functions"
+                ) from None
     for i, session in enumerate(sessions):
         if ue is not None and session.ue_id != ue.id:
             raise ScenarioValidationError(

@@ -7,7 +7,6 @@ import pytest
 from nfmigsim import (
     Channel,
     ConstantRateDirty,
-    InsufficientCapacityError,
     InvariantViolation,
     MemoryImage,
     MigrationParams,
@@ -304,17 +303,6 @@ class TestReplicaSync:
         replica.run_until_ticks(4)
         expected = 100 + sum(tick.pages for tick in replica.tick_log)
         assert replica.sync_bytes == expected
-
-    def test_insufficient_capacity(self):
-        nf = stateful_nf(10)
-        with pytest.raises(InsufficientCapacityError):
-            start_replica_sync(
-                nf,
-                Channel(100, 0),
-                self.params(),
-                ConstantRateDirty(0),
-                available_capacity=0.5,
-            )
 
     def test_stateless_rejected(self):
         with pytest.raises(StrategyInapplicableError):

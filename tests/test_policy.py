@@ -1,9 +1,12 @@
 """Strategy selection table and placement feasibility rules."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nfmigsim import (
     DriverKind,
+    HostLoad,
     HostNode,
     InvalidCombinationError,
     IsolationLevel,
@@ -182,8 +185,9 @@ class TestCheckPlacement:
         occupant = NfInstance("upf-0", NfKind.UPF, "dst")
         mover = NfInstance("upf-1", NfKind.UPF, "src")
         topo = validate_topology(hosts, links, [occupant, mover])
-        moved_away = {"upf-0": "src", "upf-1": "src"}
-        assert check_placement(mover, topo.hosts["dst"], (), topo, placements=moved_away) == []
+        load = HostLoad(topo)
+        load.move("upf-0", "src")
+        assert check_placement(mover, topo.hosts["dst"], (), topo, load) == []
 
     def test_adding_sessions_never_removes_violations(self):
         topo = placement_fixture(DriverKind.OVERLAY)
@@ -196,3 +200,50 @@ class TestCheckPlacement:
         ]
         extended_kinds = {v.kind for v in check_placement(upf, host, extended, topo)}
         assert base <= extended_kinds
+
+
+def recount(topo, assignment, host_id, skip):
+    """Load of ``host_id`` without ``skip``, summed from scratch in topology order."""
+    total = 0.0
+    for nf in topo.nfs.values():
+        if nf.id != skip and assignment[nf.id] == host_id:
+            total += nf.cpu_demand
+    return total
+
+
+class TestHostLoad:
+    HOSTS = ("h0", "h1", "h2")
+
+    @given(
+        deployment=st.lists(
+            st.tuples(st.sampled_from([0.1, 0.3, 0.7, 1.0]), st.sampled_from(HOSTS)),
+            min_size=1,
+            max_size=8,
+        ),
+        moves=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTS)), max_size=30),
+    )
+    def test_loads_equal_recount_after_any_moves(self, deployment, moves):
+        hosts = [HostNode(h, "hall-A", 8, DriverKind.MACVLAN) for h in self.HOSTS]
+        links = [Link("h0", "h1", 10**8), Link("h1", "h2", 10**8)]
+        nfs = [
+            NfInstance(f"upf-{i}", NfKind.UPF, host, cpu_demand=demand)
+            for i, (demand, host) in enumerate(deployment)
+        ]
+        topo = validate_topology(hosts, links, nfs)
+        load = HostLoad(topo)
+        assignment = {nf.id: nf.host for nf in nfs}
+
+        def loads():
+            return {(h, nf.id): load.used_by_others(h, nf.id) for h in self.HOSTS for nf in nfs}
+
+        deployed = loads()
+        for index, host_id in moves:
+            nf_id = nfs[index % len(nfs)].id
+            load.move(nf_id, host_id)
+            assignment[nf_id] = host_id
+            assert loads() == {
+                (h, nf_id): recount(topo, assignment, h, nf_id) for h, nf_id in deployed
+            }
+        for nf in nfs:
+            load.move(nf.id, nf.host)
+        assert loads() == deployed

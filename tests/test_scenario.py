@@ -7,6 +7,7 @@ import pytest
 
 from nfmigsim import (
     MetricsBundle,
+    NoPathError,
     ScenarioParseError,
     ScenarioValidationError,
     Strategy,
@@ -93,6 +94,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioParseError, match="driverr"):
             load_scenario(write(tmp_path, data))
 
+    def test_availability_is_unknown_key(self, tmp_path):
+        data = copy.deepcopy(MINIMAL)
+        data["nfs"][0]["availability"] = "critical"
+        with pytest.raises(ScenarioParseError, match=r"unknown key 'nfs\[0\]\.availability'"):
+            load_scenario(write(tmp_path, data))
+
     def test_unknown_driver_named(self, tmp_path):
         data = copy.deepcopy(MINIMAL)
         data["topology"]["hosts"][0]["driver"] = "vxlan"
@@ -177,22 +184,31 @@ class TestRunScenario:
         by_nf = {rec.nf_id: rec for rec in bundle.reports}
         assert by_nf["smf-1"].report.strategy is Strategy.PRE_COPY
 
+    def test_move_onto_full_current_host_completes(self):
+        # edge-a1 is exactly full with upf-1, smf-1 and amf-1, and is the
+        # closest feasible host in hall-A for each of them.
+        data = copy.deepcopy(load_scenario(bundled_scenario_path()).raw)
+        data["topology"]["hosts"][0]["cpu_capacity"] = 3
+        data["triggers"][0]["new_zone"] = "hall-A"
+        bundle = run_scenario(build_scenario(data))
+        assert len(bundle.reports) == 3
+        assert all(rec.report.succeeded for rec in bundle.reports)
+        assert all(rec.target_host == "edge-a1" for rec in bundle.reports)
+
     def test_placement_soundness(self):
         scenario = load_scenario(bundled_scenario_path())
         bundle = run_scenario(scenario)
-        from nfmigsim import check_placement
+        from nfmigsim import HostLoad, check_placement
 
         for rec in bundle.reports:
             if not rec.report.succeeded or rec.target_host is None:
                 continue
             nf = scenario.topology.nfs[rec.nf_id]
             host = scenario.topology.hosts[rec.target_host]
-            others = {
-                other.id: other.host for other in scenario.topology.nfs.values()
-            }
-            others[rec.nf_id] = rec.target_host
+            load = HostLoad(scenario.topology)
+            load.move(rec.nf_id, rec.target_host)
             violations = check_placement(
-                nf, host, scenario.topology.sessions, scenario.topology, placements=others
+                nf, host, scenario.topology.sessions, scenario.topology, load
             )
             assert violations == []
 
@@ -277,6 +293,29 @@ class TestCli:
         bad.write_text("{", encoding="utf-8")
         assert main(["simulate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["trigger", "ue"])
+    def test_unreachable_hall_exit_code(self, tmp_path, capsys, where):
+        data = copy.deepcopy(MINIMAL)
+        data["topology"]["hosts"].append({"id": "h3", "hall": "hall-C", "driver": "macvlan"})
+        if where == "ue":
+            data["ue"] = {"id": "ue-1", "zone": "hall-C"}
+        else:
+            data["triggers"] = [{"time_us": 10, "ue_id": "ue-1", "new_zone": "hall-C"}]
+        assert main(["simulate", str(write(tmp_path, data)), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        prefix = "ue.zone" if where == "ue" else "triggers[0].new_zone"
+        assert err.startswith(f"error: {prefix} 'hall-C': host 'h3' cannot be reached")
+        assert "Traceback" not in err
+
+    def test_simulator_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def unreachable(scenario, seed=None):
+            raise NoPathError("hosts 'h1' and 'h3' are not connected")
+
+        monkeypatch.setattr("nfmigsim.cli.run_scenario", unreachable)
+        assert main(["simulate", str(write(tmp_path, MINIMAL))]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: hosts 'h1' and 'h3' are not connected\n"
 
     def test_policy_table_prints_grid(self, capsys):
         assert main(["policy-table"]) == 0
