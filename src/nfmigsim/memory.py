@@ -9,8 +9,9 @@ quantity that decides how well the iterative strategies converge.
 Two dirty models are provided.  The constant-rate model is fully
 deterministic and uses exact rational arithmetic for its fractional-page
 carry, so the number of dirtied pages over a span of virtual time does not
-depend on how that span is sliced into calls.  The Bernoulli model draws
-per-page from a seeded stream for stochastic workloads.
+depend on how that span is sliced into calls.  The Bernoulli model flips
+each non-dirty page independently, drawing from a seeded stream for
+stochastic workloads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from random import Random
 from typing import Iterable, Sequence
 
@@ -42,12 +44,27 @@ class BatchFilter(Enum):
     NEVER_COPIED_ONLY = "never-copied-only"
 
 
+# One state byte per page.  The bulk transitions below are slice assignments,
+# ``bytearray.translate``, ``find``, ``count`` and big-integer bit operations,
+# which run in C; Python steps are spent per run of pages, never per page of
+# the image, except for the Bernoulli model's one random number per page.
+# Bit 0 of a byte means dirty and bit 1 never copied; ``dirty_where`` uses that.
+_CLEAN, _DIRTY, _NEVER = 0, 1, 2
+_STATES = (PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED)
+_DIRTY_TO_CLEAN = bytes((_CLEAN, _CLEAN, _NEVER)) + bytes(253)
+_ONLY_DIRTY = bytes((0, 1, 0)) + bytes(253)
+_ONLY_NEVER = bytes((0, 0, 1)) + bytes(253)
+_NOT_DIRTY = bytes((1, 0, 1)) + bytes(253)
+
+
 class MemoryImage:
     """Per-page transfer bookkeeping for one function instance.
 
-    The image never stores page contents, only transfer state.  ``frozen``
-    marks spans where the owning function is checkpoint-frozen; advancing
-    the dirty process during such a span is a programming error and raises.
+    The image never stores page contents, only transfer state: one byte per
+    page plus running dirty and never-copied counts, so every count is O(1).
+    ``frozen`` marks spans where the owning function is checkpoint-frozen;
+    advancing the dirty process during such a span is a programming error
+    and raises.
     """
 
     def __init__(
@@ -63,9 +80,10 @@ class MemoryImage:
             raise ValueError(f"page_size must be > 0, got {page_size}")
         self._num_pages = num_pages
         self._page_size = page_size
+        ws: Sequence[int]
         if working_set is not None:
-            ws = frozenset(working_set)
-            if any(p < 0 or p >= num_pages for p in ws):
+            ws = tuple(sorted(set(working_set)))
+            if ws and (ws[0] < 0 or ws[-1] >= num_pages):
                 raise ValueError("working_set contains page ids outside the image")
         else:
             fraction = (
@@ -75,10 +93,11 @@ class MemoryImage:
             )
             if not 0.0 <= fraction <= 1.0:
                 raise ValueError(f"working_set_fraction must be in [0, 1], got {fraction}")
-            ws = frozenset(range(int(fraction * num_pages)))
-        self._working_set = ws
-        self._dirty: set[int] = set()
-        self._never: set[int] = set(range(num_pages))
+            ws = range(int(fraction * num_pages))
+        self._working_set = ws  # ascending page ids
+        self._state = bytearray((_NEVER,)) * num_pages
+        self._dirty = 0
+        self._never = num_pages
         self.frozen = False
 
     @property
@@ -91,7 +110,7 @@ class MemoryImage:
 
     @property
     def working_set(self) -> frozenset[int]:
-        return self._working_set
+        return frozenset(self._working_set)
 
     @property
     def total_bytes(self) -> int:
@@ -99,15 +118,15 @@ class MemoryImage:
 
     @property
     def dirty_count(self) -> int:
-        return len(self._dirty)
+        return self._dirty
 
     @property
     def never_copied_count(self) -> int:
-        return len(self._never)
+        return self._never
 
     @property
     def clean_count(self) -> int:
-        return self._num_pages - len(self._dirty) - len(self._never)
+        return self._num_pages - self._dirty - self._never
 
     @property
     def all_clean(self) -> bool:
@@ -116,11 +135,7 @@ class MemoryImage:
     def page_state(self, page_id: int) -> PageState:
         if not 0 <= page_id < self._num_pages:
             raise ValueError(f"page id {page_id} outside image of {self._num_pages} pages")
-        if page_id in self._dirty:
-            return PageState.DIRTY_SINCE_COPY
-        if page_id in self._never:
-            return PageState.NEVER_COPIED
-        return PageState.CLEAN_AT_TARGET
+        return _STATES[self._state[page_id]]
 
     def take_transfer_batch(self, batch_filter: BatchFilter) -> list[int]:
         """Matching page ids in ascending order; never mutates state.
@@ -130,12 +145,17 @@ class MemoryImage:
         if batch_filter is BatchFilter.ALL:
             return list(range(self._num_pages))
         if batch_filter is BatchFilter.DIRTY_ONLY:
-            return sorted(self._dirty)
+            return self._pages_where(_ONLY_DIRTY, self._dirty)
         if batch_filter is BatchFilter.WORKING_SET_ONLY:
-            return sorted(self._working_set)
+            return list(self._working_set)
         if batch_filter is BatchFilter.NEVER_COPIED_ONLY:
-            return sorted(self._never)
+            return self._pages_where(_ONLY_NEVER, self._never)
         raise ValueError(f"unknown batch filter {batch_filter!r}")
+
+    def _pages_where(self, selector: bytes, count: int) -> list[int]:
+        if not count:
+            return []
+        return list(compress(range(self._num_pages), self._state.translate(selector)))
 
     def mark_copied(self, pages: Sequence[int]) -> None:
         """Record that ``pages`` landed at the target in their current state.
@@ -144,36 +164,94 @@ class MemoryImage:
         """
         if len(pages) == self._num_pages:
             # Full-image batches are common (bulk copy, first iterative round).
-            self._dirty.clear()
-            self._never.clear()
+            self.copy_all()
             return
-        self._dirty.difference_update(pages)
-        self._never.difference_update(pages)
+        state = self._state
+        for page_id in pages:
+            byte = state[page_id]
+            if byte == _DIRTY:
+                self._dirty -= 1
+            elif byte == _NEVER:
+                self._never -= 1
+            state[page_id] = _CLEAN
+
+    def copy_all(self) -> int:
+        """Record that the whole image landed at the target; returns its page count."""
+        if self._dirty or self._never:
+            self._state = bytearray(self._num_pages)
+            self._dirty = self._never = 0
+        return self._num_pages
+
+    def copy_dirty(self) -> int:
+        """Record that every dirty page landed at the target; returns how many."""
+        copied = self._dirty
+        if copied:
+            self._state = self._state.translate(_DIRTY_TO_CLEAN)
+            self._dirty = 0
+        return copied
 
     def reset_for_transfer(self) -> None:
         """Start a new migration: every page needs to reach the new target."""
-        if not self._dirty and len(self._never) == self._num_pages:
+        if self._never == self._num_pages:
             return
-        self._dirty.clear()
-        self._never = set(range(self._num_pages))
+        self._state[:] = bytes((_NEVER,)) * self._num_pages
+        self._dirty = 0
+        self._never = self._num_pages
 
     def clone_fresh(self) -> "MemoryImage":
         """A new image with the same shape and working set, all pages pending."""
         return MemoryImage(self._num_pages, self._page_size, working_set=self._working_set)
 
-    def _dirty_ascending(self, limit: int) -> int:
-        """Mark up to ``limit`` non-dirty pages dirty, lowest page id first."""
+    def dirty_lowest(self, limit: int) -> int:
+        """Mark up to ``limit`` non-dirty pages dirty, lowest page id first.
+
+        Works run by run: each step finds the next non-dirty page and the end
+        of its run, then marks the run with one slice assignment.
+        """
+        state = self._state
+        n = self._num_pages
         marked = 0
-        if limit <= 0:
-            return 0
-        for page_id in range(self._num_pages):
-            if page_id in self._dirty:
-                continue
-            self._never.discard(page_id)
-            self._dirty.add(page_id)
-            marked += 1
-            if marked == limit:
+        cursor = 0
+        while marked < limit:
+            clean = state.find(_CLEAN, cursor)
+            if clean < 0:
+                clean = n
+            never = state.find(_NEVER, cursor, clean)
+            start = clean if never < 0 else never
+            if start == n:
                 break
+            stop = min(n, start + limit - marked)
+            end = state.find(_DIRTY, start, stop)
+            if end < 0:
+                end = stop
+            self._never -= state.count(_NEVER, start, end)
+            state[start:end] = bytes((_DIRTY,)) * (end - start)
+            marked += end - start
+            cursor = end
+        self._dirty += marked
+        return marked
+
+    def not_dirty_mask(self) -> bytes:
+        """One byte per page: 1 where the page is not dirty, else 0."""
+        return self._state.translate(_NOT_DIRTY)
+
+    def dirty_where(self, mask: bytes) -> int:
+        """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
+
+        Returns how many of those pages were not dirty yet.  The state and
+        the mask are combined as two big integers, so the whole image is one
+        C-level step: a hit sets a page's dirty bit and clears its
+        never-copied bit.
+        """
+        if len(mask) != self._num_pages:
+            raise ValueError(f"mask of {len(mask)} bytes for an image of {self._num_pages} pages")
+        hit = int.from_bytes(mask, "little")
+        state = int.from_bytes(self._state, "little")
+        marked = hit.bit_count() - (hit & state).bit_count()
+        self._never -= ((hit << 1) & state).bit_count()
+        self._dirty += marked
+        state = (state & ~(hit << 1)) | hit
+        self._state = bytearray(state.to_bytes(self._num_pages, "little"))
         return marked
 
 
@@ -198,8 +276,7 @@ class ConstantRateDirty:
         accumulated = self._rate * Fraction(duration_us, MICROS_PER_SECOND) + self.carry
         raw = math.floor(accumulated)
         self.carry = accumulated - raw
-        available = image.num_pages - image.dirty_count
-        return image._dirty_ascending(min(raw, available))
+        return image.dirty_lowest(raw)
 
 
 @dataclass
@@ -216,17 +293,13 @@ class BernoulliDirty:
             )
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
+        # One draw per non-dirty page, in ascending page order: the same
+        # random-number order as a page-by-page scan, at a cost that does not
+        # depend on the probability or the seed.
         q = 1.0 - (1.0 - self.p_per_page_per_ms) ** (duration_us / 1000.0)
-        hits = []
-        for page_id in range(image.num_pages):
-            if image.page_state(page_id) is PageState.DIRTY_SINCE_COPY:
-                continue
-            if self.rng.random() < q:
-                hits.append(page_id)
-        for page_id in hits:
-            image._never.discard(page_id)
-            image._dirty.add(page_id)
-        return len(hits)
+        random = self.rng.random
+        hits = bytes(eligible and random() < q for eligible in image.not_dirty_mask())
+        return image.dirty_where(hits)
 
 
 DirtyProcess = ConstantRateDirty | BernoulliDirty

@@ -177,9 +177,8 @@ def migrate_inter_copy(
     freeze = params.freeze_overhead_us
     restart = params.restart_overhead_us
     image.frozen = True
-    batch = image.take_transfer_batch(BatchFilter.ALL)
-    copy_us = transfer_time_us(len(batch), image.page_size, channel)
-    image.mark_copied(batch)
+    copied = image.copy_all()
+    copy_us = transfer_time_us(copied, image.page_size, channel)
     image.frozen = False
     total = freeze + copy_us + restart
     phases = (
@@ -191,7 +190,7 @@ def migrate_inter_copy(
         Strategy.INTER_COPY,
         downtime_us=total,
         migration_time_us=total,
-        bytes_transferred=len(batch) * image.page_size,
+        bytes_transferred=copied * image.page_size,
         phases=phases,
     )
 
@@ -218,13 +217,11 @@ def migrate_pre_copy(
     pages_sent = 0
     phases: list[Phase] = []
     while True:
-        selector = BatchFilter.ALL if rounds == 0 else BatchFilter.DIRTY_ONLY
-        batch = image.take_transfer_batch(selector)
-        round_us = transfer_time_us(len(batch), page_size, channel)
-        image.mark_copied(batch)
+        batch = image.copy_all() if rounds == 0 else image.copy_dirty()
+        round_us = transfer_time_us(batch, page_size, channel)
         advance_dirty(image, dirty_process, round_us)
         rounds += 1
-        pages_sent += len(batch)
+        pages_sent += batch
         phases.append(Phase(f"copy-round-{rounds}", elapsed, elapsed + round_us))
         elapsed += round_us
         if image.dirty_count <= params.precopy_stop_threshold:
@@ -234,11 +231,10 @@ def migrate_pre_copy(
     freeze = params.freeze_overhead_us
     restart = params.restart_overhead_us
     image.frozen = True
-    residual = image.take_transfer_batch(BatchFilter.DIRTY_ONLY)
-    residual_us = transfer_time_us(len(residual), page_size, channel)
-    image.mark_copied(residual)
+    residual = image.copy_dirty()
+    residual_us = transfer_time_us(residual, page_size, channel)
     image.frozen = False
-    pages_sent += len(residual)
+    pages_sent += residual
     downtime = freeze + residual_us + restart
     phases.append(Phase("freeze", elapsed, elapsed + freeze))
     phases.append(Phase("copy-residual", elapsed + freeze, elapsed + freeze + residual_us))
@@ -462,7 +458,7 @@ class ReplicaHandle:
         self._cursor = started_at_us
         self._initial_done = False
         self._next_fire = self.initial_copy_done_us
-        self._inflight: tuple[int, list[int], int] | None = None
+        self._inflight: tuple[int, int, int] | None = None  # (fired, pages, done)
 
     @property
     def synced(self) -> bool:
@@ -473,9 +469,7 @@ class ReplicaHandle:
         return self._cursor
 
     def _complete_initial_copy(self) -> None:
-        batch = self.image.take_transfer_batch(BatchFilter.ALL)
-        self.image.mark_copied(batch)
-        self.sync_bytes += len(batch) * self.image.page_size
+        self.sync_bytes += self.image.copy_all() * self.image.page_size
         advance_dirty(
             self.image, self.dirty_process, self.initial_copy_done_us - self._cursor
         )
@@ -488,19 +482,25 @@ class ReplicaHandle:
         if fire > self._cursor:
             advance_dirty(self.image, self.dirty_process, fire - self._cursor)
             self._cursor = fire
-        snapshot = self.image.take_transfer_batch(BatchFilter.DIRTY_ONLY)
-        done = fire + transfer_time_us(len(snapshot), self.image.page_size, self.channel)
-        self._inflight = (fire, snapshot, done)
+        pages = self.image.dirty_count
+        done = fire + transfer_time_us(pages, self.image.page_size, self.channel)
+        self._inflight = (fire, pages, done)
 
     def _complete_tick(self) -> None:
         assert self._inflight is not None
-        fire, snapshot, done = self._inflight
-        self.image.mark_copied(snapshot)
+        fire, pages, done = self._inflight
+        # The tick ships the dirty set as of its firing; nothing dirties while
+        # it is in flight (see advance_to), so that set is still the dirty set.
+        copied = self.image.copy_dirty()
+        if copied != pages:
+            raise InvariantViolation(
+                self.nf.id, f"sync tick fired with {pages} dirty pages, {copied} at completion"
+            )
         advance_dirty(self.image, self.dirty_process, done - fire)
         self._cursor = done
-        self.sync_bytes += len(snapshot) * self.image.page_size
+        self.sync_bytes += pages * self.image.page_size
         self.ticks_completed += 1
-        self.tick_log.append(SyncTick(fire, len(snapshot), done))
+        self.tick_log.append(SyncTick(fire, pages, done))
         self._inflight = None
         self._next_fire = max(fire + self.params.ppm_sync_interval_us, done)
 
@@ -603,9 +603,8 @@ def migrate_parallel(
     freeze = params.freeze_overhead_us
     activation = params.activation_overhead_us
     image.frozen = True
-    delta = image.take_transfer_batch(BatchFilter.DIRTY_ONLY)
-    delta_us = transfer_time_us(len(delta), image.page_size, channel)
-    image.mark_copied(delta)
+    delta = image.copy_dirty()
+    delta_us = transfer_time_us(delta, image.page_size, channel)
     image.frozen = False
     signaling = params.handover_signal_roundtrips * 2 * latency_ceil_us(channel)
     downtime = freeze + delta_us + signaling + activation
@@ -620,7 +619,7 @@ def migrate_parallel(
         Strategy.PARALLEL,
         downtime_us=downtime,
         migration_time_us=downtime,
-        bytes_transferred=len(delta) * image.page_size,
+        bytes_transferred=delta * image.page_size,
         sync_bytes=replica.sync_bytes,
         phases=phases,
     )

@@ -245,6 +245,10 @@ class ValidatedTopology:
             self._adjacency[link.a][link.b] = link
             self._adjacency[link.b][link.a] = link
         self._path_cache: dict[tuple[str, str], PathInfo | None] = {}
+        by_hall: dict[str, list[HostNode]] = {}
+        for host in sorted(hosts.values(), key=lambda h: h.id):
+            by_hall.setdefault(host.hall, []).append(host)
+        self._hosts_by_hall = {hall: tuple(members) for hall, members in by_hall.items()}
 
     def host(self, host_id: str) -> HostNode:
         try:
@@ -255,10 +259,9 @@ class ValidatedTopology:
     def profile(self, host_id: str) -> NetworkDriverProfile:
         return self.drivers[self.host(host_id).attached_driver]
 
-    def hosts_in_hall(self, hall: str) -> list[HostNode]:
-        return sorted(
-            (h for h in self.hosts.values() if h.hall == hall), key=lambda h: h.id
-        )
+    def hosts_in_hall(self, hall: str) -> tuple[HostNode, ...]:
+        """The hall's hosts in id order; empty for a hall with no host."""
+        return self._hosts_by_hall.get(hall, ())
 
     def path_between(self, a: str, b: str) -> PathInfo:
         """Fewest-hop route a->b; deterministic tie-break by host id order."""

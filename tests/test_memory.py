@@ -1,8 +1,12 @@
 """Dirty-page bookkeeping: batch filters, carry arithmetic, conservation."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfmigsim import (
     BatchFilter,
@@ -31,6 +35,18 @@ class TestMemoryImage:
 
     def test_total_bytes(self):
         assert MemoryImage(12, 4096).total_bytes == 12 * 4096
+
+    def test_dirty_where_counts_only_newly_dirtied(self):
+        image = MemoryImage(6, 1)
+        image.mark_copied([0, 1, 2])  # pages 3-5 stay never copied
+        assert image.dirty_where(bytes((1, 0, 0, 1, 0, 0))) == 2
+        assert image.dirty_where(bytes((1, 1, 0, 1, 1, 0))) == 2  # 0 and 3 already dirty
+        dirty, clean = PageState.DIRTY_SINCE_COPY, PageState.CLEAN_AT_TARGET
+        states = [image.page_state(p) for p in range(6)]
+        assert states == [dirty, dirty, clean, dirty, dirty, PageState.NEVER_COPIED]
+        assert (image.dirty_count, image.clean_count, image.never_copied_count) == (4, 1, 1)
+        with pytest.raises(ValueError):
+            image.dirty_where(bytes(5))
 
     def test_default_working_set_fraction(self):
         image = MemoryImage(100, 1)
@@ -147,6 +163,147 @@ class TestBernoulli:
         image = clean_image(30)
         advance_dirty(image, BernoulliDirty(1.0, rng_stream("w", 5)), 1000)
         assert advance_dirty(image, BernoulliDirty(1.0, rng_stream("w", 6)), 1000) == 0
+
+
+class TestBernoulliStatistics:
+    """The sampler against the per-page Bernoulli law."""
+
+    PAGES = 6000
+    P_PER_MS = 0.001
+
+    def mixed_image(self):
+        # Every third page dirty, the rest half clean and half never copied.
+        image = MemoryImage(self.PAGES, 1)
+        image.mark_copied(range(self.PAGES // 2))
+        image.dirty_where(bytes((1, 0, 0)) * (self.PAGES // 3))
+        return image
+
+    @pytest.mark.parametrize("duration_us", [3_000, 223_000, 1_609_000])  # q ~ 0.003, 0.2, 0.8
+    def test_hit_rate_matches_q_in_both_halves(self, duration_us):
+        q = 1.0 - (1.0 - self.P_PER_MS) ** (duration_us / 1000.0)
+        half = self.PAGES // 2
+        eligible = [0, 0]  # non-dirty pages per half, summed over draws
+        hits = [0, 0]
+        for seed in range(30):
+            image = self.mixed_image()
+            before = set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY))
+            newly = advance_dirty(image, BernoulliDirty(self.P_PER_MS, random.Random(seed)), duration_us)
+            after = set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY))
+            assert before <= after
+            assert newly == len(after - before)  # already-dirty pages never count
+            for h in (0, 1):
+                pages = range(h * half, (h + 1) * half)
+                eligible[h] += sum(1 for page in pages if page not in before)
+                hits[h] += sum(1 for page in after - before if page in pages)
+        total = sum(eligible)
+        assert abs(sum(hits) - total * q) < 4 * math.sqrt(total * q * (1 - q))
+        rates = [hits[h] / eligible[h] for h in (0, 1)]
+        pooled = math.sqrt(q * (1 - q) * (1 / eligible[0] + 1 / eligible[1]))
+        assert abs(rates[0] - rates[1]) < 4 * pooled
+
+
+class ReferenceImage:
+    """Set-based page bookkeeping: the representation the byte array replaced."""
+
+    def __init__(self, num_pages):
+        self.num_pages = num_pages
+        self.dirty = set()
+        self.never = set(range(num_pages))
+        self.carry = Fraction(0)
+
+    def mark_copied(self, pages):
+        self.dirty.difference_update(pages)
+        self.never.difference_update(pages)
+
+    def dirty_lowest(self, rate, duration_us):
+        accumulated = Fraction(rate) * Fraction(duration_us, 10**6) + self.carry
+        raw = math.floor(accumulated)
+        self.carry = accumulated - raw
+        picked = [p for p in range(self.num_pages) if p not in self.dirty][:raw]
+        self.dirty.update(picked)
+        self.never.difference_update(picked)
+        return picked
+
+    def bernoulli(self, p, seed, duration_us):
+        """The page-by-page scan: one draw per non-dirty page, ascending."""
+        rng = random.Random(seed)
+        q = 1.0 - (1.0 - p) ** (duration_us / 1000.0)
+        picked = [
+            page for page in range(self.num_pages) if page not in self.dirty and rng.random() < q
+        ]
+        self.dirty.update(picked)
+        self.never.difference_update(picked)
+        return picked
+
+    def reset(self):
+        self.dirty.clear()
+        self.never = set(range(self.num_pages))
+
+
+OPERATIONS = st.one_of(
+    st.tuples(st.just("take-mark"), st.sampled_from(list(BatchFilter)), st.integers(0, 2**16)),
+    st.tuples(st.just("constant"), st.integers(0, 400_000)),
+    st.tuples(st.just("bernoulli"), st.integers(0, 400_000), st.integers(0, 2**16)),
+    st.tuples(st.just("copy-all")),
+    st.tuples(st.just("copy-dirty")),
+    st.tuples(st.just("reset")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_pages=st.integers(0, 48),
+    working_set=st.sets(st.integers(0, 47)),
+    rate=st.sampled_from([0, 7.5, 33, 125.25, 1000]),
+    p=st.sampled_from([0.0, 0.0004, 0.003, 0.05, 1.0]),
+    operations=st.lists(OPERATIONS, max_size=40),
+)
+def test_page_state_matches_set_reference(num_pages, working_set, rate, p, operations):
+    working_set = {page for page in working_set if page < num_pages}
+    image = MemoryImage(num_pages, 1, working_set=working_set)
+    reference = ReferenceImage(num_pages)
+    constant = ConstantRateDirty(rate)
+    for operation in operations:
+        kind = operation[0]
+        if kind == "take-mark":
+            batch_filter, seed = operation[1:]
+            batch = image.take_transfer_batch(batch_filter)
+            expected = {
+                BatchFilter.ALL: range(num_pages),
+                BatchFilter.DIRTY_ONLY: reference.dirty,
+                BatchFilter.WORKING_SET_ONLY: working_set,
+                BatchFilter.NEVER_COPIED_ONLY: reference.never,
+            }[batch_filter]
+            assert batch == sorted(expected)
+            part = random.Random(seed).sample(batch, len(batch) // 2)
+            image.mark_copied(part)
+            reference.mark_copied(part)
+        elif kind == "constant":
+            before = set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY))
+            newly = advance_dirty(image, constant, operation[1])
+            picked = reference.dirty_lowest(rate, operation[1])
+            assert newly == len(picked)
+            assert set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY)) - before == set(picked)
+        elif kind == "bernoulli":
+            duration_us, seed = operation[1:]
+            newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), duration_us)
+            assert newly == len(reference.bernoulli(p, seed, duration_us))
+            assert image.take_transfer_batch(BatchFilter.DIRTY_ONLY) == sorted(reference.dirty)
+        elif kind == "copy-all":
+            assert image.copy_all() == num_pages
+            reference.mark_copied(range(num_pages))
+        elif kind == "copy-dirty":
+            assert image.copy_dirty() == len(reference.dirty)
+            reference.mark_copied(set(reference.dirty))
+        else:
+            image.reset_for_transfer()
+            reference.reset()
+        states = [image.page_state(page) for page in range(num_pages)]
+        assert image.dirty_count == states.count(PageState.DIRTY_SINCE_COPY) == len(reference.dirty)
+        assert image.never_copied_count == states.count(PageState.NEVER_COPIED) == len(reference.never)
+        assert image.clean_count == states.count(PageState.CLEAN_AT_TARGET)
+        assert image.clean_count + image.dirty_count + image.never_copied_count == num_pages
+        assert image.all_clean == (image.clean_count == num_pages)
 
 
 class TestPageState:

@@ -15,6 +15,7 @@ from nfmigsim import (
     ReplicaNotSyncedError,
     Strategy,
     StrategyInapplicableError,
+    advance_dirty,
     analytic_pre_copy,
     migrate_inter_copy,
     migrate_parallel,
@@ -193,6 +194,24 @@ class TestAnalyticPreCopy:
         assert est.bytes_pages == 300
         assert est.downtime_s == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rate, capped", [(5_000, False), (21_000, True)])
+    def test_matches_simulation_exactly_at_scale(self, rate, capped):
+        pages, bandwidth, threshold, max_rounds = 3 * 10**5, 25_000, 8, 10
+        est = analytic_pre_copy(pages, bandwidth, rate, threshold, max_rounds)
+        assert (est.rounds == max_rounds) == capped
+        params = MigrationParams(
+            precopy_stop_threshold=threshold, precopy_max_rounds=max_rounds, **ZERO_OVERHEADS
+        )
+        nf = stateful_nf(pages)
+        report = migrate_pre_copy(nf, Channel(bandwidth, 0), params, ConstantRateDirty(rate))
+        assert (
+            report.rounds,
+            report.downtime_us,
+            report.migration_time_us,
+            report.bytes_transferred,
+        ) == (est.rounds, est.downtime_us, est.migration_time_us, est.bytes_pages)
+        assert nf.memory.all_clean
+
     def test_matches_simulation_exactly(self):
         rng = random.Random(33)
         for _ in range(60):
@@ -303,6 +322,14 @@ class TestReplicaSync:
         replica.run_until_ticks(4)
         expected = 100 + sum(tick.pages for tick in replica.tick_log)
         assert replica.sync_bytes == expected
+
+    def test_tick_ships_the_dirty_set_it_fired_with(self):
+        nf = stateful_nf(100)
+        replica = start_replica_sync(nf, Channel(100, 0), self.params(), ConstantRateDirty(10))
+        replica.advance_to(1_050_000)  # the flush tick of 10 pages is in flight
+        advance_dirty(nf.memory, ConstantRateDirty(10), 1_000_000)
+        with pytest.raises(InvariantViolation, match="10 dirty pages, 20 at completion"):
+            replica.advance_to(1_100_000)
 
     def test_stateless_rejected(self):
         with pytest.raises(StrategyInapplicableError):
