@@ -80,19 +80,21 @@ class MemoryImage:
             raise ValueError(f"page_size must be > 0, got {page_size}")
         self._num_pages = num_pages
         self._page_size = page_size
+        fraction = (
+            DEFAULT_WORKING_SET_FRACTION if working_set_fraction is None else working_set_fraction
+        )
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"working_set_fraction must be in [0, 1], got {fraction}")
         ws: Sequence[int]
         if working_set is not None:
-            ws = tuple(sorted(set(working_set)))
+            pages = tuple(working_set)
+            for page_id in pages:
+                if not isinstance(page_id, int) or isinstance(page_id, bool):
+                    raise ValueError(f"working_set page ids must be integers, got {page_id!r}")
+            ws = tuple(sorted(set(pages)))
             if ws and (ws[0] < 0 or ws[-1] >= num_pages):
                 raise ValueError("working_set contains page ids outside the image")
         else:
-            fraction = (
-                DEFAULT_WORKING_SET_FRACTION
-                if working_set_fraction is None
-                else working_set_fraction
-            )
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError(f"working_set_fraction must be in [0, 1], got {fraction}")
             ws = range(int(fraction * num_pages))
         self._working_set = ws  # ascending page ids
         self._state = bytearray((_NEVER,)) * num_pages
@@ -269,7 +271,7 @@ class ConstantRateDirty:
 
     def __post_init__(self):
         if self.rate_pages_per_s < 0:
-            raise ValueError(f"dirty rate must be >= 0, got {self.rate_pages_per_s}")
+            raise ValueError(f"rate_pages_per_s must be >= 0, got {self.rate_pages_per_s}")
         self._rate = Fraction(self.rate_pages_per_s)
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
@@ -289,7 +291,7 @@ class BernoulliDirty:
     def __post_init__(self):
         if not 0.0 <= self.p_per_page_per_ms <= 1.0:
             raise ValueError(
-                f"per-page probability must be in [0, 1], got {self.p_per_page_per_ms}"
+                f"p_per_page_per_ms must be in [0, 1], got {self.p_per_page_per_ms}"
             )
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:

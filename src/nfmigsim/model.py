@@ -56,7 +56,7 @@ class NetworkDriverProfile:
         if self.rtt_inter_host_us <= 0:
             raise InvariantViolation(
                 f"driver '{self.kind.value}'",
-                f"inter-host RTT must be positive, got {self.rtt_inter_host_us}",
+                f"rtt_inter_host_us must be positive, got {self.rtt_inter_host_us}",
             )
 
 
@@ -156,6 +156,12 @@ class HostNode:
     cpu_capacity: float
     attached_driver: DriverKind
 
+    def __post_init__(self):
+        if self.cpu_capacity < 0:
+            raise InvariantViolation(
+                self.id, f"cpu_capacity must be >= 0, got {self.cpu_capacity}"
+            )
+
 
 @dataclass(frozen=True)
 class Link:
@@ -163,6 +169,17 @@ class Link:
     b: str
     bandwidth_bps: int
     extra_latency_us: int = 0
+
+    def __post_init__(self):
+        entity = f"link ({self.a}, {self.b})"
+        if self.bandwidth_bps <= 0:
+            raise InvariantViolation(
+                entity, f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
+            )
+        if self.extra_latency_us < 0:
+            raise InvariantViolation(
+                entity, f"extra_latency_us must be >= 0, got {self.extra_latency_us}"
+            )
 
 
 @dataclass(frozen=True)
@@ -369,14 +386,14 @@ def validate_topology(
     entity.  Hosts that run function instances must be mutually reachable
     over the link graph.
     """
+    if intra_host_latency_us < 0:
+        raise InvariantViolation(
+            "topology", f"intra_host_latency_us must be >= 0, got {intra_host_latency_us}"
+        )
     host_map: dict[str, HostNode] = {}
     for host in hosts:
         if host.id in host_map:
             raise DuplicateIdError(f"host id '{host.id}' appears more than once")
-        if host.cpu_capacity < 0:
-            raise InvariantViolation(
-                host.id, f"cpu_capacity must be >= 0, got {host.cpu_capacity}"
-            )
         host_map[host.id] = host
 
     seen_pairs: set[frozenset[str]] = set()
@@ -389,16 +406,6 @@ def validate_topology(
         if link.a == link.b:
             raise InvariantViolation(
                 f"link ({link.a}, {link.b})", "endpoints must be distinct"
-            )
-        if link.bandwidth_bps <= 0:
-            raise InvariantViolation(
-                f"link ({link.a}, {link.b})",
-                f"bandwidth must be positive, got {link.bandwidth_bps}",
-            )
-        if link.extra_latency_us < 0:
-            raise InvariantViolation(
-                f"link ({link.a}, {link.b})",
-                f"extra latency must be >= 0, got {link.extra_latency_us}",
             )
         pair = frozenset((link.a, link.b))
         if pair in seen_pairs:

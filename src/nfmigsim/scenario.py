@@ -12,20 +12,27 @@ omitted parameter has a documented default:
 * ``objective`` "downtime", ``seed`` 0, ``rtt_sample_interval_us`` 100000
 * trigger ``affected_kinds`` ["smf", "amf"]
 
-Parse errors name the offending key; validation errors name the offending
-entity.
+The parser checks types, key names and that every number is finite (JSON
+as read by Python may hold ``NaN`` and ``Infinity``); it makes no range
+comparison.  Each numeric bound belongs to the constructor of the object
+that stores the value, and :meth:`_Reader.build` reports a rejected value
+as ``'<dotted path of the object>': <field> ...`` (top-level keys have no
+path).  Validation errors name the offending entity; ``validate_topology``
+owns ``intra_host_latency_us``, so that bound is one of them.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import (
+    InvariantViolation,
     NoPathError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -85,6 +92,10 @@ class MigrationTrigger:
     affected_kinds: tuple[NfKind, ...] = DEFAULT_AFFECTED_KINDS
     objective: Objective | None = None  # overrides the scenario objective
 
+    def __post_init__(self):
+        if self.time_us < 0:
+            raise ValueError(f"time_us must be >= 0, got {self.time_us}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -99,6 +110,14 @@ class Scenario:
     triggers: tuple[MigrationTrigger, ...]
     dirty_specs: Mapping[str, DirtyModelSpec]
     raw: dict
+
+    def __post_init__(self):
+        if self.duration_us < 0:
+            raise ValueError(f"duration_us must be >= 0, got {self.duration_us}")
+        if self.rtt_sample_interval_us <= 0:
+            raise ValueError(
+                f"rtt_sample_interval_us must be > 0, got {self.rtt_sample_interval_us}"
+            )
 
 
 class _Reader:
@@ -131,6 +150,8 @@ class _Reader:
             raise ScenarioParseError(
                 f"'{self._full(key)}' has wrong type {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioParseError(f"'{self._full(key)}' must be finite, got {value}")
         return value
 
     def reject_unknown(self, allowed: set[str]) -> None:
@@ -140,6 +161,21 @@ class _Reader:
 
     def sub(self, key: str) -> "_Reader":
         return _Reader(self.data[key], self._full(key))
+
+    def build(self, constructor: Callable, *args, **kwargs) -> Any:
+        """Call ``constructor``; a bound it rejects is reported at this object's path.
+
+        The domain types own their numeric bounds: their ``ValueError`` or
+        :class:`InvariantViolation` names the field, and the parser adds where
+        in the document the object is.
+        """
+        try:
+            return constructor(*args, **kwargs)
+        except InvariantViolation as exc:
+            detail = exc.detail
+        except ValueError as exc:
+            detail = str(exc)
+        raise ScenarioParseError(f"'{self.path}': {detail}" if self.path else detail)
 
 
 def _enum_value(enum_cls, raw: str, path: str):
@@ -157,10 +193,6 @@ def _parse_driver_overrides(reader: _Reader) -> dict[DriverKind, NetworkDriverPr
         sub = _Reader(raw_profile, f"{reader.path}.{raw_kind}")
         sub.reject_unknown({"rtt_inter_host_us", "carries_l2", "isolation"})
         rtt = sub.require("rtt_inter_host_us", int)
-        if rtt <= 0:
-            raise ScenarioParseError(
-                f"'{sub.path}.rtt_inter_host_us' must be positive, got {rtt}"
-            )
         carries_l2 = sub.require("carries_l2", bool)
         raw_isolation = sub.require("isolation", str)
         try:
@@ -170,7 +202,7 @@ def _parse_driver_overrides(reader: _Reader) -> dict[DriverKind, NetworkDriverPr
             raise ScenarioParseError(
                 f"'{sub.path}.isolation' must be one of: {valid} (got '{raw_isolation}')"
             ) from None
-        overrides[kind] = NetworkDriverProfile(kind, rtt, carries_l2, isolation)
+        overrides[kind] = sub.build(NetworkDriverProfile, kind, rtt, carries_l2, isolation)
     return overrides
 
 
@@ -178,17 +210,14 @@ def _parse_memory(reader: _Reader) -> tuple[MemoryImage, DirtyModelSpec]:
     reader.reject_unknown(
         {"num_pages", "page_size", "working_set_fraction", "working_set", "dirty_model"}
     )
-    num_pages = reader.optional("num_pages", int, DEFAULT_MEMORY["num_pages"])
-    page_size = reader.optional("page_size", int, DEFAULT_MEMORY["page_size"])
-    if num_pages < 0:
-        raise ScenarioParseError(f"'{reader.path}.num_pages' must be >= 0, got {num_pages}")
-    if page_size <= 0:
-        raise ScenarioParseError(f"'{reader.path}.page_size' must be > 0, got {page_size}")
-    working_set = None
-    if "working_set" in reader.data:
-        working_set = reader.require("working_set", list)
-    fraction = reader.optional(
-        "working_set_fraction", float, DEFAULT_MEMORY["working_set_fraction"]
+    image = reader.build(
+        MemoryImage,
+        reader.optional("num_pages", int, DEFAULT_MEMORY["num_pages"]),
+        reader.optional("page_size", int, DEFAULT_MEMORY["page_size"]),
+        working_set=reader.optional("working_set", list, None),
+        working_set_fraction=reader.optional(
+            "working_set_fraction", float, DEFAULT_MEMORY["working_set_fraction"]
+        ),
     )
     raw_model = reader.optional("dirty_model", dict, DEFAULT_MEMORY["dirty_model"])
     model_reader = _Reader(raw_model, f"{reader.path}.dirty_model")
@@ -198,32 +227,17 @@ def _parse_memory(reader: _Reader) -> tuple[MemoryImage, DirtyModelSpec]:
         rate = model_reader.optional(
             "rate_pages_per_s", float, DEFAULT_MEMORY["dirty_model"]["rate_pages_per_s"]
         )
-        if rate < 0:
-            raise ScenarioParseError(
-                f"'{model_reader.path}.rate_pages_per_s' must be >= 0, got {rate}"
-            )
         spec = DirtyModelSpec("constant-rate", rate_pages_per_s=rate)
     elif model_kind == "bernoulli":
         p = model_reader.require("p_per_page_per_ms", float)
-        if not 0.0 <= p <= 1.0:
-            raise ScenarioParseError(
-                f"'{model_reader.path}.p_per_page_per_ms' must be in [0, 1], got {p}"
-            )
         spec = DirtyModelSpec("bernoulli", p_per_page_per_ms=p)
     else:
         raise ScenarioParseError(
             f"'{model_reader.path}.kind' must be 'constant-rate' or 'bernoulli' "
             f"(got '{model_kind}')"
         )
-    try:
-        image = MemoryImage(
-            num_pages,
-            page_size,
-            working_set=working_set,
-            working_set_fraction=fraction,
-        )
-    except ValueError as exc:
-        raise ScenarioParseError(f"'{reader.path}': {exc}") from None
+    # Built once so the model checks its numbers; the runner builds the seeded one.
+    model_reader.build(spec.build, None)
     return image, spec
 
 
@@ -248,15 +262,11 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     name = top.optional("name", str, Path(source).stem if source != "<dict>" else "scenario")
     seed = top.optional("seed", int, 0)
     duration_us = top.require("duration_us", int)
-    if duration_us < 0:
-        raise ScenarioParseError(f"'duration_us' must be >= 0, got {duration_us}")
     objective = _enum_value(
         Objective, top.optional("objective", str, Objective.MINIMIZE_DOWNTIME.value),
         "objective",
     )
     interval = top.optional("rtt_sample_interval_us", int, DEFAULT_RTT_SAMPLE_INTERVAL_US)
-    if interval <= 0:
-        raise ScenarioParseError(f"'rtt_sample_interval_us' must be > 0, got {interval}")
 
     top.require("topology", dict)
     topo_reader = top.sub("topology")
@@ -264,10 +274,6 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         {"intra_host_latency_us", "l2_overlay_enabled", "driver_overrides", "hosts", "links"}
     )
     intra = topo_reader.optional("intra_host_latency_us", float, 25)
-    if intra < 0:
-        raise ScenarioParseError(
-            f"'topology.intra_host_latency_us' must be >= 0, got {intra}"
-        )
     l2_overlay = topo_reader.optional("l2_overlay_enabled", bool, False)
     overrides = {}
     if "driver_overrides" in topo_reader.data:
@@ -278,16 +284,12 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     for i, raw_host in enumerate(topo_reader.require("hosts", list)):
         reader = _Reader(raw_host, f"topology.hosts[{i}]")
         reader.reject_unknown({"id", "hall", "cpu_capacity", "driver"})
-        capacity = reader.optional("cpu_capacity", float, DEFAULT_CPU_CAPACITY)
-        if capacity < 0:
-            raise ScenarioParseError(
-                f"'{reader.path}.cpu_capacity' must be >= 0, got {capacity}"
-            )
         hosts.append(
-            HostNode(
+            reader.build(
+                HostNode,
                 id=reader.require("id", str),
                 hall=reader.require("hall", str),
-                cpu_capacity=capacity,
+                cpu_capacity=reader.optional("cpu_capacity", float, DEFAULT_CPU_CAPACITY),
                 attached_driver=_enum_value(
                     DriverKind, reader.require("driver", str), f"{reader.path}.driver"
                 ),
@@ -298,22 +300,13 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     for i, raw_link in enumerate(topo_reader.optional("links", list, [])):
         reader = _Reader(raw_link, f"topology.links[{i}]")
         reader.reject_unknown({"a", "b", "bandwidth_bps", "extra_latency_us"})
-        bandwidth = reader.require("bandwidth_bps", int)
-        if bandwidth <= 0:
-            raise ScenarioParseError(
-                f"'{reader.path}.bandwidth_bps' must be positive, got {bandwidth}"
-            )
-        extra = reader.optional("extra_latency_us", int, 0)
-        if extra < 0:
-            raise ScenarioParseError(
-                f"'{reader.path}.extra_latency_us' must be >= 0, got {extra}"
-            )
         links.append(
-            Link(
+            reader.build(
+                Link,
                 a=reader.require("a", str),
                 b=reader.require("b", str),
-                bandwidth_bps=bandwidth,
-                extra_latency_us=extra,
+                bandwidth_bps=reader.require("bandwidth_bps", int),
+                extra_latency_us=reader.optional("extra_latency_us", int, 0),
             )
         )
 
@@ -367,34 +360,17 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
             )
         )
 
-    raw_params = top.optional("migration_params", dict, {})
-    params_reader = _Reader(raw_params, "migration_params")
-    param_fields = {
-        "freeze_overhead_us",
-        "restart_overhead_us",
-        "activation_overhead_us",
-        "precopy_stop_threshold",
-        "precopy_max_rounds",
-        "postcopy_fault_deadline_us",
-        "ppm_sync_interval_us",
-        "handover_signal_roundtrips",
-    }
-    params_reader.reject_unknown(param_fields)
-    kwargs = {
-        key: params_reader.require(key, int) for key in param_fields if key in raw_params
-    }
-    try:
-        migration_params = MigrationParams(**kwargs)
-    except ValueError as exc:
-        raise ScenarioParseError(f"'migration_params': {exc}") from None
+    params_reader = _Reader(top.optional("migration_params", dict, {}), "migration_params")
+    params_reader.reject_unknown({field.name for field in fields(MigrationParams)})
+    migration_params = params_reader.build(
+        MigrationParams, **{key: params_reader.require(key, int) for key in params_reader.data}
+    )
 
     triggers = []
     for i, raw_trigger in enumerate(top.optional("triggers", list, [])):
         reader = _Reader(raw_trigger, f"triggers[{i}]")
         reader.reject_unknown({"time_us", "ue_id", "new_zone", "affected_kinds", "objective"})
         time_us = reader.require("time_us", int)
-        if time_us < 0:
-            raise ScenarioParseError(f"'{reader.path}.time_us' must be >= 0, got {time_us}")
         kinds = tuple(
             _enum_value(NfKind, raw, f"{reader.path}.affected_kinds[{j}]")
             for j, raw in enumerate(
@@ -409,7 +385,8 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
                 Objective, reader.require("objective", str), f"{reader.path}.objective"
             )
         triggers.append(
-            MigrationTrigger(
+            reader.build(
+                MigrationTrigger,
                 time_us=time_us,
                 ue_id=reader.require("ue_id", str),
                 new_zone=reader.require("new_zone", str),
@@ -431,6 +408,20 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         )
     except SimulatorError as exc:
         raise ScenarioValidationError(str(exc)) from exc
+    scenario = top.build(
+        Scenario,
+        name=name,
+        seed=seed,
+        duration_us=duration_us,
+        objective=objective,
+        rtt_sample_interval_us=interval,
+        topology=topology,
+        ue=ue,
+        migration_params=migration_params,
+        triggers=tuple(triggers),
+        dirty_specs=dirty_specs,
+        raw=copy.deepcopy(dict(data)),
+    )
 
     for i, trigger in enumerate(triggers):
         if trigger.time_us > duration_us:
@@ -466,19 +457,7 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
                 f"sessions[{i}] references unknown UE '{session.ue_id}'"
             )
 
-    return Scenario(
-        name=name,
-        seed=seed,
-        duration_us=duration_us,
-        objective=objective,
-        rtt_sample_interval_us=interval,
-        topology=topology,
-        ue=ue,
-        migration_params=migration_params,
-        triggers=tuple(triggers),
-        dirty_specs=dirty_specs,
-        raw=copy.deepcopy(dict(data)),
-    )
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

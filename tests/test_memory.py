@@ -60,6 +60,10 @@ class TestMemoryImage:
         with pytest.raises(ValueError):
             MemoryImage(4, 1, working_set={9})
 
+    def test_fraction_checked_beside_explicit_working_set(self):
+        with pytest.raises(ValueError, match="working_set_fraction"):
+            MemoryImage(4, 1, working_set={1}, working_set_fraction=7)
+
     def test_batches_do_not_mutate(self):
         image = MemoryImage(5, 1)
         image.take_transfer_batch(BatchFilter.ALL)

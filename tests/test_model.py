@@ -248,3 +248,15 @@ class TestValidateTopology:
         ]
         with pytest.raises(InvariantViolation, match="bandwidth"):
             validate_topology(hosts, [Link("h1", "h2", -5)], [])
+
+    def test_negative_intra_host_latency_rejected(self):
+        # A negative latency gives an inter-copy over the intra-host channel
+        # a negative downtime.
+        with pytest.raises(InvariantViolation, match="intra_host_latency_us"):
+            two_host_topology(
+                DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=-500
+            )
+
+    def test_negative_capacity_rejected_at_construction(self):
+        with pytest.raises(InvariantViolation, match="h1: cpu_capacity must be >= 0"):
+            HostNode("h1", "z", -1, DriverKind.MACVLAN)

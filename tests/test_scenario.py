@@ -127,6 +127,104 @@ class TestLoadScenario:
         assert 2 * scenario.topology.one_way_latency_us("h1", "h2") == 700
 
 
+def _at(data, path):
+    """The object at a dotted path such as ``nfs[1].memory``; ``""`` is the document."""
+    node = data
+    for part in filter(None, path.split(".")):
+        name, _, index = part.partition("[")
+        node = node[name]
+        if index:
+            node = node[int(index[:-1])]
+    return node
+
+
+def _error_surface_document():
+    """The drone scenario plus a driver override and a Bernoulli model to reach."""
+    data = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    data["topology"]["driver_overrides"] = {
+        "macvlan": {"rtt_inter_host_us": 520, "carries_l2": True, "isolation": "medium"}
+    }
+    data["nfs"][3]["memory"]["dirty_model"] = {"kind": "bernoulli", "p_per_page_per_ms": 0.001}
+    return data
+
+
+# (object path, key, bad value, error, what the message names the object by when
+# not by its path: a validation error names the entity).
+_BOUNDS = [
+    ("", "duration_us", -1, ScenarioParseError, None),
+    ("", "rtt_sample_interval_us", 0, ScenarioParseError, None),
+    ("topology", "intra_host_latency_us", -1, ScenarioValidationError, None),
+    ("topology.driver_overrides.macvlan", "rtt_inter_host_us", 0, ScenarioParseError, None),
+    ("topology.hosts[0]", "cpu_capacity", -1, ScenarioParseError, None),
+    ("topology.links[0]", "bandwidth_bps", 0, ScenarioParseError, None),
+    ("topology.links[0]", "extra_latency_us", -1, ScenarioParseError, None),
+    ("nfs[1]", "cpu_demand", -1, ScenarioValidationError, "smf-1"),
+    ("nfs[1].memory", "num_pages", -1, ScenarioParseError, None),
+    ("nfs[1].memory", "page_size", 0, ScenarioParseError, None),
+    ("nfs[1].memory", "working_set_fraction", 1.5, ScenarioParseError, None),
+    ("nfs[1].memory", "working_set", [0, 128], ScenarioParseError, None),
+    ("nfs[1].memory.dirty_model", "rate_pages_per_s", -1, ScenarioParseError, None),
+    ("nfs[3].memory.dirty_model", "p_per_page_per_ms", 1.5, ScenarioParseError, None),
+    ("triggers[0]", "time_us", -1, ScenarioParseError, None),
+] + [
+    ("migration_params", key, 0 if key == "precopy_max_rounds" else -1, ScenarioParseError, None)
+    for key in (
+        "freeze_overhead_us",
+        "restart_overhead_us",
+        "activation_overhead_us",
+        "precopy_stop_threshold",
+        "precopy_max_rounds",
+        "postcopy_fault_deadline_us",
+        "ppm_sync_interval_us",
+        "handover_signal_roundtrips",
+    )
+]
+_FLOAT_KEYS = [
+    ("topology", "intra_host_latency_us"),
+    ("topology.hosts[0]", "cpu_capacity"),
+    ("nfs[1]", "cpu_demand"),
+    ("nfs[1].memory", "working_set_fraction"),
+    ("nfs[1].memory.dirty_model", "rate_pages_per_s"),
+    ("nfs[3].memory.dirty_model", "p_per_page_per_ms"),
+]
+_NOT_FINITE = [
+    (path, key, value, ScenarioParseError, None)
+    for path, key in _FLOAT_KEYS
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+_WORKING_SET_ENTRIES = [
+    ("nfs[1].memory", "working_set", ids, ScenarioParseError, None)
+    for ids in (["a"], [1.5], [True], [[1]])
+]
+
+
+class TestErrorSurface:
+    def test_base_document_is_valid(self):
+        build_scenario(_error_surface_document())
+
+    @pytest.mark.parametrize(
+        "path, key, value, error, named",
+        [
+            pytest.param(*row, id=f"{row[0]}.{row[1]}={row[2]!r}".lstrip("."))
+            for row in _BOUNDS + _NOT_FINITE + _WORKING_SET_ENTRIES
+        ],
+    )
+    def test_bad_value_names_object_and_field_and_exits_2(
+        self, tmp_path, capsys, path, key, value, error, named
+    ):
+        data = _error_surface_document()
+        _at(data, path)[key] = value
+        scenario_file = write(tmp_path, data)
+        with pytest.raises(error) as info:
+            load_scenario(scenario_file)
+        assert (path if named is None else named) in str(info.value)
+        assert key in str(info.value)
+        assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunScenario:
     def test_deterministic_bundles(self):
         scenario = load_scenario(bundled_scenario_path())
