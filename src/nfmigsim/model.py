@@ -157,7 +157,7 @@ class HostNode:
     attached_driver: DriverKind
 
     def __post_init__(self):
-        if self.cpu_capacity < 0:
+        if not self.cpu_capacity >= 0:  # NaN fails too
             raise InvariantViolation(
                 self.id, f"cpu_capacity must be >= 0, got {self.cpu_capacity}"
             )
@@ -261,6 +261,8 @@ class ValidatedTopology:
         for link in links:
             self._adjacency[link.a][link.b] = link
             self._adjacency[link.b][link.a] = link
+        # Neighbours in id order, sorted once: the BFS tie-break.
+        self._neighbors = {h: tuple(sorted(adj)) for h, adj in self._adjacency.items()}
         self._path_cache: dict[tuple[str, str], PathInfo | None] = {}
         by_hall: dict[str, list[HostNode]] = {}
         for host in sorted(hosts.values(), key=lambda h: h.id):
@@ -301,7 +303,7 @@ class ValidatedTopology:
             node = frontier.popleft()
             if node == b:
                 break
-            for neighbor in sorted(self._adjacency[node]):
+            for neighbor in self._neighbors[node]:
                 if neighbor not in parent:
                     parent[neighbor] = node
                     frontier.append(neighbor)
@@ -366,7 +368,7 @@ def _check_nf_invariants(nf: NfInstance) -> None:
         raise InvariantViolation(nf.id, "stateful instance requires a memory image")
     if not nf.stateful and nf.memory is not None:
         raise InvariantViolation(nf.id, "stateless instance must not carry a memory image")
-    if nf.cpu_demand < 0:
+    if not nf.cpu_demand >= 0:  # NaN fails too
         raise InvariantViolation(nf.id, f"cpu_demand must be >= 0, got {nf.cpu_demand}")
 
 
@@ -386,7 +388,7 @@ def validate_topology(
     entity.  Hosts that run function instances must be mutually reachable
     over the link graph.
     """
-    if intra_host_latency_us < 0:
+    if not intra_host_latency_us >= 0:  # NaN fails too
         raise InvariantViolation(
             "topology", f"intra_host_latency_us must be >= 0, got {intra_host_latency_us}"
         )

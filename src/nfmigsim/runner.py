@@ -1,10 +1,13 @@
 """Scenario execution: mobility triggers -> policy -> migration machinery.
 
 Each trigger moves the UE to a new zone and migrates the affected function
-instances there.  Target hosts are chosen among the zone's feasible hosts by
-lowest latency to the zone's representative (ties broken by host id).  A
-function's placement flips to the target only when its migration completes,
-so the sampled user-plane RTT shows the detour until the new anchor is up.
+instances there.  Each zone's hosts are ranked once, the first time the zone
+is targeted, by latency to the zone's representative (ties broken by host
+id); a function goes to the first host in that ranking that passes
+``check_placement``, so its cost grows with the hosts it skips, not with the
+zone's size.  A function's placement flips to the target only when its
+migration completes, so the sampled user-plane RTT shows the detour until
+the new anchor is up.
 
 Everything is a pure function of (scenario, seed): reruns produce identical
 reports, RTT series and event traces, byte for byte.
@@ -129,18 +132,22 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         if next_at <= scenario.duration_us:
             sim_.schedule(next_at, "rtt-sample", sample_rtt)
 
+    # Each hall's hosts by (latency to the hall's representative, id),
+    # ranked the first time the hall is targeted; the topology is static.
+    ranked_halls: dict[str, list[HostNode]] = {}
+
     def choose_target(nf: NfInstance, hall: str) -> HostNode | None:
-        rep = zone_representative(hall)
-        if rep is None:
-            return None
-        feasible = []
-        for host in topology.hosts_in_hall(hall):
-            if check_placement(nf, host, topology.sessions, topology, load):
-                continue
-            feasible.append((topology.one_way_latency_us(host.id, rep), host.id, host))
-        if not feasible:
-            return None
-        return min(feasible)[2]
+        ranked = ranked_halls.get(hall)
+        if ranked is None:
+            rep = zone_representative(hall)
+            ranked = ranked_halls[hall] = sorted(
+                topology.hosts_in_hall(hall),
+                key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id),
+            )
+        for host in ranked:
+            if not check_placement(nf, host, topology.sessions, topology, load):
+                return host
+        return None
 
     def complete_migration(sim_: Simulator, event: Event) -> None:
         nf_id = event.data["nf"]
@@ -306,15 +313,13 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
         for time_us, rtt in bundle.rtt_series:
             writer.writerow([time_us, _format_us(rtt)])
 
+    # One encoder for the whole file; same text as json.dumps(sort_keys=True).
+    encode = json.JSONEncoder(sort_keys=True).encode
     with paths["trace"].open("w", encoding="utf-8") as fh:
-        for event in bundle.trace:
-            record = {
-                "time_us": event.time_us,
-                "seq": event.seq,
-                "kind": event.kind,
-                "data": dict(event.data),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(
+            encode({"time_us": ev.time_us, "seq": ev.seq, "kind": ev.kind, "data": ev.data}) + "\n"
+            for ev in bundle.trace
+        )
 
     totals = bundle.totals_by_kind()
     lines = [

@@ -260,3 +260,23 @@ class TestValidateTopology:
     def test_negative_capacity_rejected_at_construction(self):
         with pytest.raises(InvariantViolation, match="h1: cpu_capacity must be >= 0"):
             HostNode("h1", "z", -1, DriverKind.MACVLAN)
+
+    def test_nan_capacity_rejected_at_construction(self):
+        # NaN fails every comparison, so a `< 0` check would let it through
+        # and no demand would ever exceed the host's capacity.
+        with pytest.raises(InvariantViolation, match="h1: cpu_capacity must be >= 0, got nan"):
+            HostNode("h1", "z", float("nan"), DriverKind.MACVLAN)
+
+    def test_nan_cpu_demand_rejected(self):
+        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
+        nfs = [NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))]
+        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
+            validate_topology(hosts, [], nfs)
+
+    def test_nan_intra_host_latency_rejected(self):
+        with pytest.raises(
+            InvariantViolation, match="topology: intra_host_latency_us must be >= 0, got nan"
+        ):
+            two_host_topology(
+                DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("nan")
+            )
