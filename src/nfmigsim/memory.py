@@ -185,12 +185,64 @@ class MemoryImage:
         return self._num_pages
 
     def copy_dirty(self) -> int:
-        """Record that every dirty page landed at the target; returns how many."""
+        """Record that every dirty page landed at the target; returns how many.
+
+        Only the span from the first to the last dirty page is translated, in
+        place, so a round costs the dirty span, not the image.
+        """
         copied = self._dirty
         if copied:
-            self._state = self._state.translate(_DIRTY_TO_CLEAN)
+            state = self._state
+            first = state.find(_DIRTY)
+            last = state.rfind(_DIRTY) + 1
+            state[first:last] = state[first:last].translate(_DIRTY_TO_CLEAN)
             self._dirty = 0
         return copied
+
+    def copy_working_set(self) -> int:
+        """Record that the working set landed at the target; returns its page count."""
+        ws = self._working_set
+        if isinstance(ws, range):  # the default, ``range(k)``: one run
+            state = self._state
+            self._never -= state.count(_NEVER, 0, ws.stop)
+            self._dirty -= state.count(_DIRTY, 0, ws.stop)
+            state[: ws.stop] = bytes(ws.stop)
+        else:
+            self.mark_copied(ws)
+        return len(ws)
+
+    def copy_lowest(self, limit: int, cursor: int) -> tuple[int, int]:
+        """Copy up to ``limit`` never-copied pages at or above ``cursor``, lowest first.
+
+        Returns how many were copied and the new cursor: no never-copied page
+        lies between ``cursor`` and it.  Works run by run, like
+        :meth:`dirty_lowest`: ``find`` locates each run of never-copied pages
+        and one slice assignment copies it.
+        """
+        state = self._state
+        n = self._num_pages
+        copied = 0
+        while copied < limit:
+            start = state.find(_NEVER, cursor)
+            if start < 0:
+                cursor = n
+                break
+            end = min(n, start + limit - copied)
+            clean = state.find(_CLEAN, start, end)
+            if clean >= 0:
+                end = clean
+            dirty = state.find(_DIRTY, start, end)
+            if dirty >= 0:
+                end = dirty
+            state[start:end] = bytes(end - start)
+            copied += end - start
+            cursor = end
+        self._never -= copied
+        return copied, cursor
+
+    def is_clean(self, page_id: int) -> bool:
+        """Whether ``page_id`` is at the target and unchanged; no range check."""
+        return self._state[page_id] == _CLEAN
 
     def reset_for_transfer(self) -> None:
         """Start a new migration: every page needs to reach the new target."""

@@ -28,10 +28,10 @@ clock.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -41,10 +41,8 @@ from .errors import (
 )
 from .memory import (
     MICROS_PER_SECOND,
-    BatchFilter,
     DirtyProcess,
     MemoryImage,
-    PageState,
     advance_dirty,
 )
 from .model import Channel, NfInstance
@@ -86,9 +84,9 @@ class MigrationParams:
             "ppm_sync_interval_us",
             "handover_signal_roundtrips",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.precopy_max_rounds < 1:
+        if not self.precopy_max_rounds >= 1:
             raise ValueError(
                 f"precopy_max_rounds must be >= 1, got {self.precopy_max_rounds}"
             )
@@ -332,6 +330,14 @@ def migrate_post_copy(
     stall longer than the fault deadline kills the migration, the
     deterministic rendering of post-copy's failure risk.  Stalls stretch the
     function's timeline but never count as downtime.
+
+    The stream sends the never-copied pages lowest first, one page per
+    ``page_us``, after one latency.  Nothing dirties during post-copy, so it
+    is kept as a cursor below which every page has arrived, and it is
+    brought up to date only when a touch finds its page missing: between
+    two fetches the stream clock moves in whole pages, so catching up once
+    for several touches streams the same pages as catching up at each.
+    The cost grows with touches and runs of pages, not with the image.
     """
     image = _require_stateful(nf)
     image.reset_for_transfer()
@@ -341,45 +347,39 @@ def migrate_post_copy(
             raise ValueError(f"access offset must be >= 0, got {offset}")
         if not 0 <= page < image.num_pages:
             raise ValueError(f"access to page {page} outside image of {image.num_pages}")
-    ordered_trace = sorted(access_trace, key=lambda item: item[0])
+    ordered_trace = sorted(access_trace, key=itemgetter(0))
 
     freeze = params.freeze_overhead_us
     restart = params.restart_overhead_us
     image.frozen = True
-    working = image.take_transfer_batch(BatchFilter.WORKING_SET_ONLY)
-    ws_us = transfer_time_us(len(working), page_size, channel)
-    image.mark_copied(working)
+    ws_us = transfer_time_us(image.copy_working_set(), page_size, channel)
     image.frozen = False
     downtime = freeze + ws_us + restart
 
     page_us = serialize_us(page_size, channel)
     latency = latency_ceil_us(channel)
-    background = deque(image.take_transfer_batch(BatchFilter.NEVER_COPIED_ONLY))
-    fetched: set[int] = set()
-    stream_clock = downtime + (latency if background else 0)
+    stream_clock = downtime + latency  # the stream starts one latency after restart
+    cursor = 0  # every page below it has arrived
     last_arrival = downtime
     stall_total = 0
     failure: str | None = None
+    is_clean = image.is_clean
 
     for offset, page in ordered_trace:
-        access_at = downtime + offset + stall_total
-        while background:
-            head = background[0]
-            if head in fetched:
-                background.popleft()
-                continue
-            if stream_clock + page_us > access_at:
-                break
-            background.popleft()
-            stream_clock += page_us
-            image.mark_copied((head,))
-            last_arrival = stream_clock
-        if image.page_state(page) is PageState.CLEAN_AT_TARGET:
+        if is_clean(page):
             continue
+        access_at = downtime + offset + stall_total
+        if stream_clock <= access_at:
+            limit = int((access_at - stream_clock) // page_us) if page_us else image.num_pages
+            streamed, cursor = image.copy_lowest(limit, cursor)
+            if streamed:
+                stream_clock += streamed * page_us
+                last_arrival = stream_clock
+            if is_clean(page):
+                continue
         stall = 2 * latency + page_us
         stall_total += stall
         image.mark_copied((page,))
-        fetched.add(page)
         last_arrival = max(last_arrival, access_at + stall)
         stream_clock += stall  # the fetch preempts the stream for its full span
         if stall > params.postcopy_fault_deadline_us:
@@ -387,12 +387,9 @@ def migrate_post_copy(
             break
 
     if failure is None:
-        while background:
-            head = background.popleft()
-            if head in fetched:
-                continue
-            stream_clock += page_us
-            image.mark_copied((head,))
+        streamed, _ = image.copy_lowest(image.never_copied_count, cursor)
+        if streamed:
+            stream_clock += streamed * page_us
             last_arrival = stream_clock
 
     migration_time = max(downtime, last_arrival)

@@ -53,7 +53,7 @@ class NetworkDriverProfile:
     isolation: IsolationLevel
 
     def __post_init__(self):
-        if self.rtt_inter_host_us <= 0:
+        if not self.rtt_inter_host_us > 0:  # NaN fails too
             raise InvariantViolation(
                 f"driver '{self.kind.value}'",
                 f"rtt_inter_host_us must be positive, got {self.rtt_inter_host_us}",
@@ -172,11 +172,11 @@ class Link:
 
     def __post_init__(self):
         entity = f"link ({self.a}, {self.b})"
-        if self.bandwidth_bps <= 0:
+        if not self.bandwidth_bps > 0:  # NaN fails too
             raise InvariantViolation(
                 entity, f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
             )
-        if self.extra_latency_us < 0:
+        if not self.extra_latency_us >= 0:
             raise InvariantViolation(
                 entity, f"extra_latency_us must be >= 0, got {self.extra_latency_us}"
             )

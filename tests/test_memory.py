@@ -325,3 +325,72 @@ class TestPageState:
         image.reset_for_transfer()
         assert image.never_copied_count == 6
         assert image.dirty_count == 0
+
+
+def image_in_states(states, working_set=None, fraction=None):
+    """An image whose page ``i`` is in ``states[i]``."""
+    image = MemoryImage(len(states), 1, working_set=working_set, working_set_fraction=fraction)
+    image.mark_copied([i for i, s in enumerate(states) if s is not PageState.NEVER_COPIED])
+    image.dirty_where(bytes(s is PageState.DIRTY_SINCE_COPY for s in states))
+    return image
+
+
+# Runs of equal states, so run boundaries and long runs are both common.
+PAGE_STATE_RUNS = st.lists(
+    st.tuples(st.sampled_from(list(PageState)), st.integers(1, 12)), max_size=10
+).map(lambda runs: [state for state, length in runs for _ in range(length)][:64])
+COPY_OPERATIONS = st.one_of(
+    st.tuples(st.just("copy-lowest"), st.integers(0, 70), st.integers(0, 70)),
+    st.tuples(st.just("copy-dirty")),
+    st.tuples(st.just("copy-working-set")),
+    st.tuples(st.just("dirty-where"), st.lists(st.booleans(), min_size=64, max_size=64)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=PAGE_STATE_RUNS,
+    working_set=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.sets(st.integers(0, 63))),
+    operations=st.lists(COPY_OPERATIONS, max_size=12),
+)
+def test_run_copies_match_page_list_reference(states, working_set, operations):
+    num_pages = len(states)
+    if isinstance(working_set, float):
+        image = image_in_states(states, fraction=working_set)
+        ws_pages = range(int(working_set * num_pages))
+    else:
+        ws_pages = sorted(page for page in working_set if page < num_pages)
+        image = image_in_states(states, working_set=ws_pages)
+    reference = list(states)
+    clean, dirty = PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY
+    never = PageState.NEVER_COPIED
+    for operation in operations:
+        kind = operation[0]
+        if kind == "copy-lowest":
+            limit, cursor = operation[1:]
+            cursor = min(cursor, num_pages)
+            pending = [p for p in range(cursor, num_pages) if reference[p] is never]
+            picked = pending[:limit]
+            copied, new_cursor = image.copy_lowest(limit, cursor)
+            assert copied == len(picked)
+            if len(pending) < limit:
+                assert new_cursor == num_pages
+            else:
+                assert new_cursor == (picked[-1] + 1 if picked else cursor)
+            for page in picked:
+                reference[page] = clean
+        elif kind == "copy-dirty":
+            # The clear is bounded by the dirty span; the reference maps every page.
+            assert image.copy_dirty() == reference.count(dirty)
+            reference = [clean if s is dirty else s for s in reference]
+        elif kind == "copy-working-set":
+            assert image.copy_working_set() == len(ws_pages)
+            for page in ws_pages:
+                reference[page] = clean
+        else:
+            mask = operation[1][:num_pages]
+            image.dirty_where(bytes(mask))
+            reference = [dirty if hit else s for hit, s in zip(mask, reference)]
+        assert [image.page_state(page) for page in range(num_pages)] == reference
+        assert image.dirty_count == reference.count(dirty)
+        assert image.never_copied_count == reference.count(never)

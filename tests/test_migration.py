@@ -1,8 +1,11 @@
 """Strategy state machines: worked examples, oracle agreement, edge cases."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfmigsim import (
     Channel,
@@ -10,8 +13,10 @@ from nfmigsim import (
     InvariantViolation,
     MemoryImage,
     MigrationParams,
+    MigrationReport,
     NfInstance,
     NfKind,
+    PageState,
     ReplicaNotSyncedError,
     Strategy,
     StrategyInapplicableError,
@@ -25,6 +30,7 @@ from nfmigsim import (
     start_replica_sync,
     transfer_time_us,
 )
+from nfmigsim.migration import Phase, latency_ceil_us, serialize_us
 
 ZERO_OVERHEADS = dict(
     freeze_overhead_us=0,
@@ -41,6 +47,30 @@ def stateful_nf(num_pages, page_size=1, working_set=(), kind=NfKind.SMF):
 
 def stateless_upf():
     return NfInstance("upf-t", NfKind.UPF, "h1")
+
+
+class TestMigrationParams:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "freeze_overhead_us",
+            "restart_overhead_us",
+            "activation_overhead_us",
+            "precopy_stop_threshold",
+            "postcopy_fault_deadline_us",
+            "ppm_sync_interval_us",
+            "handover_signal_roundtrips",
+        ],
+    )
+    def test_nan_overhead_rejected(self, name):
+        # NaN fails every comparison: a `< 0` check let it through, and a NaN
+        # fault deadline meant post-copy could never fail.
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
+            MigrationParams(**{name: float("nan")})
+
+    def test_nan_round_cap_rejected(self):
+        with pytest.raises(ValueError, match="precopy_max_rounds must be >= 1, got nan"):
+            MigrationParams(precopy_max_rounds=float("nan"))
 
 
 class TestInterCopy:
@@ -293,6 +323,151 @@ class TestPostCopy:
     def test_stateless_rejected(self):
         with pytest.raises(StrategyInapplicableError):
             migrate_post_copy(stateless_upf(), Channel(100, 0), MigrationParams(), [])
+
+    def test_stream_cost_grows_with_fetches_not_pages(self, monkeypatch):
+        calls = {"mark_copied": 0, "take_transfer_batch": 0}
+
+        def counted(name):
+            original = getattr(MemoryImage, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(MemoryImage, name, counted(name))
+        image = MemoryImage(10**4, 1)  # default working set: the lowest 20%
+        nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
+        params = MigrationParams(**ZERO_OVERHEADS)
+        trace = [(0, 9_999), (10, 5_000), (20, 100), (30, 9_998), (1_000, 2_500)]
+        report = migrate_post_copy(nf, Channel(10**6, 3), params, trace)
+        stall = 2 * 3 + 1
+        assert report.succeeded and image.all_clean
+        assert report.stall_time_us == 3 * stall  # pages 100 and 2,500 had arrived
+        assert calls == {"mark_copied": report.stall_time_us // stall, "take_transfer_batch": 0}
+
+
+def reference_post_copy(image, channel, params, access_trace):
+    """The page-by-page stream over a plain list of page states.
+
+    Returns the report and the final state of every page.
+    """
+    num_pages, page_size = image.num_pages, image.page_size
+    states = [PageState.NEVER_COPIED] * num_pages
+    trace = sorted(access_trace, key=lambda item: item[0])
+    working = sorted(image.working_set)
+    ws_us = transfer_time_us(len(working), page_size, channel)
+    for page in working:
+        states[page] = PageState.CLEAN_AT_TARGET
+    freeze, restart = params.freeze_overhead_us, params.restart_overhead_us
+    downtime = freeze + ws_us + restart
+    page_us = serialize_us(page_size, channel)
+    latency = latency_ceil_us(channel)
+    background = deque(p for p in range(num_pages) if states[p] is PageState.NEVER_COPIED)
+    fetched = set()
+    stream_clock = downtime + (latency if background else 0)
+    last_arrival = downtime
+    stall_total = 0
+    failure = None
+    for offset, page in trace:
+        access_at = downtime + offset + stall_total
+        while background:
+            head = background[0]
+            if head in fetched:
+                background.popleft()
+                continue
+            if stream_clock + page_us > access_at:
+                break
+            background.popleft()
+            stream_clock += page_us
+            states[head] = PageState.CLEAN_AT_TARGET
+            last_arrival = stream_clock
+        if states[page] is PageState.CLEAN_AT_TARGET:
+            continue
+        stall = 2 * latency + page_us
+        stall_total += stall
+        states[page] = PageState.CLEAN_AT_TARGET
+        fetched.add(page)
+        last_arrival = max(last_arrival, access_at + stall)
+        stream_clock += stall
+        if stall > params.postcopy_fault_deadline_us:
+            failure = "fault deadline exceeded"
+            break
+    if failure is None:
+        for head in background:
+            if head not in fetched:
+                stream_clock += page_us
+                states[head] = PageState.CLEAN_AT_TARGET
+                last_arrival = stream_clock
+    migration_time = max(downtime, last_arrival)
+    phases = [
+        Phase("freeze", 0, freeze),
+        Phase("copy-working-set", freeze, freeze + ws_us),
+        Phase("restart", freeze + ws_us, downtime),
+    ]
+    if migration_time > downtime:
+        phases.append(Phase("background-stream", downtime, migration_time))
+    report = MigrationReport(
+        Strategy.POST_COPY,
+        downtime_us=downtime,
+        migration_time_us=migration_time,
+        bytes_transferred=states.count(PageState.CLEAN_AT_TARGET) * page_size,
+        stall_time_us=stall_total,
+        outcome="success" if failure is None else "failed",
+        failure_reason=failure,
+        phases=tuple(phases),
+    )
+    return report, states
+
+
+def whole_or_half_us(top):
+    """Durations up to ``top``; the half-microsecond ones are floats."""
+    return st.one_of(st.integers(0, top), st.integers(0, 2 * top).map(lambda n: n / 2))
+
+
+@st.composite
+def post_copy_cases(draw):
+    num_pages = draw(st.integers(0, 60))
+    page_size = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        image = MemoryImage(
+            num_pages, page_size, working_set_fraction=draw(st.sampled_from([0, 0.2, 0.5, 1]))
+        )
+    else:
+        pages = st.integers(0, num_pages - 1) if num_pages else st.nothing()
+        image = MemoryImage(num_pages, page_size, working_set=draw(st.sets(pages)))
+    bandwidth = draw(st.sampled_from([None, 1, 3, 7.5, 1_000, 10**6]))
+    channel = Channel(bandwidth, draw(st.sampled_from([0, 0.25, 1, 2.5, 40])))
+    stall = 2 * latency_ceil_us(channel) + serialize_us(page_size, channel)
+    params = MigrationParams(
+        freeze_overhead_us=draw(whole_or_half_us(30)),
+        restart_overhead_us=draw(st.integers(0, 30)),
+        postcopy_fault_deadline_us=max(0, stall + draw(st.integers(-2, 2))),
+    )
+    page_us = serialize_us(page_size, channel)
+    horizon = 2 * (num_pages * page_us + 50)
+    trace = []
+    for _ in range(draw(st.integers(0, 25)) if num_pages else 0):
+        if draw(st.booleans()):
+            trace.append((draw(whole_or_half_us(horizon)), draw(st.integers(0, num_pages - 1))))
+        else:  # about when the k-th streamed page lands, to probe the stream's edge
+            k = draw(st.integers(0, num_pages))
+            offset = max(0, latency_ceil_us(channel) + k * page_us + draw(st.integers(-1, 1)))
+            page = len(image.working_set) + k + draw(st.integers(-1, 0))
+            trace.append((offset, min(num_pages - 1, max(0, page))))
+    return image, channel, params, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=post_copy_cases())
+def test_post_copy_matches_page_by_page_reference(case):
+    image, channel, params, trace = case
+    expected, states = reference_post_copy(image, channel, params, trace)
+    nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
+    assert migrate_post_copy(nf, channel, params, trace) == expected
+    assert [image.page_state(page) for page in range(image.num_pages)] == states
 
 
 class TestReplicaSync:

@@ -280,3 +280,21 @@ class TestValidateTopology:
             two_host_topology(
                 DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("nan")
             )
+
+    def test_nan_link_bandwidth_rejected(self):
+        with pytest.raises(
+            InvariantViolation, match=r"link \(h1, h2\): bandwidth_bps must be positive, got nan"
+        ):
+            Link("h1", "h2", float("nan"))
+
+    def test_nan_link_extra_latency_rejected(self):
+        with pytest.raises(
+            InvariantViolation, match=r"link \(h1, h2\): extra_latency_us must be >= 0, got nan"
+        ):
+            Link("h1", "h2", 10**8, float("nan"))
+
+    def test_nan_driver_rtt_rejected(self):
+        with pytest.raises(
+            InvariantViolation, match="driver 'host': rtt_inter_host_us must be positive, got nan"
+        ):
+            NetworkDriverProfile(DriverKind.HOST, float("nan"), True, IsolationLevel.NONE)
