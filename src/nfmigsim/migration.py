@@ -423,12 +423,18 @@ class SyncTick:
 class ReplicaHandle:
     """A synchronized duplicate instance being fed the source's memory.
 
-    The full image is shipped once, then periodic sync ticks ship whatever
-    dirtied since the previous tick; both are duplication overhead and
-    accrue in ``sync_bytes``.  The out-of-sync set at any instant is the
-    current dirty set.  Time advances explicitly and monotonically through
-    :meth:`advance_to`; the source keeps executing (and dirtying) the whole
-    time until handover freezes it.
+    The full image is shipped once; it lands at ``initial_copy_done_us``
+    and the source dirties pages for the whole copy.  Sync ticks follow,
+    each shipping the pages dirtied since the previous one: the first fires
+    when the initial copy lands, each later one at ``max(previous fire +
+    ppm_sync_interval_us, previous landing)``.  A tick copies the dirty set
+    as of its firing, so writes made while it is in flight wait for the
+    next tick.  The full copy and every tick accrue in ``sync_bytes``.
+
+    The replica's clock ``now_us`` is ``None`` until the initial copy lands
+    and moves only through :meth:`run_until_ticks`, one whole tick at a
+    time; the source keeps executing (and dirtying) until
+    :func:`migrate_parallel` hands over at that instant.
     """
 
     def __init__(
@@ -448,108 +454,45 @@ class ReplicaHandle:
         self.initial_copy_done_us = started_at_us + transfer_time_us(
             self.image.num_pages, self.image.page_size, channel
         )
+        self.now_us: int | None = None
         self.sync_bytes = 0
-        self.ticks_completed = 0
         self.tick_log: list[SyncTick] = []
         self.retired = False
-        self._cursor = started_at_us
-        self._initial_done = False
-        self._next_fire = self.initial_copy_done_us
-        self._inflight: tuple[int, int, int] | None = None  # (fired, pages, done)
 
     @property
-    def synced(self) -> bool:
-        return self._initial_done
-
-    @property
-    def now_us(self) -> int:
-        return self._cursor
-
-    def _complete_initial_copy(self) -> None:
-        self.sync_bytes += self.image.copy_all() * self.image.page_size
-        advance_dirty(
-            self.image, self.dirty_process, self.initial_copy_done_us - self._cursor
-        )
-        self._cursor = self.initial_copy_done_us
-        self._initial_done = True
-        self._next_fire = self.initial_copy_done_us  # flush tick fires immediately
-
-    def _fire_tick(self) -> None:
-        fire = self._next_fire
-        if fire > self._cursor:
-            advance_dirty(self.image, self.dirty_process, fire - self._cursor)
-            self._cursor = fire
-        pages = self.image.dirty_count
-        done = fire + transfer_time_us(pages, self.image.page_size, self.channel)
-        self._inflight = (fire, pages, done)
-
-    def _complete_tick(self) -> None:
-        assert self._inflight is not None
-        fire, pages, done = self._inflight
-        # The tick ships the dirty set as of its firing; nothing dirties while
-        # it is in flight (see advance_to), so that set is still the dirty set.
-        copied = self.image.copy_dirty()
-        if copied != pages:
-            raise InvariantViolation(
-                self.nf.id, f"sync tick fired with {pages} dirty pages, {copied} at completion"
-            )
-        advance_dirty(self.image, self.dirty_process, done - fire)
-        self._cursor = done
-        self.sync_bytes += pages * self.image.page_size
-        self.ticks_completed += 1
-        self.tick_log.append(SyncTick(fire, pages, done))
-        self._inflight = None
-        self._next_fire = max(fire + self.params.ppm_sync_interval_us, done)
-
-    def advance_to(self, t_us: int, fire_at_boundary: bool = True) -> None:
-        """Process sync activity up to virtual time ``t_us``.
-
-        With ``fire_at_boundary`` false, a tick scheduled exactly at
-        ``t_us`` is left unfired (the handover preempts it).
-        """
-        if self.retired:
-            raise InvariantViolation(self.nf.id, "replica already handed over")
-        if t_us < self._cursor:
-            raise ValueError(f"cannot advance replica backwards to t={t_us} us")
-        while True:
-            if not self._initial_done:
-                if self.initial_copy_done_us <= t_us:
-                    self._complete_initial_copy()
-                    continue
-                return  # nothing observable happens before the copy lands
-            if self._inflight is not None:
-                if self._inflight[2] <= t_us:
-                    self._complete_tick()
-                    continue
-                return  # mid-flight; dirtying for this span applies at completion
-            if self._next_fire < t_us or (self._next_fire == t_us and fire_at_boundary):
-                self._fire_tick()
-                continue
-            break
-        if t_us > self._cursor:
-            advance_dirty(self.image, self.dirty_process, t_us - self._cursor)
-            self._cursor = t_us
-
-    def _step(self) -> None:
-        """Process exactly one machine event: copy landing, tick fire or tick landing."""
-        if not self._initial_done:
-            self._complete_initial_copy()
-        elif self._inflight is not None:
-            self._complete_tick()
-        else:
-            self._fire_tick()
+    def ticks_completed(self) -> int:
+        return len(self.tick_log)
 
     def run_until_ticks(self, n: int) -> int:
-        """Advance until ``n`` sync ticks completed; returns that virtual time.
+        """Advance until ``n`` sync ticks have landed; returns that virtual time.
 
-        Stops right at the n-th completion, before any tick due at the same
-        instant fires, so a handover issued then preempts it.
+        The initial copy lands first, so ``run_until_ticks(0)`` stops right
+        when it does.  The clock then stands at the n-th landing, before
+        any tick due at the same instant fires.
         """
         if self.retired:
             raise InvariantViolation(self.nf.id, "replica already handed over")
-        while self.ticks_completed < n:
-            self._step()
-        return self._cursor
+        image = self.image
+        if self.now_us is None:
+            self.sync_bytes += image.copy_all() * image.page_size
+            advance_dirty(
+                image, self.dirty_process, self.initial_copy_done_us - self.started_at_us
+            )
+            self.now_us = self.initial_copy_done_us
+        while len(self.tick_log) < n:
+            if self.tick_log:
+                last = self.tick_log[-1]
+                fire = max(last.fired_at_us + self.params.ppm_sync_interval_us, last.done_us)
+            else:
+                fire = self.initial_copy_done_us
+            advance_dirty(image, self.dirty_process, fire - self.now_us)
+            pages = image.copy_dirty()
+            done = fire + transfer_time_us(pages, image.page_size, self.channel)
+            advance_dirty(image, self.dirty_process, done - fire)
+            self.now_us = done
+            self.sync_bytes += pages * image.page_size
+            self.tick_log.append(SyncTick(fire, pages, done))
+        return self.now_us
 
 
 def start_replica_sync(
@@ -570,30 +513,27 @@ def migrate_parallel(
     params: MigrationParams,
     at_time_us: int | None = None,
 ) -> MigrationReport:
-    """Hand execution over to the replica; ship only the out-of-sync delta.
+    """Hand execution over to the replica at its clock; ship the out-of-sync delta.
 
-    The handover freezes the source, transfers the pages dirtied since the
-    last completed sync, exchanges the handover signal and activates the
-    replica (no cold restart).  The accrued duplication cost travels in
-    ``sync_bytes``.  A sync tick in flight at the requested instant
-    completes first; one scheduled exactly then is preempted.
+    The handover happens at ``replica.now_us``, where the last
+    :meth:`ReplicaHandle.run_until_ticks` left it; ``at_time_us``, if given,
+    must equal that instant.  It freezes the source, transfers the pages
+    dirtied since the last landed sync, exchanges the handover signal and
+    activates the replica (no cold restart).  The accrued duplication cost
+    travels in ``sync_bytes``.
     """
     if replica.retired:
         raise InvariantViolation(replica.nf.id, "replica already handed over")
-    handover_at = (
-        at_time_us
-        if at_time_us is not None
-        else max(replica.now_us, replica.initial_copy_done_us)
-    )
-    if handover_at < replica.initial_copy_done_us:
+    if replica.now_us is None:
         raise ReplicaNotSyncedError(
-            f"initial copy of '{replica.nf.id}' completes at "
-            f"t={replica.initial_copy_done_us} us; handover requested at t={handover_at} us"
+            f"initial copy of '{replica.nf.id}' (landing at t={replica.initial_copy_done_us} us) "
+            "has not been run; call run_until_ticks first"
         )
-    replica.advance_to(handover_at, fire_at_boundary=False)
-    if replica._inflight is not None:
-        handover_at = replica._inflight[2]
-        replica.advance_to(handover_at)
+    if at_time_us is not None and at_time_us != replica.now_us:
+        raise ValueError(
+            f"handover happens at the replica's clock t={replica.now_us} us, "
+            f"not t={at_time_us} us"
+        )
 
     image = replica.image
     channel = replica.channel

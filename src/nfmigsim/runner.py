@@ -5,9 +5,10 @@ instances there.  Each zone's hosts are ranked once, the first time the zone
 is targeted, by latency to the zone's representative (ties broken by host
 id); a function goes to the first host in that ranking that passes
 ``check_placement``, so its cost grows with the hosts it skips, not with the
-zone's size.  A function's placement flips to the target only when its
-migration completes, so the sampled user-plane RTT shows the detour until
-the new anchor is up.
+zone's size.  A function whose chosen host is the one it runs on stays
+put and leaves only a ``migration-skipped`` event.  A function's placement
+flips to the target only when its migration completes, so the sampled
+user-plane RTT shows the detour until the new anchor is up.
 
 Everything is a pure function of (scenario, seed): reruns produce identical
 reports, RTT series and event traces, byte for byte.
@@ -104,23 +105,20 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     rtt_series: list[tuple[int, float]] = []
     reports: list[RecordedMigration] = []
 
-    def ue_anchor_host() -> str | None:
-        if scenario.ue is None:
-            return None
-        anchored = sorted(
-            (s for s in topology.sessions if s.ue_id == scenario.ue.id),
-            key=lambda s: s.id,
-        )
-        if not anchored:
-            return None
-        return placement[anchored[0].anchor_upf]
+    # The UE's anchor is the UPF of its lowest-id session; sessions are static.
+    anchor_session = min(
+        (s for s in topology.sessions if scenario.ue and s.ue_id == scenario.ue.id),
+        key=lambda s: s.id,
+        default=None,
+    )
+    anchor_upf = anchor_session.anchor_upf if anchor_session else None
 
     def zone_representative(hall: str) -> str | None:
         hosts = topology.hosts_in_hall(hall)
         return hosts[0].id if hosts else None
 
     def sample_rtt(sim_: Simulator, event: Event) -> None:
-        anchor = ue_anchor_host()
+        anchor = placement[anchor_upf] if anchor_upf is not None else None
         rep = zone_representative(ue_zone) if ue_zone else None
         if anchor is not None and rep is not None:
             rtt = 2 * topology.one_way_latency_us(rep, anchor)
@@ -182,6 +180,15 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
                     sim_.now, "migration-infeasible", nf=nf.id, hall=trigger.new_zone
                 )
                 continue
+            if target.id == source:
+                sim_.schedule(
+                    sim_.now,
+                    "migration-skipped",
+                    nf=nf.id,
+                    host=source,
+                    reason="already-on-target",
+                )
+                continue
 
             channel = topology.channel(source, target.id)
             started = sim_.now
@@ -210,7 +217,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
                 # Hand over as soon as the replica flushed its first sync
                 # tick; the residual delta is then at most one interval old.
                 handover_at = replica.run_until_ticks(1)
-                report = migrate_parallel(replica, params, at_time_us=handover_at)
+                report = migrate_parallel(replica, params)
                 for tick in replica.tick_log:
                     sim_.schedule(tick.done_us, "sync-tick", nf=nf.id, pages=tick.pages)
                 timeline_base = handover_at

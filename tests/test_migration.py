@@ -1,13 +1,16 @@
 """Strategy state machines: worked examples, oracle agreement, edge cases."""
 
+import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfmigsim import (
+    BernoulliDirty,
     Channel,
     ConstantRateDirty,
     InvariantViolation,
@@ -498,14 +501,6 @@ class TestReplicaSync:
         expected = 100 + sum(tick.pages for tick in replica.tick_log)
         assert replica.sync_bytes == expected
 
-    def test_tick_ships_the_dirty_set_it_fired_with(self):
-        nf = stateful_nf(100)
-        replica = start_replica_sync(nf, Channel(100, 0), self.params(), ConstantRateDirty(10))
-        replica.advance_to(1_050_000)  # the flush tick of 10 pages is in flight
-        advance_dirty(nf.memory, ConstantRateDirty(10), 1_000_000)
-        with pytest.raises(InvariantViolation, match="10 dirty pages, 20 at completion"):
-            replica.advance_to(1_100_000)
-
     def test_stateless_rejected(self):
         with pytest.raises(StrategyInapplicableError):
             start_replica_sync(
@@ -591,6 +586,157 @@ class TestParallelHandover:
         ppm = migrate_parallel(replica, ppm_params, at_time_us=replica.run_until_ticks(1))
         assert ppm.downtime_us <= pre.downtime_us
         assert ppm.sync_bytes > 0
+
+
+def reference_replica(num_pages, page_size, channel, interval, rate, n):
+    """Sync ticks and handover delta of a replica under constant-rate dirtying.
+
+    Tick ``k`` fires at ``fire_k`` and ships every page dirtied since
+    ``fire_{k-1}`` (the replica's start for the first tick), capped at the
+    image; the first tick fires when the initial copy lands and each later
+    one at ``max(fire + interval, done)``.  After ``n`` ticks the handover
+    ships what dirtied since the last fire.  Returns (ticks, delta).
+    """
+
+    def landing_us(pages):
+        if pages == 0:
+            return 0
+        serialize = 0
+        if channel.bandwidth_bps is not None:
+            nbytes = Fraction(pages * page_size * 10**6)
+            serialize = math.ceil(nbytes / Fraction(channel.bandwidth_bps))
+        return serialize + math.ceil(channel.latency_us)
+
+    carry = Fraction(0)
+
+    def dirtied(span_us):
+        nonlocal carry
+        accumulated = Fraction(rate) * Fraction(span_us, 10**6) + carry
+        carry = accumulated - math.floor(accumulated)
+        return min(num_pages, math.floor(accumulated))
+
+    previous_fire, fire = 0, landing_us(num_pages)
+    ticks = []
+    for _ in range(n):
+        pages = dirtied(fire - previous_fire)
+        done = fire + landing_us(pages)
+        ticks.append((fire, pages, done))
+        previous_fire, fire = fire, max(fire + interval, done)
+    now = ticks[-1][2] if ticks else landing_us(num_pages)
+    return ticks, dirtied(now - previous_fire)
+
+
+replica_channels = st.builds(
+    Channel,
+    st.sampled_from([None, 1, 3, 7.5, 100, 10**4]),
+    st.sampled_from([0, 0.25, 1, 2.5, 40]),
+)
+dirty_rates = st.one_of(st.integers(0, 300), st.sampled_from([0.5, 2.5, 1e-3, 1e4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_pages=st.integers(0, 40),
+    page_size=st.integers(1, 4),
+    channel=replica_channels,
+    interval=st.integers(0, 3_000_000),
+    rate=dirty_rates,
+    n=st.integers(0, 6),
+)
+def test_replica_matches_constant_rate_recurrence(num_pages, page_size, channel, interval, rate, n):
+    ticks, delta = reference_replica(num_pages, page_size, channel, interval, rate, n)
+    params = MigrationParams(**ZERO_OVERHEADS, ppm_sync_interval_us=interval)
+    replica = start_replica_sync(
+        stateful_nf(num_pages, page_size), channel, params, ConstantRateDirty(rate)
+    )
+    now = replica.run_until_ticks(n)
+    assert [(t.fired_at_us, t.pages, t.done_us) for t in replica.tick_log] == ticks
+    assert replica.ticks_completed == n
+    assert replica.sync_bytes == (num_pages + sum(t[1] for t in ticks)) * page_size
+    report = migrate_parallel(replica, params, at_time_us=now)
+    assert report.bytes_transferred == delta * page_size
+    assert report.migration_time_us == report.downtime_us
+    assert report.downtime_us == transfer_time_us(delta, page_size, channel)
+    assert report.sync_bytes == replica.sync_bytes
+
+
+def replica_dirty_process(bernoulli, rate, seed):
+    if bernoulli:
+        return BernoulliDirty(rate / 1000, random.Random(seed))
+    return ConstantRateDirty(rate)
+
+
+def replica_state(replica):
+    image = replica.image
+    return (
+        replica.now_us,
+        replica.tick_log,
+        replica.sync_bytes,
+        [image.page_state(page) for page in range(image.num_pages)],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_pages=st.integers(0, 40),
+    channel=replica_channels,
+    interval=st.integers(0, 300_000),
+    bernoulli=st.booleans(),
+    rate=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+    a=st.integers(0, 5),
+    extra=st.integers(0, 5),
+)
+def test_run_until_ticks_in_two_calls_equals_one(
+    num_pages, channel, interval, bernoulli, rate, seed, a, extra
+):
+    params = MigrationParams(**ZERO_OVERHEADS, ppm_sync_interval_us=interval)
+    split = start_replica_sync(
+        stateful_nf(num_pages), channel, params, replica_dirty_process(bernoulli, rate, seed)
+    )
+    whole = start_replica_sync(
+        stateful_nf(num_pages), channel, params, replica_dirty_process(bernoulli, rate, seed)
+    )
+    split.run_until_ticks(a)
+    split.run_until_ticks(a + extra)
+    whole.run_until_ticks(a + extra)
+    assert replica_state(split) == replica_state(whole)
+    assert migrate_parallel(split, params) == migrate_parallel(whole, params)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(0, 4), offset=st.integers(-10**6, 10**6).filter(bool))
+def test_handover_away_from_the_replica_clock_rejected(n, offset):
+    params = MigrationParams(**ZERO_OVERHEADS, ppm_sync_interval_us=100_000)
+    replica = start_replica_sync(stateful_nf(100), Channel(100, 0), params, ConstantRateDirty(10))
+    now = replica.run_until_ticks(n)
+    with pytest.raises(ValueError, match="replica's clock"):
+        migrate_parallel(replica, params, at_time_us=now + offset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_pages=st.integers(0, 40),
+    channel=replica_channels,
+    bernoulli=st.booleans(),
+    rate=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_handover_right_after_the_initial_copy(num_pages, channel, bernoulli, rate, seed):
+    params = MigrationParams(**ZERO_OVERHEADS)
+    replica = start_replica_sync(
+        stateful_nf(num_pages), channel, params, replica_dirty_process(bernoulli, rate, seed)
+    )
+    copy_us = transfer_time_us(num_pages, 1, channel)
+    assert replica.run_until_ticks(0) == replica.initial_copy_done_us == copy_us
+    # The same dirty process run alone over the copy's span.
+    twin = MemoryImage(num_pages, 1)
+    twin.copy_all()
+    dirtied = advance_dirty(twin, replica_dirty_process(bernoulli, rate, seed), copy_us)
+    report = migrate_parallel(replica, params, at_time_us=copy_us)
+    assert replica.tick_log == []
+    assert report.bytes_transferred == dirtied == twin.dirty_count
+    assert report.sync_bytes == num_pages
 
 
 class TestRedeploy:

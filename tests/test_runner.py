@@ -1,6 +1,8 @@
 """Target selection and trace export in the scenario runner."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from nfmigsim import (
     build_scenario,
@@ -105,3 +107,19 @@ def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
         expected = {"time_us": event.time_us, "seq": event.seq, "kind": event.kind, "data": event.data}
         assert line == json.dumps(expected, sort_keys=True)
     assert sum('"rtt_us"' in line for line in lines) == len(bundle.rtt_series)
+
+
+# SHA-256 of the drone exports at seeds 42 and 7, in ``sha256sum`` format
+# relative to an output directory holding ``seed-42/`` and ``seed-7/``.
+GOLDEN_DRONE_EXPORTS = Path(__file__).parent / "data" / "drone_exports.sha256"
+
+
+def test_drone_exports_match_the_committed_digests(tmp_path):
+    scenario = load_scenario(bundled_scenario_path())
+    actual = {}
+    for seed in (42, 7):
+        paths = export_metrics(run_scenario(scenario, seed=seed), tmp_path / f"seed-{seed}")
+        for path in paths.values():
+            actual[f"seed-{seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = GOLDEN_DRONE_EXPORTS.read_text(encoding="utf-8").splitlines()
+    assert actual == {name: digest for digest, name in (line.split("  ") for line in lines)}

@@ -282,16 +282,20 @@ class TestRunScenario:
         by_nf = {rec.nf_id: rec for rec in bundle.reports}
         assert by_nf["smf-1"].report.strategy is Strategy.PRE_COPY
 
-    def test_move_onto_full_current_host_completes(self):
+    def test_move_onto_current_host_is_skipped(self):
         # edge-a1 is exactly full with upf-1, smf-1 and amf-1, and is the
-        # closest feasible host in hall-A for each of them.
+        # closest feasible host in hall-A for each of them: none of them moves.
         data = copy.deepcopy(load_scenario(bundled_scenario_path()).raw)
         data["topology"]["hosts"][0]["cpu_capacity"] = 3
         data["triggers"][0]["new_zone"] = "hall-A"
         bundle = run_scenario(build_scenario(data))
-        assert len(bundle.reports) == 3
-        assert all(rec.report.succeeded for rec in bundle.reports)
-        assert all(rec.target_host == "edge-a1" for rec in bundle.reports)
+        assert bundle.reports == ()
+        assert [ev.data for ev in bundle.trace if ev.kind.startswith("migration")] == [
+            {"nf": nf, "host": "edge-a1", "reason": "already-on-target"}
+            for nf in ("amf-1", "smf-1", "upf-1")
+        ]
+        data["triggers"] = []
+        assert bundle.rtt_series == run_scenario(build_scenario(data)).rtt_series
 
     def test_placement_soundness(self):
         scenario = load_scenario(bundled_scenario_path())
