@@ -208,6 +208,8 @@ class NfInstance:
     cpu_demand: float = 1.0
 
     def __post_init__(self):
+        if not self.cpu_demand >= 0:  # NaN fails too
+            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {self.cpu_demand}")
         if self.stateful is None:
             self.stateful = default_stateful(self.kind)
         if self.plane is None:
@@ -368,8 +370,6 @@ def _check_nf_invariants(nf: NfInstance) -> None:
         raise InvariantViolation(nf.id, "stateful instance requires a memory image")
     if not nf.stateful and nf.memory is not None:
         raise InvariantViolation(nf.id, "stateless instance must not carry a memory image")
-    if not nf.cpu_demand >= 0:  # NaN fails too
-        raise InvariantViolation(nf.id, f"cpu_demand must be >= 0, got {nf.cpu_demand}")
 
 
 def validate_topology(

@@ -162,9 +162,12 @@ class PlacementViolation:
 class HostLoad:
     """The host each function is assigned to, and so the compute in use per host.
 
-    A host's load is summed over its members in topology order whenever it
-    is asked for, so it cannot drift: a move and its reverse give back the
-    same float, equal to a recount of the assignment.
+    Each host's load is the sum of its members' demands in topology order.
+    A move recounts that sum for both hosts it touches rather than adding
+    and subtracting, so it cannot drift: a move and its reverse give back
+    the same float, equal to a recount of the assignment, and
+    :meth:`used` is the same float :meth:`used_by_others` gives for a
+    function not on the host.
     """
 
     def __init__(self, topology: ValidatedTopology):
@@ -174,6 +177,21 @@ class HostLoad:
         self._members: dict[str, list[int]] = {host_id: [] for host_id in topology.hosts}
         for rank, nf in enumerate(topology.nfs.values()):
             self._members[nf.host].append(rank)
+        self._used = {host_id: self._recount(host_id) for host_id in topology.hosts}
+
+    def _recount(self, host_id: str) -> float:
+        used = 0.0
+        for member in self._members[host_id]:
+            used += self._demand[member]
+        return used
+
+    def host_of(self, nf_id: str) -> str | None:
+        """The host ``nf_id`` is assigned to; None for a function not deployed."""
+        return self._host.get(nf_id)
+
+    def used(self, host_id: str) -> float:
+        """Compute in use on ``host_id`` by every function assigned to it."""
+        return self._used[host_id]
 
     def used_by_others(self, host_id: str, nf_id: str) -> float:
         """Compute in use on ``host_id`` by every function except ``nf_id``.
@@ -190,33 +208,49 @@ class HostLoad:
 
     def move(self, nf_id: str, host_id: str) -> None:
         """Assign ``nf_id`` to ``host_id``."""
+        source = self._host[nf_id]
+        if source == host_id:
+            return
         rank = self._rank[nf_id]
-        self._members[self._host[nf_id]].remove(rank)
+        self._members[source].remove(rank)
         insort(self._members[host_id], rank)
         self._host[nf_id] = host_id
+        self._used[source] = self._recount(source)
+        self._used[host_id] = self._recount(host_id)
 
 
-def check_placement(
+def _anchored_ethernet(nf: NfInstance, sessions: Sequence[PduSession]) -> list[PduSession]:
+    if nf.kind is not NfKind.UPF:
+        return []
+    return [
+        s for s in sessions if s.anchor_upf == nf.id and s.session_type is SessionType.ETHERNET
+    ]
+
+
+def static_key(
+    nf: NfInstance, sessions: Sequence[PduSession]
+) -> tuple[bool, IsolationLevel | None]:
+    """What :func:`static_violations` asks of a host on behalf of ``nf``.
+
+    The pair is (``nf`` is a UPF anchoring an Ethernet session, the
+    isolation its kind needs).  Functions with equal keys pass the static
+    rules on exactly the same hosts.
+    """
+    return bool(_anchored_ethernet(nf, sessions)), required_isolation(nf.kind)
+
+
+def static_violations(
     nf: NfInstance,
     host: HostNode,
     sessions: Sequence[PduSession],
     topology: ValidatedTopology,
-    load: HostLoad | None = None,
 ) -> list[PlacementViolation]:
-    """Constraints violated by putting ``nf`` on ``host``; empty means feasible.
-
-    ``load`` holds where every function is assigned now (default: as
-    deployed); capacity accounting excludes ``nf`` itself.
-    """
+    """The rules ``host``'s driver alone decides: L2 for Ethernet sessions, isolation."""
     profile = topology.drivers[host.attached_driver]
     violations: list[PlacementViolation] = []
 
-    if nf.kind is NfKind.UPF and not profile.carries_l2:
-        anchored_ethernet = [
-            s
-            for s in sessions
-            if s.anchor_upf == nf.id and s.session_type is SessionType.ETHERNET
-        ]
+    if not profile.carries_l2:
+        anchored_ethernet = _anchored_ethernet(nf, sessions)
         if anchored_ethernet:
             violations.append(
                 PlacementViolation(
@@ -237,7 +271,23 @@ def check_placement(
                 f"{profile.isolation.name}",
             )
         )
+    return violations
 
+
+def check_placement(
+    nf: NfInstance,
+    host: HostNode,
+    sessions: Sequence[PduSession],
+    topology: ValidatedTopology,
+    load: HostLoad | None = None,
+) -> list[PlacementViolation]:
+    """Constraints violated by putting ``nf`` on ``host``; empty means feasible.
+
+    The static violations come first, then capacity.  ``load`` holds where
+    every function is assigned now (default: as deployed); capacity
+    accounting excludes ``nf`` itself.
+    """
+    violations = static_violations(nf, host, sessions, topology)
     if load is None:
         load = HostLoad(topology)
     used = load.used_by_others(host.id, nf.id)

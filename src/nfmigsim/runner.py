@@ -1,14 +1,13 @@
 """Scenario execution: mobility triggers -> policy -> migration machinery.
 
 Each trigger moves the UE to a new zone and migrates the affected function
-instances there.  Each zone's hosts are ranked once, the first time the zone
-is targeted, by latency to the zone's representative (ties broken by host
-id); a function goes to the first host in that ranking that passes
-``check_placement``, so its cost grows with the hosts it skips, not with the
-zone's size.  A function whose chosen host is the one it runs on stays
-put and leaves only a ``migration-skipped`` event.  A function's placement
-flips to the target only when its migration completes, so the sampled
-user-plane RTT shows the detour until the new anchor is up.
+instances there, each to the host a :class:`TargetSelector` picks: the
+zone's nearest host that passes ``check_placement``, found with one
+``check_placement`` call per placement.  A function whose chosen host is
+the one it runs on stays put and leaves only a ``migration-skipped``
+event.  A function's placement flips to the target only when its
+migration completes, so the sampled user-plane RTT shows the detour until
+the new anchor is up.
 
 Everything is a pure function of (scenario, seed): reruns produce identical
 reports, RTT series and event traces, byte for byte.
@@ -19,7 +18,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .engine import Event, Simulator, rng_stream
 from .memory import DirtyProcess
@@ -33,8 +34,14 @@ from .migration import (
     redeploy_stateless,
     start_replica_sync,
 )
-from .model import HostNode, NfInstance, NfKind
-from .policy import HostLoad, check_placement, select_strategy
+from .model import HostNode, NfInstance, NfKind, ValidatedTopology
+from .policy import (
+    HostLoad,
+    check_placement,
+    select_strategy,
+    static_key,
+    static_violations,
+)
 from .scenario import Scenario
 
 MIGRATIONS_CSV_HEADER = (
@@ -86,6 +93,67 @@ class MetricsBundle:
         return dict(sorted(totals.items()))
 
 
+def zone_representative(topology: ValidatedTopology, hall: str) -> str | None:
+    """The hall's lowest-id host, which stands for the hall in latency terms."""
+    hosts = topology.hosts_in_hall(hall)
+    return hosts[0].id if hosts else None
+
+
+class TargetSelector:
+    """Where a function goes in a hall: the nearest host that passes ``check_placement``.
+
+    A hall's hosts are ranked by (latency to the hall's representative, id)
+    the first time the hall is asked for.  The static rules depend only on
+    a host's driver, so for each (hall, ``static_key``) that ranking is cut
+    once to the hosts where ``static_violations`` is empty.  The walk then
+    skips a host whose load in ``load``, plus the function's demand,
+    exceeds its capacity, and confirms the first host it does not skip
+    with ``check_placement``.  The skip is exact: on a host other than the
+    function's own, ``load.used`` is the same float ``check_placement``
+    counts, and the function's own host, whose load includes its own
+    demand, is never skipped.
+    """
+
+    def __init__(self, topology: ValidatedTopology, load: HostLoad):
+        self._topology = topology
+        self._load = load
+        self._ranked: dict[str, list[HostNode]] = {}
+        self._candidates: dict[tuple, tuple[HostNode, ...]] = {}
+        self._static_keys = {
+            nf.id: static_key(nf, topology.sessions) for nf in topology.nfs.values()
+        }
+
+    def _ranked_hall(self, hall: str) -> list[HostNode]:
+        ranked = self._ranked.get(hall)
+        if ranked is None:
+            topology = self._topology
+            rep = zone_representative(topology, hall)
+            ranked = self._ranked[hall] = sorted(
+                topology.hosts_in_hall(hall),
+                key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id),
+            )
+        return ranked
+
+    def choose(self, nf: NfInstance, hall: str) -> HostNode | None:
+        """The first feasible host in ``hall`` for ``nf``, or None."""
+        topology, load = self._topology, self._load
+        key = (hall, self._static_keys[nf.id])
+        hosts = self._candidates.get(key)
+        if hosts is None:
+            hosts = self._candidates[key] = tuple(
+                host
+                for host in self._ranked_hall(hall)
+                if not static_violations(nf, host, topology.sessions, topology)
+            )
+        assigned = load.host_of(nf.id)
+        for host in hosts:
+            if host.id != assigned and load.used(host.id) + nf.cpu_demand > host.cpu_capacity:
+                continue
+            if not check_placement(nf, host, topology.sessions, topology, load):
+                return host
+        return None
+
+
 def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     """Execute every trigger and sample the user-plane RTT over the run."""
     effective_seed = scenario.seed if seed is None else seed
@@ -97,6 +165,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     # Where each function is assigned: its target from the moment its
     # migration is scheduled, while ``placement`` flips on completion.
     load = HostLoad(topology)
+    targets = TargetSelector(topology, load)
     ue_zone = scenario.ue.zone if scenario.ue else None
     dirty_procs: dict[str, DirtyProcess] = {
         nf_id: spec.build(rng_stream(f"dirty:{nf_id}", effective_seed))
@@ -113,13 +182,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     )
     anchor_upf = anchor_session.anchor_upf if anchor_session else None
 
-    def zone_representative(hall: str) -> str | None:
-        hosts = topology.hosts_in_hall(hall)
-        return hosts[0].id if hosts else None
-
     def sample_rtt(sim_: Simulator, event: Event) -> None:
         anchor = placement[anchor_upf] if anchor_upf is not None else None
-        rep = zone_representative(ue_zone) if ue_zone else None
+        rep = zone_representative(topology, ue_zone) if ue_zone else None
         if anchor is not None and rep is not None:
             rtt = 2 * topology.one_way_latency_us(rep, anchor)
             rtt_series.append((sim_.now, rtt))
@@ -129,23 +194,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         next_at = sim_.now + scenario.rtt_sample_interval_us
         if next_at <= scenario.duration_us:
             sim_.schedule(next_at, "rtt-sample", sample_rtt)
-
-    # Each hall's hosts by (latency to the hall's representative, id),
-    # ranked the first time the hall is targeted; the topology is static.
-    ranked_halls: dict[str, list[HostNode]] = {}
-
-    def choose_target(nf: NfInstance, hall: str) -> HostNode | None:
-        ranked = ranked_halls.get(hall)
-        if ranked is None:
-            rep = zone_representative(hall)
-            ranked = ranked_halls[hall] = sorted(
-                topology.hosts_in_hall(hall),
-                key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id),
-            )
-        for host in ranked:
-            if not check_placement(nf, host, topology.sessions, topology, load):
-                return host
-        return None
 
     def complete_migration(sim_: Simulator, event: Event) -> None:
         nf_id = event.data["nf"]
@@ -166,7 +214,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         for nf in affected:
             source = placement[nf.id]
             decision = select_strategy(nf.kind, bool(nf.stateful), objective)
-            target = choose_target(nf, trigger.new_zone)
+            target = targets.choose(nf, trigger.new_zone)
             if target is None:
                 report = failed_report(
                     decision.chosen, f"no feasible host in hall '{trigger.new_zone}'"
@@ -279,6 +327,69 @@ def _format_us(value: float) -> str:
     return repr(value)
 
 
+def _json_fallback(value: object) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _line_template(kind: object, data: object) -> tuple[str, tuple] | None:
+    """A %-format for events of this (kind, data keys), and its keys in sorted order.
+
+    None when the shape has a key or kind that is not a string, which only
+    ``json.dumps`` knows how to sort and write.
+    """
+    if not isinstance(kind, str) or not isinstance(data, dict):
+        return None
+    if not all(isinstance(key, str) for key in data):
+        return None
+    keys = tuple(sorted(data))
+
+    def literal(text: str) -> str:
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    fields = ", ".join(f"{literal(key)}: %s" for key in keys)
+    template = f'{{"data": {{{fields}}}, "kind": {literal(kind)}, "seq": %s, "time_us": %s}}\n'
+    return template, keys
+
+
+def trace_lines(events: Iterable[Event]) -> Iterator[str]:
+    """Each event as one line of ``json.dumps(..., sort_keys=True)`` text.
+
+    The text is byte for byte what ``json.dumps`` writes for
+    ``{"time_us", "seq", "kind", "data"}``, but each line is filled into a
+    template made once per (kind, data keys).  Values of exact type ``str``
+    or ``int``, all a run's trace holds but for the odd fractional RTT, are
+    written here; any other value goes through ``json.dumps``.
+    """
+    templates: dict[tuple, tuple[str, tuple]] = {}
+    # Trace strings repeat (ids, hosts, phases): escape each one once.
+    escaped: dict[str, str] = {}
+    for event in events:
+        data = event.data
+        shape = (event.kind, *data)
+        entry = templates.get(shape)
+        if entry is None:
+            entry = _line_template(event.kind, data)
+            if entry is None:
+                yield _json_fallback(
+                    {"time_us": event.time_us, "seq": event.seq, "kind": event.kind, "data": data}
+                ) + "\n"
+                continue
+            templates[shape] = entry
+        template, keys = entry
+        texts = []
+        for value in [*map(data.__getitem__, keys), event.seq, event.time_us]:
+            if type(value) is str:
+                text = escaped.get(value)
+                if text is None:
+                    text = escaped[value] = encode_basestring_ascii(value)
+            elif type(value) is int:
+                text = int.__repr__(value)
+            else:
+                text = _json_fallback(value)
+            texts.append(text)
+        yield template % tuple(texts)
+
+
 def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path]:
     """Write migrations.csv, rtt.csv, trace.jsonl and summary.txt.
 
@@ -320,13 +431,8 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
         for time_us, rtt in bundle.rtt_series:
             writer.writerow([time_us, _format_us(rtt)])
 
-    # One encoder for the whole file; same text as json.dumps(sort_keys=True).
-    encode = json.JSONEncoder(sort_keys=True).encode
     with paths["trace"].open("w", encoding="utf-8") as fh:
-        fh.writelines(
-            encode({"time_us": ev.time_us, "seq": ev.seq, "kind": ev.kind, "data": ev.data}) + "\n"
-            for ev in bundle.trace
-        )
+        fh.writelines(trace_lines(bundle.trace))
 
     totals = bundle.totals_by_kind()
     lines = [

@@ -327,13 +327,13 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         kind = _enum_value(NfKind, reader.require("kind", str), f"{reader.path}.kind")
         stateful = reader.optional("stateful", bool, None)
         demand = reader.optional("cpu_demand", float, 1.0)
-        nf = NfInstance(
-            id=nf_id,
-            kind=kind,
-            host=reader.require("host", str),
-            stateful=stateful,
-            cpu_demand=demand,
-        )
+        host = reader.require("host", str)
+        try:
+            nf = NfInstance(
+                id=nf_id, kind=kind, host=host, stateful=stateful, cpu_demand=demand
+            )
+        except InvariantViolation as exc:
+            raise ScenarioValidationError(str(exc)) from exc
         if nf.stateful:
             raw_memory = reader.optional("memory", dict, DEFAULT_MEMORY)
             image, spec = _parse_memory(_Reader(raw_memory, f"{reader.path}.memory"))

@@ -268,10 +268,8 @@ class TestValidateTopology:
             HostNode("h1", "z", float("nan"), DriverKind.MACVLAN)
 
     def test_nan_cpu_demand_rejected(self):
-        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
-        nfs = [NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))]
         with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
-            validate_topology(hosts, [], nfs)
+            NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))
 
     def test_nan_intra_host_latency_rejected(self):
         with pytest.raises(

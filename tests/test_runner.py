@@ -2,23 +2,42 @@
 
 import hashlib
 import json
+import math
+from enum import Enum
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nfmigsim import (
+    DriverKind,
+    HostLoad,
+    HostNode,
+    Link,
+    MemoryImage,
+    NfInstance,
+    NfKind,
+    PduSession,
+    SessionType,
     build_scenario,
     bundled_scenario_path,
+    check_placement,
     export_metrics,
     load_scenario,
     run_scenario,
+    validate_topology,
 )
 from nfmigsim import runner
+from nfmigsim.engine import Event
 
 
-def hall_scenario(hall_b, links_b, nfs, kinds):
+def hall_scenario(hall_b, links_b, nfs, *trigger_kinds):
     """One source host in hall-A and the given hall-B hosts behind it.
 
     ``hall_b`` lists (id, driver, cpu_capacity); ``links_b`` lists
     (a, b, extra_latency_us).  Hall-B's representative is its lowest id.
+    Each of ``trigger_kinds`` is one trigger into hall-B, the first at 1 s
+    and the rest 250 ms apart, moving the kinds it lists.
     """
     hosts = [{"id": "a0", "hall": "hall-A", "cpu_capacity": 100, "driver": "overlay"}]
     hosts += [
@@ -38,11 +57,12 @@ def hall_scenario(hall_b, links_b, nfs, kinds):
             "nfs": nfs,
             "triggers": [
                 {
-                    "time_us": 1_000_000,
+                    "time_us": 1_000_000 + 250_000 * k,
                     "ue_id": "ue-1",
                     "new_zone": "hall-B",
                     "affected_kinds": kinds,
                 }
+                for k, kinds in enumerate(trigger_kinds)
             ],
         }
     )
@@ -99,6 +119,129 @@ def test_walk_stops_at_the_nearest_feasible_host(monkeypatch):
     assert checked == [("ausf-1", "b0"), ("ausf-2", "b0"), ("udm-1", "b0")]
 
 
+def test_one_check_per_placement_while_the_nearest_hosts_fill(monkeypatch):
+    # By latency to b0: b0, b1 (macvlan: no AUSF), b2, b3, b4.  The AUSFs
+    # fill b0, b2 and b3; the UDMs then pass the full b0; the AUSFs' second
+    # trip lands each on the host it is assigned to, whose load counts it.
+    checked = []
+    original = runner.check_placement
+
+    def counting(nf, host, *args):
+        checked.append((nf.id, host.id))
+        return original(nf, host, *args)
+
+    monkeypatch.setattr(runner, "check_placement", counting)
+    scenario = hall_scenario(
+        [
+            ("b0", "overlay", 1),
+            ("b1", "macvlan", 4),
+            ("b2", "overlay", 1),
+            ("b3", "overlay", 2),
+            ("b4", "overlay", 4),
+        ],
+        [("b0", "b1", 0), ("b0", "b2", 10), ("b0", "b3", 20), ("b0", "b4", 30)],
+        [ausf(f"ausf-{k}") for k in range(1, 5)]
+        + [{"id": f"udm-{k}", "kind": "udm", "host": "a0", "stateful": False} for k in (1, 2)],
+        ["ausf"],
+        ["udm"],
+        ["ausf"],
+    )
+    bundle = run_scenario(scenario)
+    assert checked == [
+        ("ausf-1", "b0"),
+        ("ausf-2", "b2"),
+        ("ausf-3", "b3"),
+        ("ausf-4", "b3"),
+        ("udm-1", "b1"),
+        ("udm-2", "b1"),
+        ("ausf-1", "b0"),
+        ("ausf-2", "b2"),
+        ("ausf-3", "b3"),
+        ("ausf-4", "b3"),
+    ]
+    assert len(bundle.reports) == 6
+    assert sum(event.kind == "migration-skipped" for event in bundle.trace) == 4
+
+
+def reference_walk(nf, hall, topology, load):
+    """The hall's hosts by (latency to its lowest-id host, id), each checked in turn."""
+    rep = topology.hosts_in_hall(hall)[0].id
+    ranked = sorted(
+        topology.hosts_in_hall(hall),
+        key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id),
+    )
+    for host in ranked:
+        if not check_placement(nf, host, topology.sessions, topology, load):
+            return host
+    return None
+
+
+WALK_KINDS = (NfKind.UPF, NfKind.AUSF, NfKind.SMF, NfKind.UDM)
+
+
+@st.composite
+def walk_cases(draw):
+    n_b = draw(st.integers(1, 6))
+    hosts = [HostNode("a0", "hall-A", 100, DriverKind.OVERLAY)]
+    hosts += [
+        HostNode(
+            f"b{k}",
+            "hall-B",
+            draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 3])),
+            draw(st.sampled_from(list(DriverKind))),
+        )
+        for k in range(n_b)
+    ]
+    links = [Link("a0", "b0", 10**8)]
+    links += [
+        Link("b0", f"b{k}", 10**8, draw(st.sampled_from([0, 10, 20]))) for k in range(1, n_b)
+    ]
+    nfs, sessions = [], []
+    demands = st.sampled_from([0, 0.1, 0.2, 0.25, 0.7, 1, 1.5])
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(WALK_KINDS), min_size=1, max_size=7))):
+        nf_id = f"{kind.value}-{i}"
+        stateful = kind in (NfKind.AUSF, NfKind.SMF)
+        nfs.append(
+            NfInstance(
+                nf_id,
+                kind,
+                draw(st.sampled_from(hosts)).id,
+                memory=MemoryImage(8, 4096) if stateful else None,
+                cpu_demand=draw(demands),
+            )
+        )
+        if kind is NfKind.UPF:
+            for session_type in draw(st.lists(st.sampled_from(list(SessionType)), max_size=2)):
+                sessions.append(PduSession(f"pdu-{len(sessions)}", session_type, "ue-1", nf_id))
+    topology = validate_topology(hosts, links, nfs, sessions=sessions)
+    host_ids = st.sampled_from([host.id for host in hosts])
+    nf_index = st.integers(0, len(nfs) - 1)
+    moves = draw(st.lists(st.tuples(nf_index, host_ids), max_size=12))
+    # Each step moves one function, possibly first onto a hall-B host.
+    hall_b = st.sampled_from([f"b{k}" for k in range(n_b)])
+    steps = draw(st.lists(st.tuples(nf_index, st.none() | hall_b), min_size=1, max_size=8))
+    return topology, moves, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases())
+def test_pruned_walk_picks_what_a_full_walk_picks(case):
+    topology, moves, steps = case
+    nfs = list(topology.nfs.values())
+    load = HostLoad(topology)
+    for index, host_id in moves:
+        load.move(nfs[index].id, host_id)
+    selector = runner.TargetSelector(topology, load)
+    for index, sitting_on in steps:
+        nf = nfs[index]
+        if sitting_on is not None:
+            load.move(nf.id, sitting_on)
+        chosen = selector.choose(nf, "hall-B")
+        assert chosen == reference_walk(nf, "hall-B", topology, load)
+        if chosen is not None:
+            load.move(nf.id, chosen.id)
+
+
 def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
     bundle = run_scenario(load_scenario(bundled_scenario_path()), seed=42)
     lines = export_metrics(bundle, tmp_path)["trace"].read_text(encoding="utf-8").splitlines()
@@ -123,3 +266,49 @@ def test_drone_exports_match_the_committed_digests(tmp_path):
             actual[f"seed-{seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     lines = GOLDEN_DRONE_EXPORTS.read_text(encoding="utf-8").splitlines()
     assert actual == {name: digest for digest, name in (line.split("  ") for line in lines)}
+
+
+class Tone(str, Enum):
+    LOUD = "lo\"ud%"
+
+
+TRACE_TEXT = st.text(
+    alphabet=st.characters() | st.sampled_from(['"', "\\", "%", "\x00", "\x1f", "\u2028", "é", "€"]),
+    max_size=6,
+)
+TRACE_VALUES = (
+    TRACE_TEXT
+    | st.integers()
+    | st.sampled_from([2**64, -(2**70), -1])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-7, 1e22, math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.none()
+    | st.just(Tone.LOUD)
+    | st.lists(st.integers(), max_size=3)
+)
+# A few kinds and keys recur, so templates are reused across value types.
+TRACE_EVENTS = st.lists(
+    st.builds(
+        Event,
+        time_us=st.integers(),
+        seq=st.integers(),
+        kind=st.sampled_from(["trigger", "a%s", "é"]) | TRACE_TEXT | st.integers(),
+        data=st.dictionaries(st.sampled_from(["nf", "%", "%s", "pages"]) | TRACE_TEXT, TRACE_VALUES, max_size=4),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=TRACE_EVENTS)
+def test_trace_lines_match_json_dumps(events):
+    expected = [
+        json.dumps(
+            {"time_us": ev.time_us, "seq": ev.seq, "kind": ev.kind, "data": ev.data},
+            sort_keys=True,
+        )
+        + "\n"
+        for ev in events
+    ]
+    assert list(runner.trace_lines(events)) == expected
