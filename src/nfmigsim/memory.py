@@ -10,8 +10,8 @@ Two dirty models are provided.  The constant-rate model is fully
 deterministic and uses exact rational arithmetic for its fractional-page
 carry, so the number of dirtied pages over a span of virtual time does not
 depend on how that span is sliced into calls.  The Bernoulli model flips
-each non-dirty page independently, drawing from a seeded stream for
-stochastic workloads.
+each non-dirty page independently, drawing one byte per page from a seeded
+stream for stochastic workloads.
 """
 
 from __future__ import annotations
@@ -47,14 +47,15 @@ class BatchFilter(Enum):
 # One state byte per page.  The bulk transitions below are slice assignments,
 # ``bytearray.translate``, ``find``, ``count`` and big-integer bit operations,
 # which run in C; Python steps are spent per run of pages, never per page of
-# the image, except for the Bernoulli model's one random number per page.
+# the image (the Bernoulli model's steps are one per 256 pages on average).
 # Bit 0 of a byte means dirty and bit 1 never copied; ``dirty_where`` uses that.
 _CLEAN, _DIRTY, _NEVER = 0, 1, 2
 _STATES = (PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED)
 _DIRTY_TO_CLEAN = bytes((_CLEAN, _CLEAN, _NEVER)) + bytes(253)
 _ONLY_DIRTY = bytes((0, 1, 0)) + bytes(253)
 _ONLY_NEVER = bytes((0, 0, 1)) + bytes(253)
-_NOT_DIRTY = bytes((1, 0, 1)) + bytes(253)
+# ``_BELOW[k]`` maps a random byte to 1 if it is below ``k``, else to 0.
+_BELOW = tuple(bytes((1,)) * k + bytes(256 - k) for k in range(257))
 
 
 class MemoryImage:
@@ -285,10 +286,6 @@ class MemoryImage:
         self._dirty += marked
         return marked
 
-    def not_dirty_mask(self) -> bytes:
-        """One byte per page: 1 where the page is not dirty, else 0."""
-        return self._state.translate(_NOT_DIRTY)
-
     def dirty_where(self, mask: bytes) -> int:
         """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
 
@@ -335,7 +332,18 @@ class ConstantRateDirty:
 
 @dataclass
 class BernoulliDirty:
-    """Each non-dirty page flips independently with a per-millisecond probability."""
+    """Each non-dirty page flips independently with a per-millisecond probability.
+
+    Over ``t`` microseconds of execution a page flips with probability
+    ``q = 1 - (1 - p) ** (t / 1000)``.  A draw takes one random byte per page
+    of the image, dirty pages included.  With ``s = 256 q``, ``k = floor(s)``
+    and ``f = s - k``, a page is hit when its byte is below ``k``; a page whose
+    byte equals ``k`` is hit when ``random() < f``, drawn in ascending page
+    order.  So each page is hit with probability ``k / 256 + f / 256 = q``,
+    and the random numbers a draw consumes depend only on the image size and
+    on the bytes drawn, never on the page states.  Hits on dirty pages change
+    nothing.
+    """
 
     p_per_page_per_ms: float
     rng: Random = field(repr=False, default_factory=Random)
@@ -347,12 +355,21 @@ class BernoulliDirty:
             )
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
-        # One draw per non-dirty page, in ascending page order: the same
-        # random-number order as a page-by-page scan, at a cost that does not
-        # depend on the probability or the seed.
         q = 1.0 - (1.0 - self.p_per_page_per_ms) ** (duration_us / 1000.0)
-        random = self.rng.random
-        hits = bytes(eligible and random() < q for eligible in image.not_dirty_mask())
+        s = 256.0 * q  # exact: a power-of-two scale
+        k = math.floor(s)
+        f = s - k
+        rng = self.rng
+        rand = rng.randbytes(image.num_pages)
+        hits = rand.translate(_BELOW[k])
+        if f:  # k < 256 here; about one page in 256 sits on the edge
+            hits = bytearray(hits)
+            random = rng.random
+            edge = rand.find(k)
+            while edge >= 0:
+                if random() < f:
+                    hits[edge] = 1
+                edge = rand.find(k, edge + 1)
         return image.dirty_where(hits)
 
 

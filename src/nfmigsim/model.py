@@ -207,9 +207,13 @@ class NfInstance:
     memory: MemoryImage | None = None
     cpu_demand: float = 1.0
 
+    def __setattr__(self, name, value):
+        # The one check of the bound, at construction and on any later assignment.
+        if name == "cpu_demand" and not value >= 0:  # NaN fails too
+            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {value}")
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        if not self.cpu_demand >= 0:  # NaN fails too
-            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {self.cpu_demand}")
         if self.stateful is None:
             self.stateful = default_stateful(self.kind)
         if self.plane is None:

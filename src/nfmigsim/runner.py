@@ -200,6 +200,42 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         placement[nf_id] = event.data["target"]
         load.move(nf_id, event.data["target"])
 
+    # Strategy -> migration.  Each returns the report and the time its phases
+    # count from.  The ``migrate_*`` functions are module globals looked up at
+    # call time, so a wrapper installed on this module sees every call.
+    def redeploy(nf, channel, target_id, started):
+        return redeploy_stateless(nf, params), started
+
+    def inter_copy(nf, channel, target_id, started):
+        return migrate_inter_copy(nf, channel, params), started
+
+    def pre_copy(nf, channel, target_id, started):
+        return migrate_pre_copy(nf, channel, params, dirty_procs[nf.id]), started
+
+    def parallel(nf, channel, target_id, started):
+        replica = start_replica_sync(nf, channel, params, dirty_procs[nf.id], now_us=started)
+        sim.schedule(
+            started,
+            "replica-sync-started",
+            nf=nf.id,
+            target=target_id,
+            pages=nf.memory.num_pages,
+        )
+        # Hand over as soon as the replica flushed its first sync tick; the
+        # residual delta is then at most one interval old.
+        handover_at = replica.run_until_ticks(1)
+        report = migrate_parallel(replica, params)
+        for tick in replica.tick_log:
+            sim.schedule(tick.done_us, "sync-tick", nf=nf.id, pages=tick.pages)
+        return report, handover_at
+
+    migrators = {
+        Strategy.NO_MIGRATION_REDEPLOY: redeploy,
+        Strategy.INTER_COPY: inter_copy,
+        Strategy.PRE_COPY: pre_copy,
+        Strategy.PARALLEL: parallel,
+    }
+
     def on_trigger(sim_: Simulator, event: Event) -> None:
         nonlocal ue_zone
         index = event.data["index"]
@@ -240,37 +276,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
 
             channel = topology.channel(source, target.id)
             started = sim_.now
-            timeline_base = started
-            if decision.chosen is Strategy.NO_MIGRATION_REDEPLOY:
-                report = redeploy_stateless(nf, params)
-            elif decision.chosen is Strategy.INTER_COPY:
-                report = migrate_inter_copy(nf, channel, params)
-            elif decision.chosen is Strategy.PRE_COPY:
-                report = migrate_pre_copy(nf, channel, params, dirty_procs[nf.id])
-            elif decision.chosen is Strategy.PARALLEL:
-                replica = start_replica_sync(
-                    nf,
-                    channel,
-                    params,
-                    dirty_procs[nf.id],
-                    now_us=started,
-                )
-                sim_.schedule(
-                    started,
-                    "replica-sync-started",
-                    nf=nf.id,
-                    target=target.id,
-                    pages=nf.memory.num_pages,
-                )
-                # Hand over as soon as the replica flushed its first sync
-                # tick; the residual delta is then at most one interval old.
-                handover_at = replica.run_until_ticks(1)
-                report = migrate_parallel(replica, params)
-                for tick in replica.tick_log:
-                    sim_.schedule(tick.done_us, "sync-tick", nf=nf.id, pages=tick.pages)
-                timeline_base = handover_at
-            else:  # pragma: no cover - the policy table never selects post-copy
-                raise AssertionError(f"unexpected strategy {decision.chosen}")
+            report, timeline_base = migrators[decision.chosen](nf, channel, target.id, started)
 
             sim_.schedule(
                 started,

@@ -182,16 +182,25 @@ class TestBernoulliStatistics:
         image.dirty_where(bytes((1, 0, 0)) * (self.PAGES // 3))
         return image
 
-    @pytest.mark.parametrize("duration_us", [3_000, 223_000, 1_609_000])  # q ~ 0.003, 0.2, 0.8
-    def test_hit_rate_matches_q_in_both_halves(self, duration_us):
-        q = 1.0 - (1.0 - self.P_PER_MS) ** (duration_us / 1000.0)
+    @pytest.mark.parametrize(
+        "p, duration_us",
+        [
+            (P_PER_MS, 3_000),  # q ~ 0.003
+            (P_PER_MS, 223_000),  # q ~ 0.2
+            (P_PER_MS, 1_609_000),  # q ~ 0.8
+            (0.5, 1_000),  # q == 0.5: k == 128 and no edge draws
+            (1.0, 1_000),  # q == 1: every byte is below k == 256
+        ],
+    )
+    def test_hit_rate_matches_q_in_both_halves(self, p, duration_us):
+        q = 1.0 - (1.0 - p) ** (duration_us / 1000.0)
         half = self.PAGES // 2
         eligible = [0, 0]  # non-dirty pages per half, summed over draws
         hits = [0, 0]
         for seed in range(30):
             image = self.mixed_image()
             before = set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY))
-            newly = advance_dirty(image, BernoulliDirty(self.P_PER_MS, random.Random(seed)), duration_us)
+            newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), duration_us)
             after = set(image.take_transfer_batch(BatchFilter.DIRTY_ONLY))
             assert before <= after
             assert newly == len(after - before)  # already-dirty pages never count
@@ -199,6 +208,9 @@ class TestBernoulliStatistics:
                 pages = range(h * half, (h + 1) * half)
                 eligible[h] += sum(1 for page in pages if page not in before)
                 hits[h] += sum(1 for page in after - before if page in pages)
+        if q == 1.0:  # no variance: the bounds below would be 0 < 0
+            assert hits == eligible
+            return
         total = sum(eligible)
         assert abs(sum(hits) - total * q) < 4 * math.sqrt(total * q * (1 - q))
         rates = [hits[h] / eligible[h] for h in (0, 1)]
@@ -229,12 +241,23 @@ class ReferenceImage:
         return picked
 
     def bernoulli(self, p, seed, duration_us):
-        """The page-by-page scan: one draw per non-dirty page, ascending."""
+        """The byte-threshold law, page by page in ascending order.
+
+        One random byte per page of the image; a byte below ``k`` is a hit,
+        and a byte equal to ``k`` is a hit when ``random() < f``.  A hit on a
+        dirty page changes nothing.
+        """
         rng = random.Random(seed)
         q = 1.0 - (1.0 - p) ** (duration_us / 1000.0)
-        picked = [
-            page for page in range(self.num_pages) if page not in self.dirty and rng.random() < q
+        k = math.floor(256 * q)
+        f = 256 * q - k
+        rand = rng.randbytes(self.num_pages)
+        hits = [
+            page
+            for page in range(self.num_pages)
+            if rand[page] < k or (rand[page] == k and rng.random() < f)
         ]
+        picked = [page for page in hits if page not in self.dirty]
         self.dirty.update(picked)
         self.never.difference_update(picked)
         return picked
@@ -335,6 +358,10 @@ def image_in_states(states, working_set=None, fraction=None):
     return image
 
 
+def dirty_pages(image):
+    return {page for page in range(image.num_pages) if image.page_state(page) is PageState.DIRTY_SINCE_COPY}
+
+
 # Runs of equal states, so run boundaries and long runs are both common.
 PAGE_STATE_RUNS = st.lists(
     st.tuples(st.sampled_from(list(PageState)), st.integers(1, 12)), max_size=10
@@ -394,3 +421,35 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
         assert [image.page_state(page) for page in range(num_pages)] == reference
         assert image.dirty_count == reference.count(dirty)
         assert image.never_copied_count == reference.count(never)
+
+
+@pytest.mark.parametrize("p", [0.00001, 0.0004, 0.003, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_draw_matches_the_reference_law_on_a_large_image(p, seed):
+    # Thousands of pages put dozens of pages on the edge byte in each draw.
+    image = image_in_states([PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY] * 4000)
+    reference = ReferenceImage(image.num_pages)
+    reference.dirty = dirty_pages(image)
+    reference.never = set()
+    newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), 7_000)
+    assert newly == len(reference.bernoulli(p, seed, 7_000))
+    assert dirty_pages(image) == reference.dirty
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=PAGE_STATE_RUNS,
+    p=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    duration_us=st.integers(0, 400_000),
+    seed=st.integers(0, 2**16),
+)
+def test_bernoulli_draw_does_not_depend_on_page_states(states, p, duration_us, seed):
+    """The same seed hits the same pages whatever state the pages are in."""
+    mixed = image_in_states(states)
+    clean = clean_image(len(states))
+    before = dirty_pages(mixed)
+    newly = advance_dirty(mixed, BernoulliDirty(p, random.Random(seed)), duration_us)
+    advance_dirty(clean, BernoulliDirty(p, random.Random(seed)), duration_us)
+    hits = dirty_pages(clean)
+    assert dirty_pages(mixed) - before == hits - before
+    assert newly == len(hits - before)

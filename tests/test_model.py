@@ -271,6 +271,16 @@ class TestValidateTopology:
         with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))
 
+    def test_nan_cpu_demand_assignment_rejected(self):
+        nf = NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=2.0)
+        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
+            nf.cpu_demand = float("nan")
+        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got -1"):
+            nf.cpu_demand = -1
+        assert nf.cpu_demand == 2.0
+        nf.cpu_demand = 0.5
+        assert nf.cpu_demand == 0.5
+
     def test_nan_intra_host_latency_rejected(self):
         with pytest.raises(
             InvariantViolation, match="topology: intra_host_latency_us must be >= 0, got nan"

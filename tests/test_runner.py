@@ -6,6 +6,7 @@ import math
 from enum import Enum
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,13 +32,14 @@ from nfmigsim import runner
 from nfmigsim.engine import Event
 
 
-def hall_scenario(hall_b, links_b, nfs, *trigger_kinds):
+def hall_scenario(hall_b, links_b, nfs, *trigger_kinds, objective="downtime"):
     """One source host in hall-A and the given hall-B hosts behind it.
 
     ``hall_b`` lists (id, driver, cpu_capacity); ``links_b`` lists
     (a, b, extra_latency_us).  Hall-B's representative is its lowest id.
     Each of ``trigger_kinds`` is one trigger into hall-B, the first at 1 s
-    and the rest 250 ms apart, moving the kinds it lists.
+    and the rest 250 ms apart, moving the kinds it lists.  ``objective`` is
+    the scenario's objective.
     """
     hosts = [{"id": "a0", "hall": "hall-A", "cpu_capacity": 100, "driver": "overlay"}]
     hosts += [
@@ -52,6 +54,7 @@ def hall_scenario(hall_b, links_b, nfs, *trigger_kinds):
     return build_scenario(
         {
             "duration_us": 2_000_000,
+            "objective": objective,
             "topology": {"hosts": hosts, "links": links},
             "ue": {"id": "ue-1", "zone": "hall-A"},
             "nfs": nfs,
@@ -117,6 +120,39 @@ def test_walk_stops_at_the_nearest_feasible_host(monkeypatch):
     bundle = run_scenario(scenario)
     assert targets(bundle) == {"ausf-1": "b0", "ausf-2": "b0", "udm-1": "b0"}
     assert checked == [("ausf-1", "b0"), ("ausf-2", "b0"), ("udm-1", "b0")]
+
+
+@pytest.mark.parametrize(
+    "objective, smf_call, smf_strategy",
+    [("downtime", "migrate_parallel", "parallel"), ("bytes", "migrate_pre_copy", "pre-copy")],
+)
+def test_each_strategy_calls_its_function_on_the_runner_module(
+    monkeypatch, objective, smf_call, smf_strategy
+):
+    # Wrappers installed after import must see every call, as tracing needs.
+    calls = []
+    for name in ("redeploy_stateless", "migrate_inter_copy", "migrate_pre_copy", "migrate_parallel"):
+
+        def counting(*args, _name=name, _original=getattr(runner, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counting)
+    scenario = hall_scenario(
+        [("b0", "overlay", 100)],
+        [],
+        [
+            ausf(),
+            {"id": "smf-1", "kind": "smf", "host": "a0", "memory": {"num_pages": 8, "page_size": 4096}},
+            {"id": "udm-1", "kind": "udm", "host": "a0", "stateful": False},
+        ],
+        ["ausf", "smf", "udm"],
+        objective=objective,
+    )
+    bundle = run_scenario(scenario)
+    assert calls == ["migrate_inter_copy", smf_call, "redeploy_stateless"]
+    strategies = [rec.report.strategy.value for rec in bundle.reports]
+    assert strategies == ["inter-copy", smf_strategy, "redeploy"]
 
 
 def test_one_check_per_placement_while_the_nearest_hosts_fill(monkeypatch):
