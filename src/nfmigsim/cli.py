@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 from .errors import ScenarioParseError, SimulatorError
 from .policy import Objective, policy_table_text
 from .runner import export_metrics, run_scenario
-from .scenario import build_scenario, load_scenario
+from .scenario import build_scenario, load_scenario, read_document
 
 
 def _set_dotted(data: dict, dotted_key: str, value) -> None:
@@ -43,9 +44,7 @@ def _parse_param(spec: str) -> tuple[str, list]:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.objective is not None:
-        data = copy.deepcopy(scenario.raw)
-        data["objective"] = args.objective
-        scenario = build_scenario(data, source=str(args.scenario))
+        scenario = dataclasses.replace(scenario, objective=Objective(args.objective))
     bundle = run_scenario(scenario, seed=args.seed)
     paths = export_metrics(bundle, args.out)
     print(f"scenario '{bundle.scenario_name}' seed={bundle.seed}")
@@ -56,12 +55,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = load_scenario(args.scenario)
+    base = read_document(args.scenario)
+    build_scenario(base, source=str(args.scenario))  # a bad base fails before any variant
     axes = [_parse_param(spec) for spec in args.param]
     out_root = Path(args.out)
     print(f"{'variant':<56}{'migrations':>11}{'downtime_us':>13}{'bytes':>14}")
     for combo in itertools.product(*(values for _, values in axes)):
-        data = copy.deepcopy(base.raw)
+        data = copy.deepcopy(base)
         label_parts = []
         for (key, _), value in zip(axes, combo):
             _set_dotted(data, key, value)

@@ -43,7 +43,8 @@ class EventHandle:
         return self._cancelled
 
 
-EventCallback = Callable[["Simulator", Event], None]
+#: A callback may return annotations, which the trace records in the event's data.
+EventCallback = Callable[["Simulator", Event], "Mapping[str, object] | None"]
 
 
 def rng_stream(label: str, seed: int) -> Random:
@@ -63,23 +64,15 @@ class Simulator:
     instances share nothing and may run concurrently.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self._now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, Event, EventCallback | None, EventHandle]] = []
-        self._rngs: dict[str, Random] = {}
         self.trace: list[Event] = []
 
     @property
     def now(self) -> int:
         return self._now
-
-    def rng(self, label: str) -> Random:
-        """The named sub-stream for this simulation's seed (one per label)."""
-        if label not in self._rngs:
-            self._rngs[label] = rng_stream(label, self.seed)
-        return self._rngs[label]
 
     def schedule(
         self,
@@ -103,9 +96,11 @@ class Simulator:
     def run_until(self, t_end_us: int) -> list[Event]:
         """Process every pending event with time <= ``t_end_us``.
 
-        Returns the ordered list of events processed by this call.  The
-        clock ends at the last processed event when the queue drains, or at
-        ``t_end_us`` when later events remain pending.
+        Returns the ordered list of events processed by this call.  Each
+        event is recorded after its callback, with the mapping the callback
+        returns, if any, merged into its ``data``.  The clock ends at the
+        last processed event when the queue drains, or at ``t_end_us`` when
+        later events remain pending.
         """
         if t_end_us < self._now:
             raise ValueError(
@@ -117,10 +112,12 @@ class Simulator:
             if handle.cancelled:
                 continue
             self._now = event.time_us
+            if callback is not None:
+                notes = callback(self, event)
+                if notes:
+                    event = Event(event.time_us, event.seq, event.kind, {**event.data, **notes})
             processed.append(event)
             self.trace.append(event)
-            if callback is not None:
-                callback(self, event)
         if self._heap:
             self._now = t_end_us
         return processed

@@ -154,7 +154,7 @@ def transfer_time_us(pages: int, page_size: int, channel: Channel) -> int:
 
 
 def _require_stateful(nf: NfInstance) -> MemoryImage:
-    if not nf.stateful or nf.memory is None:
+    if nf.memory is None:
         raise StrategyInapplicableError(
             f"'{nf.id}' ({nf.kind.value.upper()}) is stateless; nothing to transfer"
         )

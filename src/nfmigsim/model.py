@@ -79,20 +79,13 @@ BUILTIN_DRIVER_PROFILES: Mapping[DriverKind, NetworkDriverProfile] = {
 
 def driver_table(
     overrides: Mapping[DriverKind, NetworkDriverProfile] | None = None,
-    l2_overlay_enabled: bool = False,
 ) -> dict[DriverKind, NetworkDriverProfile]:
     """The driver profile table, optionally with per-kind overrides.
 
-    ``l2_overlay_enabled`` opts in to L2-capable overlay attachments (a
-    special case of some orchestrators); by default overlays cannot carry
-    Ethernet frames.
+    An override is the only way to change a driver's L2 capability, e.g.
+    the L2-capable overlay attachments some orchestrators offer.
     """
     table = dict(BUILTIN_DRIVER_PROFILES)
-    if l2_overlay_enabled:
-        base = table[DriverKind.OVERLAY]
-        table[DriverKind.OVERLAY] = NetworkDriverProfile(
-            base.kind, base.rtt_inter_host_us, True, base.isolation
-        )
     if overrides:
         table.update(overrides)
     return table
@@ -123,30 +116,18 @@ def plane_for(kind: NfKind) -> Plane:
     return Plane.USER if kind is NfKind.UPF else Plane.CONTROL
 
 
-# The UPF holds no session state worth migrating; the UDM may delegate its
-# state to the UDR (the default here) or keep it locally.
-_STATEFUL_BY_KIND = {
-    NfKind.UPF: False,
-    NfKind.SMF: True,
-    NfKind.AMF: True,
-    NfKind.AUSF: True,
-    NfKind.UDM: False,
-    NfKind.UDR: True,
-    NfKind.NRF: True,
+#: The statefulness each kind may have, its default first.  The UPF holds
+#: no session state worth migrating; the UDM may delegate its state to the
+#: UDR (the default here) or keep it locally.
+STATEFUL_VARIANTS: Mapping[NfKind, tuple[bool, ...]] = {
+    NfKind.UPF: (False,),
+    NfKind.SMF: (True,),
+    NfKind.AMF: (True,),
+    NfKind.AUSF: (True,),
+    NfKind.UDM: (False, True),
+    NfKind.UDR: (True,),
+    NfKind.NRF: (True,),
 }
-
-#: Kinds whose statefulness is fixed; only the UDM may go either way.
-_STATEFUL_CONFIGURABLE = frozenset({NfKind.UDM})
-
-
-def default_stateful(kind: NfKind) -> bool:
-    return _STATEFUL_BY_KIND[kind]
-
-
-def stateful_allowed(kind: NfKind, stateful: bool) -> bool:
-    if kind in _STATEFUL_CONFIGURABLE:
-        return True
-    return stateful == _STATEFUL_BY_KIND[kind]
 
 
 @dataclass(frozen=True)
@@ -194,16 +175,14 @@ class PduSession:
 class NfInstance:
     """A running network function.
 
-    ``stateful`` and ``plane`` default from the kind when omitted.  The
-    memory image is present exactly for stateful instances; its page state
-    mutates during migrations while the identity fields stay fixed.
+    An instance is stateful exactly when it carries a memory image, and
+    its plane follows from its kind.  The image's page state mutates
+    during migrations while the identity fields stay fixed.
     """
 
     id: str
     kind: NfKind
     host: str
-    stateful: bool | None = None
-    plane: Plane | None = None
     memory: MemoryImage | None = None
     cpu_demand: float = 1.0
 
@@ -213,11 +192,13 @@ class NfInstance:
             raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {value}")
         super().__setattr__(name, value)
 
-    def __post_init__(self):
-        if self.stateful is None:
-            self.stateful = default_stateful(self.kind)
-        if self.plane is None:
-            self.plane = plane_for(self.kind)
+    @property
+    def stateful(self) -> bool:
+        return self.memory is not None
+
+    @property
+    def plane(self) -> Plane:
+        return plane_for(self.kind)
 
 
 @dataclass(frozen=True)
@@ -342,14 +323,6 @@ class ValidatedTopology:
         rtt = max(self.profile(a).rtt_inter_host_us, self.profile(b).rtt_inter_host_us)
         return rtt / 2 + path.extra_latency_us
 
-    def carries_l2_path(self, a: str, b: str) -> bool:
-        """True iff containers on ``a`` and ``b`` can exchange Ethernet frames."""
-        if a == b:
-            self.host(a)
-            return True
-        self.path_between(a, b)
-        return self.profile(a).carries_l2 and self.profile(b).carries_l2
-
     def channel(self, a: str, b: str) -> Channel:
         """Transfer channel between two hosts (bottleneck bandwidth, one-way latency)."""
         if a == b:
@@ -359,21 +332,10 @@ class ValidatedTopology:
 
 
 def _check_nf_invariants(nf: NfInstance) -> None:
-    expected_plane = plane_for(nf.kind)
-    if nf.plane is not expected_plane:
-        raise InvariantViolation(
-            nf.id, f"{nf.kind.value.upper()} runs in the {expected_plane.value} plane"
-        )
-    if not stateful_allowed(nf.kind, bool(nf.stateful)):
-        if nf.kind is NfKind.UPF:
-            raise InvariantViolation(nf.id, "UPF instances are stateless")
-        raise InvariantViolation(
-            nf.id, f"{nf.kind.value.upper()} instances are stateful"
-        )
-    if nf.stateful and nf.memory is None:
-        raise InvariantViolation(nf.id, "stateful instance requires a memory image")
-    if not nf.stateful and nf.memory is not None:
-        raise InvariantViolation(nf.id, "stateless instance must not carry a memory image")
+    variants = STATEFUL_VARIANTS[nf.kind]
+    if nf.stateful not in variants:
+        state = "stateful" if variants[0] else "stateless"
+        raise InvariantViolation(nf.id, f"{nf.kind.value.upper()} instances are {state}")
 
 
 def validate_topology(
@@ -383,7 +345,6 @@ def validate_topology(
     sessions: Sequence[PduSession] = (),
     drivers: Mapping[DriverKind, NetworkDriverProfile] | None = None,
     intra_host_latency_us: float = DEFAULT_INTRA_HOST_LATENCY_US,
-    l2_overlay_enabled: bool = False,
 ) -> ValidatedTopology:
     """Check referential integrity and every domain invariant.
 
@@ -451,7 +412,7 @@ def validate_topology(
         tuple(links),
         nf_map,
         tuple(sessions),
-        driver_table(drivers, l2_overlay_enabled),
+        driver_table(drivers),
         intra_host_latency_us,
     )
 

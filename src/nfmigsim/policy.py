@@ -29,9 +29,9 @@ from .model import (
     NfInstance,
     NfKind,
     PduSession,
+    STATEFUL_VARIANTS,
     SessionType,
     ValidatedTopology,
-    stateful_allowed,
 )
 
 
@@ -69,47 +69,37 @@ _RATIONALE = {
     NfKind.NRF: "registry-size-dependent",
 }
 
-# (kind, stateful) -> objective -> preference order.  Keys omitted for a
-# kind mean the combination is invalid and is rejected before lookup.
-_DECISION_TABLE: Mapping[tuple[NfKind, bool], Mapping[Objective, tuple[Strategy, ...]]] = {
-    (NfKind.UPF, False): {
-        Objective.MINIMIZE_DOWNTIME: _REDEPLOY,
-        Objective.MINIMIZE_MIGRATION_TIME: _REDEPLOY,
-        Objective.MINIMIZE_BYTES: _REDEPLOY,
-    },
-    (NfKind.SMF, True): {
+# Stateful kind -> objective -> preference order.  A function without state
+# has nothing to copy and is always redeployed cold.
+_DECISION_TABLE: Mapping[NfKind, Mapping[Objective, tuple[Strategy, ...]]] = {
+    NfKind.SMF: {
         Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
         Objective.MINIMIZE_MIGRATION_TIME: _PRECOPY_FIRST,
         Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
     },
-    (NfKind.AMF, True): {
+    NfKind.AMF: {
         Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
         Objective.MINIMIZE_MIGRATION_TIME: _PARALLEL_FIRST,
         # Continuous replica sync duplicates every input, so it maximizes
         # bytes; iterative copy is the fallback when volume matters.
         Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
     },
-    (NfKind.AUSF, True): {
+    NfKind.AUSF: {
         Objective.MINIMIZE_DOWNTIME: _INTER,
         Objective.MINIMIZE_MIGRATION_TIME: _INTER,
         Objective.MINIMIZE_BYTES: _INTER,
     },
-    (NfKind.UDM, True): {
+    NfKind.UDM: {
         Objective.MINIMIZE_DOWNTIME: _INTER,
         Objective.MINIMIZE_MIGRATION_TIME: _INTER,
         Objective.MINIMIZE_BYTES: _INTER,
     },
-    (NfKind.UDM, False): {
-        Objective.MINIMIZE_DOWNTIME: _REDEPLOY,
-        Objective.MINIMIZE_MIGRATION_TIME: _REDEPLOY,
-        Objective.MINIMIZE_BYTES: _REDEPLOY,
-    },
-    (NfKind.UDR, True): {
+    NfKind.UDR: {
         Objective.MINIMIZE_DOWNTIME: _INTER,
         Objective.MINIMIZE_MIGRATION_TIME: _INTER,
         Objective.MINIMIZE_BYTES: _INTER,
     },
-    (NfKind.NRF, True): {
+    NfKind.NRF: {
         Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
         Objective.MINIMIZE_MIGRATION_TIME: _INTER,
         Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
@@ -127,11 +117,11 @@ def select_strategy(kind: NfKind, stateful: bool, objective: Objective) -> Strat
     Raises :class:`InvalidCombinationError` for (kind, stateful) pairs that
     cannot occur, e.g. a stateful UPF.
     """
-    if not stateful_allowed(kind, stateful):
+    if stateful not in STATEFUL_VARIANTS[kind]:
         raise InvalidCombinationError(
             f"{kind.value.upper()} cannot be {'stateful' if stateful else 'stateless'}"
         )
-    candidates = _DECISION_TABLE[(kind, stateful)][objective]
+    candidates = _DECISION_TABLE[kind][objective] if stateful else _REDEPLOY
     rationale = _RATIONALE[kind]
     if not stateful and kind is NfKind.UDM:
         rationale = "delegates-state-to-udr"
@@ -165,9 +155,7 @@ class HostLoad:
     Each host's load is the sum of its members' demands in topology order.
     A move recounts that sum for both hosts it touches rather than adding
     and subtracting, so it cannot drift: a move and its reverse give back
-    the same float, equal to a recount of the assignment, and
-    :meth:`used` is the same float :meth:`used_by_others` gives for a
-    function not on the host.
+    the same float, equal to a recount of the assignment.
     """
 
     def __init__(self, topology: ValidatedTopology):
@@ -179,32 +167,23 @@ class HostLoad:
             self._members[nf.host].append(rank)
         self._used = {host_id: self._recount(host_id) for host_id in topology.hosts}
 
-    def _recount(self, host_id: str) -> float:
+    def _recount(self, host_id: str, skip: int | None = None) -> float:
         used = 0.0
         for member in self._members[host_id]:
-            used += self._demand[member]
+            if member != skip:
+                used += self._demand[member]
         return used
-
-    def host_of(self, nf_id: str) -> str | None:
-        """The host ``nf_id`` is assigned to; None for a function not deployed."""
-        return self._host.get(nf_id)
-
-    def used(self, host_id: str) -> float:
-        """Compute in use on ``host_id`` by every function assigned to it."""
-        return self._used[host_id]
 
     def used_by_others(self, host_id: str, nf_id: str) -> float:
         """Compute in use on ``host_id`` by every function except ``nf_id``.
 
         ``nf_id`` need not be deployed: a candidate function is counted
-        against everything assigned to the host.
+        against everything assigned to the host.  On any host but the
+        function's own this is the stored sum, with no recount.
         """
-        rank = self._rank.get(nf_id)
-        used = 0.0
-        for other in self._members[host_id]:
-            if other != rank:
-                used += self._demand[other]
-        return used
+        if self._host.get(nf_id) != host_id:
+            return self._used[host_id]
+        return self._recount(host_id, self._rank[nf_id])
 
     def move(self, nf_id: str, host_id: str) -> None:
         """Assign ``nf_id`` to ``host_id``."""
@@ -303,20 +282,13 @@ def check_placement(
 
 
 def policy_grid() -> list[tuple[NfKind, bool, Objective, StrategyDecision]]:
-    """Every (kind, statefulness, objective) row of the decision table."""
-    rows = []
-    variants: list[tuple[NfKind, bool]] = []
-    for kind in NfKind:
-        if kind is NfKind.UDM:
-            variants.extend([(kind, True), (kind, False)])
-        elif kind is NfKind.UPF:
-            variants.append((kind, False))
-        else:
-            variants.append((kind, True))
-    for kind, stateful in variants:
-        for objective in Objective:
-            rows.append((kind, stateful, objective, select_strategy(kind, stateful, objective)))
-    return rows
+    """Every (kind, statefulness, objective) row of the decision table, stateful first."""
+    return [
+        (kind, stateful, objective, select_strategy(kind, stateful, objective))
+        for kind, variants in STATEFUL_VARIANTS.items()
+        for stateful in sorted(variants, reverse=True)
+        for objective in Objective
+    ]
 
 
 def policy_table_text() -> str:

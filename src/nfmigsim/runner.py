@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import Event, Simulator, rng_stream
 from .memory import DirtyProcess
@@ -49,6 +49,16 @@ MIGRATIONS_CSV_HEADER = (
     "bytes,sync_bytes,stall_us,rounds,outcome"
 )
 
+#: The summary.txt columns after ``kind``: width, and what one report adds.
+SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[MigrationReport], int]]] = {
+    "migrations": (11, lambda report: 1),
+    "failed": (8, lambda report: 0 if report.succeeded else 1),
+    "bytes": (14, lambda report: report.bytes_transferred),
+    "sync_bytes": (12, lambda report: report.sync_bytes),
+    "downtime_us": (13, lambda report: report.downtime_us),
+    "stall_us": (10, lambda report: report.stall_time_us),
+}
+
 
 @dataclass(frozen=True)
 class RecordedMigration:
@@ -73,23 +83,9 @@ class MetricsBundle:
     def totals_by_kind(self) -> dict[str, dict[str, int]]:
         totals: dict[str, dict[str, int]] = {}
         for rec in self.reports:
-            agg = totals.setdefault(
-                rec.kind.value,
-                {
-                    "migrations": 0,
-                    "failed": 0,
-                    "bytes": 0,
-                    "sync_bytes": 0,
-                    "downtime_us": 0,
-                    "stall_us": 0,
-                },
-            )
-            agg["migrations"] += 1
-            agg["failed"] += 0 if rec.report.succeeded else 1
-            agg["bytes"] += rec.report.bytes_transferred
-            agg["sync_bytes"] += rec.report.sync_bytes
-            agg["downtime_us"] += rec.report.downtime_us
-            agg["stall_us"] += rec.report.stall_time_us
+            agg = totals.setdefault(rec.kind.value, dict.fromkeys(SUMMARY_COLUMNS, 0))
+            for name, (_, value) in SUMMARY_COLUMNS.items():
+                agg[name] += value(rec.report)
         return dict(sorted(totals.items()))
 
 
@@ -106,12 +102,9 @@ class TargetSelector:
     the first time the hall is asked for.  The static rules depend only on
     a host's driver, so for each (hall, ``static_key``) that ranking is cut
     once to the hosts where ``static_violations`` is empty.  The walk then
-    skips a host whose load in ``load``, plus the function's demand,
+    skips a host whose ``load.used_by_others``, plus the function's demand,
     exceeds its capacity, and confirms the first host it does not skip
-    with ``check_placement``.  The skip is exact: on a host other than the
-    function's own, ``load.used`` is the same float ``check_placement``
-    counts, and the function's own host, whose load includes its own
-    demand, is never skipped.
+    with ``check_placement``, which counts the same float.
     """
 
     def __init__(self, topology: ValidatedTopology, load: HostLoad):
@@ -145,9 +138,8 @@ class TargetSelector:
                 for host in self._ranked_hall(hall)
                 if not static_violations(nf, host, topology.sessions, topology)
             )
-        assigned = load.host_of(nf.id)
         for host in hosts:
-            if host.id != assigned and load.used(host.id) + nf.cpu_demand > host.cpu_capacity:
+            if load.used_by_others(host.id, nf.id) + nf.cpu_demand > host.cpu_capacity:
                 continue
             if not check_placement(nf, host, topology.sessions, topology, load):
                 return host
@@ -159,7 +151,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     effective_seed = scenario.seed if seed is None else seed
     topology = scenario.topology
     params = scenario.migration_params
-    sim = Simulator(effective_seed)
+    sim = Simulator()
 
     placement = {nf.id: nf.host for nf in topology.nfs.values()}
     # Where each function is assigned: its target from the moment its
@@ -182,18 +174,18 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     )
     anchor_upf = anchor_session.anchor_upf if anchor_session else None
 
-    def sample_rtt(sim_: Simulator, event: Event) -> None:
-        anchor = placement[anchor_upf] if anchor_upf is not None else None
-        rep = zone_representative(topology, ue_zone) if ue_zone else None
-        if anchor is not None and rep is not None:
-            rtt = 2 * topology.one_way_latency_us(rep, anchor)
-            rtt_series.append((sim_.now, rtt))
-            # Annotate the observation onto the processed event so the
-            # exported trace carries the measured value.
-            event.data["rtt_us"] = int(rtt) if rtt == int(rtt) else rtt
+    def sample_rtt(sim_: Simulator, event: Event) -> dict[str, float] | None:
         next_at = sim_.now + scenario.rtt_sample_interval_us
         if next_at <= scenario.duration_us:
             sim_.schedule(next_at, "rtt-sample", sample_rtt)
+        anchor = placement[anchor_upf] if anchor_upf is not None else None
+        rep = zone_representative(topology, ue_zone) if ue_zone else None
+        if anchor is None or rep is None:
+            return None
+        rtt = 2 * topology.one_way_latency_us(rep, anchor)
+        rtt_series.append((sim_.now, rtt))
+        # The engine records the measured value in the event's trace data.
+        return {"rtt_us": int(rtt) if rtt == int(rtt) else rtt}
 
     def complete_migration(sim_: Simulator, event: Event) -> None:
         nf_id = event.data["nf"]
@@ -249,7 +241,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         objective = trigger.objective or scenario.objective
         for nf in affected:
             source = placement[nf.id]
-            decision = select_strategy(nf.kind, bool(nf.stateful), objective)
+            decision = select_strategy(nf.kind, nf.stateful, objective)
             target = targets.choose(nf, trigger.new_zone)
             if target is None:
                 report = failed_report(
@@ -396,6 +388,12 @@ def trace_lines(events: Iterable[Event]) -> Iterator[str]:
         yield template % tuple(texts)
 
 
+def _summary_row(label: str, cells: Mapping[str, object]) -> str:
+    return f"{label:<6}" + "".join(
+        f"{cells[name]:>{width}}" for name, (width, _) in SUMMARY_COLUMNS.items()
+    )
+
+
 def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path]:
     """Write migrations.csv, rtt.csv, trace.jsonl and summary.txt.
 
@@ -440,27 +438,19 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
     with paths["trace"].open("w", encoding="utf-8") as fh:
         fh.writelines(trace_lines(bundle.trace))
 
-    totals = bundle.totals_by_kind()
     lines = [
         f"scenario: {bundle.scenario_name}",
         f"seed: {bundle.seed}",
         f"duration_us: {bundle.duration_us}",
         f"migrations: {len(bundle.reports)}",
         "",
-        f"{'kind':<6}{'migrations':>11}{'failed':>8}{'bytes':>14}"
-        f"{'sync_bytes':>12}{'downtime_us':>13}{'stall_us':>10}",
+        _summary_row("kind", {name: name for name in SUMMARY_COLUMNS}),
     ]
-    overall = {"migrations": 0, "failed": 0, "bytes": 0, "sync_bytes": 0, "downtime_us": 0, "stall_us": 0}
-    for kind, agg in totals.items():
-        lines.append(
-            f"{kind:<6}{agg['migrations']:>11}{agg['failed']:>8}{agg['bytes']:>14}"
-            f"{agg['sync_bytes']:>12}{agg['downtime_us']:>13}{agg['stall_us']:>10}"
-        )
-        for key in overall:
-            overall[key] += agg[key]
-    lines.append(
-        f"{'total':<6}{overall['migrations']:>11}{overall['failed']:>8}{overall['bytes']:>14}"
-        f"{overall['sync_bytes']:>12}{overall['downtime_us']:>13}{overall['stall_us']:>10}"
-    )
+    overall = dict.fromkeys(SUMMARY_COLUMNS, 0)
+    for kind, agg in bundle.totals_by_kind().items():
+        lines.append(_summary_row(kind, agg))
+        for name in overall:
+            overall[name] += agg[name]
+    lines.append(_summary_row("total", overall))
     paths["summary"].write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths

@@ -4,7 +4,9 @@ A scenario is a single JSON document (conventionally ``*.scenario``).  Every
 omitted parameter has a documented default:
 
 * host ``cpu_capacity`` 4.0; link ``extra_latency_us`` 0
-* topology ``intra_host_latency_us`` 25, ``l2_overlay_enabled`` false
+* topology ``intra_host_latency_us`` 25, ``l2_overlay_enabled`` false (true
+  stands for an L2-capable overlay profile, which an explicit
+  ``driver_overrides.overlay`` replaces)
 * function ``stateful`` per kind (UDM defaults stateless), ``cpu_demand`` 1.0
 * memory ``num_pages`` 256, ``page_size`` 4096, ``working_set_fraction`` 0.2,
   ``dirty_model`` constant-rate at 50 pages/s
@@ -23,10 +25,9 @@ owns ``intra_host_latency_us``, so that bound is one of them.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -41,6 +42,8 @@ from .errors import (
 from .memory import BernoulliDirty, ConstantRateDirty, DirtyProcess, MemoryImage
 from .migration import MigrationParams
 from .model import (
+    BUILTIN_DRIVER_PROFILES,
+    STATEFUL_VARIANTS,
     DriverKind,
     HostNode,
     IsolationLevel,
@@ -109,7 +112,6 @@ class Scenario:
     migration_params: MigrationParams
     triggers: tuple[MigrationTrigger, ...]
     dirty_specs: Mapping[str, DirtyModelSpec]
-    raw: dict
 
     def __post_init__(self):
         if self.duration_us < 0:
@@ -274,11 +276,13 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         {"intra_host_latency_us", "l2_overlay_enabled", "driver_overrides", "hosts", "links"}
     )
     intra = topo_reader.optional("intra_host_latency_us", float, 25)
-    l2_overlay = topo_reader.optional("l2_overlay_enabled", bool, False)
     overrides = {}
+    if topo_reader.optional("l2_overlay_enabled", bool, False):
+        overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
+        overrides[DriverKind.OVERLAY] = replace(overlay, carries_l2=True)
     if "driver_overrides" in topo_reader.data:
         topo_reader.require("driver_overrides", dict)
-        overrides = _parse_driver_overrides(topo_reader.sub("driver_overrides"))
+        overrides.update(_parse_driver_overrides(topo_reader.sub("driver_overrides")))
 
     hosts = []
     for i, raw_host in enumerate(topo_reader.require("hosts", list)):
@@ -325,16 +329,14 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         )
         nf_id = reader.require("id", str)
         kind = _enum_value(NfKind, reader.require("kind", str), f"{reader.path}.kind")
-        stateful = reader.optional("stateful", bool, None)
+        stateful = reader.optional("stateful", bool, STATEFUL_VARIANTS[kind][0])
         demand = reader.optional("cpu_demand", float, 1.0)
         host = reader.require("host", str)
         try:
-            nf = NfInstance(
-                id=nf_id, kind=kind, host=host, stateful=stateful, cpu_demand=demand
-            )
+            nf = NfInstance(id=nf_id, kind=kind, host=host, cpu_demand=demand)
         except InvariantViolation as exc:
             raise ScenarioValidationError(str(exc)) from exc
-        if nf.stateful:
+        if stateful:
             raw_memory = reader.optional("memory", dict, DEFAULT_MEMORY)
             image, spec = _parse_memory(_Reader(raw_memory, f"{reader.path}.memory"))
             nf.memory = image
@@ -404,7 +406,6 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
             sessions=sessions,
             drivers=overrides or None,
             intra_host_latency_us=intra,
-            l2_overlay_enabled=l2_overlay,
         )
     except SimulatorError as exc:
         raise ScenarioValidationError(str(exc)) from exc
@@ -420,7 +421,6 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         migration_params=migration_params,
         triggers=tuple(triggers),
         dirty_specs=dirty_specs,
-        raw=copy.deepcopy(dict(data)),
     )
 
     for i, trigger in enumerate(triggers):
@@ -460,8 +460,8 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse, default-fill and validate a scenario file."""
+def read_document(path: str | Path) -> dict:
+    """The JSON object a scenario file holds, not yet validated."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -473,7 +473,12 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"'{path}' is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"'{path}' must contain a JSON object")
-    return build_scenario(data, source=str(path))
+    return data
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse, default-fill and validate a scenario file."""
+    return build_scenario(read_document(path), source=str(path))
 
 
 def bundled_scenario_path(name: str = "drone") -> Path:

@@ -119,8 +119,8 @@ class TestRunUntil:
 
     def test_identical_runs_produce_identical_traces(self):
         def build_and_run():
-            sim = Simulator(seed=99)
-            rng = sim.rng("load")
+            sim = Simulator()
+            rng = rng_stream("load", 99)
             for _ in range(200):
                 sim.schedule(rng.randrange(10**6), "op", value=rng.random())
             return sim.run_until(10**6)
@@ -128,6 +128,27 @@ class TestRunUntil:
         first = build_and_run()
         second = build_and_run()
         assert first == second
+
+    def test_callback_annotations_merge_into_the_recorded_event(self):
+        sim = Simulator()
+        seen = []
+
+        def measure(sim_, event):
+            seen.append(dict(event.data))
+            sim_.schedule(sim_.now, "after")
+            return {"rtt_us": 656}
+
+        handle = sim.schedule(10, "sample", measure, nf="smf-1")
+        sim.schedule(10, "plain", lambda sim_, event: None)
+        trace = sim.run_until(100)
+        assert seen == [{"nf": "smf-1"}]  # the callback sees the data as scheduled
+        assert [(e.kind, dict(e.data)) for e in trace] == [
+            ("sample", {"nf": "smf-1", "rtt_us": 656}),
+            ("plain", {}),
+            ("after", {}),
+        ]
+        assert sim.trace == trace
+        assert handle.event.data == {"nf": "smf-1"}  # the scheduled event is never mutated
 
 
 class TestRngStreams:
@@ -150,9 +171,3 @@ class TestRngStreams:
         stream = rng_stream("uniformity", 7)
         draws = [stream.random() for _ in range(100_000)]
         assert abs(sum(draws) / len(draws) - 0.5) < 0.02
-
-    def test_simulator_caches_streams_per_label(self):
-        sim = Simulator(seed=5)
-        first = sim.rng("x").random()
-        second = sim.rng("x").random()
-        assert first != second  # same stream advancing, not a fresh copy

@@ -1,5 +1,6 @@
-"""Driver profiles, latency lookup, L2 capability and topology validation."""
+"""Driver profiles, latency lookup, derived function state and topology validation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from nfmigsim import (
     NfInstance,
     NfKind,
     NoPathError,
+    STATEFUL_VARIANTS,
     PduSession,
     Plane,
     SessionType,
@@ -60,9 +62,11 @@ class TestDriverProfiles:
         with pytest.raises(InvariantViolation):
             NetworkDriverProfile(DriverKind.HOST, 0, True, IsolationLevel.NONE)
 
-    def test_l2_overlay_flag_flips_capability(self):
+    def test_override_flips_l2_capability(self):
+        overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
+        l2_overlay = dataclasses.replace(overlay, carries_l2=True)
         assert driver_table()[DriverKind.OVERLAY].carries_l2 is False
-        assert driver_table(l2_overlay_enabled=True)[DriverKind.OVERLAY].carries_l2 is True
+        assert driver_table({DriverKind.OVERLAY: l2_overlay})[DriverKind.OVERLAY] == l2_overlay
 
 
 class TestOneWayLatency:
@@ -128,39 +132,6 @@ class TestOneWayLatency:
             topo.one_way_latency_us("h1", "h2")
 
 
-class TestCarriesL2Path:
-    def test_both_l2_capable(self):
-        topo = two_host_topology(DriverKind.HOST, DriverKind.MACVLAN)
-        assert topo.carries_l2_path("h1", "h2") is True
-
-    def test_overlay_endpoint_blocks_l2(self):
-        topo = two_host_topology(DriverKind.HOST, DriverKind.OVERLAY)
-        assert topo.carries_l2_path("h1", "h2") is False
-
-    def test_same_host_always_true(self):
-        topo = two_host_topology(DriverKind.OVERLAY, DriverKind.OVERLAY)
-        assert topo.carries_l2_path("h1", "h1") is True
-
-    def test_l2_overlay_flag(self):
-        topo = two_host_topology(
-            DriverKind.OVERLAY, DriverKind.OVERLAY, l2_overlay_enabled=True
-        )
-        assert topo.carries_l2_path("h1", "h2") is True
-
-    def test_downgrading_endpoint_never_enables_l2(self):
-        # Monotone: swapping an L2-capable endpoint for a non-L2 one can only
-        # turn the path capability off.
-        l2_kinds = [k for k in DriverKind if BUILTIN_DRIVER_PROFILES[k].carries_l2]
-        non_l2_kinds = [k for k in DriverKind if not BUILTIN_DRIVER_PROFILES[k].carries_l2]
-        for before in l2_kinds:
-            for after in non_l2_kinds:
-                for other in DriverKind:
-                    upgraded = two_host_topology(before, other)
-                    downgraded = two_host_topology(after, other)
-                    if not upgraded.carries_l2_path("h1", "h2"):
-                        assert not downgraded.carries_l2_path("h1", "h2")
-
-
 class TestValidateTopology:
     def test_minimal_topology_valid(self):
         hosts = [
@@ -187,24 +158,14 @@ class TestValidateTopology:
 
     def test_stateful_upf_rejected(self):
         hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
-        nfs = [
-            NfInstance(
-                "upf-1", NfKind.UPF, "h1", stateful=True, memory=MemoryImage(8, 4096)
-            )
-        ]
-        with pytest.raises(InvariantViolation, match="stateless"):
+        nfs = [NfInstance("upf-1", NfKind.UPF, "h1", memory=MemoryImage(8, 4096))]
+        with pytest.raises(InvariantViolation, match="UPF instances are stateless"):
             validate_topology(hosts, [], nfs)
 
     def test_stateless_smf_rejected(self):
         hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
-        nfs = [NfInstance("smf-1", NfKind.SMF, "h1", stateful=False)]
+        nfs = [NfInstance("smf-1", NfKind.SMF, "h1")]
         with pytest.raises(InvariantViolation, match="smf-1"):
-            validate_topology(hosts, [], nfs)
-
-    def test_stateful_requires_memory(self):
-        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
-        nfs = [NfInstance("smf-1", NfKind.SMF, "h1", stateful=True)]
-        with pytest.raises(InvariantViolation, match="memory"):
             validate_topology(hosts, [], nfs)
 
     def test_stateless_must_not_carry_memory(self):
@@ -218,9 +179,42 @@ class TestValidateTopology:
         validate_topology(
             hosts,
             [],
-            [NfInstance("udm-1", NfKind.UDM, "h1", stateful=True, memory=MemoryImage(8, 4096))],
+            [NfInstance("udm-1", NfKind.UDM, "h1", memory=MemoryImage(8, 4096))],
         )
-        validate_topology(hosts, [], [NfInstance("udm-1", NfKind.UDM, "h1", stateful=False)])
+        validate_topology(hosts, [], [NfInstance("udm-1", NfKind.UDM, "h1")])
+
+    @pytest.mark.parametrize("kind", list(NfKind))
+    def test_variant_table_decides_each_kind(self, kind):
+        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
+        variants = STATEFUL_VARIANTS[kind]
+        for stateful in (False, True):
+            nf = NfInstance("nf-1", kind, "h1", memory=MemoryImage(8, 4096) if stateful else None)
+            if stateful in variants:
+                validate_topology(hosts, [], [nf])
+                continue
+            state = "stateful" if variants[0] else "stateless"
+            with pytest.raises(InvariantViolation) as info:
+                validate_topology(hosts, [], [nf])
+            assert str(info.value) == f"nf-1: {kind.value.upper()} instances are {state}"
+
+
+class TestDerivedState:
+    def test_state_and_plane_follow_memory_and_kind(self):
+        smf = NfInstance("smf-1", NfKind.SMF, "h1", memory=MemoryImage(8, 4096))
+        udm = NfInstance("udm-1", NfKind.UDM, "h1")
+        assert (smf.stateful, smf.plane) == (True, Plane.CONTROL)
+        assert (udm.stateful, udm.plane) == (False, Plane.CONTROL)
+        assert NfInstance("upf-1", NfKind.UPF, "h1").plane is Plane.USER
+        udm.memory = MemoryImage(8, 4096)
+        assert udm.stateful is True
+
+    def test_state_and_plane_cannot_be_set(self):
+        nf = NfInstance("upf-1", NfKind.UPF, "h1")
+        for name, value in (("stateful", True), ("plane", Plane.CONTROL)):
+            with pytest.raises(AttributeError):
+                setattr(nf, name, value)
+            with pytest.raises(TypeError):
+                NfInstance("upf-1", NfKind.UPF, "h1", **{name: value})
 
     def test_disconnected_function_hosts_rejected(self):
         hosts = [

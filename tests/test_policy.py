@@ -16,6 +16,7 @@ from nfmigsim import (
     NfKind,
     Objective,
     PduSession,
+    STATEFUL_VARIANTS,
     SessionType,
     Strategy,
     ViolationKind,
@@ -109,6 +110,13 @@ class TestSelectStrategy:
         for kind in (NfKind.SMF, NfKind.AMF, NfKind.AUSF, NfKind.UDR, NfKind.NRF):
             with pytest.raises(InvalidCombinationError):
                 select_strategy(kind, False, Objective.MINIMIZE_DOWNTIME)
+
+    def test_grid_has_one_row_set_per_valid_variant(self):
+        pairs = [(kind, stateful) for kind, stateful, _, _ in policy_grid()]
+        assert sorted(set(pairs)) == sorted(
+            (kind, stateful) for kind, variants in STATEFUL_VARIANTS.items() for stateful in variants
+        )
+        assert len(pairs) == len(set(pairs)) * len(Objective)
 
     def test_rationale_tags_present(self):
         for _, _, _, decision in policy_grid():

@@ -1,11 +1,14 @@
 """Scenario loading, end-to-end runs, metric export and the CLI."""
 
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from nfmigsim import (
+    DriverKind,
     MetricsBundle,
     NoPathError,
     ScenarioParseError,
@@ -19,6 +22,7 @@ from nfmigsim import (
 )
 from nfmigsim.cli import main
 from nfmigsim.runner import MIGRATIONS_CSV_HEADER
+from nfmigsim.scenario import read_document
 
 MINIMAL = {
     "duration_us": 500_000,
@@ -37,6 +41,24 @@ def write(tmp_path, data, name="case.scenario"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def ethernet_anchor_to_overlay(**topology):
+    """MINIMAL with hall-B's host on overlay and a trigger moving the UPF there.
+
+    The UPF anchors the UE's Ethernet session; ``topology`` adds topology keys.
+    """
+    data = copy.deepcopy(MINIMAL)
+    data["topology"]["hosts"][1]["driver"] = "overlay"
+    data["topology"].update(topology)
+    data["ue"] = {"id": "ue-1", "zone": "hall-A"}
+    data["sessions"] = [
+        {"id": "pdu-1", "type": "ethernet", "ue_id": "ue-1", "anchor_upf": "upf-1"}
+    ]
+    data["triggers"] = [
+        {"time_us": 100, "ue_id": "ue-1", "new_zone": "hall-B", "affected_kinds": ["upf"]}
+    ]
+    return data
 
 
 class TestLoadScenario:
@@ -258,25 +280,40 @@ class TestRunScenario:
         assert bundle.seed == 7
 
     def test_infeasible_target_recorded_not_raised(self, tmp_path):
-        data = copy.deepcopy(MINIMAL)
-        # hall-B host cannot carry L2, but the UPF anchors an Ethernet session.
-        data["topology"]["hosts"][1]["driver"] = "overlay"
-        data["ue"] = {"id": "ue-1", "zone": "hall-A"}
-        data["sessions"] = [
-            {"id": "pdu-1", "type": "ethernet", "ue_id": "ue-1", "anchor_upf": "upf-1"}
-        ]
-        data["triggers"] = [
-            {"time_us": 100, "ue_id": "ue-1", "new_zone": "hall-B", "affected_kinds": ["upf"]}
-        ]
-        bundle = run_scenario(load_scenario(write(tmp_path, data)))
+        # hall-B's host cannot carry L2, but the UPF anchors an Ethernet session.
+        bundle = run_scenario(load_scenario(write(tmp_path, ethernet_anchor_to_overlay())))
         assert len(bundle.reports) == 1
         report = bundle.reports[0].report
         assert not report.succeeded
         assert "no feasible host" in report.failure_reason
 
+    def test_l2_overlay_enabled_admits_an_ethernet_anchor(self, tmp_path):
+        data = ethernet_anchor_to_overlay(l2_overlay_enabled=True)
+        scenario = load_scenario(write(tmp_path, data))
+        overlay = scenario.topology.drivers[DriverKind.OVERLAY]
+        assert (overlay.rtt_inter_host_us, overlay.carries_l2, overlay.isolation.name) == (
+            656,
+            True,
+            "HIGH",
+        )
+        bundle = run_scenario(scenario)
+        assert [(rec.target_host, rec.report.succeeded) for rec in bundle.reports] == [("h2", True)]
+
+    def test_explicit_overlay_override_wins_over_l2_overlay_enabled(self, tmp_path):
+        data = ethernet_anchor_to_overlay(
+            l2_overlay_enabled=True,
+            driver_overrides={
+                "overlay": {"rtt_inter_host_us": 700, "carries_l2": False, "isolation": "high"}
+            },
+        )
+        scenario = load_scenario(write(tmp_path, data))
+        assert scenario.topology.drivers[DriverKind.OVERLAY].rtt_inter_host_us == 700
+        report = run_scenario(scenario).reports[0].report
+        assert not report.succeeded
+        assert "no feasible host" in report.failure_reason
+
     def test_trigger_objective_overrides_scenario(self, tmp_path):
-        scenario = load_scenario(bundled_scenario_path())
-        data = copy.deepcopy(scenario.raw)
+        data = read_document(bundled_scenario_path())
         data["triggers"][0]["objective"] = "migration-time"
         bundle = run_scenario(build_scenario(data))
         by_nf = {rec.nf_id: rec for rec in bundle.reports}
@@ -285,7 +322,7 @@ class TestRunScenario:
     def test_move_onto_current_host_is_skipped(self):
         # edge-a1 is exactly full with upf-1, smf-1 and amf-1, and is the
         # closest feasible host in hall-A for each of them: none of them moves.
-        data = copy.deepcopy(load_scenario(bundled_scenario_path()).raw)
+        data = read_document(bundled_scenario_path())
         data["topology"]["hosts"][0]["cpu_capacity"] = 3
         data["triggers"][0]["new_zone"] = "hall-A"
         bundle = run_scenario(build_scenario(data))
@@ -324,8 +361,7 @@ class TestExportMetrics:
         assert paths["trace"].read_text() == ""
 
     def test_inter_copy_row_has_equal_times(self, tmp_path):
-        scenario = load_scenario(bundled_scenario_path())
-        data = copy.deepcopy(scenario.raw)
+        data = read_document(bundled_scenario_path())
         data["objective"] = "migration-time"
         data["triggers"][0]["affected_kinds"] = ["udr"]
         data["triggers"][0]["new_zone"] = "hall-B"
@@ -390,6 +426,17 @@ class TestCli:
         strategies = {row.split(",")[3] for row in rows[1:]}
         assert "pre-copy" in strategies  # smf switches under migration-time
 
+    @pytest.mark.parametrize("objective", ["downtime", "migration-time", "bytes"])
+    def test_objective_flag_matches_the_edited_document(self, tmp_path, objective):
+        data = read_document(bundled_scenario_path())
+        data["objective"] = objective
+        edited = write(tmp_path, data)
+        flag = ["--objective", objective, "--out", str(tmp_path / "flag")]
+        assert main(["simulate", str(bundled_scenario_path()), *flag]) == 0
+        assert main(["simulate", str(edited), "--out", str(tmp_path / "doc")]) == 0
+        for name in ("migrations.csv", "rtt.csv", "trace.jsonl", "summary.txt"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "doc" / name).read_bytes()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
         bad.write_text("{", encoding="utf-8")
@@ -441,3 +488,48 @@ class TestCli:
         assert "restart_overhead_us=0" in out
         assert (tmp_path / "sweep" / "restart_overhead_us=0" / "migrations.csv").exists()
         assert (tmp_path / "sweep" / "restart_overhead_us=50000" / "migrations.csv").exists()
+
+
+#: Each trace event kind and its ``data`` keys, as the README's trace table lists them.
+TRACE_DATA_KEYS = {
+    "trigger": {"index"},
+    "rtt-sample": {"rtt_us"},
+    "migration-started": {"nf", "strategy", "source", "target", "rationale"},
+    "migration-phase": {"nf", "phase", "end_us"},
+    "migration-complete": {"nf", "target", "downtime_us", "outcome"},
+    "migration-skipped": {"nf", "host", "reason"},
+    "migration-infeasible": {"nf", "hall"},
+    "replica-sync-started": {"nf", "target", "pages"},
+    "sync-tick": {"nf", "pages"},
+}
+
+
+def generated_document(seed):
+    """A small scenario from the benchmark's deterministic generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(seed, halls=2, hosts_per_hall=5, nfs_per_kind=2, triggers=4)
+
+
+class TestTraceSchema:
+    def kinds_checked(self, data):
+        bundle = run_scenario(build_scenario(data))
+        for event in bundle.trace:
+            assert set(event.data) == TRACE_DATA_KEYS[event.kind], event
+        return {event.kind for event in bundle.trace}
+
+    def test_drone_events_carry_their_documented_keys(self):
+        kinds = self.kinds_checked(read_document(bundled_scenario_path()))
+        assert kinds == set(TRACE_DATA_KEYS) - {"migration-skipped", "migration-infeasible"}
+
+    def test_generated_events_carry_their_documented_keys(self):
+        assert "migration-complete" in self.kinds_checked(generated_document(301))
+
+    def test_skipped_and_infeasible_events_carry_their_documented_keys(self):
+        data = read_document(bundled_scenario_path())
+        data["topology"]["hosts"][0]["cpu_capacity"] = 3
+        data["triggers"][0]["new_zone"] = "hall-A"
+        assert "migration-skipped" in self.kinds_checked(data)
+        assert "migration-infeasible" in self.kinds_checked(ethernet_anchor_to_overlay())
