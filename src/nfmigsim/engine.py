@@ -26,23 +26,6 @@ class Event:
     data: Mapping[str, object] = field(default_factory=dict)
 
 
-class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("event", "_cancelled")
-
-    def __init__(self, event: Event):
-        self.event = event
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-
 #: A callback may return annotations, which the trace records in the event's data.
 EventCallback = Callable[["Simulator", Event], "Mapping[str, object] | None"]
 
@@ -67,7 +50,7 @@ class Simulator:
     def __init__(self):
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Event, EventCallback | None, EventHandle]] = []
+        self._heap: list[tuple[int, int, Event, EventCallback | None]] = []
         self.trace: list[Event] = []
 
     @property
@@ -80,8 +63,8 @@ class Simulator:
         kind: str,
         callback: EventCallback | None = None,
         **data: object,
-    ) -> EventHandle:
-        """Enqueue an event at absolute virtual time ``time_us``."""
+    ) -> Event:
+        """Enqueue an event at absolute virtual time ``time_us``; returns it as scheduled."""
         time_us = int(time_us)
         if time_us < self._now:
             raise SchedulingInPastError(
@@ -89,9 +72,8 @@ class Simulator:
             )
         event = Event(time_us, self._seq, kind, data)
         self._seq += 1
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.time_us, event.seq, event, callback, handle))
-        return handle
+        heapq.heappush(self._heap, (event.time_us, event.seq, event, callback))
+        return event
 
     def run_until(self, t_end_us: int) -> list[Event]:
         """Process every pending event with time <= ``t_end_us``.
@@ -108,9 +90,7 @@ class Simulator:
             )
         processed: list[Event] = []
         while self._heap and self._heap[0][0] <= t_end_us:
-            _, _, event, callback, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
+            _, _, event, callback = heapq.heappop(self._heap)
             self._now = event.time_us
             if callback is not None:
                 notes = callback(self, event)

@@ -30,6 +30,9 @@ MICROS_PER_SECOND = 10**6
 
 DEFAULT_WORKING_SET_FRACTION = 0.2
 
+#: The most pages one image may hold (one state byte each: 10 MB at the cap).
+MAX_PAGES_PER_IMAGE = 10**7
+
 
 class PageState(Enum):
     CLEAN_AT_TARGET = "clean-at-target"
@@ -77,6 +80,8 @@ class MemoryImage:
     ):
         if num_pages < 0:
             raise ValueError(f"num_pages must be >= 0, got {num_pages}")
+        if num_pages > MAX_PAGES_PER_IMAGE:
+            raise ValueError(f"num_pages must be <= {MAX_PAGES_PER_IMAGE}, got {num_pages}")
         if page_size <= 0:
             raise ValueError(f"page_size must be > 0, got {page_size}")
         self._num_pages = num_pages

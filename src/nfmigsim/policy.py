@@ -185,6 +185,10 @@ class HostLoad:
             return self._used[host_id]
         return self._recount(host_id, self._rank[nf_id])
 
+    def host(self, nf_id: str) -> str:
+        """The host ``nf_id`` is assigned to."""
+        return self._host[nf_id]
+
     def move(self, nf_id: str, host_id: str) -> None:
         """Assign ``nf_id`` to ``host_id``."""
         source = self._host[nf_id]

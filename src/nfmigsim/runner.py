@@ -5,9 +5,11 @@ instances there, each to the host a :class:`TargetSelector` picks: the
 zone's nearest host that passes ``check_placement``, found with one
 ``check_placement`` call per placement.  A function whose chosen host is
 the one it runs on stays put and leaves only a ``migration-skipped``
-event.  A function's placement flips to the target only when its
-migration completes, so the sampled user-plane RTT shows the detour until
-the new anchor is up.
+event.  :class:`~nfmigsim.policy.HostLoad` is the one record of where each
+function is assigned: a migration moves it there when it starts, while the
+sampled user-plane RTT reads the source until the migration completes.  A
+trigger that finds a function migrating is queued (``migration-queued``),
+and the latest queued trigger is placed when that migration completes.
 
 Everything is a pure function of (scenario, seed): reruns produce identical
 reports, RTT series and event traces, byte for byte.
@@ -63,7 +65,6 @@ SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[MigrationReport], int]]] = {
 @dataclass(frozen=True)
 class RecordedMigration:
     trigger_index: int
-    trigger_time_us: int
     nf_id: str
     kind: NfKind
     source_host: str
@@ -146,175 +147,175 @@ class TargetSelector:
         return None
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
-    """Execute every trigger and sample the user-plane RTT over the run."""
-    effective_seed = scenario.seed if seed is None else seed
-    topology = scenario.topology
-    params = scenario.migration_params
-    sim = Simulator()
+class _Run:
+    """One run's state; its methods are the event callbacks.
 
-    placement = {nf.id: nf.host for nf in topology.nfs.values()}
-    # Where each function is assigned: its target from the moment its
-    # migration is scheduled, while ``placement`` flips on completion.
-    load = HostLoad(topology)
-    targets = TargetSelector(topology, load)
-    ue_zone = scenario.ue.zone if scenario.ue else None
-    dirty_procs: dict[str, DirtyProcess] = {
-        nf_id: spec.build(rng_stream(f"dirty:{nf_id}", effective_seed))
-        for nf_id, spec in scenario.dirty_specs.items()
-    }
-    rtt_series: list[tuple[int, float]] = []
-    reports: list[RecordedMigration] = []
+    ``in_flight`` maps each migrating function to its source and to the
+    latest trigger queued behind it.  No field holds the simulator or a
+    bound method, so a finished run leaves no reference cycle behind.
+    """
 
-    # The UE's anchor is the UPF of its lowest-id session; sessions are static.
-    anchor_session = min(
-        (s for s in topology.sessions if scenario.ue and s.ue_id == scenario.ue.id),
-        key=lambda s: s.id,
-        default=None,
-    )
-    anchor_upf = anchor_session.anchor_upf if anchor_session else None
+    def __init__(self, scenario: Scenario, seed: int):
+        self.scenario = scenario
+        self.params = scenario.migration_params
+        topology = self.topology = scenario.topology
+        self.load = HostLoad(topology)
+        self.targets = TargetSelector(topology, self.load)
+        self.in_flight: dict[str, tuple[str, int | None]] = {}
+        self.ue_zone = scenario.ue.zone if scenario.ue else None
+        self.dirty_procs: dict[str, DirtyProcess] = {
+            nf_id: spec.build(rng_stream(f"dirty:{nf_id}", seed))
+            for nf_id, spec in scenario.dirty_specs.items()
+        }
+        self.rtt_series: list[tuple[int, float]] = []
+        self.reports: list[RecordedMigration] = []
+        # The UE's anchor is the UPF of its lowest-id session; sessions are static.
+        anchor_session = min(
+            (s for s in topology.sessions if scenario.ue and s.ue_id == scenario.ue.id),
+            key=lambda s: s.id,
+            default=None,
+        )
+        self.anchor_upf = anchor_session.anchor_upf if anchor_session else None
 
-    def sample_rtt(sim_: Simulator, event: Event) -> dict[str, float] | None:
-        next_at = sim_.now + scenario.rtt_sample_interval_us
+    def sample_rtt(self, sim: Simulator, event: Event) -> dict[str, float] | None:
+        scenario, topology = self.scenario, self.topology
+        next_at = sim.now + scenario.rtt_sample_interval_us
         if next_at <= scenario.duration_us:
-            sim_.schedule(next_at, "rtt-sample", sample_rtt)
-        anchor = placement[anchor_upf] if anchor_upf is not None else None
-        rep = zone_representative(topology, ue_zone) if ue_zone else None
-        if anchor is None or rep is None:
+            sim.schedule(next_at, "rtt-sample", self.sample_rtt)
+        rep = zone_representative(topology, self.ue_zone) if self.ue_zone else None
+        if self.anchor_upf is None or rep is None:
             return None
+        flight = self.in_flight.get(self.anchor_upf)
+        anchor = flight[0] if flight else self.load.host(self.anchor_upf)
         rtt = 2 * topology.one_way_latency_us(rep, anchor)
-        rtt_series.append((sim_.now, rtt))
+        self.rtt_series.append((sim.now, rtt))
         # The engine records the measured value in the event's trace data.
         return {"rtt_us": int(rtt) if rtt == int(rtt) else rtt}
 
-    def complete_migration(sim_: Simulator, event: Event) -> None:
+    def on_trigger(self, sim: Simulator, event: Event) -> None:
+        index = event.data["index"]
+        trigger = self.scenario.triggers[index]
+        ue = self.scenario.ue
+        if ue is not None and trigger.ue_id == ue.id:
+            self.ue_zone = trigger.new_zone
+        affected = sorted(
+            (nf for nf in self.topology.nfs.values() if nf.kind in trigger.affected_kinds),
+            key=lambda nf: nf.id,
+        )
+        for nf in affected:
+            flight = self.in_flight.get(nf.id)
+            if flight is None:
+                self.place(sim, nf, index)
+            else:
+                self.in_flight[nf.id] = (flight[0], index)
+                sim.schedule(sim.now, "migration-queued", nf=nf.id, hall=trigger.new_zone)
+
+    def complete(self, sim: Simulator, event: Event) -> None:
         nf_id = event.data["nf"]
-        placement[nf_id] = event.data["target"]
-        load.move(nf_id, event.data["target"])
+        _, queued = self.in_flight.pop(nf_id)
+        if queued is not None:
+            self.place(sim, self.topology.nfs[nf_id], queued)
 
-    # Strategy -> migration.  Each returns the report and the time its phases
-    # count from.  The ``migrate_*`` functions are module globals looked up at
-    # call time, so a wrapper installed on this module sees every call.
-    def redeploy(nf, channel, target_id, started):
-        return redeploy_stateless(nf, params), started
+    def place(self, sim: Simulator, nf: NfInstance, index: int) -> None:
+        """Move ``nf`` into trigger ``index``'s hall now: migrate, skip or record a failure."""
+        trigger = self.scenario.triggers[index]
+        source = self.load.host(nf.id)
+        decision = select_strategy(nf.kind, nf.stateful, trigger.objective or self.scenario.objective)
+        target = self.targets.choose(nf, trigger.new_zone)
+        if target is None:
+            report = failed_report(decision.chosen, f"no feasible host in hall '{trigger.new_zone}'")
+            self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, None, report))
+            sim.schedule(sim.now, "migration-infeasible", nf=nf.id, hall=trigger.new_zone)
+            return
+        if target.id == source:
+            sim.schedule(
+                sim.now, "migration-skipped", nf=nf.id, host=source, reason="already-on-target"
+            )
+            return
 
-    def inter_copy(nf, channel, target_id, started):
-        return migrate_inter_copy(nf, channel, params), started
-
-    def pre_copy(nf, channel, target_id, started):
-        return migrate_pre_copy(nf, channel, params, dirty_procs[nf.id]), started
-
-    def parallel(nf, channel, target_id, started):
-        replica = start_replica_sync(nf, channel, params, dirty_procs[nf.id], now_us=started)
+        channel = self.topology.channel(source, target.id)
+        migrate = self._MIGRATORS[decision.chosen]
+        report, timeline_base = migrate(self, sim, nf, channel, target.id)
         sim.schedule(
-            started,
-            "replica-sync-started",
+            sim.now,
+            "migration-started",
             nf=nf.id,
-            target=target_id,
-            pages=nf.memory.num_pages,
+            strategy=report.strategy.value,
+            source=source,
+            target=target.id,
+            rationale=decision.rationale,
+        )
+        for phase in report.phases:
+            sim.schedule(
+                timeline_base + phase.start_us,
+                "migration-phase",
+                nf=nf.id,
+                phase=phase.name,
+                end_us=timeline_base + phase.end_us,
+            )
+        self.load.move(nf.id, target.id)
+        self.in_flight[nf.id] = (source, None)
+        sim.schedule(
+            timeline_base + report.migration_time_us,
+            "migration-complete",
+            self.complete,
+            nf=nf.id,
+            target=target.id,
+            downtime_us=report.downtime_us,
+            outcome=report.outcome_label(),
+        )
+        self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, target.id, report))
+
+    # Strategy -> migration starting now.  Each returns the report and the time
+    # its phases count from.  The ``migrate_*`` functions are module globals
+    # looked up at call time, so a wrapper installed on this module sees every call.
+    def _redeploy(self, sim, nf, channel, target_id):
+        return redeploy_stateless(nf, self.params), sim.now
+
+    def _inter_copy(self, sim, nf, channel, target_id):
+        return migrate_inter_copy(nf, channel, self.params), sim.now
+
+    def _pre_copy(self, sim, nf, channel, target_id):
+        return migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf.id]), sim.now
+
+    def _parallel(self, sim, nf, channel, target_id):
+        dirty = self.dirty_procs[nf.id]
+        replica = start_replica_sync(nf, channel, self.params, dirty, now_us=sim.now)
+        sim.schedule(
+            sim.now, "replica-sync-started", nf=nf.id, target=target_id, pages=nf.memory.num_pages
         )
         # Hand over as soon as the replica flushed its first sync tick; the
         # residual delta is then at most one interval old.
         handover_at = replica.run_until_ticks(1)
-        report = migrate_parallel(replica, params)
+        report = migrate_parallel(replica, self.params)
         for tick in replica.tick_log:
             sim.schedule(tick.done_us, "sync-tick", nf=nf.id, pages=tick.pages)
         return report, handover_at
 
-    migrators = {
-        Strategy.NO_MIGRATION_REDEPLOY: redeploy,
-        Strategy.INTER_COPY: inter_copy,
-        Strategy.PRE_COPY: pre_copy,
-        Strategy.PARALLEL: parallel,
+    _MIGRATORS = {
+        Strategy.NO_MIGRATION_REDEPLOY: _redeploy,
+        Strategy.INTER_COPY: _inter_copy,
+        Strategy.PRE_COPY: _pre_copy,
+        Strategy.PARALLEL: _parallel,
     }
 
-    def on_trigger(sim_: Simulator, event: Event) -> None:
-        nonlocal ue_zone
-        index = event.data["index"]
-        trigger = scenario.triggers[index]
-        if scenario.ue is not None and trigger.ue_id == scenario.ue.id:
-            ue_zone = trigger.new_zone
-        affected = sorted(
-            (nf for nf in topology.nfs.values() if nf.kind in trigger.affected_kinds),
-            key=lambda nf: nf.id,
-        )
-        objective = trigger.objective or scenario.objective
-        for nf in affected:
-            source = placement[nf.id]
-            decision = select_strategy(nf.kind, nf.stateful, objective)
-            target = targets.choose(nf, trigger.new_zone)
-            if target is None:
-                report = failed_report(
-                    decision.chosen, f"no feasible host in hall '{trigger.new_zone}'"
-                )
-                reports.append(
-                    RecordedMigration(
-                        index, trigger.time_us, nf.id, nf.kind, source, None, report
-                    )
-                )
-                sim_.schedule(
-                    sim_.now, "migration-infeasible", nf=nf.id, hall=trigger.new_zone
-                )
-                continue
-            if target.id == source:
-                sim_.schedule(
-                    sim_.now,
-                    "migration-skipped",
-                    nf=nf.id,
-                    host=source,
-                    reason="already-on-target",
-                )
-                continue
 
-            channel = topology.channel(source, target.id)
-            started = sim_.now
-            report, timeline_base = migrators[decision.chosen](nf, channel, target.id, started)
-
-            sim_.schedule(
-                started,
-                "migration-started",
-                nf=nf.id,
-                strategy=report.strategy.value,
-                source=source,
-                target=target.id,
-                rationale=decision.rationale,
-            )
-            for phase in report.phases:
-                sim_.schedule(
-                    timeline_base + phase.start_us,
-                    "migration-phase",
-                    nf=nf.id,
-                    phase=phase.name,
-                    end_us=timeline_base + phase.end_us,
-                )
-            completion = timeline_base + report.migration_time_us
-            load.move(nf.id, target.id)
-            sim_.schedule(
-                completion,
-                "migration-complete",
-                complete_migration,
-                nf=nf.id,
-                target=target.id,
-                downtime_us=report.downtime_us,
-                outcome=report.outcome_label(),
-            )
-            reports.append(
-                RecordedMigration(
-                    index, trigger.time_us, nf.id, nf.kind, source, target.id, report
-                )
-            )
-
+def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
+    """Execute every trigger and sample the user-plane RTT over the run."""
+    effective_seed = scenario.seed if seed is None else seed
+    run = _Run(scenario, effective_seed)
+    sim = Simulator()
     for index, trigger in enumerate(scenario.triggers):
-        sim.schedule(trigger.time_us, "trigger", on_trigger, index=index)
-    sim.schedule(0, "rtt-sample", sample_rtt)
+        sim.schedule(trigger.time_us, "trigger", run.on_trigger, index=index)
+    sim.schedule(0, "rtt-sample", run.sample_rtt)
     sim.run_until(scenario.duration_us)
 
     return MetricsBundle(
         scenario_name=scenario.name,
         seed=effective_seed,
         duration_us=scenario.duration_us,
-        reports=tuple(reports),
-        rtt_series=tuple(rtt_series),
+        reports=tuple(run.reports),
+        rtt_series=tuple(run.rtt_series),
         trace=tuple(sim.trace),
     )
 

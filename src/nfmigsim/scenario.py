@@ -66,6 +66,8 @@ DEFAULT_MEMORY = {
     "dirty_model": {"kind": "constant-rate", "rate_pages_per_s": 50},
 }
 DEFAULT_RTT_SAMPLE_INTERVAL_US = 100_000
+#: The most RTT samples a run may take, past the one at time 0.
+MAX_RTT_SAMPLES = 10**6
 DEFAULT_AFFECTED_KINDS = (NfKind.SMF, NfKind.AMF)
 
 
@@ -119,6 +121,11 @@ class Scenario:
         if self.rtt_sample_interval_us <= 0:
             raise ValueError(
                 f"rtt_sample_interval_us must be > 0, got {self.rtt_sample_interval_us}"
+            )
+        samples = self.duration_us // self.rtt_sample_interval_us
+        if samples > MAX_RTT_SAMPLES:
+            raise ValueError(
+                f"duration_us // rtt_sample_interval_us must be <= {MAX_RTT_SAMPLES}, got {samples}"
             )
 
 

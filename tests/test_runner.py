@@ -1,8 +1,11 @@
-"""Target selection and trace export in the scenario runner."""
+"""Target selection, overlapping triggers and trace export in the scenario runner."""
 
+import gc
 import hashlib
+import importlib.util
 import json
 import math
+import tempfile
 from enum import Enum
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from nfmigsim import (
 )
 from nfmigsim import runner
 from nfmigsim.engine import Event
+from nfmigsim.scenario import read_document
 
 
 def hall_scenario(hall_b, links_b, nfs, *trigger_kinds, objective="downtime"):
@@ -348,3 +352,165 @@ def test_trace_lines_match_json_dumps(events):
         for ev in events
     ]
     assert list(runner.trace_lines(events)) == expected
+
+
+def load_scenario_gen():
+    """The benchmark's deterministic scenario generator, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SCENARIO_GEN = load_scenario_gen()
+
+
+def drone_turning_back():
+    """The drone scenario plus a trigger back to hall-A 1 ms after the first."""
+    data = read_document(bundled_scenario_path())
+    data["triggers"].append({**data["triggers"][0], "time_us": 1_001_000, "new_zone": "hall-A"})
+    return build_scenario(data)
+
+
+class TestOverlappingTriggers:
+    def test_a_trigger_during_a_migration_is_queued_and_placed_at_completion(self, tmp_path):
+        bundle = run_scenario(drone_turning_back())
+        queued = [(e.time_us, e.data["nf"]) for e in bundle.trace if e.kind == "migration-queued"]
+        assert queued == [(1_001_000, "amf-1"), (1_001_000, "smf-1"), (1_001_000, "upf-1")]
+        rows = export_metrics(bundle, tmp_path)["migrations"].read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert [row.split(",")[0] for row in rows] == ["0"] * 3 + ["1"] * 3
+        assert [(rec.trigger_index, rec.source_host, rec.target_host) for rec in bundle.reports[3:]] == [
+            (1, "edge-b1", "edge-a1")
+        ] * 3
+        last_complete = {
+            e.data["nf"]: (e.data["target"], e.time_us)
+            for e in bundle.trace
+            if e.kind == "migration-complete"
+        }
+        assert last_complete == {
+            "smf-1": ("edge-a1", 1_042_046),
+            "amf-1": ("edge-a1", 1_052_833),
+            "upf-1": ("edge-a1", 1_100_000),
+        }
+        assert not any(e.kind == "migration-skipped" for e in bundle.trace)
+
+    def test_rtt_reads_the_source_until_the_return_completes(self):
+        bundle = run_scenario(drone_turning_back())
+        rtt = dict(bundle.rtt_series)
+        # The UPF is on edge-b1 from 1,050,000 to 1,100,000 us while the UE is
+        # back in hall-A: the 1.06 s and 1.09 s samples show the detour.
+        assert rtt[1_060_000] == rtt[1_090_000] > rtt[1_100_000] == rtt[0]
+
+    def test_no_bundled_or_generated_run_overlaps(self):
+        for scenario in (
+            load_scenario(bundled_scenario_path()),
+            build_scenario(SCENARIO_GEN.generate(301)),
+        ):
+            kinds = {e.kind for e in run_scenario(scenario).trace}
+            assert "migration-queued" not in kinds
+
+    def test_a_finished_run_leaves_no_cyclic_garbage(self):
+        scenario = build_scenario(SCENARIO_GEN.generate(301))
+        gc.collect()
+        gc.disable()
+        try:
+            run_scenario(scenario)
+            assert gc.collect() < 1000
+        finally:
+            gc.enable()
+
+
+@st.composite
+def dense_trigger_documents(draw):
+    """A small generated scenario whose triggers all fall within 400 ms."""
+    halls = draw(st.integers(2, 3))
+    data = SCENARIO_GEN.generate(
+        draw(st.integers(0, 10**6)),
+        halls=halls,
+        hosts_per_hall=5,
+        nfs_per_kind=draw(st.integers(1, 2)),
+        triggers=0,
+        num_pages=draw(st.sampled_from([8, 64])),
+    )
+    for nf in data["nfs"]:
+        nf["cpu_demand"] = draw(st.sampled_from([0.1, 0.2, 0.7, 1, 1.5]))
+    kinds = st.lists(st.sampled_from(SCENARIO_GEN.KINDS), min_size=1, max_size=3, unique=True)
+    data["triggers"] = [
+        {
+            "time_us": draw(st.integers(0, 400_000)),
+            "ue_id": "ue-1",
+            "new_zone": f"hall-{draw(st.integers(0, halls - 1))}",
+            "affected_kinds": draw(kinds),
+            "objective": draw(st.sampled_from(SCENARIO_GEN.OBJECTIVES)),
+        }
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    data["duration_us"] = 5_000_000  # every chain of queued moves settles well before
+    return data
+
+
+def export_bytes(bundle):
+    with tempfile.TemporaryDirectory() as out:
+        return {name: path.read_bytes() for name, path in export_metrics(bundle, out).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=dense_trigger_documents())
+def test_overlapping_triggers_keep_one_consistent_lifecycle_per_function(data):
+    scenario = build_scenario(data)
+    topology = scenario.topology
+    loads = []
+
+    class RecountedLoad(HostLoad):
+        """Checks every host against a recount of the assigned hosts after each move."""
+
+        def __init__(self, topology_):
+            super().__init__(topology_)
+            loads.append(self)
+            self.recount()
+
+        def move(self, nf_id, host_id):
+            super().move(nf_id, host_id)
+            self.recount()
+
+        def recount(self):
+            for host_id in topology.hosts:
+                expected = 0.0
+                for nf in topology.nfs.values():
+                    if self.host(nf.id) == host_id:
+                        expected += nf.cpu_demand
+                # No function has the empty id, so this is the host's whole load.
+                assert self.used_by_others(host_id, "") == expected
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "HostLoad", RecountedLoad)
+        bundle = run_scenario(scenario)
+    (load,) = loads
+
+    for nf in topology.nfs.values():
+        events = [e for e in bundle.trace if e.data.get("nf") == nf.id]
+        lifecycle = [e for e in events if e.kind in ("migration-started", "migration-complete")]
+        assert [e.kind for e in lifecycle] == ["migration-started", "migration-complete"] * (
+            len(lifecycle) // 2
+        )
+        host = nf.host
+        for started, complete in zip(lifecycle[::2], lifecycle[1::2]):
+            assert started.data["source"] == host
+            host = started.data["target"]
+            assert complete.data["target"] == host
+        assert load.host(nf.id) == host
+
+        affecting = [t for t in scenario.triggers if nf.kind in t.affected_kinds]
+        decisions = [
+            e.kind
+            for e in events
+            if e.kind in ("migration-started", "migration-skipped", "migration-infeasible")
+        ]
+        if affecting and decisions[-1] != "migration-infeasible":
+            assert topology.hosts[host].hall == affecting[-1].new_zone
+
+    for rec in bundle.reports:
+        assert rec.report.downtime_us <= rec.report.migration_time_us
+    assert export_bytes(bundle) == export_bytes(run_scenario(scenario))

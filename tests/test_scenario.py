@@ -175,6 +175,8 @@ def _error_surface_document():
 _BOUNDS = [
     ("", "duration_us", -1, ScenarioParseError, None),
     ("", "rtt_sample_interval_us", 0, ScenarioParseError, None),
+    ("", "duration_us", 10**30, ScenarioParseError, None),  # 10**26 RTT samples
+    ("", "rtt_sample_interval_us", 1, ScenarioParseError, None),  # 2 * 10**6 samples
     ("topology", "intra_host_latency_us", -1, ScenarioValidationError, None),
     ("topology.driver_overrides.macvlan", "rtt_inter_host_us", 0, ScenarioParseError, None),
     ("topology.hosts[0]", "cpu_capacity", -1, ScenarioParseError, None),
@@ -182,6 +184,8 @@ _BOUNDS = [
     ("topology.links[0]", "extra_latency_us", -1, ScenarioParseError, None),
     ("nfs[1]", "cpu_demand", -1, ScenarioValidationError, "smf-1"),
     ("nfs[1].memory", "num_pages", -1, ScenarioParseError, None),
+    ("nfs[1].memory", "num_pages", 2**63, ScenarioParseError, None),
+    ("nfs[1].memory", "num_pages", 10**11, ScenarioParseError, None),
     ("nfs[1].memory", "page_size", 0, ScenarioParseError, None),
     ("nfs[1].memory", "working_set_fraction", 1.5, ScenarioParseError, None),
     ("nfs[1].memory", "working_set", [0, 128], ScenarioParseError, None),
@@ -499,6 +503,7 @@ TRACE_DATA_KEYS = {
     "migration-complete": {"nf", "target", "downtime_us", "outcome"},
     "migration-skipped": {"nf", "host", "reason"},
     "migration-infeasible": {"nf", "hall"},
+    "migration-queued": {"nf", "hall"},
     "replica-sync-started": {"nf", "target", "pages"},
     "sync-tick": {"nf", "pages"},
 }
@@ -522,7 +527,11 @@ class TestTraceSchema:
 
     def test_drone_events_carry_their_documented_keys(self):
         kinds = self.kinds_checked(read_document(bundled_scenario_path()))
-        assert kinds == set(TRACE_DATA_KEYS) - {"migration-skipped", "migration-infeasible"}
+        assert kinds == set(TRACE_DATA_KEYS) - {
+            "migration-skipped",
+            "migration-infeasible",
+            "migration-queued",
+        }
 
     def test_generated_events_carry_their_documented_keys(self):
         assert "migration-complete" in self.kinds_checked(generated_document(301))
@@ -533,3 +542,8 @@ class TestTraceSchema:
         data["triggers"][0]["new_zone"] = "hall-A"
         assert "migration-skipped" in self.kinds_checked(data)
         assert "migration-infeasible" in self.kinds_checked(ethernet_anchor_to_overlay())
+
+    def test_queued_events_carry_their_documented_keys(self):
+        data = read_document(bundled_scenario_path())
+        data["triggers"].append({**data["triggers"][0], "time_us": 1_001_000, "new_zone": "hall-A"})
+        assert "migration-queued" in self.kinds_checked(data)
