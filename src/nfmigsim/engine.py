@@ -3,27 +3,28 @@
 The virtual clock is an integer microsecond counter.  Events are processed
 in (time, sequence) order, where the sequence number is assigned at
 scheduling time, so simultaneous events replay in the order they were
-scheduled.  All randomness flows through named sub-streams derived from the
-simulation seed; adding a consumer of one stream never perturbs another.
+scheduled.  An event without a callback is an annotation: it only records
+something in the trace, so it never enters the queue and is merged into
+the trace in (time, sequence) order when the clock passes it.  All
+randomness flows through named sub-streams derived from the simulation
+seed; adding a consumer of one stream never perturbs another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import SchedulingInPastError
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time_us: int
     seq: int
     kind: str
-    data: Mapping[str, object] = field(default_factory=dict)
+    data: Mapping[str, object]
 
 
 #: A callback may return annotations, which the trace records in the event's data.
@@ -50,7 +51,9 @@ class Simulator:
     def __init__(self):
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Event, EventCallback | None]] = []
+        self._heap: list[tuple[int, int, Event, EventCallback]] = []
+        # Annotations not yet recorded, in scheduling (seq) order.
+        self._notes: list[Event] = []
         self.trace: list[Event] = []
 
     @property
@@ -64,40 +67,58 @@ class Simulator:
         callback: EventCallback | None = None,
         **data: object,
     ) -> Event:
-        """Enqueue an event at absolute virtual time ``time_us``; returns it as scheduled."""
+        """Schedule an event at absolute virtual time ``time_us``; returns it as scheduled.
+
+        An event without a callback is an annotation: it waits in a list,
+        not in the queue, until ``run_until`` records it.
+        """
         time_us = int(time_us)
         if time_us < self._now:
             raise SchedulingInPastError(
                 f"cannot schedule '{kind}' at t={time_us} us; clock is at {self._now} us"
             )
-        event = Event(time_us, self._seq, kind, data)
-        self._seq += 1
-        heapq.heappush(self._heap, (event.time_us, event.seq, event, callback))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_us, seq, kind, data)
+        if callback is None:
+            self._notes.append(event)
+        else:
+            heapq.heappush(self._heap, (time_us, seq, event, callback))
         return event
 
     def run_until(self, t_end_us: int) -> list[Event]:
         """Process every pending event with time <= ``t_end_us``.
 
-        Returns the ordered list of events processed by this call.  Each
-        event is recorded after its callback, with the mapping the callback
-        returns, if any, merged into its ``data``.  The clock ends at the
-        last processed event when the queue drains, or at ``t_end_us`` when
-        later events remain pending.
+        Returns the events processed by this call in (time, seq) order, and
+        appends them to ``trace``.  Each event is recorded after its
+        callback, with the mapping the callback returns, if any, merged into
+        its ``data``.  The clock ends at the last processed event when
+        nothing remains pending, or at ``t_end_us`` when later events do.
         """
         if t_end_us < self._now:
             raise ValueError(
                 f"t_end={t_end_us} us is before the current clock ({self._now} us)"
             )
+        heap, pop = self._heap, heapq.heappop
         processed: list[Event] = []
-        while self._heap and self._heap[0][0] <= t_end_us:
-            _, _, event, callback = heapq.heappop(self._heap)
-            self._now = event.time_us
-            if callback is not None:
-                notes = callback(self, event)
-                if notes:
-                    event = Event(event.time_us, event.seq, event.kind, {**event.data, **notes})
+        while heap and heap[0][0] <= t_end_us:
+            time_us, seq, event, callback = pop(heap)
+            self._now = time_us
+            notes = callback(self, event)
+            if notes:
+                event = Event(time_us, seq, event.kind, {**event.data, **notes})
             processed.append(event)
-            self.trace.append(event)
-        if self._heap:
+        # A callback schedules nothing before its own time, so the heap
+        # order above is (time, seq) order and one sort merges the notes in.
+        notes = self._notes
+        due = [event for event in notes if event.time_us <= t_end_us]
+        if due:
+            self._notes = [event for event in notes if event.time_us > t_end_us]
+            processed += due
+            processed.sort()
+        self.trace += processed
+        if heap or self._notes:
             self._now = t_end_us
+        elif processed:
+            self._now = processed[-1].time_us
         return processed

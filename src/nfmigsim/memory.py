@@ -7,9 +7,9 @@ workload rewriting memory while the function keeps executing; it is the
 quantity that decides how well the iterative strategies converge.
 
 Two dirty models are provided.  The constant-rate model is fully
-deterministic and uses exact rational arithmetic for its fractional-page
-carry, so the number of dirtied pages over a span of virtual time does not
-depend on how that span is sliced into calls.  The Bernoulli model flips
+deterministic and keeps its fractional-page carry as an exact integer, so
+the number of dirtied pages over a span of virtual time does not depend on
+how that span is sliced into calls.  The Bernoulli model flips
 each non-dirty page independently, drawing one byte per page from a seeded
 stream for stochastic workloads.
 """
@@ -318,20 +318,21 @@ class ConstantRateDirty:
     Over a span of ``t`` microseconds the raw count is
     ``floor(rate * t / 1e6 + carry)`` and the fractional remainder is carried
     to the next call, so slicing a span into sub-calls yields the same total.
+    With the rate as the exact ratio ``num / den``, the carry is an integer
+    count of ``1 / (den * 1e6)`` pages, so each draw is one integer ``divmod``.
     """
 
     rate_pages_per_s: float
-    carry: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.rate_pages_per_s < 0:
             raise ValueError(f"rate_pages_per_s must be >= 0, got {self.rate_pages_per_s}")
-        self._rate = Fraction(self.rate_pages_per_s)
+        self._num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
+        self._unit = den * MICROS_PER_SECOND
+        self._carry = 0
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
-        accumulated = self._rate * Fraction(duration_us, MICROS_PER_SECOND) + self.carry
-        raw = math.floor(accumulated)
-        self.carry = accumulated - raw
+        raw, self._carry = divmod(self._num * duration_us + self._carry, self._unit)
         return image.dirty_lowest(raw)
 
 

@@ -47,6 +47,9 @@ from .memory import (
 )
 from .model import Channel, NfInstance
 
+#: The most pre-copy rounds a migration may run: a run costs time per round.
+MAX_PRECOPY_ROUNDS = 1000
+
 
 class Strategy(str, Enum):
     INTER_COPY = "inter-copy"
@@ -89,6 +92,10 @@ class MigrationParams:
         if not self.precopy_max_rounds >= 1:
             raise ValueError(
                 f"precopy_max_rounds must be >= 1, got {self.precopy_max_rounds}"
+            )
+        if self.precopy_max_rounds > MAX_PRECOPY_ROUNDS:
+            raise ValueError(
+                f"precopy_max_rounds must be <= {MAX_PRECOPY_ROUNDS}, got {self.precopy_max_rounds}"
             )
 
 

@@ -251,6 +251,7 @@ class ValidatedTopology:
         # Neighbours in id order, sorted once: the BFS tie-break.
         self._neighbors = {h: tuple(sorted(adj)) for h, adj in self._adjacency.items()}
         self._path_cache: dict[tuple[str, str], PathInfo | None] = {}
+        self._trees: dict[str, dict[str, str]] = {}
         by_hall: dict[str, list[HostNode]] = {}
         for host in sorted(hosts.values(), key=lambda h: h.id):
             by_hall.setdefault(host.hall, []).append(host)
@@ -277,23 +278,33 @@ class ValidatedTopology:
             return PathInfo((a,), 0, 0)
         key = (a, b)
         if key not in self._path_cache:
-            self._path_cache[key] = self._bfs(a, b)
+            self._path_cache[key] = self._path(a, b)
         info = self._path_cache[key]
         if info is None:
             raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
         return info
 
-    def _bfs(self, a: str, b: str) -> PathInfo | None:
-        parent: dict[str, str] = {a: a}
-        frontier = deque([a])
-        while frontier:
-            node = frontier.popleft()
-            if node == b:
-                break
-            for neighbor in self._neighbors[node]:
-                if neighbor not in parent:
-                    parent[neighbor] = node
-                    frontier.append(neighbor)
+    def _bfs_tree(self, source: str) -> dict[str, str]:
+        """Each host reachable from ``source`` -> its BFS parent (``source`` -> itself).
+
+        A parent is set when BFS first finds a host, scanning neighbours in
+        id order, so the tree holds the fewest-hop, id-ordered path to every
+        host.  One tree per source serves every path from it.
+        """
+        parent = self._trees.get(source)
+        if parent is None:
+            parent = self._trees[source] = {source: source}
+            frontier = deque([source])
+            while frontier:
+                node = frontier.popleft()
+                for neighbor in self._neighbors[node]:
+                    if neighbor not in parent:
+                        parent[neighbor] = node
+                        frontier.append(neighbor)
+        return parent
+
+    def _path(self, a: str, b: str) -> PathInfo | None:
+        parent = self._bfs_tree(a)
         if b not in parent:
             return None
         hops = [b]

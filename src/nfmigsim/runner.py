@@ -21,8 +21,9 @@ import csv
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, countOf
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .engine import Event, Simulator, rng_stream
 from .memory import DirtyProcess
@@ -51,14 +52,24 @@ MIGRATIONS_CSV_HEADER = (
     "bytes,sync_bytes,stall_us,rounds,outcome"
 )
 
-#: The summary.txt columns after ``kind``: width, and what one report adds.
-SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[MigrationReport], int]]] = {
-    "migrations": (11, lambda report: 1),
-    "failed": (8, lambda report: 0 if report.succeeded else 1),
-    "bytes": (14, lambda report: report.bytes_transferred),
-    "sync_bytes": (12, lambda report: report.sync_bytes),
-    "downtime_us": (13, lambda report: report.downtime_us),
-    "stall_us": (10, lambda report: report.stall_time_us),
+
+def _sum_of(field: str) -> Callable[[Sequence[MigrationReport]], int]:
+    value = attrgetter(field)
+    return lambda reports: sum(map(value, reports))
+
+
+def _failed(reports: Sequence[MigrationReport]) -> int:
+    return len(reports) - countOf(map(attrgetter("outcome"), reports), "success")
+
+
+#: The summary.txt columns after ``kind``: width, and the total over a kind's reports.
+SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[Sequence[MigrationReport]], int]]] = {
+    "migrations": (11, len),
+    "failed": (8, _failed),
+    "bytes": (14, _sum_of("bytes_transferred")),
+    "sync_bytes": (12, _sum_of("sync_bytes")),
+    "downtime_us": (13, _sum_of("downtime_us")),
+    "stall_us": (10, _sum_of("stall_time_us")),
 }
 
 
@@ -82,11 +93,13 @@ class MetricsBundle:
     trace: tuple[Event, ...]
 
     def totals_by_kind(self) -> dict[str, dict[str, int]]:
-        totals: dict[str, dict[str, int]] = {}
+        by_kind: dict[NfKind, list[MigrationReport]] = {}
         for rec in self.reports:
-            agg = totals.setdefault(rec.kind.value, dict.fromkeys(SUMMARY_COLUMNS, 0))
-            for name, (_, value) in SUMMARY_COLUMNS.items():
-                agg[name] += value(rec.report)
+            by_kind.setdefault(rec.kind, []).append(rec.report)
+        totals = {
+            kind.value: {name: total(reports) for name, (_, total) in SUMMARY_COLUMNS.items()}
+            for kind, reports in by_kind.items()
+        }
         return dict(sorted(totals.items()))
 
 
@@ -355,38 +368,38 @@ def trace_lines(events: Iterable[Event]) -> Iterator[str]:
 
     The text is byte for byte what ``json.dumps`` writes for
     ``{"time_us", "seq", "kind", "data"}``, but each line is filled into a
-    template made once per (kind, data keys).  Values of exact type ``str``
-    or ``int``, all a run's trace holds but for the odd fractional RTT, are
-    written here; any other value goes through ``json.dumps``.
+    template made once per (kind, data keys).  Values of exact type ``int``,
+    whose ``%s`` text is their JSON, go in as they are; values of exact type
+    ``str`` go in escaped; any other value, such as the odd fractional RTT,
+    goes through ``json.dumps``.
     """
     templates: dict[tuple, tuple[str, tuple]] = {}
     # Trace strings repeat (ids, hosts, phases): escape each one once.
     escaped: dict[str, str] = {}
-    for event in events:
-        data = event.data
-        shape = (event.kind, *data)
+    for time_us, seq, kind, data in events:
+        shape = (kind, *data)
         entry = templates.get(shape)
         if entry is None:
-            entry = _line_template(event.kind, data)
+            entry = _line_template(kind, data)
             if entry is None:
                 yield _json_fallback(
-                    {"time_us": event.time_us, "seq": event.seq, "kind": event.kind, "data": data}
+                    {"time_us": time_us, "seq": seq, "kind": kind, "data": data}
                 ) + "\n"
                 continue
             templates[shape] = entry
         template, keys = entry
-        texts = []
-        for value in [*map(data.__getitem__, keys), event.seq, event.time_us]:
-            if type(value) is str:
-                text = escaped.get(value)
-                if text is None:
-                    text = escaped[value] = encode_basestring_ascii(value)
-            elif type(value) is int:
-                text = int.__repr__(value)
-            else:
-                text = _json_fallback(value)
-            texts.append(text)
-        yield template % tuple(texts)
+        values = []
+        for value in (*map(data.__getitem__, keys), seq, time_us):
+            if type(value) is not int:
+                if type(value) is str:
+                    text = escaped.get(value)
+                    if text is None:
+                        text = escaped[value] = encode_basestring_ascii(value)
+                    value = text
+                else:
+                    value = _json_fallback(value)
+            values.append(value)
+        yield template % tuple(values)
 
 
 def _summary_row(label: str, cells: Mapping[str, object]) -> str:

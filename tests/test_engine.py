@@ -1,8 +1,12 @@
 """Event ordering, clock semantics and seeded random streams."""
 
-import pytest
+import heapq
 
-from nfmigsim import SchedulingInPastError, Simulator, rng_stream
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nfmigsim import Event, SchedulingInPastError, Simulator, rng_stream
 
 
 def collect(sim, log):
@@ -134,6 +138,87 @@ class TestRunUntil:
         ]
         assert sim.trace == trace
         assert scheduled.data == {"nf": "smf-1"}  # the scheduled event is never mutated
+
+
+class HeapOnlySimulator:
+    """Every event, annotations included, through one heap: the reference engine."""
+
+    def __init__(self):
+        self.now = 0
+        self._seq = 0
+        self._heap = []
+        self.trace = []
+
+    def schedule(self, time_us, kind, callback=None, **data):
+        if time_us < self.now:
+            raise SchedulingInPastError(f"{time_us} < {self.now}")
+        event = Event(time_us, self._seq, kind, data)
+        self._seq += 1
+        heapq.heappush(self._heap, (time_us, event.seq, event, callback))
+        return event
+
+    def run_until(self, t_end_us):
+        processed = []
+        while self._heap and self._heap[0][0] <= t_end_us:
+            _, _, event, callback = heapq.heappop(self._heap)
+            self.now = event.time_us
+            if callback is not None:
+                notes = callback(self, event)
+                if notes:
+                    event = Event(event.time_us, event.seq, event.kind, {**event.data, **notes})
+            processed.append(event)
+            self.trace.append(event)
+        if self._heap:
+            self.now = t_end_us
+        return processed
+
+
+# An event is (delay, None) for an annotation, or (delay, (children, notes)) for
+# one whose callback schedules ``children`` relative to its own time and
+# returns ``notes``.  Delay 0 is common, so ties at one time are common.
+DELAYS = st.sampled_from([0, 0, 0, 1, 5]) | st.integers(0, 40)
+NOTES = st.none() | st.dictionaries(st.sampled_from(["n", "rtt_us", "at"]), st.integers(), max_size=2)
+EVENT_SPECS = st.recursive(
+    st.tuples(DELAYS, st.none()),
+    lambda children: st.tuples(DELAYS, st.tuples(st.lists(children, max_size=3), NOTES)),
+    max_leaves=10,
+)
+# Each step schedules a few events from outside, at now + delay, then runs to
+# now + advance.
+STEPS = st.lists(
+    st.tuples(st.lists(EVENT_SPECS, max_size=4), st.integers(0, 60)), min_size=1, max_size=5
+)
+
+
+def drive(sim, steps):
+    """Run ``steps`` on ``sim``; every observation the engine allows, in order."""
+    observed = []
+
+    def schedule(time_us, spec):
+        if spec is None:
+            return sim.schedule(time_us, "note", at=time_us)
+        children, notes = spec
+
+        def callback(sim_, event):
+            observed.append(("callback", sim_.now, event))
+            for delay, child in children:
+                schedule(sim_.now + delay, child)
+            return notes
+
+        return sim.schedule(time_us, "call", callback, n=len(children))
+
+    for specs, advance in steps:
+        for delay, spec in specs:
+            observed.append(("scheduled", schedule(sim.now + delay, spec)))
+        processed = sim.run_until(sim.now + advance)
+        observed.append(("run", processed, list(sim.trace), sim.now))
+    return observed
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=STEPS)
+def test_annotations_off_the_heap_match_a_heap_only_engine(steps):
+    assert drive(Simulator(), steps) == drive(HeapOnlySimulator(), steps)
 
 
 class TestRngStreams:

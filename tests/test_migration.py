@@ -33,7 +33,7 @@ from nfmigsim import (
     start_replica_sync,
     transfer_time_us,
 )
-from nfmigsim.migration import Phase, latency_ceil_us, serialize_us
+from nfmigsim.migration import MAX_PRECOPY_ROUNDS, Phase, latency_ceil_us, serialize_us
 
 ZERO_OVERHEADS = dict(
     freeze_overhead_us=0,
@@ -74,6 +74,11 @@ class TestMigrationParams:
     def test_nan_round_cap_rejected(self):
         with pytest.raises(ValueError, match="precopy_max_rounds must be >= 1, got nan"):
             MigrationParams(precopy_max_rounds=float("nan"))
+
+    def test_round_cap_bounded(self):
+        assert MigrationParams(precopy_max_rounds=MAX_PRECOPY_ROUNDS).precopy_max_rounds == 1000
+        with pytest.raises(ValueError, match="precopy_max_rounds must be <= 1000, got 1001"):
+            MigrationParams(precopy_max_rounds=MAX_PRECOPY_ROUNDS + 1)
 
 
 class TestInterCopy:

@@ -2,8 +2,11 @@
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfmigsim import (
     BUILTIN_DRIVER_PROFILES,
@@ -130,6 +133,72 @@ class TestOneWayLatency:
         topo = validate_topology(hosts, [], [])
         with pytest.raises(NoPathError):
             topo.one_way_latency_us("h1", "h2")
+
+
+def early_exit_bfs(links, a, b):
+    """Fewest-hop hosts a..b, neighbours scanned in id order, stopping at b; None if cut off."""
+    neighbors = {}
+    for link in links:
+        neighbors.setdefault(link.a, []).append(link.b)
+        neighbors.setdefault(link.b, []).append(link.a)
+    parent = {a: a}
+    frontier = deque([a])
+    while frontier:
+        node = frontier.popleft()
+        if node == b:
+            break
+        for neighbor in sorted(neighbors.get(node, ())):
+            if neighbor not in parent:
+                parent[neighbor] = node
+                frontier.append(neighbor)
+    if b not in parent:
+        return None
+    hops = [b]
+    while hops[-1] != a:
+        hops.append(parent[hops[-1]])
+    return tuple(reversed(hops))
+
+
+@st.composite
+def link_graphs(draw):
+    """Up to 12 hosts (ids "h0".."h11", so id order is not numeric order) and random links.
+
+    A drawn spanning chain makes about half the graphs connected; the rest
+    are usually cut into several components.
+    """
+    n = draw(st.integers(1, 12))
+    ids = [f"h{i}" for i in range(n)]
+    drawn = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20))
+    pairs = {tuple(sorted(pair)) for pair in drawn if pair[0] != pair[1]}
+    if draw(st.booleans()):
+        order = draw(st.permutations(ids))
+        pairs |= {tuple(sorted(pair)) for pair in zip(order, order[1:])}
+    links = [
+        Link(a, b, draw(st.integers(1, 10**9)), draw(st.integers(0, 500)))
+        for a, b in sorted(pairs)
+    ]
+    return ids, links
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=link_graphs())
+def test_path_between_equals_an_early_exit_bfs_for_every_pair(graph):
+    ids, links = graph
+    topo = validate_topology([HostNode(i, "z", 4, DriverKind.MACVLAN) for i in ids], links, [])
+    by_pair = {frozenset((link.a, link.b)): link for link in links}
+    for a in ids:
+        for b in ids:
+            hops = early_exit_bfs(links, a, b)
+            if hops is None:
+                with pytest.raises(NoPathError):
+                    topo.path_between(a, b)
+                continue
+            info = topo.path_between(a, b)
+            assert info.hops == hops
+            used = [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
+            assert info.extra_latency_us == sum(link.extra_latency_us for link in used)
+            if used:
+                assert info.bandwidth_bps == min(link.bandwidth_bps for link in used)
 
 
 class TestValidateTopology:

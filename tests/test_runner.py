@@ -295,17 +295,28 @@ def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
 # SHA-256 of the drone exports at seeds 42 and 7, in ``sha256sum`` format
 # relative to an output directory holding ``seed-42/`` and ``seed-7/``.
 GOLDEN_DRONE_EXPORTS = Path(__file__).parent / "data" / "drone_exports.sha256"
+# The same for ``perfbench/scenario_gen.generate(301)`` run at seed 301.
+GOLDEN_GENERATED_EXPORTS = Path(__file__).parent / "data" / "generated_exports.sha256"
+
+
+def export_digests(scenario, seeds, out_dir):
+    """``{"seed-<s>/<file>": sha256}`` of the four exports of ``scenario`` at each seed."""
+    digests = {}
+    for seed in seeds:
+        paths = export_metrics(run_scenario(scenario, seed=seed), out_dir / f"seed-{seed}")
+        for path in paths.values():
+            digests[f"seed-{seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def golden_digests(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split("  ") for line in lines)}
 
 
 def test_drone_exports_match_the_committed_digests(tmp_path):
     scenario = load_scenario(bundled_scenario_path())
-    actual = {}
-    for seed in (42, 7):
-        paths = export_metrics(run_scenario(scenario, seed=seed), tmp_path / f"seed-{seed}")
-        for path in paths.values():
-            actual[f"seed-{seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    lines = GOLDEN_DRONE_EXPORTS.read_text(encoding="utf-8").splitlines()
-    assert actual == {name: digest for digest, name in (line.split("  ") for line in lines)}
+    assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_DRONE_EXPORTS)
 
 
 class Tone(str, Enum):
@@ -364,6 +375,11 @@ def load_scenario_gen():
 
 
 SCENARIO_GEN = load_scenario_gen()
+
+
+def test_generated_exports_match_the_committed_digests(tmp_path):
+    scenario = build_scenario(SCENARIO_GEN.generate(301))
+    assert export_digests(scenario, (301,), tmp_path) == golden_digests(GOLDEN_GENERATED_EXPORTS)
 
 
 def drone_turning_back():

@@ -192,6 +192,7 @@ _BOUNDS = [
     ("nfs[1].memory.dirty_model", "rate_pages_per_s", -1, ScenarioParseError, None),
     ("nfs[3].memory.dirty_model", "p_per_page_per_ms", 1.5, ScenarioParseError, None),
     ("triggers[0]", "time_us", -1, ScenarioParseError, None),
+    ("migration_params", "precopy_max_rounds", 10**9, ScenarioParseError, None),
 ] + [
     ("migration_params", key, 0 if key == "precopy_max_rounds" else -1, ScenarioParseError, None)
     for key in (
@@ -392,6 +393,32 @@ class TestExportMetrics:
         csv_bytes = sum(rec.report.bytes_transferred for rec in bundle.reports)
         assert sum(t["downtime_us"] for t in totals.values()) == csv_downtime
         assert sum(t["bytes"] for t in totals.values()) == csv_bytes
+
+    def test_summary_totals_equal_per_report_sums(self, tmp_path):
+        renamed = read_document(bundled_scenario_path())
+        for nf in renamed["nfs"]:
+            if nf["id"] == "amf-1":
+                nf["id"] = "x-amf"  # its report now comes last, after smf and upf
+        for scenario in (
+            load_scenario(bundled_scenario_path()),
+            build_scenario(renamed),
+            load_scenario(write(tmp_path, ethernet_anchor_to_overlay())),  # one failed migration
+        ):
+            bundle = run_scenario(scenario)
+            expected = {}
+            for rec in bundle.reports:
+                report = rec.report
+                row = expected.setdefault(rec.kind.value, {})
+                for name, value in (
+                    ("migrations", 1),
+                    ("failed", 0 if report.succeeded else 1),
+                    ("bytes", report.bytes_transferred),
+                    ("sync_bytes", report.sync_bytes),
+                    ("downtime_us", report.downtime_us),
+                    ("stall_us", report.stall_time_us),
+                ):
+                    row[name] = row.get(name, 0) + value
+            assert list(bundle.totals_by_kind().items()) == sorted(expected.items())
 
 
 class TestCli:
