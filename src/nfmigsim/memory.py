@@ -258,10 +258,6 @@ class MemoryImage:
         self._dirty = 0
         self._never = self._num_pages
 
-    def clone_fresh(self) -> "MemoryImage":
-        """A new image with the same shape and working set, all pages pending."""
-        return MemoryImage(self._num_pages, self._page_size, working_set=self._working_set)
-
     def dirty_lowest(self, limit: int) -> int:
         """Mark up to ``limit`` non-dirty pages dirty, lowest page id first.
 

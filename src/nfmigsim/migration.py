@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InvariantViolation,
@@ -99,8 +99,7 @@ class MigrationParams:
             )
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """One span of a migration timeline, relative to migration start."""
 
     name: str
@@ -262,14 +261,6 @@ class PreCopyEstimate:
     downtime_us: int
     migration_time_us: int
     bytes_pages: int
-
-    @property
-    def downtime_s(self) -> float:
-        return self.downtime_us / MICROS_PER_SECOND
-
-    @property
-    def migration_time_s(self) -> float:
-        return self.migration_time_us / MICROS_PER_SECOND
 
 
 def analytic_pre_copy(

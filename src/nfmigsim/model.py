@@ -8,7 +8,7 @@ PDU sessions; the overlay driver is the only one with high isolation.
 
 Latency between two containers is driven by the endpoints' drivers: the
 more restrictive (higher-RTT) driver bounds the pair, and any per-link
-extra latency on the path is added on top.  Co-located containers talk
+extra latency on the route is added on top.  Co-located containers talk
 through shared memory and use a configurable intra-host latency instead.
 """
 
@@ -101,19 +101,9 @@ class NfKind(str, Enum):
     NRF = "nrf"
 
 
-class Plane(str, Enum):
-    USER = "user"
-    CONTROL = "control"
-
-
 class SessionType(str, Enum):
     IP = "ip"
     ETHERNET = "ethernet"
-
-
-def plane_for(kind: NfKind) -> Plane:
-    """Only the UPF forwards user traffic; everything else is control plane."""
-    return Plane.USER if kind is NfKind.UPF else Plane.CONTROL
 
 
 #: The statefulness each kind may have, its default first.  The UPF holds
@@ -175,9 +165,9 @@ class PduSession:
 class NfInstance:
     """A running network function.
 
-    An instance is stateful exactly when it carries a memory image, and
-    its plane follows from its kind.  The image's page state mutates
-    during migrations while the identity fields stay fixed.
+    An instance is stateful exactly when it carries a memory image.  The
+    image's page state mutates during migrations while the identity fields
+    stay fixed.
     """
 
     id: str
@@ -195,19 +185,6 @@ class NfInstance:
     @property
     def stateful(self) -> bool:
         return self.memory is not None
-
-    @property
-    def plane(self) -> Plane:
-        return plane_for(self.kind)
-
-
-@dataclass(frozen=True)
-class PathInfo:
-    """Effective properties of the (possibly multi-hop) route between two hosts."""
-
-    hops: tuple[str, ...]
-    extra_latency_us: int
-    bandwidth_bps: int
 
 
 @dataclass(frozen=True)
@@ -244,14 +221,13 @@ class ValidatedTopology:
         self.sessions = sessions
         self.drivers = dict(drivers)
         self.intra_host_latency_us = intra_host_latency_us
-        self._adjacency: dict[str, dict[str, Link]] = {h: {} for h in hosts}
+        adjacency: dict[str, dict[str, Link]] = {h: {} for h in hosts}
         for link in links:
-            self._adjacency[link.a][link.b] = link
-            self._adjacency[link.b][link.a] = link
+            adjacency[link.a][link.b] = link
+            adjacency[link.b][link.a] = link
         # Neighbours in id order, sorted once: the BFS tie-break.
-        self._neighbors = {h: tuple(sorted(adj)) for h, adj in self._adjacency.items()}
-        self._path_cache: dict[tuple[str, str], PathInfo | None] = {}
-        self._trees: dict[str, dict[str, str]] = {}
+        self._neighbors = {h: sorted(adj.items()) for h, adj in adjacency.items()}
+        self._routes: dict[str, dict[str, tuple[int, int | None]]] = {}
         by_hall: dict[str, list[HostNode]] = {}
         for host in sorted(hosts.values(), key=lambda h: h.id):
             by_hall.setdefault(host.hall, []).append(host)
@@ -270,76 +246,64 @@ class ValidatedTopology:
         """The hall's hosts in id order; empty for a hall with no host."""
         return self._hosts_by_hall.get(hall, ())
 
-    def path_between(self, a: str, b: str) -> PathInfo:
-        """Fewest-hop route a->b; deterministic tie-break by host id order."""
-        self.host(a)
-        self.host(b)
-        if a == b:
-            return PathInfo((a,), 0, 0)
-        key = (a, b)
-        if key not in self._path_cache:
-            self._path_cache[key] = self._path(a, b)
-        info = self._path_cache[key]
-        if info is None:
-            raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
-        return info
+    def routes_from(self, source: str) -> Mapping[str, tuple[int, int | None]]:
+        """Each host reachable from ``source`` -> (extra latency, bottleneck bandwidth).
 
-    def _bfs_tree(self, source: str) -> dict[str, str]:
-        """Each host reachable from ``source`` -> its BFS parent (``source`` -> itself).
-
-        A parent is set when BFS first finds a host, scanning neighbours in
-        id order, so the tree holds the fewest-hop, id-ordered path to every
-        host.  One tree per source serves every path from it.
+        BFS scans neighbours in id order and fills a host's entry, from its
+        parent's entry and the link between them, when it first reaches it:
+        the fewest-hop route with an id-ordered tie-break.  ``source`` maps
+        to ``(0, None)``.  Built once per source.
         """
-        parent = self._trees.get(source)
-        if parent is None:
-            parent = self._trees[source] = {source: source}
+        table = self._routes.get(source)
+        if table is None:
+            self.host(source)
+            table = self._routes[source] = {source: (0, None)}
             frontier = deque([source])
             while frontier:
                 node = frontier.popleft()
-                for neighbor in self._neighbors[node]:
-                    if neighbor not in parent:
-                        parent[neighbor] = node
+                extra, bandwidth = table[node]
+                for neighbor, link in self._neighbors[node]:
+                    if neighbor not in table:
+                        link_bps = link.bandwidth_bps
+                        table[neighbor] = (
+                            extra + link.extra_latency_us,
+                            link_bps if bandwidth is None else min(bandwidth, link_bps),
+                        )
                         frontier.append(neighbor)
-        return parent
+        return table
 
-    def _path(self, a: str, b: str) -> PathInfo | None:
-        parent = self._bfs_tree(a)
-        if b not in parent:
-            return None
-        hops = [b]
-        while hops[-1] != a:
-            hops.append(parent[hops[-1]])
-        hops.reverse()
-        extra = 0
-        bandwidth = None
-        for x, y in zip(hops, hops[1:]):
-            link = self._adjacency[x][y]
-            extra += link.extra_latency_us
-            bandwidth = link.bandwidth_bps if bandwidth is None else min(bandwidth, link.bandwidth_bps)
-        return PathInfo(tuple(hops), extra, bandwidth)
+    def _route(self, a: str, b: str) -> tuple[int, int | None]:
+        """The route between two hosts, read from the lower id's table: symmetric."""
+        low, high = (a, b) if a < b else (b, a)
+        route = self.routes_from(low).get(high)
+        if route is None:
+            self.host(high)
+            raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
+        return route
 
     def one_way_latency_us(self, a: str, b: str) -> float:
         """One-way latency between containers on hosts ``a`` and ``b``.
 
         Same host: the configured intra-host latency.  Across hosts: half
-        the RTT of the more restrictive endpoint driver plus the path's
-        extra latency.  Symmetric by construction; doubling it reproduces
-        the measured RTT exactly when both hosts share a driver.
+        the RTT of the more restrictive endpoint driver plus the route's
+        extra latency.  The route is read from the lower id's table, so the
+        result does not depend on argument order; doubling it reproduces the
+        measured RTT exactly when both hosts share a driver and no link on
+        the route adds latency.
         """
         if a == b:
             self.host(a)
             return float(self.intra_host_latency_us)
-        path = self.path_between(a, b)
+        extra, _ = self._route(a, b)
         rtt = max(self.profile(a).rtt_inter_host_us, self.profile(b).rtt_inter_host_us)
-        return rtt / 2 + path.extra_latency_us
+        return rtt / 2 + extra
 
     def channel(self, a: str, b: str) -> Channel:
         """Transfer channel between two hosts (bottleneck bandwidth, one-way latency)."""
         if a == b:
             return Channel(None, float(self.intra_host_latency_us))
-        path = self.path_between(a, b)
-        return Channel(path.bandwidth_bps, self.one_way_latency_us(a, b))
+        _, bandwidth = self._route(a, b)
+        return Channel(bandwidth, self.one_way_latency_us(a, b))
 
 
 def _check_nf_invariants(nf: NfInstance) -> None:
@@ -428,12 +392,12 @@ def validate_topology(
     )
 
     occupied = sorted({nf.host for nf in nf_map.values()})
-    for other in occupied[1:]:
-        try:
-            topology.path_between(occupied[0], other)
-        except NoPathError:
-            raise InvariantViolation(
-                "topology",
-                f"hosts '{occupied[0]}' and '{other}' run functions but are not connected",
-            ) from None
+    if occupied:
+        reachable = topology.routes_from(occupied[0])
+        for other in occupied[1:]:
+            if other not in reachable:
+                raise InvariantViolation(
+                    "topology",
+                    f"hosts '{occupied[0]}' and '{other}' run functions but are not connected",
+                )
     return topology

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, countOf
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Event, Simulator, rng_stream
 from .memory import DirtyProcess
@@ -73,8 +73,7 @@ SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[Sequence[MigrationReport]], int]
 }
 
 
-@dataclass(frozen=True)
-class RecordedMigration:
+class RecordedMigration(NamedTuple):
     trigger_index: int
     nf_id: str
     kind: NfKind

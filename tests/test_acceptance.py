@@ -264,13 +264,16 @@ def test_criterion_9_drone_scenario_behavior():
         trigger_time = scenario.triggers[0].time_us
         by_nf = {rec.nf_id: rec for rec in bundle.reports}
 
+        def fresh_copy(image):
+            return MemoryImage(image.num_pages, image.page_size, working_set=image.working_set)
+
         amf = by_nf["amf-1"]
         assert amf.report.strategy is Strategy.PARALLEL
         twin = NfInstance(
             "amf-twin",
             NfKind.AMF,
             amf.source_host,
-            memory=scenario.topology.nfs["amf-1"].memory.clone_fresh(),
+            memory=fresh_copy(scenario.topology.nfs["amf-1"].memory),
         )
         channel = scenario.topology.channel(amf.source_host, amf.target_host)
         inter = migrate_inter_copy(twin, channel, scenario.migration_params)
@@ -281,7 +284,7 @@ def test_criterion_9_drone_scenario_behavior():
             "smf-twin",
             NfKind.SMF,
             smf.source_host,
-            memory=scenario.topology.nfs["smf-1"].memory.clone_fresh(),
+            memory=fresh_copy(scenario.topology.nfs["smf-1"].memory),
         )
         smf_channel = scenario.topology.channel(smf.source_host, smf.target_host)
         smf_inter = migrate_inter_copy(smf_twin, smf_channel, scenario.migration_params)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nfmigsim import (
     BUILTIN_DRIVER_PROFILES,
+    Channel,
     DanglingReferenceError,
     DriverKind,
     DuplicateIdError,
@@ -24,7 +25,6 @@ from nfmigsim import (
     NoPathError,
     STATEFUL_VARIANTS,
     PduSession,
-    Plane,
     SessionType,
     driver_table,
     validate_topology,
@@ -180,25 +180,55 @@ def link_graphs(draw):
     return ids, links
 
 
+def expected_route(topo, links, a, b):
+    """(latency, channel bandwidth) from an early-exit BFS run from the lower id; None if cut off."""
+    if a == b:
+        return topo.intra_host_latency_us, None
+    hops = early_exit_bfs(links, min(a, b), max(a, b))
+    if hops is None:
+        return None
+    by_pair = {frozenset((link.a, link.b)): link for link in links}
+    used = [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
+    rtt = max(topo.profile(a).rtt_inter_host_us, topo.profile(b).rtt_inter_host_us)
+    extra = sum(link.extra_latency_us for link in used)
+    return rtt / 2 + extra, min(link.bandwidth_bps for link in used)
+
+
+def assert_routes_match_bfs_and_are_symmetric(topo, links):
+    for a in topo.hosts:
+        for b in topo.hosts:
+            expected = expected_route(topo, links, a, b)
+            if expected is None:
+                with pytest.raises(NoPathError):
+                    topo.channel(a, b)
+                with pytest.raises(NoPathError):
+                    topo.one_way_latency_us(a, b)
+                continue
+            latency, bandwidth = expected
+            assert topo.one_way_latency_us(a, b) == latency
+            assert topo.channel(a, b) == Channel(bandwidth, latency)
+            assert topo.one_way_latency_us(a, b) == topo.one_way_latency_us(b, a)
+            assert topo.channel(a, b) == topo.channel(b, a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph=link_graphs())
-def test_path_between_equals_an_early_exit_bfs_for_every_pair(graph):
+def test_routes_equal_an_early_exit_bfs_from_the_lower_id_both_ways(graph):
     ids, links = graph
     topo = validate_topology([HostNode(i, "z", 4, DriverKind.MACVLAN) for i in ids], links, [])
-    by_pair = {frozenset((link.a, link.b)): link for link in links}
-    for a in ids:
-        for b in ids:
-            hops = early_exit_bfs(links, a, b)
-            if hops is None:
-                with pytest.raises(NoPathError):
-                    topo.path_between(a, b)
-                continue
-            info = topo.path_between(a, b)
-            assert info.hops == hops
-            used = [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
-            assert info.extra_latency_us == sum(link.extra_latency_us for link in used)
-            if used:
-                assert info.bandwidth_bps == min(link.bandwidth_bps for link in used)
+    assert_routes_match_bfs_and_are_symmetric(topo, links)
+
+
+def test_ring_with_two_shortest_paths_is_read_from_the_lower_id():
+    # h0 and h5 are three hops apart both ways round; BFS from h0 goes via
+    # h1 and h4 (extra 44 + 19 + 35), BFS from h5 via h3 and h2 (36 + 39 + 0).
+    ring = ["h0", "h1", "h4", "h5", "h3", "h2"]
+    extras = [44, 19, 35, 36, 39, 0]
+    links = [Link(ring[i], ring[(i + 1) % 6], (i + 1) * 10**8, extras[i]) for i in range(6)]
+    topo = validate_topology([HostNode(h, "z", 4, DriverKind.MACVLAN) for h in ring], links, [])
+    assert topo.one_way_latency_us("h0", "h5") == topo.one_way_latency_us("h5", "h0") == 358.0
+    assert topo.channel("h0", "h5") == topo.channel("h5", "h0") == Channel(10**8, 358.0)
+    assert_routes_match_bfs_and_are_symmetric(topo, links)
 
 
 class TestValidateTopology:
@@ -210,7 +240,6 @@ class TestValidateTopology:
         nfs = [NfInstance("upf-1", NfKind.UPF, "h1")]
         topo = validate_topology(hosts, [Link("h1", "h2", 10**6)], nfs)
         assert set(topo.hosts) == {"h1", "h2"}
-        assert topo.nfs["upf-1"].plane is Plane.USER
 
     def test_duplicate_host_id(self):
         hosts = [
@@ -268,22 +297,19 @@ class TestValidateTopology:
 
 
 class TestDerivedState:
-    def test_state_and_plane_follow_memory_and_kind(self):
+    def test_state_follows_memory(self):
         smf = NfInstance("smf-1", NfKind.SMF, "h1", memory=MemoryImage(8, 4096))
         udm = NfInstance("udm-1", NfKind.UDM, "h1")
-        assert (smf.stateful, smf.plane) == (True, Plane.CONTROL)
-        assert (udm.stateful, udm.plane) == (False, Plane.CONTROL)
-        assert NfInstance("upf-1", NfKind.UPF, "h1").plane is Plane.USER
+        assert (smf.stateful, udm.stateful) == (True, False)
         udm.memory = MemoryImage(8, 4096)
         assert udm.stateful is True
 
-    def test_state_and_plane_cannot_be_set(self):
+    def test_state_cannot_be_set(self):
         nf = NfInstance("upf-1", NfKind.UPF, "h1")
-        for name, value in (("stateful", True), ("plane", Plane.CONTROL)):
-            with pytest.raises(AttributeError):
-                setattr(nf, name, value)
-            with pytest.raises(TypeError):
-                NfInstance("upf-1", NfKind.UPF, "h1", **{name: value})
+        with pytest.raises(AttributeError):
+            nf.stateful = True
+        with pytest.raises(TypeError):
+            NfInstance("upf-1", NfKind.UPF, "h1", stateful=True)
 
     def test_disconnected_function_hosts_rejected(self):
         hosts = [

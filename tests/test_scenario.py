@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfmigsim import (
     DriverKind,
@@ -250,6 +252,39 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+def _leaf_paths(node, path=()):
+    """The key and index path of every scalar in a JSON document, in document order."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+# Mistyped values (a string, null, a bool, a list, a float where an int
+# belongs), then zero, negative and huge numbers.
+_FUZZ_VALUES = ["x", None, True, [], 0.5, 0, -1, 2**63, 10**30]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(list(_leaf_paths(_error_surface_document()))),
+    value=st.sampled_from(_FUZZ_VALUES),
+)
+def test_one_bad_leaf_runs_or_raises_a_scenario_error(path, value):
+    data = _error_surface_document()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        scenario = build_scenario(data)
+    except (ScenarioParseError, ScenarioValidationError):
+        return
+    run_scenario(scenario)
 
 
 class TestRunScenario:
