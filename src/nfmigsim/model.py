@@ -281,6 +281,18 @@ class ValidatedTopology:
             raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
         return route
 
+    def _latency_and_bandwidth(self, a: str, b: str) -> tuple[float, int | None]:
+        """One-way latency and bottleneck bandwidth (``None`` on one host) from ``a`` to ``b``."""
+        if a == b:
+            self.host(a)
+            return float(self.intra_host_latency_us), None
+        extra, bandwidth = self._route(a, b)  # both hosts exist once a route is found
+        rtt = max(
+            self.drivers[self.hosts[a].attached_driver].rtt_inter_host_us,
+            self.drivers[self.hosts[b].attached_driver].rtt_inter_host_us,
+        )
+        return rtt / 2 + extra, bandwidth
+
     def one_way_latency_us(self, a: str, b: str) -> float:
         """One-way latency between containers on hosts ``a`` and ``b``.
 
@@ -291,19 +303,12 @@ class ValidatedTopology:
         measured RTT exactly when both hosts share a driver and no link on
         the route adds latency.
         """
-        if a == b:
-            self.host(a)
-            return float(self.intra_host_latency_us)
-        extra, _ = self._route(a, b)
-        rtt = max(self.profile(a).rtt_inter_host_us, self.profile(b).rtt_inter_host_us)
-        return rtt / 2 + extra
+        return self._latency_and_bandwidth(a, b)[0]
 
     def channel(self, a: str, b: str) -> Channel:
         """Transfer channel between two hosts (bottleneck bandwidth, one-way latency)."""
-        if a == b:
-            return Channel(None, float(self.intra_host_latency_us))
-        _, bandwidth = self._route(a, b)
-        return Channel(bandwidth, self.one_way_latency_us(a, b))
+        latency, bandwidth = self._latency_and_bandwidth(a, b)
+        return Channel(bandwidth, latency)
 
 
 def _check_nf_invariants(nf: NfInstance) -> None:

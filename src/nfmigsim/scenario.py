@@ -1,18 +1,8 @@
 """Scenario files: topology, deployment, mobility triggers, run parameters.
 
-A scenario is a single JSON document (conventionally ``*.scenario``).  Every
-omitted parameter has a documented default:
-
-* host ``cpu_capacity`` 4.0; link ``extra_latency_us`` 0
-* topology ``intra_host_latency_us`` 25, ``l2_overlay_enabled`` false (true
-  stands for an L2-capable overlay profile, which an explicit
-  ``driver_overrides.overlay`` replaces)
-* function ``stateful`` per kind (UDM defaults stateless), ``cpu_demand`` 1.0
-* memory ``num_pages`` 256, ``page_size`` 4096, ``working_set_fraction`` 0.2,
-  ``dirty_model`` constant-rate at 50 pages/s
-* ``migration_params`` see :class:`~nfmigsim.migration.MigrationParams`
-* ``objective`` "downtime", ``seed`` 0, ``rtt_sample_interval_us`` 100000
-* trigger ``affected_kinds`` ["smf", "amf"]
+A scenario is a single JSON document (conventionally ``*.scenario``).  Each
+object's keys, with each key's type and the default of an omitted key, are
+declared once, in the ``_*_KEYS`` and ``_DIRTY_MODELS`` tables below.
 
 The parser checks types, key names and that every number is finite (JSON
 as read by Python may hold ``NaN`` and ``Infinity``); it makes no range
@@ -27,10 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
+from enum import EnumMeta
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from types import GenericAlias
+from typing import Any, get_args
 
 from .errors import (
     InvariantViolation,
@@ -38,10 +31,17 @@ from .errors import (
     ScenarioValidationError,
     SimulatorError,
 )
-from .memory import BernoulliDirty, ConstantRateDirty, DirtyProcess, MemoryImage
+from .memory import (
+    DEFAULT_WORKING_SET_FRACTION,
+    BernoulliDirty,
+    ConstantRateDirty,
+    DirtyProcess,
+    MemoryImage,
+)
 from .migration import MigrationParams
 from .model import (
     BUILTIN_DRIVER_PROFILES,
+    DEFAULT_INTRA_HOST_LATENCY_US,
     STATEFUL_VARIANTS,
     DriverKind,
     HostNode,
@@ -57,14 +57,6 @@ from .model import (
 )
 from .policy import Objective
 
-DEFAULT_CPU_CAPACITY = 4.0
-DEFAULT_MEMORY = {
-    "num_pages": 256,
-    "page_size": 4096,
-    "working_set_fraction": 0.2,
-    "dirty_model": {"kind": "constant-rate", "rate_pages_per_s": 50},
-}
-DEFAULT_RTT_SAMPLE_INTERVAL_US = 100_000
 #: The most RTT samples a run may take, past the one at time 0.
 MAX_RTT_SAMPLES = 10**6
 DEFAULT_AFFECTED_KINDS = (NfKind.SMF, NfKind.AMF)
@@ -79,13 +71,12 @@ class UeSpec:
 @dataclass(frozen=True)
 class DirtyModelSpec:
     model: str
-    rate_pages_per_s: float = 0.0
-    p_per_page_per_ms: float = 0.0
+    value: float  # the model's one number: rate_pages_per_s or p_per_page_per_ms
 
     def build(self, rng) -> DirtyProcess:
         if self.model == "constant-rate":
-            return ConstantRateDirty(self.rate_pages_per_s)
-        return BernoulliDirty(self.p_per_page_per_ms, rng)
+            return ConstantRateDirty(self.value)
+        return BernoulliDirty(self.value, rng)
 
 
 @dataclass(frozen=True)
@@ -140,35 +131,58 @@ class _Reader:
     def _full(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def require(self, key: str, kinds: type | tuple) -> Any:
-        if key not in self.data:
-            raise ScenarioParseError(f"missing required key '{self._full(key)}'")
-        return self._typed(key, kinds)
+    def fields(self, table: Mapping[str, tuple]) -> list:
+        """Reject any key ``table`` does not name, then read its keys in its order."""
+        for key in self.data:
+            if key not in table:
+                raise ScenarioParseError(f"unknown key '{self._full(key)}'")
+        read = self.read
+        return [read(key, spec) for key, spec in table.items()]
 
-    def optional(self, key: str, kinds: type | tuple, default: Any) -> Any:
-        if key not in self.data:
-            return default
-        return self._typed(key, kinds)
+    def read(self, key: str, spec: tuple) -> Any:
+        """The value at ``key`` checked against ``spec``: ``(kind,)`` or ``(kind, default)``.
 
-    def _typed(self, key: str, kinds: type | tuple) -> Any:
-        value = self.data[key]
-        if kinds is float:
-            kinds = (int, float)
-        if not isinstance(value, kinds) or isinstance(value, bool) and kinds != bool:
-            raise ScenarioParseError(
-                f"'{self._full(key)}' has wrong type {type(value).__name__}"
-            )
+        ``kind`` is a JSON type (``float`` takes integers too), an enum read
+        from a string, ``list[enum]`` for a list of them, or ``_Reader`` for
+        an object.  An absent key reads as the default; without one, it is
+        an error.
+        """
+        data = self.data
+        if key not in data:
+            if len(spec) == 1:
+                raise ScenarioParseError(f"missing required key '{self._full(key)}'")
+            return spec[1]
+        value = data[key]
+        kind = spec[0]
+        if kind is _Reader:
+            return _Reader(value, self._full(key))
+        plain = _JSON_TYPES.get(kind)  # None for an enum or a list of one
+        checked = plain or (list if isinstance(kind, GenericAlias) else str)
+        if not isinstance(value, checked) or isinstance(value, bool) and kind is not bool:
+            raise ScenarioParseError(f"'{self._full(key)}' has wrong type {type(value).__name__}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ScenarioParseError(f"'{self._full(key)}' must be finite, got {value}")
-        return value
+        if plain:
+            return value
+        if checked is list:
+            (member,) = get_args(kind)
+            return tuple(self.member(member, raw, f"{key}[{j}]") for j, raw in enumerate(value))
+        return self.member(kind, value, key)
 
-    def reject_unknown(self, allowed: set[str]) -> None:
-        for key in self.data:
-            if key not in allowed:
-                raise ScenarioParseError(f"unknown key '{self._full(key)}'")
+    def member(self, kind: EnumMeta, raw: Any, key: str) -> Any:
+        """The member of ``kind`` that ``raw`` names, the value found at ``key``.
 
-    def sub(self, key: str) -> "_Reader":
-        return _Reader(self.data[key], self._full(key))
+        A string enum's member is named by its value, another's by its name
+        in any case.
+        """
+        by_name = not issubclass(kind, str)
+        try:
+            return kind[raw.upper()] if by_name else kind(raw)
+        except (KeyError, ValueError):
+            valid = ", ".join(m.name.lower() if by_name else m.value for m in kind)
+            raise ScenarioParseError(
+                f"'{self._full(key)}' must be one of: {valid} (got '{raw}')"
+            ) from None
 
     def build(self, constructor: Callable, *args, **kwargs) -> Any:
         """Call ``constructor``; a bound it rejects is reported at this object's path.
@@ -186,65 +200,95 @@ class _Reader:
         raise ScenarioParseError(f"'{self.path}': {detail}" if self.path else detail)
 
 
-def _enum_value(enum_cls, raw: str, path: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ScenarioParseError(f"'{path}' must be one of: {valid} (got '{raw}')") from None
+#: The types a value of each plain JSON kind may have.
+_JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool, list: list, dict: dict}
 
-
-def _parse_driver_overrides(reader: _Reader) -> dict[DriverKind, NetworkDriverProfile]:
-    overrides = {}
-    for raw_kind, raw_profile in reader.data.items():
-        kind = _enum_value(DriverKind, raw_kind, f"{reader.path}.{raw_kind}")
-        sub = _Reader(raw_profile, f"{reader.path}.{raw_kind}")
-        sub.reject_unknown({"rtt_inter_host_us", "carries_l2", "isolation"})
-        rtt = sub.require("rtt_inter_host_us", int)
-        carries_l2 = sub.require("carries_l2", bool)
-        raw_isolation = sub.require("isolation", str)
-        try:
-            isolation = IsolationLevel[raw_isolation.upper()]
-        except KeyError:
-            valid = ", ".join(level.name.lower() for level in IsolationLevel)
-            raise ScenarioParseError(
-                f"'{sub.path}.isolation' must be one of: {valid} (got '{raw_isolation}')"
-            ) from None
-        overrides[kind] = sub.build(NetworkDriverProfile, kind, rtt, carries_l2, isolation)
-    return overrides
+# Each object's keys in reading order, which is also the order its values
+# are unpacked in: key -> (kind,) when required, or (kind, default).  A
+# default of None means "absent", which the code that reads the table resolves.
+_TOP_KEYS = {
+    "name": (str, None),  # the file's stem
+    "seed": (int, 0),
+    "duration_us": (int,),
+    "objective": (Objective, Objective.MINIMIZE_DOWNTIME),
+    "rtt_sample_interval_us": (int, 100_000),
+    "topology": (dict,),
+    "ue": (_Reader, None),  # "must be an object" when it is not one
+    "nfs": (list, ()),
+    "sessions": (list, ()),
+    "migration_params": (dict, {}),
+    "triggers": (list, ()),
+}
+_TOPOLOGY_KEYS = {
+    "intra_host_latency_us": (float, DEFAULT_INTRA_HOST_LATENCY_US),
+    "l2_overlay_enabled": (bool, False),
+    "driver_overrides": (dict, {}),
+    "hosts": (list,),
+    "links": (list, ()),
+}
+_DRIVER_KEYS = {"rtt_inter_host_us": (int,), "carries_l2": (bool,), "isolation": (IsolationLevel,)}
+_HOST_KEYS = {
+    "id": (str,),
+    "hall": (str,),
+    "cpu_capacity": (float, 4.0),
+    "driver": (DriverKind,),
+}
+_LINK_KEYS = {
+    "a": (str,),
+    "b": (str,),
+    "bandwidth_bps": (int,),
+    "extra_latency_us": (int, Link.extra_latency_us),
+}
+_UE_KEYS = {"id": (str,), "zone": (str,)}
+_NF_KEYS = {
+    "id": (str,),
+    "kind": (NfKind,),
+    "stateful": (bool, None),  # the kind's default variant
+    "cpu_demand": (float, NfInstance.cpu_demand),
+    "host": (str,),
+    "memory": (dict, None),  # read as {} for a stateful instance
+}
+_MEMORY_KEYS = {
+    "num_pages": (int, 256),
+    "page_size": (int, 4096),
+    "working_set": (list, None),
+    "working_set_fraction": (float, DEFAULT_WORKING_SET_FRACTION),
+    "dirty_model": (dict, {"kind": "constant-rate"}),
+}
+#: One table per dirty-model kind, so a model holding another kind's number is rejected.
+_DIRTY_MODELS = {
+    "constant-rate": {"kind": (str,), "rate_pages_per_s": (float, 50)},
+    "bernoulli": {"kind": (str,), "p_per_page_per_ms": (float,)},
+}
+_SESSION_KEYS = {
+    "id": (str,),
+    "type": (SessionType,),
+    "ue_id": (str,),
+    "anchor_upf": (str,),
+}
+_MIGRATION_PARAMS_KEYS = {field.name: (int, field.default) for field in fields(MigrationParams)}
+_TRIGGER_KEYS = {
+    "time_us": (int,),
+    "affected_kinds": (list[NfKind], MigrationTrigger.affected_kinds),
+    "objective": (Objective, MigrationTrigger.objective),  # None: the scenario's
+    "ue_id": (str,),
+    "new_zone": (str,),
+}
 
 
 def _parse_memory(reader: _Reader) -> tuple[MemoryImage, DirtyModelSpec]:
-    reader.reject_unknown(
-        {"num_pages", "page_size", "working_set_fraction", "working_set", "dirty_model"}
-    )
-    image = reader.build(
-        MemoryImage,
-        reader.optional("num_pages", int, DEFAULT_MEMORY["num_pages"]),
-        reader.optional("page_size", int, DEFAULT_MEMORY["page_size"]),
-        working_set=reader.optional("working_set", list, None),
-        working_set_fraction=reader.optional(
-            "working_set_fraction", float, DEFAULT_MEMORY["working_set_fraction"]
-        ),
-    )
-    raw_model = reader.optional("dirty_model", dict, DEFAULT_MEMORY["dirty_model"])
+    num_pages, page_size, working_set, fraction, raw_model = reader.fields(_MEMORY_KEYS)
+    image = reader.build(MemoryImage, num_pages, page_size, working_set, fraction)
     model_reader = _Reader(raw_model, f"{reader.path}.dirty_model")
-    model_reader.reject_unknown({"kind", "rate_pages_per_s", "p_per_page_per_ms"})
-    model_kind = model_reader.require("kind", str)
-    if model_kind == "constant-rate":
-        rate = model_reader.optional(
-            "rate_pages_per_s", float, DEFAULT_MEMORY["dirty_model"]["rate_pages_per_s"]
-        )
-        spec = DirtyModelSpec("constant-rate", rate_pages_per_s=rate)
-    elif model_kind == "bernoulli":
-        p = model_reader.require("p_per_page_per_ms", float)
-        spec = DirtyModelSpec("bernoulli", p_per_page_per_ms=p)
-    else:
+    model = model_reader.read("kind", (str,))
+    table = _DIRTY_MODELS.get(model)
+    if table is None:
         raise ScenarioParseError(
-            f"'{model_reader.path}.kind' must be 'constant-rate' or 'bernoulli' "
-            f"(got '{model_kind}')"
+            f"'{model_reader.path}.kind' must be 'constant-rate' or 'bernoulli' (got '{model}')"
         )
-    # Built once so the model checks its numbers; the runner builds the seeded one.
+    _, value = model_reader.fields(table)
+    spec = DirtyModelSpec(model, value)
+    # Built once so the model checks its number; the runner builds the seeded one.
     model_reader.build(spec.build, None)
     return image, spec
 
@@ -252,157 +296,70 @@ def _parse_memory(reader: _Reader) -> tuple[MemoryImage, DirtyModelSpec]:
 def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     """Construct and validate a scenario from an already-parsed document."""
     top = _Reader(data, "")
-    top.reject_unknown(
-        {
-            "name",
-            "seed",
-            "duration_us",
-            "objective",
-            "rtt_sample_interval_us",
-            "topology",
-            "ue",
-            "nfs",
-            "sessions",
-            "migration_params",
-            "triggers",
-        }
-    )
-    name = top.optional("name", str, Path(source).stem if source != "<dict>" else "scenario")
-    seed = top.optional("seed", int, 0)
-    duration_us = top.require("duration_us", int)
-    objective = _enum_value(
-        Objective, top.optional("objective", str, Objective.MINIMIZE_DOWNTIME.value),
-        "objective",
-    )
-    interval = top.optional("rtt_sample_interval_us", int, DEFAULT_RTT_SAMPLE_INTERVAL_US)
+    name, seed, duration_us, objective, interval, *objects = top.fields(_TOP_KEYS)
+    raw_topology, ue_reader, raw_nfs, raw_sessions, raw_params, raw_triggers = objects
+    if name is None:
+        name = Path(source).stem if source != "<dict>" else "scenario"
 
-    top.require("topology", dict)
-    topo_reader = top.sub("topology")
-    topo_reader.reject_unknown(
-        {"intra_host_latency_us", "l2_overlay_enabled", "driver_overrides", "hosts", "links"}
-    )
-    intra = topo_reader.optional("intra_host_latency_us", float, 25)
+    topo_reader = _Reader(raw_topology, "topology")
+    intra, l2_overlay, raw_overrides, raw_hosts, raw_links = topo_reader.fields(_TOPOLOGY_KEYS)
     overrides = {}
-    if topo_reader.optional("l2_overlay_enabled", bool, False):
+    if l2_overlay:
         overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
         overrides[DriverKind.OVERLAY] = replace(overlay, carries_l2=True)
-    if "driver_overrides" in topo_reader.data:
-        topo_reader.require("driver_overrides", dict)
-        overrides.update(_parse_driver_overrides(topo_reader.sub("driver_overrides")))
+    overrides_reader = _Reader(raw_overrides, "topology.driver_overrides")
+    for raw_kind, raw_profile in raw_overrides.items():
+        kind = overrides_reader.member(DriverKind, raw_kind, raw_kind)
+        reader = _Reader(raw_profile, f"topology.driver_overrides.{raw_kind}")
+        overrides[kind] = reader.build(NetworkDriverProfile, kind, *reader.fields(_DRIVER_KEYS))
 
     hosts = []
-    for i, raw_host in enumerate(topo_reader.require("hosts", list)):
+    for i, raw_host in enumerate(raw_hosts):
         reader = _Reader(raw_host, f"topology.hosts[{i}]")
-        reader.reject_unknown({"id", "hall", "cpu_capacity", "driver"})
-        hosts.append(
-            reader.build(
-                HostNode,
-                id=reader.require("id", str),
-                hall=reader.require("hall", str),
-                cpu_capacity=reader.optional("cpu_capacity", float, DEFAULT_CPU_CAPACITY),
-                attached_driver=_enum_value(
-                    DriverKind, reader.require("driver", str), f"{reader.path}.driver"
-                ),
-            )
-        )
+        hosts.append(reader.build(HostNode, *reader.fields(_HOST_KEYS)))
 
     links = []
-    for i, raw_link in enumerate(topo_reader.optional("links", list, [])):
+    for i, raw_link in enumerate(raw_links):
         reader = _Reader(raw_link, f"topology.links[{i}]")
-        reader.reject_unknown({"a", "b", "bandwidth_bps", "extra_latency_us"})
-        links.append(
-            reader.build(
-                Link,
-                a=reader.require("a", str),
-                b=reader.require("b", str),
-                bandwidth_bps=reader.require("bandwidth_bps", int),
-                extra_latency_us=reader.optional("extra_latency_us", int, 0),
-            )
-        )
+        links.append(reader.build(Link, *reader.fields(_LINK_KEYS)))
 
-    ue = None
-    if "ue" in data:
-        reader = top.sub("ue")
-        reader.reject_unknown({"id", "zone"})
-        ue = UeSpec(reader.require("id", str), reader.require("zone", str))
+    ue = UeSpec(*ue_reader.fields(_UE_KEYS)) if ue_reader is not None else None
 
     nfs = []
     dirty_specs: dict[str, DirtyModelSpec] = {}
-    for i, raw_nf in enumerate(top.optional("nfs", list, [])):
+    for i, raw_nf in enumerate(raw_nfs):
         reader = _Reader(raw_nf, f"nfs[{i}]")
-        reader.reject_unknown(
-            {"id", "kind", "host", "stateful", "cpu_demand", "memory"}
-        )
-        nf_id = reader.require("id", str)
-        kind = _enum_value(NfKind, reader.require("kind", str), f"{reader.path}.kind")
-        stateful = reader.optional("stateful", bool, STATEFUL_VARIANTS[kind][0])
-        demand = reader.optional("cpu_demand", float, 1.0)
-        host = reader.require("host", str)
+        nf_id, kind, stateful, demand, host, raw_memory = reader.fields(_NF_KEYS)
         try:
             nf = NfInstance(id=nf_id, kind=kind, host=host, cpu_demand=demand)
         except InvariantViolation as exc:
             raise ScenarioValidationError(str(exc)) from exc
+        if stateful is None:
+            stateful = STATEFUL_VARIANTS[kind][0]
         if stateful:
-            raw_memory = reader.optional("memory", dict, DEFAULT_MEMORY)
-            image, spec = _parse_memory(_Reader(raw_memory, f"{reader.path}.memory"))
-            nf.memory = image
-            dirty_specs[nf_id] = spec
-        elif "memory" in reader.data:
-            raise ScenarioParseError(
-                f"'{reader.path}.memory' given for a stateless instance"
-            )
+            memory_reader = _Reader(raw_memory or {}, f"{reader.path}.memory")
+            nf.memory, dirty_specs[nf_id] = _parse_memory(memory_reader)
+        elif raw_memory is not None:
+            raise ScenarioParseError(f"'{reader.path}.memory' given for a stateless instance")
         nfs.append(nf)
 
     sessions = []
-    for i, raw_session in enumerate(top.optional("sessions", list, [])):
+    for i, raw_session in enumerate(raw_sessions):
         reader = _Reader(raw_session, f"sessions[{i}]")
-        reader.reject_unknown({"id", "type", "ue_id", "anchor_upf"})
-        sessions.append(
-            PduSession(
-                id=reader.require("id", str),
-                session_type=_enum_value(
-                    SessionType, reader.require("type", str), f"{reader.path}.type"
-                ),
-                ue_id=reader.require("ue_id", str),
-                anchor_upf=reader.require("anchor_upf", str),
-            )
-        )
+        sessions.append(PduSession(*reader.fields(_SESSION_KEYS)))
 
-    params_reader = _Reader(top.optional("migration_params", dict, {}), "migration_params")
-    params_reader.reject_unknown({field.name for field in fields(MigrationParams)})
+    params_reader = _Reader(raw_params, "migration_params")
     migration_params = params_reader.build(
-        MigrationParams, **{key: params_reader.require(key, int) for key in params_reader.data}
+        MigrationParams, *params_reader.fields(_MIGRATION_PARAMS_KEYS)
     )
 
     triggers = []
-    for i, raw_trigger in enumerate(top.optional("triggers", list, [])):
+    for i, raw_trigger in enumerate(raw_triggers):
         reader = _Reader(raw_trigger, f"triggers[{i}]")
-        reader.reject_unknown({"time_us", "ue_id", "new_zone", "affected_kinds", "objective"})
-        time_us = reader.require("time_us", int)
-        kinds = tuple(
-            _enum_value(NfKind, raw, f"{reader.path}.affected_kinds[{j}]")
-            for j, raw in enumerate(
-                reader.optional(
-                    "affected_kinds", list, [k.value for k in DEFAULT_AFFECTED_KINDS]
-                )
-            )
-        )
-        trigger_objective = None
-        if "objective" in reader.data:
-            trigger_objective = _enum_value(
-                Objective, reader.require("objective", str), f"{reader.path}.objective"
-            )
+        time_us, kinds, trigger_objective, ue_id, new_zone = reader.fields(_TRIGGER_KEYS)
         triggers.append(
-            reader.build(
-                MigrationTrigger,
-                time_us=time_us,
-                ue_id=reader.require("ue_id", str),
-                new_zone=reader.require("new_zone", str),
-                affected_kinds=kinds,
-                objective=trigger_objective,
-            )
+            reader.build(MigrationTrigger, time_us, ue_id, new_zone, kinds, trigger_objective)
         )
-    triggers.sort(key=lambda t: t.time_us)
 
     try:
         topology = validate_topology(
@@ -425,10 +382,11 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         topology=topology,
         ue=ue,
         migration_params=migration_params,
-        triggers=tuple(triggers),
+        triggers=tuple(sorted(triggers, key=lambda t: t.time_us)),
         dirty_specs=dirty_specs,
     )
 
+    # Checked in document order, so an error names the trigger's index in the file.
     for i, trigger in enumerate(triggers):
         if trigger.time_us > duration_us:
             raise ScenarioValidationError(

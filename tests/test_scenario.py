@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from nfmigsim import (
     load_scenario,
     run_scenario,
 )
+from nfmigsim import scenario as scenario_module
 from nfmigsim.cli import main
 from nfmigsim.runner import MIGRATIONS_CSV_HEADER
 from nfmigsim.scenario import read_document
@@ -150,6 +152,41 @@ class TestLoadScenario:
         scenario = load_scenario(write(tmp_path, data))
         assert 2 * scenario.topology.one_way_latency_us("h1", "h2") == 700
 
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "constant-rate", "rate_pages_per_s": 50, "p_per_page_per_ms": 0.001},
+             "p_per_page_per_ms"),
+            ({"kind": "bernoulli", "rate_pages_per_s": 50}, "rate_pages_per_s"),
+            ({"kind": "bernoulli", "p_per_page_per_ms": 0.001, "rate_pages_per_s": 1e9},
+             "rate_pages_per_s"),
+        ],
+    )
+    def test_dirty_model_keys_follow_kind(self, tmp_path, capsys, model, key):
+        data = read_document(bundled_scenario_path())
+        data["nfs"][1]["memory"]["dirty_model"] = model
+        scenario_file = write(tmp_path, data)
+        assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown key 'nfs[1].memory.dirty_model.{key}'\n"
+
+    @pytest.mark.parametrize(
+        "late, message",
+        [
+            ({"new_zone": "hall-Z"}, "triggers[0].new_zone 'hall-Z' matches no host hall"),
+            ({"ue_id": "drone-9"}, "triggers[0] references unknown UE 'drone-9'"),
+        ],
+    )
+    def test_trigger_errors_name_the_document_index(self, late, message):
+        data = read_document(bundled_scenario_path())
+        first = data["triggers"][0]
+        data["triggers"] = [{**first, "time_us": 1_500_000}, {**first, "time_us": 500_000}]
+        assert [t.time_us for t in build_scenario(data).triggers] == [500_000, 1_500_000]
+        data["triggers"][0].update(late)
+        with pytest.raises(ScenarioValidationError) as info:
+            build_scenario(data)
+        assert str(info.value) == message
+
 
 def _at(data, path):
     """The object at a dotted path such as ``nfs[1].memory``; ``""`` is the document."""
@@ -254,37 +291,65 @@ class TestErrorSurface:
         assert not (tmp_path / "out").exists()
 
 
-def _leaf_paths(node, path=()):
-    """The key and index path of every scalar in a JSON document, in document order."""
+def _node_paths(node, path=()):
+    """The key and index path of every node in a JSON document, in document order."""
+    yield path
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         for key, child in items:
-            yield from _leaf_paths(child, path + (key,))
-    else:
-        yield path
+            yield from _node_paths(child, path + (key,))
+
+
+def _at_path(data, path):
+    for key in path:
+        data = data[key]
+    return data
 
 
 # Mistyped values (a string, null, a bool, a list, a float where an int
 # belongs), then zero, negative and huge numbers.
 _FUZZ_VALUES = ["x", None, True, [], 0.5, 0, -1, 2**63, 10**30]
+_DOCUMENT = _error_surface_document()
+_ALL_PATHS = list(_node_paths(_DOCUMENT))
+_LEAVES = [path for path in _ALL_PATHS if not isinstance(_at_path(_DOCUMENT, path), (dict, list))]
+_KEYS = [path for path in _ALL_PATHS if path and isinstance(path[-1], str)]
+_OBJECTS = [path for path in _ALL_PATHS if isinstance(_at_path(_DOCUMENT, path), dict)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    path=st.sampled_from(list(_leaf_paths(_error_surface_document()))),
-    value=st.sampled_from(_FUZZ_VALUES),
+    fault=st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(_LEAVES), st.sampled_from(_FUZZ_VALUES)),
+        st.tuples(st.just("delete"), st.sampled_from(_KEYS), st.none()),
+        st.tuples(st.just("add"), st.sampled_from(_OBJECTS), st.none()),
+    )
 )
-def test_one_bad_leaf_runs_or_raises_a_scenario_error(path, value):
+def test_one_bad_leaf_runs_or_raises_a_scenario_error(fault):
+    operation, path, value = fault
     data = _error_surface_document()
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    if operation == "set":
+        _at_path(data, path[:-1])[path[-1]] = value
+    elif operation == "delete":
+        del _at_path(data, path[:-1])[path[-1]]
+    else:
+        _at_path(data, path)["unknown_key"] = 1
     try:
         scenario = build_scenario(data)
     except (ScenarioParseError, ScenarioValidationError):
         return
     run_scenario(scenario)
+
+
+def test_readme_names_every_scenario_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    # The words of every backticked span, such as `topology.hosts[]` or `{"kind": ...}`.
+    spans = re.findall(r"`([^`]*)`", section)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    tables = [value for name, value in vars(scenario_module).items() if name.endswith("_KEYS")]
+    tables += scenario_module._DIRTY_MODELS.values()
+    assert len(tables) == 13
+    assert {key for table in tables for key in table} - named == set()
 
 
 class TestRunScenario:
