@@ -71,11 +71,9 @@ def _cmd_sweep(args) -> int:
         bundle = run_scenario(scenario, seed=args.seed)
         safe_label = label.replace("/", "_")
         export_metrics(bundle, out_root / safe_label)
-        downtime = sum(rec.report.downtime_us for rec in bundle.reports)
-        total_bytes = sum(
-            rec.report.bytes_transferred + rec.report.sync_bytes
-            for rec in bundle.reports
-        )
+        totals = bundle.totals_by_kind().values()
+        downtime = sum(kind["downtime_us"] for kind in totals)
+        total_bytes = sum(kind["bytes"] + kind["sync_bytes"] for kind in totals)
         print(f"{label:<56}{len(bundle.reports):>11}{downtime:>13}{total_bytes:>14}")
     return 0
 

@@ -170,10 +170,6 @@ class MemoryImage:
 
         Page ids are assumed unique, as produced by :meth:`take_transfer_batch`.
         """
-        if len(pages) == self._num_pages:
-            # Full-image batches are common (bulk copy, first iterative round).
-            self.copy_all()
-            return
         state = self._state
         for page_id in pages:
             byte = state[page_id]
@@ -332,7 +328,7 @@ class ConstantRateDirty:
         return image.dirty_lowest(raw)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BernoulliDirty:
     """Each non-dirty page flips independently with a per-millisecond probability.
 
@@ -348,7 +344,7 @@ class BernoulliDirty:
     """
 
     p_per_page_per_ms: float
-    rng: Random = field(repr=False, default_factory=Random)
+    rng: Random = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p_per_page_per_ms <= 1.0:

@@ -59,7 +59,7 @@ class Strategy(str, Enum):
     NO_MIGRATION_REDEPLOY = "redeploy"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationParams:
     """Overheads and knobs shared by the strategy state machines.
 
@@ -116,13 +116,12 @@ class MigrationReport:
     sync_bytes: int = 0
     stall_time_us: int = 0
     rounds: int = 0
-    outcome: str = "success"
-    failure_reason: str | None = None
+    failure_reason: str | None = None  # None: the migration succeeded
     phases: tuple[Phase, ...] = ()
 
     @property
     def succeeded(self) -> bool:
-        return self.outcome == "success"
+        return self.failure_reason is None
 
     def outcome_label(self) -> str:
         if self.succeeded:
@@ -132,7 +131,7 @@ class MigrationReport:
 
 def failed_report(strategy: Strategy, reason: str) -> MigrationReport:
     """A zero-cost report for a migration that could not be attempted."""
-    return MigrationReport(strategy, 0, 0, 0, outcome="failed", failure_reason=reason)
+    return MigrationReport(strategy, 0, 0, 0, failure_reason=reason)
 
 
 def _ceil_div_us(numerator: int, bandwidth: int | float) -> int:
@@ -391,7 +390,6 @@ def migrate_post_copy(
             last_arrival = stream_clock
 
     migration_time = max(downtime, last_arrival)
-    copied_pages = image.num_pages - image.never_copied_count - image.dirty_count
     phases = [
         Phase("freeze", 0, freeze),
         Phase("copy-working-set", freeze, freeze + ws_us),
@@ -403,9 +401,8 @@ def migrate_post_copy(
         Strategy.POST_COPY,
         downtime_us=downtime,
         migration_time_us=migration_time,
-        bytes_transferred=copied_pages * page_size,
+        bytes_transferred=image.clean_count * page_size,
         stall_time_us=stall_total,
-        outcome="success" if failure is None else "failed",
         failure_reason=failure,
         phases=tuple(phases),
     )

@@ -39,10 +39,10 @@ class DriverKind(str, Enum):
     OVERLAY = "overlay"
 
 
-class IsolationLevel(int, Enum):
-    NONE = 0
-    MEDIUM = 1
-    HIGH = 2
+class IsolationLevel(str, Enum):
+    NONE = "none"
+    MEDIUM = "medium"
+    HIGH = "high"
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,13 @@ class PduSession:
     anchor_upf: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class NfInstance:
     """A running network function.
 
     An instance is stateful exactly when it carries a memory image.  The
-    image's page state mutates during migrations while the identity fields
-    stay fixed.
+    image's page state mutates during migrations; the instance's fields
+    never change after construction.
     """
 
     id: str
@@ -176,11 +176,9 @@ class NfInstance:
     memory: MemoryImage | None = None
     cpu_demand: float = 1.0
 
-    def __setattr__(self, name, value):
-        # The one check of the bound, at construction and on any later assignment.
-        if name == "cpu_demand" and not value >= 0:  # NaN fails too
-            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {value}")
-        super().__setattr__(name, value)
+    def __post_init__(self):
+        if not self.cpu_demand >= 0:  # NaN fails too
+            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {self.cpu_demand}")
 
     @property
     def stateful(self) -> bool:
@@ -209,14 +207,13 @@ class ValidatedTopology:
     def __init__(
         self,
         hosts: dict[str, HostNode],
-        links: tuple[Link, ...],
+        links: Sequence[Link],
         nfs: dict[str, NfInstance],
         sessions: tuple[PduSession, ...],
         drivers: Mapping[DriverKind, NetworkDriverProfile],
         intra_host_latency_us: float,
     ):
         self.hosts = hosts
-        self.links = links
         self.nfs = nfs
         self.sessions = sessions
         self.drivers = dict(drivers)
@@ -238,9 +235,6 @@ class ValidatedTopology:
             return self.hosts[host_id]
         except KeyError:
             raise DanglingReferenceError(f"unknown host '{host_id}'") from None
-
-    def profile(self, host_id: str) -> NetworkDriverProfile:
-        return self.drivers[self.host(host_id).attached_driver]
 
     def hosts_in_hall(self, hall: str) -> tuple[HostNode, ...]:
         """The hall's hosts in id order; empty for a hall with no host."""
@@ -389,7 +383,7 @@ def validate_topology(
 
     topology = ValidatedTopology(
         host_map,
-        tuple(links),
+        links,
         nf_map,
         tuple(sessions),
         driver_table(drivers),

@@ -43,15 +43,12 @@ class Objective(str, Enum):
 
 @dataclass(frozen=True)
 class StrategyDecision:
-    chosen: Strategy
-    candidates: tuple[Strategy, ...]
+    candidates: tuple[Strategy, ...]  # preference order, never empty
     rationale: str
 
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("candidates must be non-empty")
-        if self.candidates[0] is not self.chosen:
-            raise ValueError("chosen strategy must lead the candidate list")
+    @property
+    def chosen(self) -> Strategy:
+        return self.candidates[0]
 
 
 _REDEPLOY = (Strategy.NO_MIGRATION_REDEPLOY,)
@@ -127,7 +124,7 @@ def select_strategy(kind: NfKind, stateful: bool, objective: Objective) -> Strat
         rationale = "delegates-state-to-udr"
     if (kind, stateful, objective) in _INFERRED_CELLS:
         rationale += "+inferred"
-    return StrategyDecision(candidates[0], candidates, rationale)
+    return StrategyDecision(candidates, rationale)
 
 
 def required_isolation(kind: NfKind) -> IsolationLevel | None:

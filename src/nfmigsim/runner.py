@@ -59,7 +59,7 @@ def _sum_of(field: str) -> Callable[[Sequence[MigrationReport]], int]:
 
 
 def _failed(reports: Sequence[MigrationReport]) -> int:
-    return len(reports) - countOf(map(attrgetter("outcome"), reports), "success")
+    return len(reports) - countOf(map(attrgetter("failure_reason"), reports), None)
 
 
 #: The summary.txt columns after ``kind``: width, and the total over a kind's reports.

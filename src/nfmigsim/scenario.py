@@ -5,12 +5,14 @@ object's keys, with each key's type and the default of an omitted key, are
 declared once, in the ``_*_KEYS`` and ``_DIRTY_MODELS`` tables below.
 
 The parser checks types, key names and that every number is finite (JSON
-as read by Python may hold ``NaN`` and ``Infinity``); it makes no range
-comparison.  Each numeric bound belongs to the constructor of the object
-that stores the value, and :meth:`_Reader.build` reports a rejected value
-as ``'<dotted path of the object>': <field> ...`` (top-level keys have no
-path).  Validation errors name the offending entity; ``validate_topology``
-owns ``intra_host_latency_us``, so that bound is one of them.
+as read by Python may hold ``NaN`` and ``Infinity``).  Each numeric bound
+belongs to the constructor of the object that stores the value, and
+:meth:`_Reader.build` reports a rejected value as ``'<dotted path of the
+object>': <field> ...`` (top-level keys have no path).  The one range
+comparison the parser makes is ``MAX_PAGES_PER_SCENARIO``, a sum over
+objects that must be checked before each image is allocated.  Validation
+errors name the offending entity; ``validate_topology`` owns
+``intra_host_latency_us``, so that bound is one of them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from .policy import Objective
 
 #: The most RTT samples a run may take, past the one at time 0.
 MAX_RTT_SAMPLES = 10**6
+#: The most pages a scenario's images may hold together (one state byte each).
+MAX_PAGES_PER_SCENARIO = 10**7
 DEFAULT_AFFECTED_KINDS = (NfKind.SMF, NfKind.AMF)
 
 
@@ -170,16 +174,11 @@ class _Reader:
         return self.member(kind, value, key)
 
     def member(self, kind: EnumMeta, raw: Any, key: str) -> Any:
-        """The member of ``kind`` that ``raw`` names, the value found at ``key``.
-
-        A string enum's member is named by its value, another's by its name
-        in any case.
-        """
-        by_name = not issubclass(kind, str)
+        """The member of ``kind`` whose value is ``raw``, the value found at ``key``."""
         try:
-            return kind[raw.upper()] if by_name else kind(raw)
-        except (KeyError, ValueError):
-            valid = ", ".join(m.name.lower() if by_name else m.value for m in kind)
+            return kind(raw)
+        except ValueError:
+            valid = ", ".join(m.value for m in kind)
             raise ScenarioParseError(
                 f"'{self._full(key)}' must be one of: {valid} (got '{raw}')"
             ) from None
@@ -276,8 +275,16 @@ _TRIGGER_KEYS = {
 }
 
 
-def _parse_memory(reader: _Reader) -> tuple[MemoryImage, DirtyModelSpec]:
+def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, DirtyModelSpec]:
+    """The image and dirty model at ``reader``; ``pages_before`` earlier images' pages."""
     num_pages, page_size, working_set, fraction, raw_model = reader.fields(_MEMORY_KEYS)
+    # Checked before the image allocates its state bytes.
+    room = MAX_PAGES_PER_SCENARIO - pages_before
+    if num_pages > room:
+        raise ScenarioParseError(
+            f"'{reader.path}': num_pages must be <= {room} (a scenario's {MAX_PAGES_PER_SCENARIO}"
+            f" pages less {pages_before} in earlier images), got {num_pages}"
+        )
     image = reader.build(MemoryImage, num_pages, page_size, working_set, fraction)
     model_reader = _Reader(raw_model, f"{reader.path}.dirty_model")
     model = model_reader.read("kind", (str,))
@@ -327,21 +334,20 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
 
     nfs = []
     dirty_specs: dict[str, DirtyModelSpec] = {}
+    pages = 0
     for i, raw_nf in enumerate(raw_nfs):
         reader = _Reader(raw_nf, f"nfs[{i}]")
         nf_id, kind, stateful, demand, host, raw_memory = reader.fields(_NF_KEYS)
-        try:
-            nf = NfInstance(id=nf_id, kind=kind, host=host, cpu_demand=demand)
-        except InvariantViolation as exc:
-            raise ScenarioValidationError(str(exc)) from exc
         if stateful is None:
             stateful = STATEFUL_VARIANTS[kind][0]
+        memory = None
         if stateful:
             memory_reader = _Reader(raw_memory or {}, f"{reader.path}.memory")
-            nf.memory, dirty_specs[nf_id] = _parse_memory(memory_reader)
+            memory, dirty_specs[nf_id] = _parse_memory(memory_reader, pages)
+            pages += memory.num_pages
         elif raw_memory is not None:
             raise ScenarioParseError(f"'{reader.path}.memory' given for a stateless instance")
-        nfs.append(nf)
+        nfs.append(reader.build(NfInstance, nf_id, kind, host, memory, demand))
 
     sessions = []
     for i, raw_session in enumerate(raw_sessions):
@@ -399,15 +405,15 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(triggers)]
     if ue is not None:
         zones.append(("ue.zone", ue.zone))
-    halls = {host.hall for host in hosts}
     # Functions only ever run on hosts reachable from where they started.
     origin = min((nf.host for nf in nfs), default=None)
     reachable = topology.routes_from(origin) if origin is not None else None
     for where, zone in zones:
-        if zone not in halls:
+        in_zone = topology.hosts_in_hall(zone)
+        if not in_zone:
             raise ScenarioValidationError(f"{where} '{zone}' matches no host hall")
-        for host in hosts:
-            if reachable is not None and host.hall == zone and host.id not in reachable:
+        for host in in_zone:
+            if reachable is not None and host.id not in reachable:
                 raise ScenarioValidationError(
                     f"{where} '{zone}': host '{host.id}' cannot be reached from the "
                     "hosts that run functions"

@@ -1,5 +1,6 @@
 """Dirty-page bookkeeping: batch filters, carry arithmetic, conservation."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -154,6 +155,15 @@ class TestBernoulli:
         assert first.take_transfer_batch(BatchFilter.DIRTY_ONLY) == second.take_transfer_batch(
             BatchFilter.DIRTY_ONLY
         )
+
+    def test_rng_is_required_and_the_probability_is_fixed(self):
+        # No default stream: an OS-seeded one would make a run irreproducible.
+        with pytest.raises(TypeError):
+            BernoulliDirty(0.1)
+        dirty = BernoulliDirty(0.1, rng_stream("w", 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dirty.p_per_page_per_ms = 5.0
+        assert dirty.p_per_page_per_ms == 0.1
 
     def test_zero_probability(self):
         image = clean_image(100)

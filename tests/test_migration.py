@@ -1,5 +1,6 @@
 """Strategy state machines: worked examples, oracle agreement, edge cases."""
 
+import dataclasses
 import math
 import random
 from collections import deque
@@ -79,6 +80,12 @@ class TestMigrationParams:
         assert MigrationParams(precopy_max_rounds=MAX_PRECOPY_ROUNDS).precopy_max_rounds == 1000
         with pytest.raises(ValueError, match="precopy_max_rounds must be <= 1000, got 1001"):
             MigrationParams(precopy_max_rounds=MAX_PRECOPY_ROUNDS + 1)
+
+    def test_round_cap_cannot_be_assigned_past_its_bound(self):
+        params = MigrationParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.precopy_max_rounds = 10**9
+        assert params.precopy_max_rounds == 10
 
 
 class TestInterCopy:
@@ -421,7 +428,6 @@ def reference_post_copy(image, channel, params, access_trace):
         migration_time_us=migration_time,
         bytes_transferred=states.count(PageState.CLEAN_AT_TARGET) * page_size,
         stall_time_us=stall_total,
-        outcome="success" if failure is None else "failed",
         failure_reason=failure,
         phases=tuple(phases),
     )

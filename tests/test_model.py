@@ -189,7 +189,7 @@ def expected_route(topo, links, a, b):
         return None
     by_pair = {frozenset((link.a, link.b)): link for link in links}
     used = [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
-    rtt = max(topo.profile(a).rtt_inter_host_us, topo.profile(b).rtt_inter_host_us)
+    rtt = max(topo.drivers[topo.hosts[h].attached_driver].rtt_inter_host_us for h in (a, b))
     extra = sum(link.extra_latency_us for link in used)
     return rtt / 2 + extra, min(link.bandwidth_bps for link in used)
 
@@ -301,8 +301,8 @@ class TestDerivedState:
         smf = NfInstance("smf-1", NfKind.SMF, "h1", memory=MemoryImage(8, 4096))
         udm = NfInstance("udm-1", NfKind.UDM, "h1")
         assert (smf.stateful, udm.stateful) == (True, False)
-        udm.memory = MemoryImage(8, 4096)
-        assert udm.stateful is True
+        stateful_udm = NfInstance("udm-1", NfKind.UDM, "h1", memory=MemoryImage(8, 4096))
+        assert stateful_udm.stateful is True
 
     def test_state_cannot_be_set(self):
         nf = NfInstance("upf-1", NfKind.UPF, "h1")
@@ -362,13 +362,12 @@ class TestDerivedState:
 
     def test_nan_cpu_demand_assignment_rejected(self):
         nf = NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=2.0)
-        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
-            nf.cpu_demand = float("nan")
-        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got -1"):
-            nf.cpu_demand = -1
+        for value in (float("nan"), -1, 0.5):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                nf.cpu_demand = value
         assert nf.cpu_demand == 2.0
-        nf.cpu_demand = 0.5
-        assert nf.cpu_demand == 0.5
+        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got -1"):
+            NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=-1)
 
     def test_nan_intra_host_latency_rejected(self):
         with pytest.raises(

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,18 @@ class TestLoadScenario:
         scenario = load_scenario(write(tmp_path, data))
         assert 2 * scenario.topology.one_way_latency_us("h1", "h2") == 700
 
+    def test_isolation_is_read_by_value(self, tmp_path, capsys):
+        data = copy.deepcopy(MINIMAL)
+        data["topology"]["driver_overrides"] = {
+            "macvlan": {"rtt_inter_host_us": 700, "carries_l2": True, "isolation": "HIGH"}
+        }
+        scenario_file = write(tmp_path, data)
+        assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'topology.driver_overrides.macvlan.isolation' must be one of: "
+            "none, medium, high (got 'HIGH')\n"
+        )
+
     @pytest.mark.parametrize(
         "model, key",
         [
@@ -209,31 +222,30 @@ def _error_surface_document():
     return data
 
 
-# (object path, key, bad value, error, what the message names the object by when
-# not by its path: a validation error names the entity).
+# (object path, key, bad value, error); every message names the object by its path.
 _BOUNDS = [
-    ("", "duration_us", -1, ScenarioParseError, None),
-    ("", "rtt_sample_interval_us", 0, ScenarioParseError, None),
-    ("", "duration_us", 10**30, ScenarioParseError, None),  # 10**26 RTT samples
-    ("", "rtt_sample_interval_us", 1, ScenarioParseError, None),  # 2 * 10**6 samples
-    ("topology", "intra_host_latency_us", -1, ScenarioValidationError, None),
-    ("topology.driver_overrides.macvlan", "rtt_inter_host_us", 0, ScenarioParseError, None),
-    ("topology.hosts[0]", "cpu_capacity", -1, ScenarioParseError, None),
-    ("topology.links[0]", "bandwidth_bps", 0, ScenarioParseError, None),
-    ("topology.links[0]", "extra_latency_us", -1, ScenarioParseError, None),
-    ("nfs[1]", "cpu_demand", -1, ScenarioValidationError, "smf-1"),
-    ("nfs[1].memory", "num_pages", -1, ScenarioParseError, None),
-    ("nfs[1].memory", "num_pages", 2**63, ScenarioParseError, None),
-    ("nfs[1].memory", "num_pages", 10**11, ScenarioParseError, None),
-    ("nfs[1].memory", "page_size", 0, ScenarioParseError, None),
-    ("nfs[1].memory", "working_set_fraction", 1.5, ScenarioParseError, None),
-    ("nfs[1].memory", "working_set", [0, 128], ScenarioParseError, None),
-    ("nfs[1].memory.dirty_model", "rate_pages_per_s", -1, ScenarioParseError, None),
-    ("nfs[3].memory.dirty_model", "p_per_page_per_ms", 1.5, ScenarioParseError, None),
-    ("triggers[0]", "time_us", -1, ScenarioParseError, None),
-    ("migration_params", "precopy_max_rounds", 10**9, ScenarioParseError, None),
+    ("", "duration_us", -1, ScenarioParseError),
+    ("", "rtt_sample_interval_us", 0, ScenarioParseError),
+    ("", "duration_us", 10**30, ScenarioParseError),  # 10**26 RTT samples
+    ("", "rtt_sample_interval_us", 1, ScenarioParseError),  # 2 * 10**6 samples
+    ("topology", "intra_host_latency_us", -1, ScenarioValidationError),
+    ("topology.driver_overrides.macvlan", "rtt_inter_host_us", 0, ScenarioParseError),
+    ("topology.hosts[0]", "cpu_capacity", -1, ScenarioParseError),
+    ("topology.links[0]", "bandwidth_bps", 0, ScenarioParseError),
+    ("topology.links[0]", "extra_latency_us", -1, ScenarioParseError),
+    ("nfs[1]", "cpu_demand", -1, ScenarioParseError),
+    ("nfs[1].memory", "num_pages", -1, ScenarioParseError),
+    ("nfs[1].memory", "num_pages", 2**63, ScenarioParseError),
+    ("nfs[1].memory", "num_pages", 10**11, ScenarioParseError),
+    ("nfs[1].memory", "page_size", 0, ScenarioParseError),
+    ("nfs[1].memory", "working_set_fraction", 1.5, ScenarioParseError),
+    ("nfs[1].memory", "working_set", [0, 128], ScenarioParseError),
+    ("nfs[1].memory.dirty_model", "rate_pages_per_s", -1, ScenarioParseError),
+    ("nfs[3].memory.dirty_model", "p_per_page_per_ms", 1.5, ScenarioParseError),
+    ("triggers[0]", "time_us", -1, ScenarioParseError),
+    ("migration_params", "precopy_max_rounds", 10**9, ScenarioParseError),
 ] + [
-    ("migration_params", key, 0 if key == "precopy_max_rounds" else -1, ScenarioParseError, None)
+    ("migration_params", key, 0 if key == "precopy_max_rounds" else -1, ScenarioParseError)
     for key in (
         "freeze_overhead_us",
         "restart_overhead_us",
@@ -254,12 +266,12 @@ _FLOAT_KEYS = [
     ("nfs[3].memory.dirty_model", "p_per_page_per_ms"),
 ]
 _NOT_FINITE = [
-    (path, key, value, ScenarioParseError, None)
+    (path, key, value, ScenarioParseError)
     for path, key in _FLOAT_KEYS
     for value in (float("nan"), float("inf"), float("-inf"))
 ]
 _WORKING_SET_ENTRIES = [
-    ("nfs[1].memory", "working_set", ids, ScenarioParseError, None)
+    ("nfs[1].memory", "working_set", ids, ScenarioParseError)
     for ids in (["a"], [1.5], [True], [[1]])
 ]
 
@@ -269,26 +281,48 @@ class TestErrorSurface:
         build_scenario(_error_surface_document())
 
     @pytest.mark.parametrize(
-        "path, key, value, error, named",
+        "path, key, value, error",
         [
             pytest.param(*row, id=f"{row[0]}.{row[1]}={row[2]!r}".lstrip("."))
             for row in _BOUNDS + _NOT_FINITE + _WORKING_SET_ENTRIES
         ],
     )
     def test_bad_value_names_object_and_field_and_exits_2(
-        self, tmp_path, capsys, path, key, value, error, named
+        self, tmp_path, capsys, path, key, value, error
     ):
         data = _error_surface_document()
         _at(data, path)[key] = value
         scenario_file = write(tmp_path, data)
         with pytest.raises(error) as info:
             load_scenario(scenario_file)
-        assert (path if named is None else named) in str(info.value)
+        assert path in str(info.value)
         assert key in str(info.value)
         assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+def test_images_over_the_scenario_page_bound_exit_2_before_allocation(tmp_path, capsys):
+    data = read_document(bundled_scenario_path())
+    data["nfs"][1]["memory"]["num_pages"] = 6 * 10**6
+    data["nfs"][2]["memory"]["num_pages"] = 6 * 10**6
+    message = (
+        "'nfs[2].memory': num_pages must be <= 4000000 (a scenario's 10000000 pages "
+        "less 6000000 in earlier images), got 6000000"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioParseError) as info:
+            build_scenario(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 7 * 10**6  # one image's state bytes; the second is never allocated
+    scenario_file = write(tmp_path, data)
+    assert main(["simulate", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _node_paths(node, path=()):
