@@ -5,7 +5,9 @@ in (time, sequence) order, where the sequence number is assigned at
 scheduling time, so simultaneous events replay in the order they were
 scheduled.  An event without a callback is an annotation: it only records
 something in the trace, so it never enters the queue and is merged into
-the trace in (time, sequence) order when the clock passes it.  All
+the trace in (time, sequence) order when the clock passes it.  The engine
+knows no schema: an event's values are a positional tuple, which the
+caller's table of event kinds names.  All
 randomness flows through named sub-streams derived from the simulation
 seed; adding a consumer of one stream never perturbs another.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from random import Random
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import SchedulingInPastError
 
@@ -24,11 +26,11 @@ class Event(NamedTuple):
     time_us: int
     seq: int
     kind: str
-    data: Mapping[str, object]
+    values: tuple
 
 
-#: A callback may return annotations, which the trace records in the event's data.
-EventCallback = Callable[["Simulator", Event], "Mapping[str, object] | None"]
+#: A callback may return annotations, which the trace appends to the event's values.
+EventCallback = Callable[["Simulator", Event], "tuple | None"]
 
 
 def rng_stream(label: str, seed: int) -> Random:
@@ -65,9 +67,9 @@ class Simulator:
         time_us: int,
         kind: str,
         callback: EventCallback | None = None,
-        **data: object,
+        *values: object,
     ) -> Event:
-        """Schedule an event at absolute virtual time ``time_us``; returns it as scheduled.
+        """Schedule an event with ``values`` at absolute virtual time ``time_us``; returns it.
 
         An event without a callback is an annotation: it waits in a list,
         not in the queue, until ``run_until`` records it.
@@ -79,7 +81,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time_us, seq, kind, data)
+        event = Event(time_us, seq, kind, values)
         if callback is None:
             self._notes.append(event)
         else:
@@ -91,8 +93,8 @@ class Simulator:
 
         Returns the events processed by this call in (time, seq) order, and
         appends them to ``trace``.  Each event is recorded after its
-        callback, with the mapping the callback returns, if any, merged into
-        its ``data``.  The clock ends at the last processed event when
+        callback, with the tuple the callback returns, if any, appended to
+        its ``values``.  The clock ends at the last processed event when
         nothing remains pending, or at ``t_end_us`` when later events do.
         """
         if t_end_us < self._now:
@@ -106,7 +108,7 @@ class Simulator:
             self._now = time_us
             notes = callback(self, event)
             if notes:
-                event = Event(time_us, seq, event.kind, {**event.data, **notes})
+                event = Event(time_us, seq, event.kind, event.values + notes)
             processed.append(event)
         # A callback schedules nothing before its own time, so the heap
         # order above is (time, seq) order and one sort merges the notes in.

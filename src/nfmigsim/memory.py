@@ -303,7 +303,7 @@ class MemoryImage:
         return marked
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstantRateDirty:
     """Deterministic dirtying at a fixed page rate with exact carry.
 
@@ -312,6 +312,7 @@ class ConstantRateDirty:
     to the next call, so slicing a span into sub-calls yields the same total.
     With the rate as the exact ratio ``num / den``, the carry is an integer
     count of ``1 / (den * 1e6)`` pages, so each draw is one integer ``divmod``.
+    The rate is frozen; the carry, in a one-item list, is all a draw changes.
     """
 
     rate_pages_per_s: float
@@ -319,12 +320,13 @@ class ConstantRateDirty:
     def __post_init__(self):
         if self.rate_pages_per_s < 0:
             raise ValueError(f"rate_pages_per_s must be >= 0, got {self.rate_pages_per_s}")
-        self._num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
-        self._unit = den * MICROS_PER_SECOND
-        self._carry = 0
+        num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
+        object.__setattr__(self, "_ratio", (num, den * MICROS_PER_SECOND))
+        object.__setattr__(self, "_carry", [0])
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
-        raw, self._carry = divmod(self._num * duration_us + self._carry, self._unit)
+        (num, unit), carry = self._ratio, self._carry
+        raw, carry[0] = divmod(num * duration_us + carry[0], unit)
         return image.dirty_lowest(raw)
 
 

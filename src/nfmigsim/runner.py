@@ -72,6 +72,24 @@ SUMMARY_COLUMNS: dict[str, tuple[int, Callable[[Sequence[MigrationReport]], int]
     "stall_us": (10, _sum_of("stall_time_us")),
 }
 
+#: Each trace event kind: its ``data`` keys in sorted order, which is the order
+#: of the event's values, with the type of each key's value.  A callback's
+#: annotation is appended to the values, and an event whose values stop short
+#: of its keys leaves the rest out: an ``rtt-sample`` without a UE has empty
+#: ``data``.
+TRACE_KINDS: dict[str, dict[str, type]] = {
+    "trigger": {"index": int},
+    "rtt-sample": {"rtt_us": float},
+    "migration-started": {"nf": str, "rationale": str, "source": str, "strategy": str, "target": str},
+    "migration-phase": {"end_us": int, "nf": str, "phase": str},
+    "migration-complete": {"downtime_us": int, "nf": str, "outcome": str, "target": str},
+    "migration-skipped": {"host": str, "nf": str, "reason": str},
+    "migration-infeasible": {"hall": str, "nf": str},
+    "migration-queued": {"hall": str, "nf": str},
+    "replica-sync-started": {"nf": str, "pages": int, "target": str},
+    "sync-tick": {"nf": str, "pages": int},
+}
+
 
 class RecordedMigration(NamedTuple):
     trigger_index: int
@@ -189,7 +207,7 @@ class _Run:
         )
         self.anchor_upf = anchor_session.anchor_upf if anchor_session else None
 
-    def sample_rtt(self, sim: Simulator, event: Event) -> dict[str, float] | None:
+    def sample_rtt(self, sim: Simulator, event: Event) -> tuple[float] | None:
         scenario, topology = self.scenario, self.topology
         next_at = sim.now + scenario.rtt_sample_interval_us
         if next_at <= scenario.duration_us:
@@ -201,11 +219,11 @@ class _Run:
         anchor = flight[0] if flight else self.load.host(self.anchor_upf)
         rtt = 2 * topology.one_way_latency_us(rep, anchor)
         self.rtt_series.append((sim.now, rtt))
-        # The engine records the measured value in the event's trace data.
-        return {"rtt_us": int(rtt) if rtt == int(rtt) else rtt}
+        # The engine appends the measured value to the event's values.
+        return (int(rtt) if rtt == int(rtt) else rtt,)
 
     def on_trigger(self, sim: Simulator, event: Event) -> None:
-        index = event.data["index"]
+        (index,) = event.values
         trigger = self.scenario.triggers[index]
         ue = self.scenario.ue
         if ue is not None and trigger.ue_id == ue.id:
@@ -220,10 +238,10 @@ class _Run:
                 self.place(sim, nf, index)
             else:
                 self.in_flight[nf.id] = (flight[0], index)
-                sim.schedule(sim.now, "migration-queued", nf=nf.id, hall=trigger.new_zone)
+                sim.schedule(sim.now, "migration-queued", None, trigger.new_zone, nf.id)
 
     def complete(self, sim: Simulator, event: Event) -> None:
-        nf_id = event.data["nf"]
+        _, nf_id, _, _ = event.values
         _, queued = self.in_flight.pop(nf_id)
         if queued is not None:
             self.place(sim, self.topology.nfs[nf_id], queued)
@@ -237,12 +255,10 @@ class _Run:
         if target is None:
             report = failed_report(decision.chosen, f"no feasible host in hall '{trigger.new_zone}'")
             self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, None, report))
-            sim.schedule(sim.now, "migration-infeasible", nf=nf.id, hall=trigger.new_zone)
+            sim.schedule(sim.now, "migration-infeasible", None, trigger.new_zone, nf.id)
             return
         if target.id == source:
-            sim.schedule(
-                sim.now, "migration-skipped", nf=nf.id, host=source, reason="already-on-target"
-            )
+            sim.schedule(sim.now, "migration-skipped", None, source, nf.id, "already-on-target")
             return
 
         channel = self.topology.channel(source, target.id)
@@ -251,19 +267,21 @@ class _Run:
         sim.schedule(
             sim.now,
             "migration-started",
-            nf=nf.id,
-            strategy=report.strategy.value,
-            source=source,
-            target=target.id,
-            rationale=decision.rationale,
+            None,
+            nf.id,
+            decision.rationale,
+            source,
+            report.strategy.value,
+            target.id,
         )
         for phase in report.phases:
             sim.schedule(
                 timeline_base + phase.start_us,
                 "migration-phase",
-                nf=nf.id,
-                phase=phase.name,
-                end_us=timeline_base + phase.end_us,
+                None,
+                timeline_base + phase.end_us,
+                nf.id,
+                phase.name,
             )
         self.load.move(nf.id, target.id)
         self.in_flight[nf.id] = (source, None)
@@ -271,10 +289,10 @@ class _Run:
             timeline_base + report.migration_time_us,
             "migration-complete",
             self.complete,
-            nf=nf.id,
-            target=target.id,
-            downtime_us=report.downtime_us,
-            outcome=report.outcome_label(),
+            report.downtime_us,
+            nf.id,
+            report.outcome_label(),
+            target.id,
         )
         self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, target.id, report))
 
@@ -294,14 +312,14 @@ class _Run:
         dirty = self.dirty_procs[nf.id]
         replica = start_replica_sync(nf, channel, self.params, dirty, now_us=sim.now)
         sim.schedule(
-            sim.now, "replica-sync-started", nf=nf.id, target=target_id, pages=nf.memory.num_pages
+            sim.now, "replica-sync-started", None, nf.id, nf.memory.num_pages, target_id
         )
         # Hand over as soon as the replica flushed its first sync tick; the
         # residual delta is then at most one interval old.
         handover_at = replica.run_until_ticks(1)
         report = migrate_parallel(replica, self.params)
         for tick in replica.tick_log:
-            sim.schedule(tick.done_us, "sync-tick", nf=nf.id, pages=tick.pages)
+            sim.schedule(tick.done_us, "sync-tick", None, nf.id, tick.pages)
         return report, handover_at
 
     _MIGRATORS = {
@@ -318,7 +336,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     run = _Run(scenario, effective_seed)
     sim = Simulator()
     for index, trigger in enumerate(scenario.triggers):
-        sim.schedule(trigger.time_us, "trigger", run.on_trigger, index=index)
+        sim.schedule(trigger.time_us, "trigger", run.on_trigger, index)
     sim.schedule(0, "rtt-sample", run.sample_rtt)
     sim.run_until(scenario.duration_us)
 
@@ -338,67 +356,44 @@ def _format_us(value: float) -> str:
     return repr(value)
 
 
-def _json_fallback(value: object) -> str:
-    return json.dumps(value, sort_keys=True)
+def _template_for(kind: str, keys: Sequence[str]) -> str:
+    """The %-format of a ``kind`` line with these data keys; names need no escaping."""
+    fields = ", ".join(f'"{key}": %s' for key in keys)
+    return f'{{"data": {{{fields}}}, "kind": "{kind}", "seq": %s, "time_us": %s}}\n'
 
 
-def _line_template(kind: object, data: object) -> tuple[str, tuple] | None:
-    """A %-format for events of this (kind, data keys), and its keys in sorted order.
-
-    None when the shape has a key or kind that is not a string, which only
-    ``json.dumps`` knows how to sort and write.
-    """
-    if not isinstance(kind, str) or not isinstance(data, dict):
-        return None
-    if not all(isinstance(key, str) for key in data):
-        return None
-    keys = tuple(sorted(data))
-
-    def literal(text: str) -> str:
-        return encode_basestring_ascii(text).replace("%", "%%")
-
-    fields = ", ".join(f"{literal(key)}: %s" for key in keys)
-    template = f'{{"data": {{{fields}}}, "kind": {literal(kind)}, "seq": %s, "time_us": %s}}\n'
-    return template, keys
+#: Per kind, the line template for each number of values.
+_LINE_TEMPLATES = {
+    kind: [_template_for(kind, list(keys)[:count]) for count in range(len(keys) + 1)]
+    for kind, keys in TRACE_KINDS.items()
+}
 
 
 def trace_lines(events: Iterable[Event]) -> Iterator[str]:
     """Each event as one line of ``json.dumps(..., sort_keys=True)`` text.
 
-    The text is byte for byte what ``json.dumps`` writes for
-    ``{"time_us", "seq", "kind", "data"}``, but each line is filled into a
-    template made once per (kind, data keys).  Values of exact type ``int``,
-    whose ``%s`` text is their JSON, go in as they are; values of exact type
-    ``str`` go in escaped; any other value, such as the odd fractional RTT,
-    goes through ``json.dumps``.
+    The text is byte for byte what ``json.dumps`` writes for ``{"time_us",
+    "seq", "kind", "data"}``, where ``data`` pairs the kind's keys in
+    ``TRACE_KINDS`` with the event's values, but each line fills its kind's
+    template.  Values of exact type ``int``, whose ``%s`` text is their JSON,
+    go in as they are; values of exact type ``str`` go in escaped; any other
+    value, such as the odd fractional RTT, goes through ``json.dumps``.  The
+    engine makes ``time_us`` and ``seq`` exact ``int``s.
     """
-    templates: dict[tuple, tuple[str, tuple]] = {}
     # Trace strings repeat (ids, hosts, phases): escape each one once.
     escaped: dict[str, str] = {}
-    for time_us, seq, kind, data in events:
-        shape = (kind, *data)
-        entry = templates.get(shape)
-        if entry is None:
-            entry = _line_template(kind, data)
-            if entry is None:
-                yield _json_fallback(
-                    {"time_us": time_us, "seq": seq, "kind": kind, "data": data}
-                ) + "\n"
-                continue
-            templates[shape] = entry
-        template, keys = entry
-        values = []
-        for value in (*map(data.__getitem__, keys), seq, time_us):
-            if type(value) is not int:
-                if type(value) is str:
-                    text = escaped.get(value)
-                    if text is None:
-                        text = escaped[value] = encode_basestring_ascii(value)
-                    value = text
-                else:
-                    value = _json_fallback(value)
-            values.append(value)
-        yield template % tuple(values)
+    for time_us, seq, kind, values in events:
+        cells = []
+        for value in values:
+            if type(value) is str:
+                text = escaped.get(value)
+                if text is None:
+                    text = escaped[value] = encode_basestring_ascii(value)
+                value = text
+            elif type(value) is not int:
+                value = json.dumps(value, sort_keys=True)
+            cells.append(value)
+        yield _LINE_TEMPLATES[kind][len(values)] % (*cells, seq, time_us)
 
 
 def _summary_row(label: str, cells: Mapping[str, object]) -> str:

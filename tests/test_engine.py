@@ -111,7 +111,7 @@ class TestRunUntil:
             sim = Simulator()
             rng = rng_stream("load", 99)
             for _ in range(200):
-                sim.schedule(rng.randrange(10**6), "op", value=rng.random())
+                sim.schedule(rng.randrange(10**6), "op", None, rng.random())
             return sim.run_until(10**6)
 
         first = build_and_run()
@@ -123,21 +123,21 @@ class TestRunUntil:
         seen = []
 
         def measure(sim_, event):
-            seen.append(dict(event.data))
+            seen.append(event.values)
             sim_.schedule(sim_.now, "after")
-            return {"rtt_us": 656}
+            return (656,)
 
-        scheduled = sim.schedule(10, "sample", measure, nf="smf-1")
+        scheduled = sim.schedule(10, "sample", measure, "smf-1")
         sim.schedule(10, "plain", lambda sim_, event: None)
         trace = sim.run_until(100)
-        assert seen == [{"nf": "smf-1"}]  # the callback sees the data as scheduled
-        assert [(e.kind, dict(e.data)) for e in trace] == [
-            ("sample", {"nf": "smf-1", "rtt_us": 656}),
-            ("plain", {}),
-            ("after", {}),
+        assert seen == [("smf-1",)]  # the callback sees the values as scheduled
+        assert [(e.kind, e.values) for e in trace] == [
+            ("sample", ("smf-1", 656)),
+            ("plain", ()),
+            ("after", ()),
         ]
         assert sim.trace == trace
-        assert scheduled.data == {"nf": "smf-1"}  # the scheduled event is never mutated
+        assert scheduled.values == ("smf-1",)  # the scheduled event is never changed
 
 
 class HeapOnlySimulator:
@@ -149,10 +149,10 @@ class HeapOnlySimulator:
         self._heap = []
         self.trace = []
 
-    def schedule(self, time_us, kind, callback=None, **data):
+    def schedule(self, time_us, kind, callback=None, *values):
         if time_us < self.now:
             raise SchedulingInPastError(f"{time_us} < {self.now}")
-        event = Event(time_us, self._seq, kind, data)
+        event = Event(time_us, self._seq, kind, values)
         self._seq += 1
         heapq.heappush(self._heap, (time_us, event.seq, event, callback))
         return event
@@ -165,7 +165,7 @@ class HeapOnlySimulator:
             if callback is not None:
                 notes = callback(self, event)
                 if notes:
-                    event = Event(event.time_us, event.seq, event.kind, {**event.data, **notes})
+                    event = Event(event.time_us, event.seq, event.kind, event.values + notes)
             processed.append(event)
             self.trace.append(event)
         if self._heap:
@@ -177,7 +177,7 @@ class HeapOnlySimulator:
 # one whose callback schedules ``children`` relative to its own time and
 # returns ``notes``.  Delay 0 is common, so ties at one time are common.
 DELAYS = st.sampled_from([0, 0, 0, 1, 5]) | st.integers(0, 40)
-NOTES = st.none() | st.dictionaries(st.sampled_from(["n", "rtt_us", "at"]), st.integers(), max_size=2)
+NOTES = st.none() | st.lists(st.integers(), max_size=2).map(tuple)
 EVENT_SPECS = st.recursive(
     st.tuples(DELAYS, st.none()),
     lambda children: st.tuples(DELAYS, st.tuples(st.lists(children, max_size=3), NOTES)),
@@ -196,7 +196,7 @@ def drive(sim, steps):
 
     def schedule(time_us, spec):
         if spec is None:
-            return sim.schedule(time_us, "note", at=time_us)
+            return sim.schedule(time_us, "note", None, time_us)
         children, notes = spec
 
         def callback(sim_, event):
@@ -205,7 +205,7 @@ def drive(sim, steps):
                 schedule(sim_.now + delay, child)
             return notes
 
-        return sim.schedule(time_us, "call", callback, n=len(children))
+        return sim.schedule(time_us, "call", callback, len(children))
 
     for specs, advance in steps:
         for delay, spec in specs:

@@ -116,6 +116,16 @@ class TestConstantRate:
         assert advance_dirty(image, process, 50_000) == 0  # 0.5 pages carried
         assert advance_dirty(image, process, 50_000) == 1  # carry reaches 1.0
 
+    def test_rate_is_read_only_and_the_carry_survives(self):
+        image = clean_image(100)
+        process = ConstantRateDirty(10)
+        assert advance_dirty(image, process, 50_000) == 0  # 0.5 pages carried
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            process.rate_pages_per_s = -5.0
+        assert repr(process) == "ConstantRateDirty(rate_pages_per_s=10)"
+        assert advance_dirty(image, process, 50_000) == 1  # the carry was kept
+        assert advance_dirty(image, process, 1_000_000) == 10
+
     def test_count_independent_of_slicing(self):
         rng = random.Random(3)
         for _ in range(50):

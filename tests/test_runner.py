@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import tempfile
 from enum import Enum
 from pathlib import Path
@@ -34,6 +35,11 @@ from nfmigsim import (
 from nfmigsim import runner
 from nfmigsim.engine import Event
 from nfmigsim.scenario import read_document
+
+
+def data_of(event):
+    """The event's ``data`` as the trace writes it: its kind's keys paired with its values."""
+    return dict(zip(runner.TRACE_KINDS[event.kind], event.values))
 
 
 def hall_scenario(hall_b, links_b, nfs, *trigger_kinds, objective="downtime"):
@@ -287,7 +293,7 @@ def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
     lines = export_metrics(bundle, tmp_path)["trace"].read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(bundle.trace)
     for line, event in zip(lines, bundle.trace):
-        expected = {"time_us": event.time_us, "seq": event.seq, "kind": event.kind, "data": event.data}
+        expected = {"time_us": event.time_us, "seq": event.seq, "kind": event.kind, "data": data_of(event)}
         assert line == json.dumps(expected, sort_keys=True)
     assert sum('"rtt_us"' in line for line in lines) == len(bundle.rtt_series)
 
@@ -338,17 +344,21 @@ TRACE_VALUES = (
     | st.just(Tone.LOUD)
     | st.lists(st.integers(), max_size=3)
 )
-# A few kinds and keys recur, so templates are reused across value types.
-TRACE_EVENTS = st.lists(
-    st.builds(
+
+
+def events_of(kind):
+    """Events of ``kind`` with any values in every slot, up to one per declared key."""
+    return st.builds(
         Event,
         time_us=st.integers(),
         seq=st.integers(),
-        kind=st.sampled_from(["trigger", "a%s", "é"]) | TRACE_TEXT | st.integers(),
-        data=st.dictionaries(st.sampled_from(["nf", "%", "%s", "pages"]) | TRACE_TEXT, TRACE_VALUES, max_size=4),
-    ),
-    max_size=8,
-)
+        kind=st.just(kind),
+        values=st.lists(TRACE_VALUES, max_size=len(runner.TRACE_KINDS[kind])).map(tuple),
+    )
+
+
+# Kinds recur, so each template is reused across value types.
+TRACE_EVENTS = st.lists(st.sampled_from(sorted(runner.TRACE_KINDS)).flatmap(events_of), max_size=10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,13 +366,38 @@ TRACE_EVENTS = st.lists(
 def test_trace_lines_match_json_dumps(events):
     expected = [
         json.dumps(
-            {"time_us": ev.time_us, "seq": ev.seq, "kind": ev.kind, "data": ev.data},
+            {"time_us": ev.time_us, "seq": ev.seq, "kind": ev.kind, "data": data_of(ev)},
             sort_keys=True,
         )
         + "\n"
         for ev in events
     ]
     assert list(runner.trace_lines(events)) == expected
+
+
+def test_trace_kinds_declare_plain_names_and_sorted_keys():
+    # The line templates write kinds and keys unescaped, and a % would end a field.
+    for kind, keys in runner.TRACE_KINDS.items():
+        for name in (kind, *keys):
+            assert re.fullmatch(r"[a-z][a-z0-9_-]*", name), name
+        assert list(keys) == sorted(keys), kind
+        assert set(keys.values()) <= {int, float, str}, kind
+
+
+def test_rtt_samples_without_a_ue_have_empty_data(tmp_path):
+    data = {
+        "duration_us": 250_000,
+        "rtt_sample_interval_us": 100_000,
+        "topology": {"hosts": [{"id": "h1", "hall": "hall-A", "driver": "macvlan"}]},
+        "nfs": [{"id": "upf-1", "kind": "upf", "host": "h1"}],
+    }
+    bundle = run_scenario(build_scenario(data))
+    assert bundle.rtt_series == ()
+    lines = export_metrics(bundle, tmp_path)["trace"].read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        f'{{"data": {{}}, "kind": "rtt-sample", "seq": {seq}, "time_us": {seq * 100_000}}}'
+        for seq in range(3)
+    ]
 
 
 def load_scenario_gen():
@@ -392,7 +427,7 @@ def drone_turning_back():
 class TestOverlappingTriggers:
     def test_a_trigger_during_a_migration_is_queued_and_placed_at_completion(self, tmp_path):
         bundle = run_scenario(drone_turning_back())
-        queued = [(e.time_us, e.data["nf"]) for e in bundle.trace if e.kind == "migration-queued"]
+        queued = [(e.time_us, data_of(e)["nf"]) for e in bundle.trace if e.kind == "migration-queued"]
         assert queued == [(1_001_000, "amf-1"), (1_001_000, "smf-1"), (1_001_000, "upf-1")]
         rows = export_metrics(bundle, tmp_path)["migrations"].read_text().splitlines()[1:]
         assert len(rows) == 6
@@ -401,7 +436,7 @@ class TestOverlappingTriggers:
             (1, "edge-b1", "edge-a1")
         ] * 3
         last_complete = {
-            e.data["nf"]: (e.data["target"], e.time_us)
+            data_of(e)["nf"]: (data_of(e)["target"], e.time_us)
             for e in bundle.trace
             if e.kind == "migration-complete"
         }
@@ -506,16 +541,16 @@ def test_overlapping_triggers_keep_one_consistent_lifecycle_per_function(data):
     (load,) = loads
 
     for nf in topology.nfs.values():
-        events = [e for e in bundle.trace if e.data.get("nf") == nf.id]
+        events = [e for e in bundle.trace if data_of(e).get("nf") == nf.id]
         lifecycle = [e for e in events if e.kind in ("migration-started", "migration-complete")]
         assert [e.kind for e in lifecycle] == ["migration-started", "migration-complete"] * (
             len(lifecycle) // 2
         )
         host = nf.host
         for started, complete in zip(lifecycle[::2], lifecycle[1::2]):
-            assert started.data["source"] == host
-            host = started.data["target"]
-            assert complete.data["target"] == host
+            assert data_of(started)["source"] == host
+            host = data_of(started)["target"]
+            assert data_of(complete)["target"] == host
         assert load.host(nf.id) == host
 
         affecting = [t for t in scenario.triggers if nf.kind in t.affected_kinds]

@@ -1,6 +1,7 @@
 """Scenario loading, end-to-end runs, metric export and the CLI."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 import re
@@ -26,7 +27,7 @@ from nfmigsim import (
 )
 from nfmigsim import scenario as scenario_module
 from nfmigsim.cli import main
-from nfmigsim.runner import MIGRATIONS_CSV_HEADER
+from nfmigsim.runner import MIGRATIONS_CSV_HEADER, TRACE_KINDS
 from nfmigsim.scenario import read_document
 
 MINIMAL = {
@@ -46,6 +47,30 @@ def write(tmp_path, data, name="case.scenario"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def drone_onto_full_edge_a1():
+    """The drone document where edge-a1 is exactly full and the trigger goes to hall-A.
+
+    edge-a1 holds upf-1, smf-1 and amf-1 and is the closest feasible host in
+    hall-A for each of them, so none of them moves.
+    """
+    data = read_document(bundled_scenario_path())
+    data["topology"]["hosts"][0]["cpu_capacity"] = 3
+    data["triggers"][0]["new_zone"] = "hall-A"
+    return data
+
+
+def drone_turning_back_document():
+    """The drone document plus a trigger back to hall-A 1 ms after the first."""
+    data = read_document(bundled_scenario_path())
+    data["triggers"].append({**data["triggers"][0], "time_us": 1_001_000, "new_zone": "hall-A"})
+    return data
+
+
+def data_of(event):
+    """The event's ``data`` as the trace writes it: its kind's keys paired with its values."""
+    return dict(zip(TRACE_KINDS[event.kind], event.values))
 
 
 def ethernet_anchor_to_overlay(**topology):
@@ -459,14 +484,10 @@ class TestRunScenario:
         assert by_nf["smf-1"].report.strategy is Strategy.PRE_COPY
 
     def test_move_onto_current_host_is_skipped(self):
-        # edge-a1 is exactly full with upf-1, smf-1 and amf-1, and is the
-        # closest feasible host in hall-A for each of them: none of them moves.
-        data = read_document(bundled_scenario_path())
-        data["topology"]["hosts"][0]["cpu_capacity"] = 3
-        data["triggers"][0]["new_zone"] = "hall-A"
+        data = drone_onto_full_edge_a1()
         bundle = run_scenario(build_scenario(data))
         assert bundle.reports == ()
-        assert [ev.data for ev in bundle.trace if ev.kind.startswith("migration")] == [
+        assert [data_of(ev) for ev in bundle.trace if ev.kind.startswith("migration")] == [
             {"nf": nf, "host": "edge-a1", "reason": "already-on-target"}
             for nf in ("amf-1", "smf-1", "upf-1")
         ]
@@ -655,21 +676,6 @@ class TestCli:
         assert (tmp_path / "sweep" / "restart_overhead_us=50000" / "migrations.csv").exists()
 
 
-#: Each trace event kind and its ``data`` keys, as the README's trace table lists them.
-TRACE_DATA_KEYS = {
-    "trigger": {"index"},
-    "rtt-sample": {"rtt_us"},
-    "migration-started": {"nf", "strategy", "source", "target", "rationale"},
-    "migration-phase": {"nf", "phase", "end_us"},
-    "migration-complete": {"nf", "target", "downtime_us", "outcome"},
-    "migration-skipped": {"nf", "host", "reason"},
-    "migration-infeasible": {"nf", "hall"},
-    "migration-queued": {"nf", "hall"},
-    "replica-sync-started": {"nf", "target", "pages"},
-    "sync-tick": {"nf", "pages"},
-}
-
-
 def generated_document(seed):
     """A small scenario from the benchmark's deterministic generator."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
@@ -683,12 +689,15 @@ class TestTraceSchema:
     def kinds_checked(self, data):
         bundle = run_scenario(build_scenario(data))
         for event in bundle.trace:
-            assert set(event.data) == TRACE_DATA_KEYS[event.kind], event
+            declared = TRACE_KINDS[event.kind]
+            assert len(event.values) == len(declared), event
+            for value, typ in zip(event.values, declared.values()):
+                assert type(value) in ((int, float) if typ is float else (typ,)), event
         return {event.kind for event in bundle.trace}
 
     def test_drone_events_carry_their_documented_keys(self):
         kinds = self.kinds_checked(read_document(bundled_scenario_path()))
-        assert kinds == set(TRACE_DATA_KEYS) - {
+        assert kinds == set(TRACE_KINDS) - {
             "migration-skipped",
             "migration-infeasible",
             "migration-queued",
@@ -698,13 +707,37 @@ class TestTraceSchema:
         assert "migration-complete" in self.kinds_checked(generated_document(301))
 
     def test_skipped_and_infeasible_events_carry_their_documented_keys(self):
-        data = read_document(bundled_scenario_path())
-        data["topology"]["hosts"][0]["cpu_capacity"] = 3
-        data["triggers"][0]["new_zone"] = "hall-A"
-        assert "migration-skipped" in self.kinds_checked(data)
+        assert "migration-skipped" in self.kinds_checked(drone_onto_full_edge_a1())
         assert "migration-infeasible" in self.kinds_checked(ethernet_anchor_to_overlay())
 
     def test_queued_events_carry_their_documented_keys(self):
-        data = read_document(bundled_scenario_path())
-        data["triggers"].append({**data["triggers"][0], "time_us": 1_001_000, "new_zone": "hall-A"})
-        assert "migration-queued" in self.kinds_checked(data)
+        assert "migration-queued" in self.kinds_checked(drone_turning_back_document())
+
+    def test_readme_trace_table_is_the_runner_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| kind | `data` keys, in value order | notes |\n", 1)[1]
+        documented = {}
+        for row in table.split("\n\n", 1)[0].splitlines()[1:]:  # after the rule
+            kind, keys, _ = (cell.strip() for cell in row.strip("|").split("|"))
+            documented[kind.strip("`")] = tuple(key.strip(" `") for key in keys.split(","))
+        assert documented == {kind: tuple(keys) for kind, keys in TRACE_KINDS.items()}
+
+
+# SHA-256 of ``trace.jsonl`` for the three documents that hold the kinds the
+# drone and generated digests never write: ``migration-queued`` (turn-back),
+# ``migration-skipped`` and ``migration-infeasible``.
+GOLDEN_EDGE_KIND_TRACES = Path(__file__).parent / "data" / "edge_kind_traces.sha256"
+
+
+def test_edge_kind_traces_match_the_committed_digests(tmp_path):
+    documents = {
+        "turn-back": drone_turning_back_document(),
+        "skipped": drone_onto_full_edge_a1(),
+        "infeasible": ethernet_anchor_to_overlay(),
+    }
+    digests = {}
+    for name, data in documents.items():
+        trace = export_metrics(run_scenario(build_scenario(data)), tmp_path / name)["trace"]
+        digests[f"{name}/trace.jsonl"] = hashlib.sha256(trace.read_bytes()).hexdigest()
+    lines = GOLDEN_EDGE_KIND_TRACES.read_text(encoding="utf-8").splitlines()
+    assert digests == {name: digest for digest, name in (line.split("  ") for line in lines)}
