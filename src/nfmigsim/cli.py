@@ -36,8 +36,6 @@ def _parse_param(spec: str) -> tuple[str, list]:
             values.append(json.loads(chunk))
         except json.JSONDecodeError:
             values.append(chunk)
-    if not values:
-        raise ScenarioParseError(f"--param '{key}' has no values")
     return key, values
 
 

@@ -318,8 +318,10 @@ class ConstantRateDirty:
     rate_pages_per_s: float
 
     def __post_init__(self):
-        if self.rate_pages_per_s < 0:
-            raise ValueError(f"rate_pages_per_s must be >= 0, got {self.rate_pages_per_s}")
+        if not 0 <= self.rate_pages_per_s < math.inf:
+            raise ValueError(
+                f"rate_pages_per_s must be finite and >= 0, got {self.rate_pages_per_s}"
+            )
         num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
         object.__setattr__(self, "_ratio", (num, den * MICROS_PER_SECOND))
         object.__setattr__(self, "_carry", [0])

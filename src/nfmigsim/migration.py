@@ -100,24 +100,29 @@ class MigrationParams:
 
 
 class Phase(NamedTuple):
-    """One span of a migration timeline, relative to migration start."""
+    """One span of a migration timeline; it starts where the previous phase ends."""
 
     name: str
-    start_us: int
-    end_us: int
+    span_us: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MigrationReport:
+    """A migration's outcome; its phases run back to back from the migration's start."""
+
     strategy: Strategy
     downtime_us: int
-    migration_time_us: int
     bytes_transferred: int
     sync_bytes: int = 0
     stall_time_us: int = 0
     rounds: int = 0
     failure_reason: str | None = None  # None: the migration succeeded
     phases: tuple[Phase, ...] = ()
+
+    @property
+    def migration_time_us(self) -> int:
+        """From the migration's start to the end of its last phase."""
+        return sum(phase.span_us for phase in self.phases)
 
     @property
     def succeeded(self) -> bool:
@@ -131,7 +136,7 @@ class MigrationReport:
 
 def failed_report(strategy: Strategy, reason: str) -> MigrationReport:
     """A zero-cost report for a migration that could not be attempted."""
-    return MigrationReport(strategy, 0, 0, 0, failure_reason=reason)
+    return MigrationReport(strategy, 0, 0, failure_reason=reason)
 
 
 def _ceil_div_us(numerator: int, bandwidth: int | float) -> int:
@@ -183,18 +188,11 @@ def migrate_inter_copy(
     copied = image.copy_all()
     copy_us = transfer_time_us(copied, image.page_size, channel)
     image.frozen = False
-    total = freeze + copy_us + restart
-    phases = (
-        Phase("freeze", 0, freeze),
-        Phase("copy-image", freeze, freeze + copy_us),
-        Phase("restart", freeze + copy_us, total),
-    )
     return MigrationReport(
         Strategy.INTER_COPY,
-        downtime_us=total,
-        migration_time_us=total,
+        downtime_us=freeze + copy_us + restart,
         bytes_transferred=copied * image.page_size,
-        phases=phases,
+        phases=(Phase("freeze", freeze), Phase("copy-image", copy_us), Phase("restart", restart)),
     )
 
 
@@ -216,7 +214,6 @@ def migrate_pre_copy(
     image.reset_for_transfer()
     page_size = image.page_size
     rounds = 0
-    elapsed = 0
     pages_sent = 0
     phases: list[Phase] = []
     while True:
@@ -225,8 +222,7 @@ def migrate_pre_copy(
         advance_dirty(image, dirty_process, round_us)
         rounds += 1
         pages_sent += batch
-        phases.append(Phase(f"copy-round-{rounds}", elapsed, elapsed + round_us))
-        elapsed += round_us
+        phases.append(Phase(f"copy-round-{rounds}", round_us))
         if image.dirty_count <= params.precopy_stop_threshold:
             break
         if rounds >= params.precopy_max_rounds:
@@ -238,14 +234,14 @@ def migrate_pre_copy(
     residual_us = transfer_time_us(residual, page_size, channel)
     image.frozen = False
     pages_sent += residual
-    downtime = freeze + residual_us + restart
-    phases.append(Phase("freeze", elapsed, elapsed + freeze))
-    phases.append(Phase("copy-residual", elapsed + freeze, elapsed + freeze + residual_us))
-    phases.append(Phase("restart", elapsed + freeze + residual_us, elapsed + downtime))
+    phases += (
+        Phase("freeze", freeze),
+        Phase("copy-residual", residual_us),
+        Phase("restart", restart),
+    )
     return MigrationReport(
         Strategy.PRE_COPY,
-        downtime_us=downtime,
-        migration_time_us=elapsed + downtime,
+        downtime_us=freeze + residual_us + restart,
         bytes_transferred=pages_sent * page_size,
         rounds=rounds,
         phases=tuple(phases),
@@ -337,13 +333,13 @@ def migrate_post_copy(
     The cost grows with touches and runs of pages, not with the image.
     """
     image = _require_stateful(nf)
-    image.reset_for_transfer()
-    page_size = image.page_size
     for offset, page in access_trace:
         if offset < 0:
             raise ValueError(f"access offset must be >= 0, got {offset}")
         if not 0 <= page < image.num_pages:
             raise ValueError(f"access to page {page} outside image of {image.num_pages}")
+    image.reset_for_transfer()
+    page_size = image.page_size
     ordered_trace = sorted(access_trace, key=itemgetter(0))
 
     freeze = params.freeze_overhead_us
@@ -389,18 +385,12 @@ def migrate_post_copy(
             stream_clock += streamed * page_us
             last_arrival = stream_clock
 
-    migration_time = max(downtime, last_arrival)
-    phases = [
-        Phase("freeze", 0, freeze),
-        Phase("copy-working-set", freeze, freeze + ws_us),
-        Phase("restart", freeze + ws_us, downtime),
-    ]
-    if migration_time > downtime:
-        phases.append(Phase("background-stream", downtime, migration_time))
+    phases = [Phase("freeze", freeze), Phase("copy-working-set", ws_us), Phase("restart", restart)]
+    if last_arrival > downtime:
+        phases.append(Phase("background-stream", last_arrival - downtime))
     return MigrationReport(
         Strategy.POST_COPY,
         downtime_us=downtime,
-        migration_time_us=migration_time,
         bytes_transferred=image.clean_count * page_size,
         stall_time_us=stall_total,
         failure_reason=failure,
@@ -539,21 +529,18 @@ def migrate_parallel(
     delta_us = transfer_time_us(delta, image.page_size, channel)
     image.frozen = False
     signaling = params.handover_signal_roundtrips * 2 * latency_ceil_us(channel)
-    downtime = freeze + delta_us + signaling + activation
     replica.retired = True
-    phases = (
-        Phase("freeze", 0, freeze),
-        Phase("copy-delta", freeze, freeze + delta_us),
-        Phase("handover-signal", freeze + delta_us, freeze + delta_us + signaling),
-        Phase("activate-replica", freeze + delta_us + signaling, downtime),
-    )
     return MigrationReport(
         Strategy.PARALLEL,
-        downtime_us=downtime,
-        migration_time_us=downtime,
+        downtime_us=freeze + delta_us + signaling + activation,
         bytes_transferred=delta * image.page_size,
         sync_bytes=replica.sync_bytes,
-        phases=phases,
+        phases=(
+            Phase("freeze", freeze),
+            Phase("copy-delta", delta_us),
+            Phase("handover-signal", signaling),
+            Phase("activate-replica", activation),
+        ),
     )
 
 
@@ -567,7 +554,6 @@ def redeploy_stateless(nf: NfInstance, params: MigrationParams) -> MigrationRepo
     return MigrationReport(
         Strategy.NO_MIGRATION_REDEPLOY,
         downtime_us=restart,
-        migration_time_us=restart,
         bytes_transferred=0,
-        phases=(Phase("restart", 0, restart),),
+        phases=(Phase("restart", restart),),
     )

@@ -106,8 +106,13 @@ class MetricsBundle:
     seed: int
     duration_us: int
     reports: tuple[RecordedMigration, ...]
-    rtt_series: tuple[tuple[int, float], ...]
     trace: tuple[Event, ...]
+
+    @property
+    def rtt_series(self) -> tuple[tuple[int, float], ...]:
+        """(time, RTT) of each ``rtt-sample`` event that carries a value."""
+        samples = (event for event in self.trace if event.kind == "rtt-sample" and event.values)
+        return tuple((event.time_us, event.values[0]) for event in samples)
 
     def totals_by_kind(self) -> dict[str, dict[str, int]]:
         by_kind: dict[NfKind, list[MigrationReport]] = {}
@@ -197,7 +202,6 @@ class _Run:
             nf_id: spec.build(rng_stream(f"dirty:{nf_id}", seed))
             for nf_id, spec in scenario.dirty_specs.items()
         }
-        self.rtt_series: list[tuple[int, float]] = []
         self.reports: list[RecordedMigration] = []
         # The UE's anchor is the UPF of its lowest-id session; sessions are static.
         anchor_session = min(
@@ -218,7 +222,6 @@ class _Run:
         flight = self.in_flight.get(self.anchor_upf)
         anchor = flight[0] if flight else self.load.host(self.anchor_upf)
         rtt = 2 * topology.one_way_latency_us(rep, anchor)
-        self.rtt_series.append((sim.now, rtt))
         # The engine appends the measured value to the event's values.
         return (int(rtt) if rtt == int(rtt) else rtt,)
 
@@ -263,7 +266,7 @@ class _Run:
 
         channel = self.topology.channel(source, target.id)
         migrate = self._MIGRATORS[decision.chosen]
-        report, timeline_base = migrate(self, sim, nf, channel, target.id)
+        report, at = migrate(self, sim, nf, channel, target.id)
         sim.schedule(
             sim.now,
             "migration-started",
@@ -274,19 +277,13 @@ class _Run:
             report.strategy.value,
             target.id,
         )
-        for phase in report.phases:
-            sim.schedule(
-                timeline_base + phase.start_us,
-                "migration-phase",
-                None,
-                timeline_base + phase.end_us,
-                nf.id,
-                phase.name,
-            )
+        for name, span_us in report.phases:
+            sim.schedule(at, "migration-phase", None, at + span_us, nf.id, name)
+            at += span_us
         self.load.move(nf.id, target.id)
         self.in_flight[nf.id] = (source, None)
         sim.schedule(
-            timeline_base + report.migration_time_us,
+            at,
             "migration-complete",
             self.complete,
             report.downtime_us,
@@ -345,15 +342,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
         seed=effective_seed,
         duration_us=scenario.duration_us,
         reports=tuple(run.reports),
-        rtt_series=tuple(run.rtt_series),
         trace=tuple(sim.trace),
     )
-
-
-def _format_us(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 def _template_for(kind: str, keys: Sequence[str]) -> str:
@@ -440,8 +430,7 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
     with paths["rtt"].open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time_us", "rtt_us"])
-        for time_us, rtt in bundle.rtt_series:
-            writer.writerow([time_us, _format_us(rtt)])
+        writer.writerows(bundle.rtt_series)
 
     with paths["trace"].open("w", encoding="utf-8") as fh:
         fh.writelines(trace_lines(bundle.trace))

@@ -126,6 +126,11 @@ class TestConstantRate:
         assert advance_dirty(image, process, 50_000) == 1  # the carry was kept
         assert advance_dirty(image, process, 1_000_000) == 10
 
+    @pytest.mark.parametrize("rate", [-1, -math.inf, math.nan, math.inf])
+    def test_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {rate}"):
+            ConstantRateDirty(rate)
+
     def test_count_independent_of_slicing(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -207,9 +207,7 @@ class TestPreCopy:
                 params,
                 ConstantRateDirty(rate),
             )
-            durations = [
-                p.end_us - p.start_us for p in report.phases if p.name.startswith("copy-round")
-            ]
+            durations = [p.span_us for p in report.phases if p.name.startswith("copy-round")]
             assert durations == sorted(durations, reverse=True)
 
     def test_stateless_rejected(self):
@@ -337,6 +335,15 @@ class TestPostCopy:
         with pytest.raises(StrategyInapplicableError):
             migrate_post_copy(stateless_upf(), Channel(100, 0), MigrationParams(), [])
 
+    @pytest.mark.parametrize("trace", [[(0, 99)], [(-1, 0)]])
+    def test_rejected_trace_leaves_the_image_as_it_was(self, trace):
+        nf = stateful_nf(8)
+        image = nf.memory
+        image.copy_all()
+        with pytest.raises(ValueError):
+            migrate_post_copy(nf, Channel(100, 0), MigrationParams(), trace)
+        assert (image.clean_count, image.dirty_count, image.never_copied_count) == (8, 0, 0)
+
     def test_stream_cost_grows_with_fetches_not_pages(self, monkeypatch):
         calls = {"mark_copied": 0, "take_transfer_batch": 0}
 
@@ -414,18 +421,16 @@ def reference_post_copy(image, channel, params, access_trace):
                 stream_clock += page_us
                 states[head] = PageState.CLEAN_AT_TARGET
                 last_arrival = stream_clock
-    migration_time = max(downtime, last_arrival)
     phases = [
-        Phase("freeze", 0, freeze),
-        Phase("copy-working-set", freeze, freeze + ws_us),
-        Phase("restart", freeze + ws_us, downtime),
+        Phase("freeze", freeze),
+        Phase("copy-working-set", ws_us),
+        Phase("restart", restart),
     ]
-    if migration_time > downtime:
-        phases.append(Phase("background-stream", downtime, migration_time))
+    if last_arrival > downtime:
+        phases.append(Phase("background-stream", last_arrival - downtime))
     report = MigrationReport(
         Strategy.POST_COPY,
         downtime_us=downtime,
-        migration_time_us=migration_time,
         bytes_transferred=states.count(PageState.CLEAN_AT_TARGET) * page_size,
         stall_time_us=stall_total,
         failure_reason=failure,

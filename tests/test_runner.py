@@ -424,6 +424,59 @@ def drone_turning_back():
     return build_scenario(data)
 
 
+@pytest.mark.parametrize(
+    "scenario, seed",
+    [
+        (load_scenario(bundled_scenario_path()), 42),
+        (load_scenario(bundled_scenario_path()), 7),
+        (drone_turning_back(), None),
+    ],
+    ids=["drone-42", "drone-7", "turn-back"],
+)
+def test_phase_events_tile_each_migration(scenario, seed):
+    """Each migration's phases run back to back and end at its completion.
+
+    The first phase starts at ``migration-started``, or for a replica
+    handover at the sync tick it hands over at.  Each phase starts where the
+    previous one ended, so the migration time, the sum of the spans, is
+    the time from the first phase's start to the completion.
+    """
+    bundle = run_scenario(scenario, seed=seed)
+    reports = {}
+    for rec in bundle.reports:
+        reports.setdefault(rec.nf_id, []).append(rec.report)
+    clock, first, spans, completed = {}, {}, {}, []
+    for event in bundle.trace:
+        data = data_of(event)
+        nf = data.get("nf")
+        if event.kind in ("migration-started", "sync-tick"):
+            clock[nf] = event.time_us
+            spans.setdefault(nf, [])
+        elif event.kind == "migration-phase":
+            assert event.time_us == clock[nf]
+            first.setdefault(nf, event.time_us)
+            spans[nf].append((data["phase"], data["end_us"] - event.time_us))
+            clock[nf] = data["end_us"]
+        elif event.kind == "migration-complete":
+            assert event.time_us == clock[nf]
+            report = reports[nf].pop(0)
+            assert tuple(spans.pop(nf)) == report.phases
+            assert event.time_us - first.pop(nf) == report.migration_time_us
+            completed.append(nf)
+    assert len(completed) == len(bundle.reports) and not spans
+
+
+def test_rtt_csv_holds_a_fractional_rtt_exactly(tmp_path):
+    data = read_document(bundled_scenario_path())
+    data["topology"]["intra_host_latency_us"] = 0.3
+    bundle = run_scenario(build_scenario(data))
+    rows = export_metrics(bundle, tmp_path)["rtt"].read_text().splitlines()
+    assert rows[:2] == ["time_us,rtt_us", "0,0.6"]
+    # Samples taken while the UPF migrates read the detour through the source.
+    assert {row.split(",")[1] for row in rows[1:]} == {"0.6", "520"}
+    assert len(rows) - 1 == len(bundle.rtt_series)
+
+
 class TestOverlappingTriggers:
     def test_a_trigger_during_a_migration_is_queued_and_placed_at_completion(self, tmp_path):
         bundle = run_scenario(drone_turning_back())

@@ -514,7 +514,7 @@ class TestRunScenario:
 
 class TestExportMetrics:
     def test_empty_bundle_headers_only(self, tmp_path):
-        bundle = MetricsBundle("empty", 0, 0, (), (), ())
+        bundle = MetricsBundle("empty", 0, 0, (), ())
         paths = export_metrics(bundle, tmp_path / "out")
         assert paths["migrations"].read_text() == MIGRATIONS_CSV_HEADER + "\n"
         assert paths["rtt"].read_text() == "time_us,rtt_us\n"
