@@ -34,7 +34,7 @@ def _parse_param(spec: str) -> tuple[str, list]:
     for chunk in raw_values.split(","):
         try:
             values.append(json.loads(chunk))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             values.append(chunk)
     return key, values
 

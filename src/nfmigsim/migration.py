@@ -134,11 +134,6 @@ class MigrationReport:
         return f"failed({self.failure_reason})"
 
 
-def failed_report(strategy: Strategy, reason: str) -> MigrationReport:
-    """A zero-cost report for a migration that could not be attempted."""
-    return MigrationReport(strategy, 0, 0, failure_reason=reason)
-
-
 def _ceil_div_us(numerator: int, bandwidth: int | float) -> int:
     if isinstance(bandwidth, int):
         return -(-numerator // bandwidth)
@@ -274,8 +269,12 @@ def analytic_pre_copy(
     the same whole-microsecond round durations and fractional-page carry,
     without any event or page bookkeeping.
     """
+    if num_pages < 0:
+        raise ValueError(f"num_pages must be >= 0, got {num_pages}")
     if bandwidth_pages_per_s <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_pages_per_s}")
+    if not 0 <= dirty_rate_pages_per_s < math.inf:
+        raise ValueError(f"rate_pages_per_s must be finite and >= 0, got {dirty_rate_pages_per_s}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     bandwidth = Fraction(bandwidth_pages_per_s)
@@ -416,9 +415,10 @@ class ReplicaHandle:
     as of its firing, so writes made while it is in flight wait for the
     next tick.  The full copy and every tick accrue in ``sync_bytes``.
 
-    The replica's clock ``now_us`` is ``None`` until the initial copy lands
-    and moves only through :meth:`run_until_ticks`, one whole tick at a
-    time; the source keeps executing (and dirtying) until
+    The replica's clock ``now_us`` counts from its start, like every
+    strategy's phases.  It is ``None`` until the initial copy lands and
+    moves only through :meth:`run_until_ticks`, one whole tick at a time;
+    the source keeps executing (and dirtying) until
     :func:`migrate_parallel` hands over at that instant.
     """
 
@@ -428,15 +428,13 @@ class ReplicaHandle:
         channel: Channel,
         params: MigrationParams,
         dirty_process: DirtyProcess,
-        started_at_us: int = 0,
     ):
         self.nf = nf
         self.image = _require_stateful(nf)
         self.channel = channel
         self.params = params
         self.dirty_process = dirty_process
-        self.started_at_us = started_at_us
-        self.initial_copy_done_us = started_at_us + transfer_time_us(
+        self.initial_copy_done_us = transfer_time_us(
             self.image.num_pages, self.image.page_size, channel
         )
         self.now_us: int | None = None
@@ -460,9 +458,7 @@ class ReplicaHandle:
         image = self.image
         if self.now_us is None:
             self.sync_bytes += image.copy_all() * image.page_size
-            advance_dirty(
-                image, self.dirty_process, self.initial_copy_done_us - self.started_at_us
-            )
+            advance_dirty(image, self.dirty_process, self.initial_copy_done_us)
             self.now_us = self.initial_copy_done_us
         while len(self.tick_log) < n:
             if self.tick_log:
@@ -485,12 +481,11 @@ def start_replica_sync(
     channel: Channel,
     params: MigrationParams,
     dirty_process: DirtyProcess,
-    now_us: int = 0,
 ) -> ReplicaHandle:
-    """Instantiate a synchronized duplicate of ``nf`` at the target."""
+    """Instantiate a synchronized duplicate of ``nf`` at the target; its clock starts at 0."""
     image = _require_stateful(nf)
     image.reset_for_transfer()
-    return ReplicaHandle(nf, channel, params, dirty_process, started_at_us=now_us)
+    return ReplicaHandle(nf, channel, params, dirty_process)
 
 
 def migrate_parallel(

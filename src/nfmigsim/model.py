@@ -196,6 +196,12 @@ class Channel:
     bandwidth_bps: int | None
     latency_us: float = 0.0
 
+    def __post_init__(self):
+        if self.bandwidth_bps is not None and not self.bandwidth_bps > 0:  # NaN fails too
+            raise ValueError(f"bandwidth_bps must be None or positive, got {self.bandwidth_bps}")
+        if not self.latency_us >= 0:
+            raise ValueError(f"latency_us must be >= 0, got {self.latency_us}")
+
 
 class ValidatedTopology:
     """Hosts, links and function instances that passed all invariant checks.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, countOf
 from pathlib import Path
@@ -30,7 +31,6 @@ from .memory import DirtyProcess
 from .migration import (
     MigrationReport,
     Strategy,
-    failed_report,
     migrate_inter_copy,
     migrate_parallel,
     migrate_pre_copy,
@@ -108,9 +108,9 @@ class MetricsBundle:
     reports: tuple[RecordedMigration, ...]
     trace: tuple[Event, ...]
 
-    @property
+    @cached_property
     def rtt_series(self) -> tuple[tuple[int, float], ...]:
-        """(time, RTT) of each ``rtt-sample`` event that carries a value."""
+        """(time, RTT) of each ``rtt-sample`` event that carries a value, read once."""
         samples = (event for event in self.trace if event.kind == "rtt-sample" and event.values)
         return tuple((event.time_us, event.values[0]) for event in samples)
 
@@ -256,7 +256,8 @@ class _Run:
         decision = select_strategy(nf.kind, nf.stateful, trigger.objective or self.scenario.objective)
         target = self.targets.choose(nf, trigger.new_zone)
         if target is None:
-            report = failed_report(decision.chosen, f"no feasible host in hall '{trigger.new_zone}'")
+            reason = f"no feasible host in hall '{trigger.new_zone}'"
+            report = MigrationReport(decision.chosen, 0, 0, failure_reason=reason)
             self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, None, report))
             sim.schedule(sim.now, "migration-infeasible", None, trigger.new_zone, nf.id)
             return
@@ -264,9 +265,26 @@ class _Run:
             sim.schedule(sim.now, "migration-skipped", None, source, nf.id, "already-on-target")
             return
 
+        # The strategies count from their own start; ``at`` puts them on the clock.
+        # Each is called as a module global, so a wrapper installed here sees every call.
         channel = self.topology.channel(source, target.id)
-        migrate = self._MIGRATORS[decision.chosen]
-        report, at = migrate(self, sim, nf, channel, target.id)
+        at = sim.now
+        if decision.chosen is Strategy.PARALLEL:
+            replica = start_replica_sync(nf, channel, self.params, self.dirty_procs[nf.id])
+            sim.schedule(at, "replica-sync-started", None, nf.id, nf.memory.num_pages, target.id)
+            # Hand over as soon as the replica flushed its first sync tick; the
+            # residual delta is then at most one interval old.
+            handover_us = replica.run_until_ticks(1)
+            report = migrate_parallel(replica, self.params)
+            for tick in replica.tick_log:
+                sim.schedule(at + tick.done_us, "sync-tick", None, nf.id, tick.pages)
+            at += handover_us
+        elif decision.chosen is Strategy.PRE_COPY:
+            report = migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf.id])
+        elif decision.chosen is Strategy.INTER_COPY:
+            report = migrate_inter_copy(nf, channel, self.params)
+        else:
+            report = redeploy_stateless(nf, self.params)
         sim.schedule(
             sim.now,
             "migration-started",
@@ -292,39 +310,6 @@ class _Run:
             target.id,
         )
         self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, target.id, report))
-
-    # Strategy -> migration starting now.  Each returns the report and the time
-    # its phases count from.  The ``migrate_*`` functions are module globals
-    # looked up at call time, so a wrapper installed on this module sees every call.
-    def _redeploy(self, sim, nf, channel, target_id):
-        return redeploy_stateless(nf, self.params), sim.now
-
-    def _inter_copy(self, sim, nf, channel, target_id):
-        return migrate_inter_copy(nf, channel, self.params), sim.now
-
-    def _pre_copy(self, sim, nf, channel, target_id):
-        return migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf.id]), sim.now
-
-    def _parallel(self, sim, nf, channel, target_id):
-        dirty = self.dirty_procs[nf.id]
-        replica = start_replica_sync(nf, channel, self.params, dirty, now_us=sim.now)
-        sim.schedule(
-            sim.now, "replica-sync-started", None, nf.id, nf.memory.num_pages, target_id
-        )
-        # Hand over as soon as the replica flushed its first sync tick; the
-        # residual delta is then at most one interval old.
-        handover_at = replica.run_until_ticks(1)
-        report = migrate_parallel(replica, self.params)
-        for tick in replica.tick_log:
-            sim.schedule(tick.done_us, "sync-tick", None, nf.id, tick.pages)
-        return report, handover_at
-
-    _MIGRATORS = {
-        Strategy.NO_MIGRATION_REDEPLOY: _redeploy,
-        Strategy.INTER_COPY: _inter_copy,
-        Strategy.PRE_COPY: _pre_copy,
-        Strategy.PARALLEL: _parallel,
-    }
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:

@@ -432,12 +432,14 @@ def read_document(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read '{path}': {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"'{path}' is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"'{path}' nests JSON too deeply") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"'{path}' must contain a JSON object")
     return data

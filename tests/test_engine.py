@@ -71,6 +71,13 @@ class TestRunUntil:
         sim = Simulator()
         assert sim.run_until(10**6) == []
 
+    def test_run_until_before_the_clock_rejected(self):
+        sim = Simulator()
+        sim.schedule(10, "e")
+        sim.run_until(10)
+        with pytest.raises(ValueError, match=r"t_end=9 us is before the current clock \(10 us\)"):
+            sim.run_until(9)
+
     def test_boundary_is_inclusive(self):
         sim = Simulator()
         for t in (5, 10, 15):

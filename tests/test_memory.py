@@ -19,6 +19,7 @@ from nfmigsim import (
     advance_dirty,
     rng_stream,
 )
+from nfmigsim.memory import MAX_PAGES_PER_IMAGE
 
 
 def clean_image(num_pages, page_size=1, **kwargs):
@@ -99,6 +100,23 @@ class TestMemoryImage:
         image.frozen = True
         with pytest.raises(InvariantViolation, match="frozen"):
             advance_dirty(image, ConstantRateDirty(5), 1000)
+
+    def test_image_above_the_page_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"num_pages must be <= {MAX_PAGES_PER_IMAGE}"):
+            MemoryImage(MAX_PAGES_PER_IMAGE + 1, 1)
+
+    @pytest.mark.parametrize("page_id", [-1, 3])
+    def test_page_state_outside_the_image_rejected(self, page_id):
+        with pytest.raises(ValueError, match=f"page id {page_id} outside image of 3 pages"):
+            MemoryImage(3, 1).page_state(page_id)
+
+    def test_unknown_batch_filter_rejected(self):
+        with pytest.raises(ValueError, match="unknown batch filter 'all'"):
+            MemoryImage(3, 1).take_transfer_batch("all")
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration must be >= 0, got -1"):
+            advance_dirty(clean_image(3), ConstantRateDirty(5), -1)
 
 
 class TestConstantRate:

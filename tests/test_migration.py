@@ -235,6 +235,21 @@ class TestAnalyticPreCopy:
         assert est.bytes_pages == 300
         assert est.downtime_us == 1_000_000
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-100, 100, 10, 2, 10), "num_pages must be >= 0, got -100"),
+            ((100, 0, 10, 2, 10), "bandwidth must be positive, got 0"),
+            ((100, 100, -10, 2, 10), "rate_pages_per_s must be finite and >= 0, got -10"),
+            ((100, 100, math.nan, 2, 10), "rate_pages_per_s must be finite and >= 0, got nan"),
+            ((100, 100, math.inf, 2, 10), "rate_pages_per_s must be finite and >= 0, got inf"),
+            ((100, 100, 10, 2, 0), "max_rounds must be >= 1, got 0"),
+        ],
+    )
+    def test_inputs_that_give_negative_or_no_times_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            analytic_pre_copy(*args)
+
     @pytest.mark.parametrize("rate, capped", [(5_000, False), (21_000, True)])
     def test_matches_simulation_exactly_at_scale(self, rate, capped):
         pages, bandwidth, threshold, max_rounds = 3 * 10**5, 25_000, 8, 10
@@ -576,6 +591,14 @@ class TestParallelHandover:
         migrate_parallel(replica, params, at_time_us=replica.run_until_ticks(1))
         with pytest.raises(InvariantViolation):
             migrate_parallel(replica, params)
+
+    def test_replica_cannot_run_after_the_handover(self):
+        nf = stateful_nf(10)
+        params = self.params()
+        replica = start_replica_sync(nf, Channel(100, 0), params, ConstantRateDirty(0))
+        migrate_parallel(replica, params, at_time_us=replica.run_until_ticks(1))
+        with pytest.raises(InvariantViolation, match="replica already handed over"):
+            replica.run_until_ticks(2)
 
     def test_downtime_monotone_in_delta(self):
         params = self.params()

@@ -254,6 +254,39 @@ class TestValidateTopology:
         with pytest.raises(DanglingReferenceError, match="ghost"):
             validate_topology(hosts, [Link("h1", "ghost", 10**6)], [])
 
+    @pytest.mark.parametrize("a, b", [("h1", "ghost"), ("ghost", "h1"), ("ghost", "ghost")])
+    def test_latency_to_an_unknown_host(self, a, b):
+        topo = two_host_topology(DriverKind.MACVLAN, DriverKind.MACVLAN)
+        with pytest.raises(DanglingReferenceError, match="unknown host 'ghost'"):
+            topo.one_way_latency_us(a, b)
+
+    def test_self_link_rejected(self):
+        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
+        with pytest.raises(InvariantViolation, match="endpoints must be distinct"):
+            validate_topology(hosts, [Link("h1", "h1", 10**6)], [])
+
+    def test_duplicate_link_rejected_either_way_round(self):
+        hosts = [
+            HostNode("h1", "z", 4, DriverKind.MACVLAN),
+            HostNode("h2", "z", 4, DriverKind.MACVLAN),
+        ]
+        links = [Link("h1", "h2", 10**6), Link("h2", "h1", 10**7)]
+        with pytest.raises(InvariantViolation, match="duplicate link between the same host pair"):
+            validate_topology(hosts, links, [])
+
+    def test_duplicate_function_id(self):
+        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
+        nfs = [NfInstance("upf-1", NfKind.UPF, "h1"), NfInstance("upf-1", NfKind.UPF, "h1")]
+        with pytest.raises(DuplicateIdError, match="function id 'upf-1' appears more than once"):
+            validate_topology(hosts, [], nfs)
+
+    def test_duplicate_session_id(self):
+        hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
+        nfs = [NfInstance("upf-1", NfKind.UPF, "h1")]
+        session = PduSession("pdu-1", SessionType.IP, "ue-1", "upf-1")
+        with pytest.raises(DuplicateIdError, match="session id 'pdu-1' appears more than once"):
+            validate_topology(hosts, [], nfs, sessions=[session, session])
+
     def test_stateful_upf_rejected(self):
         hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
         nfs = [NfInstance("upf-1", NfKind.UPF, "h1", memory=MemoryImage(8, 4096))]
@@ -294,6 +327,23 @@ class TestValidateTopology:
             with pytest.raises(InvariantViolation) as info:
                 validate_topology(hosts, [], [nf])
             assert str(info.value) == f"nf-1: {kind.value.upper()} instances are {state}"
+
+
+class TestChannel:
+    @pytest.mark.parametrize("bandwidth", [None, 1, 10**8])
+    def test_positive_or_no_bandwidth_accepted(self, bandwidth):
+        assert Channel(bandwidth, 0).bandwidth_bps == bandwidth
+
+    @pytest.mark.parametrize("bandwidth", [0, -10, float("nan")])
+    def test_bandwidth_must_be_none_or_positive(self, bandwidth):
+        message = f"bandwidth_bps must be None or positive, got {bandwidth}"
+        with pytest.raises(ValueError, match=message):
+            Channel(bandwidth, 0)
+
+    @pytest.mark.parametrize("latency", [-50, -0.5, float("nan")])
+    def test_latency_must_be_non_negative(self, latency):
+        with pytest.raises(ValueError, match=f"latency_us must be >= 0, got {latency}"):
+            Channel(100, latency)
 
 
 class TestDerivedState:

@@ -477,6 +477,13 @@ def test_rtt_csv_holds_a_fractional_rtt_exactly(tmp_path):
     assert len(rows) - 1 == len(bundle.rtt_series)
 
 
+def test_rtt_series_is_read_from_the_trace_once():
+    bundle = run_scenario(load_scenario(bundled_scenario_path()))
+    assert bundle.rtt_series is bundle.rtt_series
+    samples = [e for e in bundle.trace if e.kind == "rtt-sample"]
+    assert bundle.rtt_series == tuple((e.time_us, e.values[0]) for e in samples)
+
+
 class TestOverlappingTriggers:
     def test_a_trigger_during_a_migration_is_queued_and_placed_at_completion(self, tmp_path):
         bundle = run_scenario(drone_turning_back())

@@ -676,6 +676,115 @@ class TestCli:
         assert (tmp_path / "sweep" / "restart_overhead_us=50000" / "migrations.csv").exists()
 
 
+def _exit_code_and_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def _link(data, a, b):
+    data["topology"]["links"].append({"a": a, "b": b, "bandwidth_bps": 1})
+
+
+# Each edit of the drone document, and the one error line it must end in.
+_DOCUMENT_FAULTS = {
+    "host-not-an-object": (
+        lambda d: d["topology"].update(hosts=[5]),
+        "error: 'topology.hosts[0]' must be an object",
+    ),
+    "memory-on-a-stateless-function": (
+        lambda d: d["nfs"][0].update(memory={"num_pages": 8, "page_size": 4096}),
+        "error: 'nfs[0].memory' given for a stateless instance",
+    ),
+    "session-of-an-unknown-ue": (
+        lambda d: d["sessions"][0].update(ue_id="ghost"),
+        "error: sessions[0] references unknown UE 'ghost'",
+    ),
+    "self-link": (
+        lambda d: _link(d, "edge-a1", "edge-a1"),
+        "error: link (edge-a1, edge-a1): endpoints must be distinct",
+    ),
+    "duplicate-link": (
+        lambda d: _link(d, "edge-b1", "edge-a1"),
+        "error: link (edge-b1, edge-a1): duplicate link between the same host pair",
+    ),
+    "duplicate-function-id": (
+        lambda d: d["nfs"].append(dict(d["nfs"][0])),
+        "error: function id 'upf-1' appears more than once",
+    ),
+    "duplicate-session-id": (
+        lambda d: d["sessions"].append(dict(d["sessions"][0])),
+        "error: session id 'pdu-1' appears more than once",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_DOCUMENT_FAULTS))
+def test_document_fault_exits_2_with_one_error_line(tmp_path, capsys, fault):
+    edit, message = _DOCUMENT_FAULTS[fault]
+    data = read_document(bundled_scenario_path())
+    edit(data)
+    argv = ["simulate", str(write(tmp_path, data)), "--out", str(tmp_path / "out")]
+    assert _exit_code_and_error(argv, capsys) == (2, message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+class TestUnreadableDocument:
+    def simulate(self, path, capsys):
+        argv = ["simulate", str(path), "--out", str(path.parent / "out")]
+        return _exit_code_and_error(argv, capsys)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.scenario"
+        path.write_bytes(b'\xff\xfe{"duration_us": 1}')
+        with pytest.raises(ScenarioParseError, match="cannot read .*'utf-8' codec can't decode"):
+            read_document(path)
+        code, err = self.simulate(path, capsys)
+        assert code == 2 and err.startswith("error: cannot read ") and err.count("\n") == 1
+
+    def test_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.scenario"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert self.simulate(path, capsys) == (2, f"error: '{path}' nests JSON too deeply\n")
+
+    def test_not_an_object(self, tmp_path, capsys):
+        path = write(tmp_path, [])
+        assert self.simulate(path, capsys) == (2, f"error: '{path}' must contain a JSON object\n")
+
+
+class TestSweepParams:
+    def sweep(self, tmp_path, capsys, *params):
+        flags = [arg for param in params for arg in ("--param", param)]
+        argv = ["sweep", str(bundled_scenario_path()), *flags, "--out", str(tmp_path / "sweep")]
+        return _exit_code_and_error(argv, capsys)
+
+    def test_param_without_values(self, tmp_path, capsys):
+        message = "error: --param expects KEY=V1,V2,... (got 'seed')\n"
+        assert self.sweep(tmp_path, capsys, "seed") == (2, message)
+
+    def test_param_through_a_list(self, tmp_path, capsys):
+        message = "error: cannot override through non-object key 'hosts'\n"
+        assert self.sweep(tmp_path, capsys, "topology.hosts.x=1") == (2, message)
+
+    def test_non_json_value_is_kept_as_a_string(self, tmp_path, capsys):
+        assert self.sweep(tmp_path, capsys, "name=drone-x") == (0, "")
+        summary = (tmp_path / "sweep" / "name=drone-x" / "summary.txt").read_text(encoding="utf-8")
+        assert summary.startswith("scenario: drone-x\n")
+
+    def test_value_nested_too_deeply_is_kept_as_a_string(self, tmp_path, capsys):
+        code, err = self.sweep(tmp_path, capsys, "seed=" + "[" * 10**5)
+        assert (code, err) == (2, "error: 'seed' has wrong type str\n")
+
+
+def test_out_naming_an_existing_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    argv = ["simulate", str(bundled_scenario_path()), "--out", str(out)]
+    code, err = _exit_code_and_error(argv, capsys)
+    assert code == 3 and err.startswith("i/o error: ") and err.count("\n") == 1
+
+
 def generated_document(seed):
     """A small scenario from the benchmark's deterministic generator."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
