@@ -56,16 +56,18 @@ def _cmd_sweep(args) -> int:
     base = read_document(args.scenario)
     build_scenario(base, source=str(args.scenario))  # a bad base fails before any variant
     axes = [_parse_param(spec) for spec in args.param]
-    out_root = Path(args.out)
-    print(f"{'variant':<56}{'migrations':>11}{'downtime_us':>13}{'bytes':>14}")
+    # Every variant is built before any runs, so a bad one fails before any output.
+    variants = []
     for combo in itertools.product(*(values for _, values in axes)):
         data = copy.deepcopy(base)
         label_parts = []
         for (key, _), value in zip(axes, combo):
             _set_dotted(data, key, value)
             label_parts.append(f"{key.split('.')[-1]}={value}")
-        label = ",".join(label_parts)
-        scenario = build_scenario(data, source=str(args.scenario))
+        variants.append((",".join(label_parts), build_scenario(data, source=str(args.scenario))))
+    out_root = Path(args.out)
+    print(f"{'variant':<56}{'migrations':>11}{'downtime_us':>13}{'bytes':>14}")
+    for label, scenario in variants:
         bundle = run_scenario(scenario, seed=args.seed)
         safe_label = label.replace("/", "_")
         export_metrics(bundle, out_root / safe_label)

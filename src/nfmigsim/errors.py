@@ -34,10 +34,6 @@ class StrategyInapplicableError(SimulatorError):
     """A migration strategy does not apply to the given function instance."""
 
 
-class ReplicaNotSyncedError(SimulatorError):
-    """Handover was requested before the replica finished its initial copy."""
-
-
 class InvalidCombinationError(SimulatorError):
     """A (function kind, statefulness) combination that cannot occur."""
 

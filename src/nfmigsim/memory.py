@@ -82,8 +82,8 @@ class MemoryImage:
             raise ValueError(f"num_pages must be >= 0, got {num_pages}")
         if num_pages > MAX_PAGES_PER_IMAGE:
             raise ValueError(f"num_pages must be <= {MAX_PAGES_PER_IMAGE}, got {num_pages}")
-        if page_size <= 0:
-            raise ValueError(f"page_size must be > 0, got {page_size}")
+        if not isinstance(page_size, int) or isinstance(page_size, bool) or page_size <= 0:
+            raise ValueError(f"page_size must be an integer > 0, got {page_size!r}")
         self._num_pages = num_pages
         self._page_size = page_size
         fraction = (
@@ -384,8 +384,8 @@ def advance_dirty(image: MemoryImage, process: DirtyProcess, duration_us: int) -
     Returns the number of newly dirtied pages.  Must only be called while
     the owning function executes; frozen images reject it.
     """
-    if duration_us < 0:
-        raise ValueError(f"duration must be >= 0, got {duration_us}")
+    if not 0 <= duration_us < math.inf:  # NaN fails too
+        raise ValueError(f"duration must be finite and >= 0, got {duration_us}")
     if image.frozen:
         raise InvariantViolation(
             "memory-image", "dirty-page process advanced while the function is frozen"

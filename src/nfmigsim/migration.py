@@ -28,17 +28,13 @@ clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    InvariantViolation,
-    ReplicaNotSyncedError,
-    StrategyInapplicableError,
-)
+from .errors import InvariantViolation, StrategyInapplicableError
 from .memory import (
     MICROS_PER_SECOND,
     DirtyProcess,
@@ -78,21 +74,13 @@ class MigrationParams:
     handover_signal_roundtrips: int = 1
 
     def __post_init__(self):
-        for name in (
-            "freeze_overhead_us",
-            "restart_overhead_us",
-            "activation_overhead_us",
-            "precopy_stop_threshold",
-            "postcopy_fault_deadline_us",
-            "ppm_sync_interval_us",
-            "handover_signal_roundtrips",
-        ):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.precopy_max_rounds >= 1:
-            raise ValueError(
-                f"precopy_max_rounds must be >= 1, got {self.precopy_max_rounds}"
-            )
+        # The clock counts whole microseconds, so every field is an integer.
+        for name, value in vars(self).items():
+            low = 1 if name == "precopy_max_rounds" else 0
+            if not value >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.precopy_max_rounds > MAX_PRECOPY_ROUNDS:
             raise ValueError(
                 f"precopy_max_rounds must be <= {MAX_PRECOPY_ROUNDS}, got {self.precopy_max_rounds}"
@@ -100,24 +88,37 @@ class MigrationParams:
 
 
 class Phase(NamedTuple):
-    """One span of a migration timeline; it starts where the previous phase ends."""
+    """One span of a migration timeline; it starts where the previous phase ends.
+
+    ``down`` says whether the function is unavailable for the span: only
+    pre-copy rounds and post-copy's background stream run while it serves.
+    """
 
     name: str
     span_us: int
+    down: bool = True
 
 
 @dataclass(frozen=True)
 class MigrationReport:
-    """A migration's outcome; its phases run back to back from the migration's start."""
+    """A migration's outcome; its phases run back to back from the migration's start.
+
+    ``downtime_us`` is the sum of the down phases' spans, counted once when
+    the report is built.
+    """
 
     strategy: Strategy
-    downtime_us: int
     bytes_transferred: int
     sync_bytes: int = 0
     stall_time_us: int = 0
     rounds: int = 0
     failure_reason: str | None = None  # None: the migration succeeded
     phases: tuple[Phase, ...] = ()
+    downtime_us: int = field(init=False)
+
+    def __post_init__(self):
+        downtime = sum([span for _, span, down in self.phases if down])
+        object.__setattr__(self, "downtime_us", downtime)
 
     @property
     def migration_time_us(self) -> int:
@@ -166,6 +167,25 @@ def _require_stateful(nf: NfInstance) -> MemoryImage:
     return nf.memory
 
 
+def _stop_and_copy(
+    image: MemoryImage,
+    copy: Callable[[MemoryImage], int],
+    name: str,
+    channel: Channel,
+    params: MigrationParams,
+) -> tuple[int, list[Phase]]:
+    """Freeze the function, ``copy`` pages of its frozen image and thaw it.
+
+    Returns the pages copied, with the freeze and the copy (named ``name``)
+    as phases.  Nothing dirties while the image is frozen.
+    """
+    image.frozen = True
+    pages = copy(image)
+    image.frozen = False
+    copy_us = transfer_time_us(pages, image.page_size, channel)
+    return pages, [Phase("freeze", params.freeze_overhead_us), Phase(name, copy_us)]
+
+
 def migrate_inter_copy(
     nf: NfInstance, channel: Channel, params: MigrationParams
 ) -> MigrationReport:
@@ -177,18 +197,9 @@ def migrate_inter_copy(
     """
     image = _require_stateful(nf)
     image.reset_for_transfer()
-    freeze = params.freeze_overhead_us
-    restart = params.restart_overhead_us
-    image.frozen = True
-    copied = image.copy_all()
-    copy_us = transfer_time_us(copied, image.page_size, channel)
-    image.frozen = False
-    return MigrationReport(
-        Strategy.INTER_COPY,
-        downtime_us=freeze + copy_us + restart,
-        bytes_transferred=copied * image.page_size,
-        phases=(Phase("freeze", freeze), Phase("copy-image", copy_us), Phase("restart", restart)),
-    )
+    copied, phases = _stop_and_copy(image, MemoryImage.copy_all, "copy-image", channel, params)
+    phases.append(Phase("restart", params.restart_overhead_us))
+    return MigrationReport(Strategy.INTER_COPY, copied * image.page_size, phases=tuple(phases))
 
 
 def migrate_pre_copy(
@@ -217,26 +228,19 @@ def migrate_pre_copy(
         advance_dirty(image, dirty_process, round_us)
         rounds += 1
         pages_sent += batch
-        phases.append(Phase(f"copy-round-{rounds}", round_us))
+        phases.append(Phase(f"copy-round-{rounds}", round_us, down=False))
         if image.dirty_count <= params.precopy_stop_threshold:
             break
         if rounds >= params.precopy_max_rounds:
             break
-    freeze = params.freeze_overhead_us
-    restart = params.restart_overhead_us
-    image.frozen = True
-    residual = image.copy_dirty()
-    residual_us = transfer_time_us(residual, page_size, channel)
-    image.frozen = False
-    pages_sent += residual
-    phases += (
-        Phase("freeze", freeze),
-        Phase("copy-residual", residual_us),
-        Phase("restart", restart),
+    residual, frozen = _stop_and_copy(
+        image, MemoryImage.copy_dirty, "copy-residual", channel, params
     )
+    pages_sent += residual
+    phases += frozen
+    phases.append(Phase("restart", params.restart_overhead_us))
     return MigrationReport(
         Strategy.PRE_COPY,
-        downtime_us=freeze + residual_us + restart,
         bytes_transferred=pages_sent * page_size,
         rounds=rounds,
         phases=tuple(phases),
@@ -341,12 +345,11 @@ def migrate_post_copy(
     page_size = image.page_size
     ordered_trace = sorted(access_trace, key=itemgetter(0))
 
-    freeze = params.freeze_overhead_us
-    restart = params.restart_overhead_us
-    image.frozen = True
-    ws_us = transfer_time_us(image.copy_working_set(), page_size, channel)
-    image.frozen = False
-    downtime = freeze + ws_us + restart
+    _, phases = _stop_and_copy(
+        image, MemoryImage.copy_working_set, "copy-working-set", channel, params
+    )
+    phases.append(Phase("restart", params.restart_overhead_us))
+    downtime = sum(span for _, span, _ in phases)
 
     page_us = serialize_us(page_size, channel)
     latency = latency_ceil_us(channel)
@@ -384,12 +387,10 @@ def migrate_post_copy(
             stream_clock += streamed * page_us
             last_arrival = stream_clock
 
-    phases = [Phase("freeze", freeze), Phase("copy-working-set", ws_us), Phase("restart", restart)]
     if last_arrival > downtime:
-        phases.append(Phase("background-stream", last_arrival - downtime))
+        phases.append(Phase("background-stream", last_arrival - downtime, down=False))
     return MigrationReport(
         Strategy.POST_COPY,
-        downtime_us=downtime,
         bytes_transferred=image.clean_count * page_size,
         stall_time_us=stall_total,
         failure_reason=failure,
@@ -407,18 +408,17 @@ class SyncTick:
 class ReplicaHandle:
     """A synchronized duplicate instance being fed the source's memory.
 
-    The full image is shipped once; it lands at ``initial_copy_done_us``
-    and the source dirties pages for the whole copy.  Sync ticks follow,
-    each shipping the pages dirtied since the previous one: the first fires
-    when the initial copy lands, each later one at ``max(previous fire +
-    ppm_sync_interval_us, previous landing)``.  A tick copies the dirty set
-    as of its firing, so writes made while it is in flight wait for the
-    next tick.  The full copy and every tick accrue in ``sync_bytes``.
+    The replica starts by shipping the full image, and the source dirties
+    pages for the whole copy; ``now_us`` starts where that copy lands.  Sync
+    ticks follow, each shipping the pages dirtied since the previous one:
+    the first fires at ``now_us``, each later one at ``max(previous fire +
+    ppm_sync_interval_us, now_us)``.  A tick copies the dirty set as of its
+    firing, so writes made while it is in flight wait for the next tick.
+    The full copy and every tick accrue in ``sync_bytes``.
 
-    The replica's clock ``now_us`` counts from its start, like every
-    strategy's phases.  It is ``None`` until the initial copy lands and
-    moves only through :meth:`run_until_ticks`, one whole tick at a time;
-    the source keeps executing (and dirtying) until
+    The replica's clock counts from its start, like every strategy's
+    phases, and moves only through :meth:`run_until_ticks`, one whole tick
+    at a time; the source keeps executing (and dirtying) until
     :func:`migrate_parallel` hands over at that instant.
     """
 
@@ -430,15 +430,14 @@ class ReplicaHandle:
         dirty_process: DirtyProcess,
     ):
         self.nf = nf
-        self.image = _require_stateful(nf)
+        image = self.image = _require_stateful(nf)
         self.channel = channel
         self.params = params
         self.dirty_process = dirty_process
-        self.initial_copy_done_us = transfer_time_us(
-            self.image.num_pages, self.image.page_size, channel
-        )
-        self.now_us: int | None = None
-        self.sync_bytes = 0
+        image.reset_for_transfer()
+        self.sync_bytes = image.copy_all() * image.page_size
+        self.now_us = transfer_time_us(image.num_pages, image.page_size, channel)
+        advance_dirty(image, dirty_process, self.now_us)
         self.tick_log: list[SyncTick] = []
         self.retired = False
 
@@ -449,23 +448,17 @@ class ReplicaHandle:
     def run_until_ticks(self, n: int) -> int:
         """Advance until ``n`` sync ticks have landed; returns that virtual time.
 
-        The initial copy lands first, so ``run_until_ticks(0)`` stops right
-        when it does.  The clock then stands at the n-th landing, before
-        any tick due at the same instant fires.
+        ``run_until_ticks(0)`` returns where the initial copy landed.  The
+        clock then stands at the n-th landing, before any tick due at the
+        same instant fires.
         """
         if self.retired:
             raise InvariantViolation(self.nf.id, "replica already handed over")
         image = self.image
-        if self.now_us is None:
-            self.sync_bytes += image.copy_all() * image.page_size
-            advance_dirty(image, self.dirty_process, self.initial_copy_done_us)
-            self.now_us = self.initial_copy_done_us
         while len(self.tick_log) < n:
+            fire = self.now_us
             if self.tick_log:
-                last = self.tick_log[-1]
-                fire = max(last.fired_at_us + self.params.ppm_sync_interval_us, last.done_us)
-            else:
-                fire = self.initial_copy_done_us
+                fire = max(self.tick_log[-1].fired_at_us + self.params.ppm_sync_interval_us, fire)
             advance_dirty(image, self.dirty_process, fire - self.now_us)
             pages = image.copy_dirty()
             done = fire + transfer_time_us(pages, image.page_size, self.channel)
@@ -482,9 +475,10 @@ def start_replica_sync(
     params: MigrationParams,
     dirty_process: DirtyProcess,
 ) -> ReplicaHandle:
-    """Instantiate a synchronized duplicate of ``nf`` at the target; its clock starts at 0."""
-    image = _require_stateful(nf)
-    image.reset_for_transfer()
+    """Instantiate a duplicate of ``nf`` at the target and ship it the image.
+
+    Its clock starts at 0 and stands where the initial copy lands.
+    """
     return ReplicaHandle(nf, channel, params, dirty_process)
 
 
@@ -495,20 +489,15 @@ def migrate_parallel(
 ) -> MigrationReport:
     """Hand execution over to the replica at its clock; ship the out-of-sync delta.
 
-    The handover happens at ``replica.now_us``, where the last
-    :meth:`ReplicaHandle.run_until_ticks` left it; ``at_time_us``, if given,
-    must equal that instant.  It freezes the source, transfers the pages
-    dirtied since the last landed sync, exchanges the handover signal and
-    activates the replica (no cold restart).  The accrued duplication cost
-    travels in ``sync_bytes``.
+    The handover happens at ``replica.now_us``, where the initial copy or
+    the last :meth:`ReplicaHandle.run_until_ticks` left it; ``at_time_us``,
+    if given, must equal that instant.  It freezes the source, transfers the
+    pages dirtied since the last landed sync, exchanges the handover signal
+    and activates the replica (no cold restart).  The accrued duplication
+    cost travels in ``sync_bytes``.
     """
     if replica.retired:
         raise InvariantViolation(replica.nf.id, "replica already handed over")
-    if replica.now_us is None:
-        raise ReplicaNotSyncedError(
-            f"initial copy of '{replica.nf.id}' (landing at t={replica.initial_copy_done_us} us) "
-            "has not been run; call run_until_ticks first"
-        )
     if at_time_us is not None and at_time_us != replica.now_us:
         raise ValueError(
             f"handover happens at the replica's clock t={replica.now_us} us, "
@@ -517,25 +506,18 @@ def migrate_parallel(
 
     image = replica.image
     channel = replica.channel
-    freeze = params.freeze_overhead_us
-    activation = params.activation_overhead_us
-    image.frozen = True
-    delta = image.copy_dirty()
-    delta_us = transfer_time_us(delta, image.page_size, channel)
-    image.frozen = False
+    delta, phases = _stop_and_copy(image, MemoryImage.copy_dirty, "copy-delta", channel, params)
     signaling = params.handover_signal_roundtrips * 2 * latency_ceil_us(channel)
+    phases += (
+        Phase("handover-signal", signaling),
+        Phase("activate-replica", params.activation_overhead_us),
+    )
     replica.retired = True
     return MigrationReport(
         Strategy.PARALLEL,
-        downtime_us=freeze + delta_us + signaling + activation,
         bytes_transferred=delta * image.page_size,
         sync_bytes=replica.sync_bytes,
-        phases=(
-            Phase("freeze", freeze),
-            Phase("copy-delta", delta_us),
-            Phase("handover-signal", signaling),
-            Phase("activate-replica", activation),
-        ),
+        phases=tuple(phases),
     )
 
 
@@ -545,10 +527,6 @@ def redeploy_stateless(nf: NfInstance, params: MigrationParams) -> MigrationRepo
         raise StrategyInapplicableError(
             f"'{nf.id}' ({nf.kind.value.upper()}) holds state; redeploying would drop it"
         )
-    restart = params.restart_overhead_us
     return MigrationReport(
-        Strategy.NO_MIGRATION_REDEPLOY,
-        downtime_us=restart,
-        bytes_transferred=0,
-        phases=(Phase("restart", restart),),
+        Strategy.NO_MIGRATION_REDEPLOY, 0, phases=(Phase("restart", params.restart_overhead_us),)
     )

@@ -14,6 +14,7 @@ through shared memory and use a configurable intra-host latency instead.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -199,8 +200,8 @@ class Channel:
     def __post_init__(self):
         if self.bandwidth_bps is not None and not self.bandwidth_bps > 0:  # NaN fails too
             raise ValueError(f"bandwidth_bps must be None or positive, got {self.bandwidth_bps}")
-        if not self.latency_us >= 0:
-            raise ValueError(f"latency_us must be >= 0, got {self.latency_us}")
+        if not 0 <= self.latency_us < math.inf:
+            raise ValueError(f"latency_us must be finite and >= 0, got {self.latency_us}")
 
 
 class ValidatedTopology:

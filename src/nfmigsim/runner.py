@@ -257,7 +257,7 @@ class _Run:
         target = self.targets.choose(nf, trigger.new_zone)
         if target is None:
             reason = f"no feasible host in hall '{trigger.new_zone}'"
-            report = MigrationReport(decision.chosen, 0, 0, failure_reason=reason)
+            report = MigrationReport(decision.chosen, 0, failure_reason=reason)
             self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, None, report))
             sim.schedule(sim.now, "migration-infeasible", None, trigger.new_zone, nf.id)
             return
@@ -295,7 +295,7 @@ class _Run:
             report.strategy.value,
             target.id,
         )
-        for name, span_us in report.phases:
+        for name, span_us, _ in report.phases:
             sim.schedule(at, "migration-phase", None, at + span_us, nf.id, name)
             at += span_us
         self.load.move(nf.id, target.id)

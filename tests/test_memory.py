@@ -115,8 +115,22 @@ class TestMemoryImage:
             MemoryImage(3, 1).take_transfer_batch("all")
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError, match="duration must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0, got -1"):
             advance_dirty(clean_image(3), ConstantRateDirty(5), -1)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_nan_or_infinite_duration_rejected_and_the_carry_kept(self, duration):
+        # Either once left the carry NaN, so every later draw dirtied nothing.
+        image = clean_image(100)
+        process = ConstantRateDirty(10)
+        with pytest.raises(ValueError, match=f"duration must be finite and >= 0, got {duration}"):
+            advance_dirty(image, process, duration)
+        assert advance_dirty(image, process, 1_000_000) == 10
+
+    @pytest.mark.parametrize("page_size", [1.5, math.nan, math.inf, True, 0])
+    def test_page_size_must_be_a_positive_integer(self, page_size):
+        with pytest.raises(ValueError, match=f"page_size must be an integer > 0, got {page_size}"):
+            MemoryImage(10, page_size)
 
 
 class TestConstantRate:

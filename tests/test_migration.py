@@ -21,7 +21,6 @@ from nfmigsim import (
     NfInstance,
     NfKind,
     PageState,
-    ReplicaNotSyncedError,
     Strategy,
     StrategyInapplicableError,
     advance_dirty,
@@ -75,6 +74,14 @@ class TestMigrationParams:
     def test_nan_round_cap_rejected(self):
         with pytest.raises(ValueError, match="precopy_max_rounds must be >= 1, got nan"):
             MigrationParams(precopy_max_rounds=float("nan"))
+
+    @pytest.mark.parametrize("value", [1.5, math.inf, True])
+    def test_every_field_is_an_integer(self, value):
+        # The clock counts whole microseconds: a 1.5 us freeze once gave a
+        # downtime with a fraction, and an infinite one was accepted.
+        for name in MigrationParams.__dataclass_fields__:
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+                MigrationParams(**{name: value})
 
     def test_round_cap_bounded(self):
         assert MigrationParams(precopy_max_rounds=MAX_PRECOPY_ROUNDS).precopy_max_rounds == 1000
@@ -442,10 +449,9 @@ def reference_post_copy(image, channel, params, access_trace):
         Phase("restart", restart),
     ]
     if last_arrival > downtime:
-        phases.append(Phase("background-stream", last_arrival - downtime))
+        phases.append(Phase("background-stream", last_arrival - downtime, down=False))
     report = MigrationReport(
         Strategy.POST_COPY,
-        downtime_us=downtime,
         bytes_transferred=states.count(PageState.CLEAN_AT_TARGET) * page_size,
         stall_time_us=stall_total,
         failure_reason=failure,
@@ -474,7 +480,7 @@ def post_copy_cases(draw):
     channel = Channel(bandwidth, draw(st.sampled_from([0, 0.25, 1, 2.5, 40])))
     stall = 2 * latency_ceil_us(channel) + serialize_us(page_size, channel)
     params = MigrationParams(
-        freeze_overhead_us=draw(whole_or_half_us(30)),
+        freeze_overhead_us=draw(st.integers(0, 30)),
         restart_overhead_us=draw(st.integers(0, 30)),
         postcopy_fault_deadline_us=max(0, stall + draw(st.integers(-2, 2))),
     )
@@ -581,8 +587,9 @@ class TestParallelHandover:
         nf = stateful_nf(100)
         params = self.params()
         replica = start_replica_sync(nf, Channel(100, 0), params, ConstantRateDirty(0))
-        with pytest.raises(ReplicaNotSyncedError):
-            migrate_parallel(replica, params, at_time_us=replica.initial_copy_done_us - 1)
+        assert replica.now_us == 1_000_000  # the initial copy has landed
+        with pytest.raises(ValueError, match="replica's clock t=1000000 us, not t=999999 us"):
+            migrate_parallel(replica, params, at_time_us=replica.now_us - 1)
 
     def test_replica_cannot_hand_over_twice(self):
         nf = stateful_nf(10)
@@ -765,7 +772,7 @@ def test_handover_right_after_the_initial_copy(num_pages, channel, bernoulli, ra
         stateful_nf(num_pages), channel, params, replica_dirty_process(bernoulli, rate, seed)
     )
     copy_us = transfer_time_us(num_pages, 1, channel)
-    assert replica.run_until_ticks(0) == replica.initial_copy_done_us == copy_us
+    assert replica.now_us == replica.run_until_ticks(0) == copy_us
     # The same dirty process run alone over the copy's span.
     twin = MemoryImage(num_pages, 1)
     twin.copy_all()
@@ -793,6 +800,48 @@ class TestRedeploy:
     def test_stateful_rejected(self):
         with pytest.raises(StrategyInapplicableError):
             redeploy_stateless(stateful_nf(10), MigrationParams())
+
+
+def handed_over(channel, params):
+    replica = start_replica_sync(stateful_nf(100), channel, params, ConstantRateDirty(10))
+    replica.run_until_ticks(1)
+    return migrate_parallel(replica, params)
+
+
+@pytest.mark.parametrize(
+    "migrate, down",
+    [
+        (
+            lambda c, p: migrate_inter_copy(stateful_nf(100), c, p),
+            {"freeze": True, "copy-image": True, "restart": True},
+        ),
+        (
+            lambda c, p: migrate_pre_copy(stateful_nf(100), c, p, ConstantRateDirty(10)),
+            {
+                "copy-round-1": False,
+                "copy-round-2": False,
+                "freeze": True,
+                "copy-residual": True,
+                "restart": True,
+            },
+        ),
+        (
+            lambda c, p: migrate_post_copy(stateful_nf(100, working_set=range(20)), c, p, []),
+            {"freeze": True, "copy-working-set": True, "restart": True, "background-stream": False},
+        ),
+        (
+            handed_over,
+            {"freeze": True, "copy-delta": True, "handover-signal": True, "activate-replica": True},
+        ),
+        (lambda c, p: redeploy_stateless(stateless_upf(), p), {"restart": True}),
+    ],
+    ids=[strategy.value for strategy in Strategy],
+)
+def test_downtime_sums_the_down_phases(migrate, down):
+    report = migrate(Channel(100, 5), MigrationParams(precopy_stop_threshold=2))
+    assert {name: is_down for name, _, is_down in report.phases} == down
+    assert report.downtime_us == sum(span for name, span, _ in report.phases if down[name])
+    assert 0 < report.downtime_us <= report.migration_time_us
 
 
 class TestCrossStrategyInvariants:

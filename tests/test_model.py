@@ -340,9 +340,9 @@ class TestChannel:
         with pytest.raises(ValueError, match=message):
             Channel(bandwidth, 0)
 
-    @pytest.mark.parametrize("latency", [-50, -0.5, float("nan")])
+    @pytest.mark.parametrize("latency", [-50, -0.5, float("nan"), float("inf")])
     def test_latency_must_be_non_negative(self, latency):
-        with pytest.raises(ValueError, match=f"latency_us must be >= 0, got {latency}"):
+        with pytest.raises(ValueError, match=f"latency_us must be finite and >= 0, got {latency}"):
             Channel(100, latency)
 
 

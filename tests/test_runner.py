@@ -430,8 +430,9 @@ def drone_turning_back():
         (load_scenario(bundled_scenario_path()), 42),
         (load_scenario(bundled_scenario_path()), 7),
         (drone_turning_back(), None),
+        (build_scenario({**read_document(bundled_scenario_path()), "objective": "bytes"}), 42),
     ],
-    ids=["drone-42", "drone-7", "turn-back"],
+    ids=["drone-42", "drone-7", "turn-back", "drone-bytes"],  # the last runs pre-copy
 )
 def test_phase_events_tile_each_migration(scenario, seed):
     """Each migration's phases run back to back and end at its completion.
@@ -439,7 +440,9 @@ def test_phase_events_tile_each_migration(scenario, seed):
     The first phase starts at ``migration-started``, or for a replica
     handover at the sync tick it hands over at.  Each phase starts where the
     previous one ended, so the migration time, the sum of the spans, is
-    the time from the first phase's start to the completion.
+    the time from the first phase's start to the completion.  The downtime
+    is the sum of every span but the pre-copy rounds and the background
+    stream, which run while the function serves.
     """
     bundle = run_scenario(scenario, seed=seed)
     reports = {}
@@ -460,7 +463,11 @@ def test_phase_events_tile_each_migration(scenario, seed):
         elif event.kind == "migration-complete":
             assert event.time_us == clock[nf]
             report = reports[nf].pop(0)
-            assert tuple(spans.pop(nf)) == report.phases
+            phases = spans.pop(nf)
+            assert phases == [(name, span) for name, span, _ in report.phases]
+            live = ("copy-round-", "background-stream")
+            down = [span for name, span in phases if not name.startswith(live)]
+            assert data["downtime_us"] == sum(down)
             assert event.time_us - first.pop(nf) == report.migration_time_us
             completed.append(nf)
     assert len(completed) == len(bundle.reports) and not spans

@@ -776,6 +776,14 @@ class TestSweepParams:
         code, err = self.sweep(tmp_path, capsys, "seed=" + "[" * 10**5)
         assert (code, err) == (2, "error: 'seed' has wrong type str\n")
 
+    def test_a_bad_later_variant_runs_no_variant(self, tmp_path, capsys):
+        argv = ["sweep", str(bundled_scenario_path()), "--param", "seed=1,x"]
+        code = main([*argv, "--out", str(tmp_path / "sweep")])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "error: 'seed' has wrong type str\n")
+        assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
 
 def test_out_naming_an_existing_file_exits_3(tmp_path, capsys):
     out = tmp_path / "taken"
