@@ -17,12 +17,14 @@ stream for stochastic workloads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import sub
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation
 
@@ -213,6 +215,23 @@ class MemoryImage:
             self.mark_copied(ws)
         return len(ws)
 
+    def stream_ranks(self, pages: Iterable[int]) -> Iterator[int]:
+        """Each page's index among the pages outside the working set; negative inside it.
+
+        After :meth:`copy_working_set`, :meth:`copy_lowest` copies the pages
+        outside the working set in this order.  Lazy, so a long trace holds
+        no list of ranks: one C-level subtraction per page for the default
+        working set, one ``bisect`` per page for an explicit one.
+        """
+        ws = self._working_set
+        if isinstance(ws, range):  # the default, ``range(k)``
+            return map(sub, pages, repeat(ws.stop))
+        return (
+            -1 if below < len(ws) and ws[below] == page else page - below
+            for page in pages
+            for below in (bisect_left(ws, page),)
+        )
+
     def copy_lowest(self, limit: int, cursor: int) -> tuple[int, int]:
         """Copy up to ``limit`` never-copied pages at or above ``cursor``, lowest first.
 
@@ -241,10 +260,6 @@ class MemoryImage:
             cursor = end
         self._never -= copied
         return copied, cursor
-
-    def is_clean(self, page_id: int) -> bool:
-        """Whether ``page_id`` is at the target and unchanged; no range check."""
-        return self._state[page_id] == _CLEAN
 
     def reset_for_transfer(self) -> None:
         """Start a new migration: every page needs to reach the new target."""
@@ -386,6 +401,8 @@ def advance_dirty(image: MemoryImage, process: DirtyProcess, duration_us: int) -
     """
     if not 0 <= duration_us < math.inf:  # NaN fails too
         raise ValueError(f"duration must be finite and >= 0, got {duration_us}")
+    if not isinstance(duration_us, int):  # a fractional one would make the carry a float
+        raise ValueError(f"duration must be whole microseconds, got {duration_us!r}")
     if image.frozen:
         raise InvariantViolation(
             "memory-image", "dirty-page process advanced while the function is frozen"

@@ -28,6 +28,7 @@ clock.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -327,23 +328,31 @@ def migrate_post_copy(
     deterministic rendering of post-copy's failure risk.  Stalls stretch the
     function's timeline but never count as downtime.
 
-    The stream sends the never-copied pages lowest first, one page per
-    ``page_us``, after one latency.  Nothing dirties during post-copy, so it
-    is kept as a cursor below which every page has arrived, and it is
-    brought up to date only when a touch finds its page missing: between
-    two fetches the stream clock moves in whole pages, so catching up once
-    for several touches streams the same pages as catching up at each.
-    The cost grows with touches and runs of pages, not with the image.
+    The stream sends the pages outside the working set lowest first, one
+    page per ``page_us``, after one latency, and skips the fetched ones.
+    Nothing dirties during post-copy, so the touches are walked by stream
+    rank (a page's index among the pages outside the working set) with no
+    call on the image.  A stall delays the stream and the touch alike, so
+    at offset ``t`` the stream has sent ``(t - latency) // page_us`` pages,
+    or all of them with no bandwidth limit.  A page has arrived when its
+    rank, less the fetched ranks below it, is under the pages streamed, or
+    when it was fetched; the fetched ranks are one ascending list.  The
+    image is written once, at the end: all of it on success, and on
+    failure, which only the first fetch can meet since every stall is the
+    same, the streamed pages and that one fetched page.  The cost grows
+    with touches and fetches, not with the image.
     """
     image = _require_stateful(nf)
+    num_pages = image.num_pages
     for offset, page in access_trace:
-        if offset < 0:
-            raise ValueError(f"access offset must be >= 0, got {offset}")
-        if not 0 <= page < image.num_pages:
-            raise ValueError(f"access to page {page} outside image of {image.num_pages}")
+        if not 0 <= offset < math.inf:  # NaN fails too
+            raise ValueError(f"access offset must be finite and >= 0, got {offset}")
+        if not 0 <= page < num_pages:
+            raise ValueError(f"access to page {page} outside image of {num_pages}")
     image.reset_for_transfer()
     page_size = image.page_size
     ordered_trace = sorted(access_trace, key=itemgetter(0))
+    ranks = image.stream_ranks(map(itemgetter(1), ordered_trace))
 
     _, phases = _stop_and_copy(
         image, MemoryImage.copy_working_set, "copy-working-set", channel, params
@@ -353,39 +362,46 @@ def migrate_post_copy(
 
     page_us = serialize_us(page_size, channel)
     latency = latency_ceil_us(channel)
-    stream_clock = downtime + latency  # the stream starts one latency after restart
-    cursor = 0  # every page below it has arrived
+    stall = 2 * latency + page_us
+    fails = stall > params.postcopy_fault_deadline_us  # every stall is the same
+    start = downtime + latency  # the stream starts one latency after restart
+    unsent = image.never_copied_count  # pages the stream has yet to send
+    streamed = 0  # pages the stream has sent
+    fetched: list[int] = []  # stream ranks of the fetched pages, ascending
     last_arrival = downtime
     stall_total = 0
     failure: str | None = None
-    is_clean = image.is_clean
 
-    for offset, page in ordered_trace:
-        if is_clean(page):
+    for (offset, page), rank in zip(ordered_trace, ranks):
+        if rank < streamed:  # working set (rank < 0) or streamed
             continue
-        access_at = downtime + offset + stall_total
-        if stream_clock <= access_at:
-            limit = int((access_at - stream_clock) // page_us) if page_us else image.num_pages
-            streamed, cursor = image.copy_lowest(limit, cursor)
-            if streamed:
-                stream_clock += streamed * page_us
-                last_arrival = stream_clock
-            if is_clean(page):
-                continue
-        stall = 2 * latency + page_us
+        below = bisect_left(fetched, rank)  # a page's place in the stream is rank - below
+        if rank - below < streamed or below < len(fetched) and fetched[below] == rank:
+            continue
+        if offset >= latency:  # stalls delay the stream and the touch alike
+            due = int((offset - latency) // page_us) - streamed if page_us else unsent
+            if due > 0:
+                if due > unsent:
+                    due = unsent
+                streamed += due
+                unsent -= due
+                last_arrival = start + streamed * page_us + stall_total  # the stream clock
+                if rank - below < streamed:
+                    continue
         stall_total += stall
-        image.mark_copied((page,))
-        last_arrival = max(last_arrival, access_at + stall)
-        stream_clock += stall  # the fetch preempts the stream for its full span
-        if stall > params.postcopy_fault_deadline_us:
+        last_arrival = downtime + offset + stall_total  # no page lands later than the fetch
+        if fails:
             failure = "fault deadline exceeded"
+            image.copy_lowest(streamed, 0)  # nothing was fetched before this page
+            image.mark_copied((page,))
             break
+        fetched.insert(below, rank)
+        unsent -= 1
 
     if failure is None:
-        streamed, _ = image.copy_lowest(image.never_copied_count, cursor)
-        if streamed:
-            stream_clock += streamed * page_us
-            last_arrival = stream_clock
+        if unsent:
+            last_arrival = start + (streamed + unsent) * page_us + stall_total
+        image.copy_all()
 
     if last_arrival > downtime:
         phases.append(Phase("background-stream", last_arrival - downtime, down=False))

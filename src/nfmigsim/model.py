@@ -152,6 +152,8 @@ class Link:
             raise InvariantViolation(
                 entity, f"extra_latency_us must be >= 0, got {self.extra_latency_us}"
             )
+        if self.extra_latency_us == math.inf:  # no channel could carry it
+            raise InvariantViolation(entity, "extra_latency_us must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -338,6 +340,8 @@ def validate_topology(
         raise InvariantViolation(
             "topology", f"intra_host_latency_us must be >= 0, got {intra_host_latency_us}"
         )
+    if intra_host_latency_us == math.inf:  # no channel could carry it
+        raise InvariantViolation("topology", "intra_host_latency_us must be finite, got inf")
     host_map: dict[str, HostNode] = {}
     for host in hosts:
         if host.id in host_map:

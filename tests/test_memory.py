@@ -127,6 +127,15 @@ class TestMemoryImage:
             advance_dirty(image, process, duration)
         assert advance_dirty(image, process, 1_000_000) == 10
 
+    @pytest.mark.parametrize("duration", [0.5, 5.0])
+    def test_fractional_duration_rejected_and_the_carry_kept(self, duration):
+        # A fractional duration once made the carry a float, and the next draw raised.
+        image = clean_image(100)
+        process = ConstantRateDirty(10)
+        with pytest.raises(ValueError, match=f"duration must be whole microseconds, got {duration}"):
+            advance_dirty(image, process, duration)
+        assert advance_dirty(image, process, 1_000_000) == 10
+
     @pytest.mark.parametrize("page_size", [1.5, math.nan, math.inf, True, 0])
     def test_page_size_must_be_a_positive_integer(self, page_size):
         with pytest.raises(ValueError, match=f"page_size must be an integer > 0, got {page_size}"):

@@ -5,6 +5,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,8 @@ from nfmigsim import (
     transfer_time_us,
 )
 from nfmigsim.migration import MAX_PRECOPY_ROUNDS, Phase, latency_ceil_us, serialize_us
+
+import post_copy_golden
 
 ZERO_OVERHEADS = dict(
     freeze_overhead_us=0,
@@ -366,29 +369,51 @@ class TestPostCopy:
             migrate_post_copy(nf, Channel(100, 0), MigrationParams(), trace)
         assert (image.clean_count, image.dirty_count, image.never_copied_count) == (8, 0, 0)
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_nan_or_infinite_offset_rejected(self, offset):
+        nf = stateful_nf(8)
+        with pytest.raises(ValueError, match=f"access offset must be finite and >= 0, got {offset}"):
+            migrate_post_copy(nf, Channel(100, 0), MigrationParams(), [(offset, 7)])
+        assert nf.memory.never_copied_count == 8
+
     def test_stream_cost_grows_with_fetches_not_pages(self, monkeypatch):
-        calls = {"mark_copied": 0, "take_transfer_batch": 0}
+        # The touches are walked by stream rank; the image is read and written
+        # a fixed number of times, however many touches and fetches there are.
+        calls = []
 
-        def counted(name):
-            original = getattr(MemoryImage, name)
-
-            def wrapper(self, *args):
-                calls[name] += 1
-                return original(self, *args)
+        def counted(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(MemoryImage, name, counted(name))
-        image = MemoryImage(10**4, 1)  # default working set: the lowest 20%
-        nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
+        for name, member in vars(MemoryImage).items():
+            if isinstance(member, property):
+                monkeypatch.setattr(MemoryImage, name, property(counted(name, member.fget)))
+            elif callable(member) and not name.startswith("__"):
+                monkeypatch.setattr(MemoryImage, name, counted(name, member))
         params = MigrationParams(**ZERO_OVERHEADS)
-        trace = [(0, 9_999), (10, 5_000), (20, 100), (30, 9_998), (1_000, 2_500)]
-        report = migrate_post_copy(nf, Channel(10**6, 3), params, trace)
+        channel = Channel(10**6, 3)
         stall = 2 * 3 + 1
-        assert report.succeeded and image.all_clean
-        assert report.stall_time_us == 3 * stall  # pages 100 and 2,500 had arrived
-        assert calls == {"mark_copied": report.stall_time_us // stall, "take_transfer_batch": 0}
+
+        def memory_calls(trace):
+            image = MemoryImage(10**4, 1)  # default working set: the lowest 20%
+            nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
+            calls.clear()
+            report = migrate_post_copy(nf, channel, params, trace)
+            made = list(calls)
+            assert report.succeeded and image.all_clean
+            return made, report.stall_time_us // stall
+
+        few = [(0, 9_999), (10, 5_000), (20, 100), (30, 9_998), (1_000, 2_500)]
+        rng = random.Random(5)
+        many = [(rng.randrange(8_000), rng.randrange(10**4)) for _ in range(500)]
+        few_calls, few_fetches = memory_calls(few)
+        many_calls, many_fetches = memory_calls(many)
+        assert few_fetches == 3  # pages 100 and 2,500 had arrived
+        assert many_fetches > 100
+        assert many_calls == few_calls
 
 
 def reference_post_copy(image, channel, params, access_trace):
@@ -487,7 +512,7 @@ def post_copy_cases(draw):
     page_us = serialize_us(page_size, channel)
     horizon = 2 * (num_pages * page_us + 50)
     trace = []
-    for _ in range(draw(st.integers(0, 25)) if num_pages else 0):
+    for _ in range(draw(st.integers(0, 80)) if num_pages else 0):
         if draw(st.booleans()):
             trace.append((draw(whole_or_half_us(horizon)), draw(st.integers(0, num_pages - 1))))
         else:  # about when the k-th streamed page lands, to probe the stream's edge
@@ -882,3 +907,55 @@ class TestCrossStrategyInvariants:
         assert inter.bytes_transferred == 100
         for report in (pre, post, ppm):
             assert report.bytes_transferred + report.sync_bytes >= 100
+
+
+def scale_trace(rng, num_pages, horizon_us, touches=2_000):
+    """Touches with half-microsecond offsets, equal offsets and repeated pages."""
+    trace = []
+    for _ in range(touches):
+        offset = rng.randrange(2 * horizon_us) / 2
+        page = rng.randrange(num_pages)
+        if trace and rng.random() < 0.2:  # the same instant as an earlier touch
+            offset = rng.choice(trace)[0]
+        if trace and rng.random() < 0.2:  # a page touched before
+            page = rng.choice(trace)[1]
+        trace.append((offset, page))
+    return trace
+
+
+@pytest.mark.parametrize(
+    "working_set, bandwidth, deadline_us, start_us",
+    [
+        (None, 10**5, 500_000, 0),  # default working set, 40 us per page
+        ("tuple", 10**5, 500_000, 0),
+        (None, None, 500_000, 0),  # no bandwidth limit: the stream lands at once
+        ("tuple", 10**5, 50, 20_000),  # the first fetch fails, after the stream started
+    ],
+)
+def test_post_copy_matches_page_by_page_reference_at_scale(
+    working_set, bandwidth, deadline_us, start_us
+):
+    num_pages, page_size = 2 * 10**4, 4
+    rng = random.Random(num_pages + start_us)
+    if working_set == "tuple":
+        working_set = rng.sample(range(num_pages), num_pages // 5)
+    image = MemoryImage(num_pages, page_size, working_set=working_set)
+    channel = Channel(bandwidth, 40)
+    params = MigrationParams(postcopy_fault_deadline_us=deadline_us)
+    horizon_us = (num_pages * serialize_us(page_size, channel) or 200) // 2
+    trace = [(start_us + offset, page) for offset, page in scale_trace(rng, num_pages, horizon_us)]
+    expected, states = reference_post_copy(image, channel, params, trace)
+    nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
+    report = migrate_post_copy(nf, channel, params, trace)
+    assert report == expected
+    assert [image.page_state(page) for page in range(num_pages)] == states
+    assert report.stall_time_us > 0
+    if deadline_us < report.stall_time_us:
+        assert not report.succeeded
+        assert report.bytes_transferred > (num_pages // 5 + 1) * page_size  # some pages streamed
+
+
+def test_post_copy_reports_match_the_golden_file():
+    # The same check runs without pytest in CI on every supported Python.
+    golden = Path(__file__).parent / "data" / "post_copy_reports.golden"
+    assert "".join(post_copy_golden.reports()) == golden.read_text(encoding="utf-8")

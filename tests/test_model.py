@@ -439,6 +439,19 @@ class TestDerivedState:
         ):
             Link("h1", "h2", 10**8, float("nan"))
 
+    def test_infinite_latency_rejected_where_it_is_validated(self):
+        # Either once validated, and the first channel over it raised.
+        with pytest.raises(
+            InvariantViolation, match=r"link \(h1, h2\): extra_latency_us must be finite, got inf"
+        ):
+            Link("h1", "h2", 10**8, float("inf"))
+        with pytest.raises(
+            InvariantViolation, match="topology: intra_host_latency_us must be finite, got inf"
+        ):
+            two_host_topology(
+                DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("inf")
+            )
+
     def test_nan_driver_rtt_rejected(self):
         with pytest.raises(
             InvariantViolation, match="driver 'host': rtt_inter_host_us must be positive, got nan"
