@@ -53,7 +53,9 @@ class BatchFilter(Enum):
 # ``bytearray.translate``, ``find``, ``count`` and big-integer bit operations,
 # which run in C; Python steps are spent per run of pages, never per page of
 # the image (the Bernoulli model's steps are one per 256 pages on average).
-# Bit 0 of a byte means dirty and bit 1 never copied; ``dirty_where`` uses that.
+# Bit 0 of a byte means dirty and bit 1 never copied.  So ``dirty_where``
+# writes a hit mask as the state of an all-clean image, and only an image with
+# dirty or never-copied pages pays its big-integer pass over state and mask.
 _CLEAN, _DIRTY, _NEVER = 0, 1, 2
 _STATES = (PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED)
 _DIRTY_TO_CLEAN = bytes((_CLEAN, _CLEAN, _NEVER)) + bytes(253)
@@ -232,21 +234,19 @@ class MemoryImage:
             for below in (bisect_left(ws, page),)
         )
 
-    def copy_lowest(self, limit: int, cursor: int) -> tuple[int, int]:
-        """Copy up to ``limit`` never-copied pages at or above ``cursor``, lowest first.
+    def copy_lowest(self, limit: int) -> int:
+        """Copy up to ``limit`` never-copied pages, lowest first; returns how many.
 
-        Returns how many were copied and the new cursor: no never-copied page
-        lies between ``cursor`` and it.  Works run by run, like
-        :meth:`dirty_lowest`: ``find`` locates each run of never-copied pages
-        and one slice assignment copies it.
+        Works run by run, like :meth:`dirty_lowest`: ``find`` locates each
+        run of never-copied pages and one slice assignment copies it.
         """
         state = self._state
         n = self._num_pages
         copied = 0
+        cursor = 0
         while copied < limit:
             start = state.find(_NEVER, cursor)
             if start < 0:
-                cursor = n
                 break
             end = min(n, start + limit - copied)
             clean = state.find(_CLEAN, start, end)
@@ -259,7 +259,7 @@ class MemoryImage:
             copied += end - start
             cursor = end
         self._never -= copied
-        return copied, cursor
+        return copied
 
     def reset_for_transfer(self) -> None:
         """Start a new migration: every page needs to reach the new target."""
@@ -301,20 +301,27 @@ class MemoryImage:
     def dirty_where(self, mask: bytes) -> int:
         """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
 
-        Returns how many of those pages were not dirty yet.  The state and
-        the mask are combined as two big integers, so the whole image is one
+        Returns how many of those pages were not dirty yet.  An all-clean
+        image copies the mask in as its state.  Otherwise the state and the
+        mask are combined as two big integers, so the whole image is one
         C-level step: a hit sets a page's dirty bit and clears its
-        never-copied bit.
+        never-copied bit, and the new state's popcount gives the dirty count.
         """
         if len(mask) != self._num_pages:
             raise ValueError(f"mask of {len(mask)} bytes for an image of {self._num_pages} pages")
         hit = int.from_bytes(mask, "little")
+        if self.all_clean:
+            self._state[:] = mask
+            self._dirty = hit.bit_count()
+            return self._dirty
         state = int.from_bytes(self._state, "little")
-        marked = hit.bit_count() - (hit & state).bit_count()
-        self._never -= ((hit << 1) & state).bit_count()
-        self._dirty += marked
-        state = (state & ~(hit << 1)) | hit
-        self._state = bytearray(state.to_bytes(self._num_pages, "little"))
+        on_never = (hit << 1) & state
+        state = (state ^ on_never) | hit
+        self._state[:] = state.to_bytes(self._num_pages, "little")
+        self._never -= on_never.bit_count()
+        dirty = state.bit_count() - self._never  # no byte has both bits set
+        marked = dirty - self._dirty
+        self._dirty = dirty
         return marked
 
 

@@ -392,7 +392,7 @@ def migrate_post_copy(
         last_arrival = downtime + offset + stall_total  # no page lands later than the fetch
         if fails:
             failure = "fault deadline exceeded"
-            image.copy_lowest(streamed, 0)  # nothing was fetched before this page
+            image.copy_lowest(streamed)  # nothing was fetched before this page
             image.mark_copied((page,))
             break
         fetched.insert(below, rank)

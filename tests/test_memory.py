@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfmigsim import (
@@ -49,6 +49,14 @@ class TestMemoryImage:
         assert (image.dirty_count, image.clean_count, image.never_copied_count) == (4, 1, 1)
         with pytest.raises(ValueError):
             image.dirty_where(bytes(5))
+
+    def test_dirty_where_on_an_all_clean_image_copies_the_mask(self):
+        image = clean_image(6)
+        mask = bytearray((1, 0, 0, 1, 1, 0))
+        assert image.dirty_where(mask) == 3
+        mask[:] = bytes((0, 1, 1, 0, 0, 1))
+        assert dirty_pages(image) == {0, 3, 4}
+        assert (image.dirty_count, image.clean_count, image.never_copied_count) == (3, 3, 0)
 
     def test_default_working_set_fraction(self):
         image = MemoryImage(100, 1)
@@ -433,11 +441,15 @@ PAGE_STATE_RUNS = st.lists(
     st.tuples(st.sampled_from(list(PageState)), st.integers(1, 12)), max_size=10
 ).map(lambda runs: [state for state, length in runs for _ in range(length)][:64])
 COPY_OPERATIONS = st.one_of(
-    st.tuples(st.just("copy-lowest"), st.integers(0, 70), st.integers(0, 70)),
+    st.tuples(st.just("copy-lowest"), st.integers(0, 70)),
     st.tuples(st.just("copy-dirty")),
     st.tuples(st.just("copy-working-set")),
     st.tuples(st.just("dirty-where"), st.lists(st.booleans(), min_size=64, max_size=64)),
 )
+
+
+THIRDS = [page % 3 == 0 for page in range(64)]
+HALVES = [page % 2 == 0 for page in range(64)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -445,6 +457,28 @@ COPY_OPERATIONS = st.one_of(
     states=PAGE_STATE_RUNS,
     working_set=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.sets(st.integers(0, 63))),
     operations=st.lists(COPY_OPERATIONS, max_size=12),
+)
+# All clean: the first draw takes the mask as the state, the second meets dirty pages.
+@example(
+    states=[PageState.CLEAN_AT_TARGET] * 64,
+    working_set=0.3,
+    operations=[
+        ("dirty-where", THIRDS),
+        ("dirty-where", HALVES),
+        ("copy-dirty",),
+        ("dirty-where", HALVES),
+    ],
+)
+# All never copied: every draw combines state and mask.
+@example(
+    states=[PageState.NEVER_COPIED] * 64,
+    working_set=0.3,
+    operations=[
+        ("dirty-where", THIRDS),
+        ("copy-lowest", 20),
+        ("dirty-where", HALVES),
+        ("copy-working-set",),
+    ],
 )
 def test_run_copies_match_page_list_reference(states, working_set, operations):
     num_pages = len(states)
@@ -460,16 +494,8 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
     for operation in operations:
         kind = operation[0]
         if kind == "copy-lowest":
-            limit, cursor = operation[1:]
-            cursor = min(cursor, num_pages)
-            pending = [p for p in range(cursor, num_pages) if reference[p] is never]
-            picked = pending[:limit]
-            copied, new_cursor = image.copy_lowest(limit, cursor)
-            assert copied == len(picked)
-            if len(pending) < limit:
-                assert new_cursor == num_pages
-            else:
-                assert new_cursor == (picked[-1] + 1 if picked else cursor)
+            picked = [p for p in range(num_pages) if reference[p] is never][: operation[1]]
+            assert image.copy_lowest(operation[1]) == len(picked)
             for page in picked:
                 reference[page] = clean
         elif kind == "copy-dirty":
@@ -482,7 +508,8 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
                 reference[page] = clean
         else:
             mask = operation[1][:num_pages]
-            image.dirty_where(bytes(mask))
+            newly = sum(hit and s is not dirty for hit, s in zip(mask, reference))
+            assert image.dirty_where(bytes(mask)) == newly
             reference = [dirty if hit else s for hit, s in zip(mask, reference)]
         assert [image.page_state(page) for page in range(num_pages)] == reference
         assert image.dirty_count == reference.count(dirty)
@@ -491,9 +518,17 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
 
 @pytest.mark.parametrize("p", [0.00001, 0.0004, 0.003, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_draw_matches_the_reference_law_on_a_large_image(p, seed):
+@pytest.mark.parametrize(
+    "start",
+    [
+        [PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY] * 4000,
+        [PageState.CLEAN_AT_TARGET] * 8000,  # the mask becomes the state
+    ],
+    ids=["half-dirty", "all-clean"],
+)
+def test_draw_matches_the_reference_law_on_a_large_image(p, seed, start):
     # Thousands of pages put dozens of pages on the edge byte in each draw.
-    image = image_in_states([PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY] * 4000)
+    image = image_in_states(start)
     reference = ReferenceImage(image.num_pages)
     reference.dirty = dirty_pages(image)
     reference.never = set()

@@ -37,6 +37,7 @@ from nfmigsim import (
 from nfmigsim.migration import MAX_PRECOPY_ROUNDS, Phase, latency_ceil_us, serialize_us
 
 import post_copy_golden
+import replica_bernoulli_golden
 
 ZERO_OVERHEADS = dict(
     freeze_overhead_us=0,
@@ -959,3 +960,9 @@ def test_post_copy_reports_match_the_golden_file():
     # The same check runs without pytest in CI on every supported Python.
     golden = Path(__file__).parent / "data" / "post_copy_reports.golden"
     assert "".join(post_copy_golden.reports()) == golden.read_text(encoding="utf-8")
+
+
+def test_replica_bernoulli_reports_match_the_golden_file():
+    # Ticks land inside the sync interval, so draws meet clean and dirty images alike.
+    golden = Path(__file__).parent / "data" / "replica_bernoulli_reports.golden"
+    assert "".join(replica_bernoulli_golden.reports()) == golden.read_text(encoding="utf-8")

@@ -303,6 +303,8 @@ def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
 GOLDEN_DRONE_EXPORTS = Path(__file__).parent / "data" / "drone_exports.sha256"
 # The same for ``perfbench/scenario_gen.generate(301)`` run at seed 301.
 GOLDEN_GENERATED_EXPORTS = Path(__file__).parent / "data" / "generated_exports.sha256"
+# The same for the drone document with every dirty model Bernoulli, at seeds 42 and 7.
+GOLDEN_BERNOULLI_EXPORTS = Path(__file__).parent / "data" / "bernoulli_exports.sha256"
 
 
 def export_digests(scenario, seeds, out_dir):
@@ -323,6 +325,15 @@ def golden_digests(path):
 def test_drone_exports_match_the_committed_digests(tmp_path):
     scenario = load_scenario(bundled_scenario_path())
     assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_DRONE_EXPORTS)
+
+
+def test_bernoulli_drone_exports_match_the_committed_digests(tmp_path):
+    data = read_document(bundled_scenario_path())
+    for nf in data["nfs"]:
+        if "memory" in nf:
+            nf["memory"]["dirty_model"] = {"kind": "bernoulli", "p_per_page_per_ms": 0.002}
+    scenario = build_scenario(data)
+    assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_BERNOULLI_EXPORTS)
 
 
 class Tone(str, Enum):
