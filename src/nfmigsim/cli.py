@@ -34,7 +34,7 @@ def _parse_param(spec: str) -> tuple[str, list]:
     for chunk in raw_values.split(","):
         try:
             values.append(json.loads(chunk))
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError covers JSONDecodeError
             values.append(chunk)
     return key, values
 
@@ -57,20 +57,25 @@ def _cmd_sweep(args) -> int:
     build_scenario(base, source=str(args.scenario))  # a bad base fails before any variant
     axes = [_parse_param(spec) for spec in args.param]
     # Every variant is built before any runs, so a bad one fails before any output.
-    variants = []
+    variants = {}  # output directory name -> (label, scenario)
     for combo in itertools.product(*(values for _, values in axes)):
         data = copy.deepcopy(base)
         label_parts = []
         for (key, _), value in zip(axes, combo):
             _set_dotted(data, key, value)
             label_parts.append(f"{key.split('.')[-1]}={value}")
-        variants.append((",".join(label_parts), build_scenario(data, source=str(args.scenario))))
+        label = ",".join(label_parts)
+        directory = label.replace("/", "_")
+        if directory in variants:
+            raise ScenarioParseError(
+                f"variants '{variants[directory][0]}' and '{label}' would both write '{directory}'"
+            )
+        variants[directory] = (label, build_scenario(data, source=str(args.scenario)))
     out_root = Path(args.out)
     print(f"{'variant':<56}{'migrations':>11}{'downtime_us':>13}{'bytes':>14}")
-    for label, scenario in variants:
+    for directory, (label, scenario) in variants.items():
         bundle = run_scenario(scenario, seed=args.seed)
-        safe_label = label.replace("/", "_")
-        export_metrics(bundle, out_root / safe_label)
+        export_metrics(bundle, out_root / directory)
         totals = bundle.totals_by_kind().values()
         downtime = sum(kind["downtime_us"] for kind in totals)
         total_bytes = sum(kind["bytes"] + kind["sync_bytes"] for kind in totals)

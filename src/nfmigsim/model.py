@@ -29,6 +29,9 @@ from .errors import (
 from .memory import MemoryImage
 
 DEFAULT_INTRA_HOST_LATENCY_US = 25
+#: The most latency, in µs, one link or driver may add (about 11.6 days).  It
+#: keeps a route's summed latency a finite float, however many links it spans.
+MAX_LATENCY_US = 10**12
 
 
 class DriverKind(str, Enum):
@@ -58,6 +61,11 @@ class NetworkDriverProfile:
             raise InvariantViolation(
                 f"driver '{self.kind.value}'",
                 f"rtt_inter_host_us must be positive, got {self.rtt_inter_host_us}",
+            )
+        if self.rtt_inter_host_us > MAX_LATENCY_US:
+            raise InvariantViolation(
+                f"driver '{self.kind.value}'",
+                f"rtt_inter_host_us must be <= {MAX_LATENCY_US}, got {self.rtt_inter_host_us}",
             )
 
 
@@ -154,6 +162,10 @@ class Link:
             )
         if self.extra_latency_us == math.inf:  # no channel could carry it
             raise InvariantViolation(entity, "extra_latency_us must be finite, got inf")
+        if self.extra_latency_us > MAX_LATENCY_US:
+            raise InvariantViolation(
+                entity, f"extra_latency_us must be <= {MAX_LATENCY_US}, got {self.extra_latency_us}"
+            )
 
 
 @dataclass(frozen=True)

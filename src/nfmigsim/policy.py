@@ -1,13 +1,15 @@
 """Per-function strategy selection and placement feasibility.
 
-The selection table encodes one row per core function: the UPF is redeployed
-cold because it keeps no migratable state; session- and mobility-management
-functions prefer a synchronized replica when downtime matters and iterative
-pre-copy when transfer volume matters; the authentication server and the
-data-store functions take the single bulk copy, which minimizes migration
-time and sends each byte exactly once; the repository function switches
-between bulk copy and the iterative/replica approaches depending on what the
-operator optimizes for.
+``POLICY_TABLE`` holds one row per function variant, (kind, stateful): its
+rationale tag and its preference order under each objective.  The UPF, and
+a UDM that delegates its state to the UDR, keep no migratable state and are
+redeployed cold; session- and mobility-management functions prefer a
+synchronized replica when downtime matters and iterative pre-copy when
+transfer volume matters; the authentication server and the data-store
+functions take the single bulk copy, which minimizes migration time and
+sends each byte exactly once; the repository function switches between bulk
+copy and the iterative/replica approaches depending on the objective.  Each
+decision is built once, at import; :func:`select_strategy` looks it up.
 
 Placement feasibility is data, not an error: a check returns the list of
 violated constraints (Ethernet PDU sessions need an L2-capable attachment,
@@ -51,61 +53,49 @@ class StrategyDecision:
         return self.candidates[0]
 
 
+# Preference orders: one strategy, or a first choice and its fallback.
 _REDEPLOY = (Strategy.NO_MIGRATION_REDEPLOY,)
-_INTER = (Strategy.INTER_COPY,)
-_PARALLEL_FIRST = (Strategy.PARALLEL, Strategy.PRE_COPY)
-_PRECOPY_FIRST = (Strategy.PRE_COPY, Strategy.PARALLEL)
+_BULK = (Strategy.INTER_COPY,)
+_PARALLEL = (Strategy.PARALLEL, Strategy.PRE_COPY)
+_PRECOPY = (Strategy.PRE_COPY, Strategy.PARALLEL)
 
-_RATIONALE = {
-    NfKind.UPF: "stateless-user-plane",
-    NfKind.SMF: "stateful-session-management",
-    NfKind.AMF: "signaling-availability-critical",
-    NfKind.AUSF: "security-isolation",
-    NfKind.UDM: "subscriber-data",
-    NfKind.UDR: "central-data-store",
-    NfKind.NRF: "registry-size-dependent",
+
+class _Inferred(tuple):
+    """A preference order inferred from the cost model rather than stated: tagged ``+inferred``."""
+
+
+#: (kind, stateful) -> (rationale tag, preference order under each objective in
+#: ``Objective`` order: downtime, migration time, bytes).
+POLICY_TABLE: Mapping[tuple[NfKind, bool], tuple[str, tuple[tuple[Strategy, ...], ...]]] = {
+    (NfKind.UPF, False): ("stateless-user-plane", (_REDEPLOY, _REDEPLOY, _REDEPLOY)),
+    (NfKind.SMF, True): ("stateful-session-management", (_PARALLEL, _PRECOPY, _PRECOPY)),
+    # Continuous replica sync duplicates every input, so it maximizes bytes;
+    # iterative copy is the fallback when volume matters.
+    (NfKind.AMF, True): (
+        "signaling-availability-critical",
+        (_PARALLEL, _PARALLEL, _Inferred(_PRECOPY)),
+    ),
+    (NfKind.AUSF, True): ("security-isolation", (_BULK, _BULK, _BULK)),
+    (NfKind.UDM, True): ("subscriber-data", (_BULK, _BULK, _BULK)),
+    (NfKind.UDM, False): ("delegates-state-to-udr", (_REDEPLOY, _REDEPLOY, _REDEPLOY)),
+    (NfKind.UDR, True): ("central-data-store", (_BULK, _BULK, _BULK)),
+    (NfKind.NRF, True): ("registry-size-dependent", (_PARALLEL, _BULK, _PRECOPY)),
 }
 
-# Stateful kind -> objective -> preference order.  A function without state
-# has nothing to copy and is always redeployed cold.
-_DECISION_TABLE: Mapping[NfKind, Mapping[Objective, tuple[Strategy, ...]]] = {
-    NfKind.SMF: {
-        Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
-        Objective.MINIMIZE_MIGRATION_TIME: _PRECOPY_FIRST,
-        Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
-    },
-    NfKind.AMF: {
-        Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
-        Objective.MINIMIZE_MIGRATION_TIME: _PARALLEL_FIRST,
-        # Continuous replica sync duplicates every input, so it maximizes
-        # bytes; iterative copy is the fallback when volume matters.
-        Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
-    },
-    NfKind.AUSF: {
-        Objective.MINIMIZE_DOWNTIME: _INTER,
-        Objective.MINIMIZE_MIGRATION_TIME: _INTER,
-        Objective.MINIMIZE_BYTES: _INTER,
-    },
-    NfKind.UDM: {
-        Objective.MINIMIZE_DOWNTIME: _INTER,
-        Objective.MINIMIZE_MIGRATION_TIME: _INTER,
-        Objective.MINIMIZE_BYTES: _INTER,
-    },
-    NfKind.UDR: {
-        Objective.MINIMIZE_DOWNTIME: _INTER,
-        Objective.MINIMIZE_MIGRATION_TIME: _INTER,
-        Objective.MINIMIZE_BYTES: _INTER,
-    },
-    NfKind.NRF: {
-        Objective.MINIMIZE_DOWNTIME: _PARALLEL_FIRST,
-        Objective.MINIMIZE_MIGRATION_TIME: _INTER,
-        Objective.MINIMIZE_BYTES: _PRECOPY_FIRST,
-    },
-}
 
-# Cells whose preference is an inference from the cost model rather than a
-# stated recommendation; surfaced in the rationale tag.
-_INFERRED_CELLS = frozenset({(NfKind.AMF, True, Objective.MINIMIZE_BYTES)})
+def _build_decisions() -> dict[tuple[NfKind, bool, Objective], StrategyDecision]:
+    """Every cell's decision, stateful variants first; a variant with no row raises KeyError."""
+    decisions = {}
+    for kind, variants in STATEFUL_VARIANTS.items():
+        for stateful in sorted(variants, reverse=True):
+            rationale, orders = POLICY_TABLE[kind, stateful]
+            for objective, order in zip(Objective, orders, strict=True):
+                tag = rationale + "+inferred" if isinstance(order, _Inferred) else rationale
+                decisions[kind, stateful, objective] = StrategyDecision(tuple(order), tag)
+    return decisions
+
+
+_DECISIONS = _build_decisions()
 
 
 def select_strategy(kind: NfKind, stateful: bool, objective: Objective) -> StrategyDecision:
@@ -114,17 +104,12 @@ def select_strategy(kind: NfKind, stateful: bool, objective: Objective) -> Strat
     Raises :class:`InvalidCombinationError` for (kind, stateful) pairs that
     cannot occur, e.g. a stateful UPF.
     """
-    if stateful not in STATEFUL_VARIANTS[kind]:
+    try:
+        return _DECISIONS[kind, stateful, objective]
+    except KeyError:
         raise InvalidCombinationError(
             f"{kind.value.upper()} cannot be {'stateful' if stateful else 'stateless'}"
-        )
-    candidates = _DECISION_TABLE[kind][objective] if stateful else _REDEPLOY
-    rationale = _RATIONALE[kind]
-    if not stateful and kind is NfKind.UDM:
-        rationale = "delegates-state-to-udr"
-    if (kind, stateful, objective) in _INFERRED_CELLS:
-        rationale += "+inferred"
-    return StrategyDecision(candidates, rationale)
+        ) from None
 
 
 def required_isolation(kind: NfKind) -> IsolationLevel | None:
@@ -283,13 +268,8 @@ def check_placement(
 
 
 def policy_grid() -> list[tuple[NfKind, bool, Objective, StrategyDecision]]:
-    """Every (kind, statefulness, objective) row of the decision table, stateful first."""
-    return [
-        (kind, stateful, objective, select_strategy(kind, stateful, objective))
-        for kind, variants in STATEFUL_VARIANTS.items()
-        for stateful in sorted(variants, reverse=True)
-        for objective in Objective
-    ]
+    """Every (kind, statefulness, objective) cell of the decision table, stateful first."""
+    return [(*cell, decision) for cell, decision in _DECISIONS.items()]
 
 
 def policy_table_text() -> str:

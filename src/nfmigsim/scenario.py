@@ -5,7 +5,8 @@ object's keys, with each key's type and the default of an omitted key, are
 declared once, in the ``_*_KEYS`` and ``_DIRTY_MODELS`` tables below.
 
 The parser checks types, key names and that every number is finite (JSON
-as read by Python may hold ``NaN`` and ``Infinity``).  Each numeric bound
+as read by Python may hold ``NaN`` and ``Infinity``, and a float key may be
+given an integer no float can hold).  Each numeric bound
 belongs to the constructor of the object that stores the value, and
 :meth:`_Reader.build` reports a rejected value as ``'<dotted path of the
 object>': <field> ...`` (top-level keys have no path).  The one range
@@ -18,7 +19,7 @@ errors name the offending entity; ``validate_topology`` owns
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
 from enum import EnumMeta
@@ -164,7 +165,8 @@ class _Reader:
         checked = plain or (list if isinstance(kind, GenericAlias) else str)
         if not isinstance(value, checked) or isinstance(value, bool) and kind is not bool:
             raise ScenarioParseError(f"'{self._full(key)}' has wrong type {type(value).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
+        # NaN fails too, and so does an integer too large to read as a float.
+        if kind is float and not abs(value) <= sys.float_info.max:
             raise ScenarioParseError(f"'{self._full(key)}' must be finite, got {value}")
         if plain:
             return value
@@ -436,7 +438,7 @@ def read_document(path: str | Path) -> dict:
         raise ScenarioParseError(f"cannot read '{path}': {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioParseError(f"'{path}' is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"'{path}' nests JSON too deeply") from exc

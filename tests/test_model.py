@@ -29,6 +29,7 @@ from nfmigsim import (
     driver_table,
     validate_topology,
 )
+from nfmigsim.model import MAX_LATENCY_US
 
 # Measured RTT, L2 capability and isolation per driver.
 DRIVER_TABLE_EXPECTED = {
@@ -451,6 +452,31 @@ class TestDerivedState:
             two_host_topology(
                 DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("inf")
             )
+
+    def test_latency_over_the_cap_rejected(self):
+        assert Link("h1", "h2", 10**8, MAX_LATENCY_US).extra_latency_us == MAX_LATENCY_US
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"link \(h1, h2\): extra_latency_us must be <= {MAX_LATENCY_US}, "
+            rf"got {MAX_LATENCY_US + 1}$",
+        ):
+            Link("h1", "h2", 10**8, MAX_LATENCY_US + 1)
+        NetworkDriverProfile(DriverKind.HOST, MAX_LATENCY_US, True, IsolationLevel.NONE)
+        with pytest.raises(
+            InvariantViolation,
+            match=f"driver 'host': rtt_inter_host_us must be <= {MAX_LATENCY_US}, got 1e"
+            r"\+300$",
+        ):
+            NetworkDriverProfile(DriverKind.HOST, 1e300, True, IsolationLevel.NONE)
+
+    def test_a_route_of_links_at_the_cap_has_a_finite_latency(self):
+        # Without the cap, two links of 1e308 each would sum past the largest float.
+        hosts = [HostNode(f"h{i}", "zone", 4, DriverKind.HOST) for i in range(10)]
+        links = [Link(f"h{i}", f"h{i + 1}", 10**8, MAX_LATENCY_US) for i in range(9)]
+        slow = NetworkDriverProfile(DriverKind.HOST, MAX_LATENCY_US, True, IsolationLevel.NONE)
+        topology = validate_topology(hosts, links, [], drivers={DriverKind.HOST: slow})
+        assert topology.one_way_latency_us("h0", "h9") == MAX_LATENCY_US / 2 + 9 * MAX_LATENCY_US
+        assert topology.channel("h9", "h0").latency_us == topology.one_way_latency_us("h0", "h9")
 
     def test_nan_driver_rtt_rejected(self):
         with pytest.raises(

@@ -25,7 +25,8 @@ from nfmigsim import (
     select_strategy,
     validate_topology,
 )
-from nfmigsim.policy import policy_grid
+from nfmigsim import policy
+from nfmigsim.policy import POLICY_TABLE, policy_grid
 
 # Chosen strategy per (kind, stateful, objective), transcribed from the
 # per-function analysis.
@@ -117,6 +118,24 @@ class TestSelectStrategy:
             (kind, stateful) for kind, variants in STATEFUL_VARIANTS.items() for stateful in variants
         )
         assert len(pairs) == len(set(pairs)) * len(Objective)
+
+    def test_table_keys_are_exactly_the_valid_variants(self):
+        variants = [
+            (kind, stateful) for kind, states in STATEFUL_VARIANTS.items() for stateful in states
+        ]
+        assert sorted(POLICY_TABLE) == sorted(variants)
+        for rationale, orders in POLICY_TABLE.values():
+            assert rationale and len(orders) == len(Objective)
+
+    def test_a_variant_without_a_row_fails_the_build(self, monkeypatch):
+        monkeypatch.delitem(POLICY_TABLE, (NfKind.UDM, False))
+        with pytest.raises(KeyError):
+            policy._build_decisions()
+
+    def test_select_strategy_returns_the_prebuilt_decision(self):
+        for kind, stateful, objective, decision in policy_grid():
+            assert select_strategy(kind, stateful, objective) is decision
+            assert select_strategy(kind, stateful, objective) is decision
 
     def test_rationale_tags_present(self):
         for _, _, _, decision in policy_grid():

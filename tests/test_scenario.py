@@ -305,6 +305,19 @@ class TestErrorSurface:
     def test_base_document_is_valid(self):
         build_scenario(_error_surface_document())
 
+    @pytest.mark.parametrize("path, key", _FLOAT_KEYS)
+    def test_float_key_rejects_an_integer_no_float_can_hold(self, path, key):
+        data = _error_surface_document()
+        _at(data, path)[key] = 10**400
+        with pytest.raises(ScenarioParseError) as info:
+            build_scenario(data)
+        assert str(info.value) == f"'{path}.{key}' must be finite, got {10**400}"
+
+    def test_float_key_reads_an_integer_a_float_can_hold(self):
+        data = _error_surface_document()
+        data["topology"]["hosts"][0]["cpu_capacity"] = 10**308
+        assert build_scenario(data).topology.hosts["edge-a1"].cpu_capacity == 10**308
+
     @pytest.mark.parametrize(
         "path, key, value, error",
         [
@@ -717,6 +730,28 @@ _DOCUMENT_FAULTS = {
         lambda d: d["sessions"].append(dict(d["sessions"][0])),
         "error: session id 'pdu-1' appears more than once",
     ),
+    # Numbers no float can hold: each used to end in an OverflowError traceback.
+    "cpu-demand-past-the-largest-float": (
+        lambda d: d["nfs"][0].update(cpu_demand=10**400),
+        f"error: 'nfs[0].cpu_demand' must be finite, got {10**400}",
+    ),
+    "intra-host-latency-past-the-largest-float": (
+        lambda d: d["topology"].update(intra_host_latency_us=10**400),
+        f"error: 'topology.intra_host_latency_us' must be finite, got {10**400}",
+    ),
+    "link-latency-over-the-cap": (
+        lambda d: d["topology"]["links"][1].update(extra_latency_us=10**400),
+        f"error: 'topology.links[1]': extra_latency_us must be <= 1000000000000, got {10**400}",
+    ),
+    "driver-rtt-over-the-cap": (
+        lambda d: d["topology"].update(
+            driver_overrides={
+                "macvlan": {"rtt_inter_host_us": 10**400, "carries_l2": True, "isolation": "none"}
+            }
+        ),
+        "error: 'topology.driver_overrides.macvlan': rtt_inter_host_us must be <= 1000000000000,"
+        f" got {10**400}",
+    ),
 }
 
 
@@ -748,6 +783,18 @@ class TestUnreadableDocument:
         path.write_text("[" * 200_000, encoding="utf-8")
         assert self.simulate(path, capsys) == (2, f"error: '{path}' nests JSON too deeply\n")
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # Python's int-digit limit makes json.loads raise a plain ValueError.
+        path = tmp_path / "digits.scenario"
+        document = '{"duration_us": ' + "9" * 5000 + ', "topology": {"hosts": []}}'
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(ScenarioParseError, match="is not valid JSON: Exceeds the limit"):
+            read_document(path)
+        code, err = self.simulate(path, capsys)
+        assert code == 2 and err.startswith(f"error: '{path}' is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, [])
         assert self.simulate(path, capsys) == (2, f"error: '{path}' must contain a JSON object\n")
@@ -775,6 +822,21 @@ class TestSweepParams:
     def test_value_nested_too_deeply_is_kept_as_a_string(self, tmp_path, capsys):
         code, err = self.sweep(tmp_path, capsys, "seed=" + "[" * 10**5)
         assert (code, err) == (2, "error: 'seed' has wrong type str\n")
+
+    def test_value_past_the_digit_limit_is_kept_as_a_string(self, tmp_path, capsys):
+        code, err = self.sweep(tmp_path, capsys, "seed=" + "9" * 5000)
+        assert (code, err) == (2, "error: 'seed' has wrong type str\n")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_two_variants_with_one_directory_run_no_variant(self, tmp_path, capsys):
+        # Directory names replace '/' with '_', so both would write out/name=a_b.
+        argv = ["sweep", str(bundled_scenario_path()), "--param", "name=a/b,a_b"]
+        code = main([*argv, "--out", str(tmp_path / "sweep")])
+        captured = capsys.readouterr()
+        message = "error: variants 'name=a/b' and 'name=a_b' would both write 'name=a_b'\n"
+        assert (code, captured.err) == (2, message)
+        assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
 
     def test_a_bad_later_variant_runs_no_variant(self, tmp_path, capsys):
         argv = ["sweep", str(bundled_scenario_path()), "--param", "seed=1,x"]
