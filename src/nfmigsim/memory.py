@@ -82,8 +82,10 @@ class MemoryImage:
         working_set: Iterable[int] | None = None,
         working_set_fraction: float | None = None,
     ):
-        if num_pages < 0:
+        if not num_pages >= 0:  # NaN fails too
             raise ValueError(f"num_pages must be >= 0, got {num_pages}")
+        if not isinstance(num_pages, int) or isinstance(num_pages, bool):
+            raise ValueError(f"num_pages must be an integer, got {num_pages!r}")
         if num_pages > MAX_PAGES_PER_IMAGE:
             raise ValueError(f"num_pages must be <= {MAX_PAGES_PER_IMAGE}, got {num_pages}")
         if not isinstance(page_size, int) or isinstance(page_size, bool) or page_size <= 0:

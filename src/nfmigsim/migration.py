@@ -274,14 +274,19 @@ def analytic_pre_copy(
     the same whole-microsecond round durations and fractional-page carry,
     without any event or page bookkeeping.
     """
-    if num_pages < 0:
+    # Each bound is written so that NaN fails it too.
+    if not num_pages >= 0:
         raise ValueError(f"num_pages must be >= 0, got {num_pages}")
-    if bandwidth_pages_per_s <= 0:
+    if not bandwidth_pages_per_s > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_pages_per_s}")
     if not 0 <= dirty_rate_pages_per_s < math.inf:
         raise ValueError(f"rate_pages_per_s must be finite and >= 0, got {dirty_rate_pages_per_s}")
-    if max_rounds < 1:
+    if not stop_threshold >= 0:
+        raise ValueError(f"stop_threshold must be >= 0, got {stop_threshold}")
+    if not max_rounds >= 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if max_rounds > MAX_PRECOPY_ROUNDS:  # the cap MigrationParams puts on the same rule
+        raise ValueError(f"max_rounds must be <= {MAX_PRECOPY_ROUNDS}, got {max_rounds}")
     bandwidth = Fraction(bandwidth_pages_per_s)
     rate = Fraction(dirty_rate_pages_per_s)
     carry = Fraction(0)

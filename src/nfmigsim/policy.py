@@ -101,12 +101,16 @@ _DECISIONS = _build_decisions()
 def select_strategy(kind: NfKind, stateful: bool, objective: Objective) -> StrategyDecision:
     """The migration strategy for a function kind under the given objective.
 
-    Raises :class:`InvalidCombinationError` for (kind, stateful) pairs that
-    cannot occur, e.g. a stateful UPF.
+    ``objective`` may be an :class:`Objective` or its string value.  Raises
+    ``ValueError`` for any other objective, and :class:`InvalidCombinationError`
+    for (kind, stateful) pairs that cannot occur, e.g. a stateful UPF.
     """
     try:
         return _DECISIONS[kind, stateful, objective]
     except KeyError:
+        if objective not in tuple(Objective):  # a str equal to a value is in it
+            valid = ", ".join(o.value for o in Objective)
+            raise ValueError(f"objective must be one of: {valid} (got {objective!r})") from None
         raise InvalidCombinationError(
             f"{kind.value.upper()} cannot be {'stateful' if stateful else 'stateless'}"
         ) from None

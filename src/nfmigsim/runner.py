@@ -203,22 +203,18 @@ class _Run:
             for nf_id, spec in scenario.dirty_specs.items()
         }
         self.reports: list[RecordedMigration] = []
-        # The UE's anchor is the UPF of its lowest-id session; sessions are static.
-        anchor_session = min(
-            (s for s in topology.sessions if scenario.ue and s.ue_id == scenario.ue.id),
-            key=lambda s: s.id,
-            default=None,
-        )
-        self.anchor_upf = anchor_session.anchor_upf if anchor_session else None
+        # With a UE, every session is its own; its anchor is the UPF of the lowest-id one.
+        anchor = min(topology.sessions, key=lambda s: s.id, default=None) if scenario.ue else None
+        self.anchor_upf = anchor.anchor_upf if anchor else None
 
     def sample_rtt(self, sim: Simulator, event: Event) -> tuple[float] | None:
         scenario, topology = self.scenario, self.topology
         next_at = sim.now + scenario.rtt_sample_interval_us
         if next_at <= scenario.duration_us:
             sim.schedule(next_at, "rtt-sample", self.sample_rtt)
-        rep = zone_representative(topology, self.ue_zone) if self.ue_zone else None
-        if self.anchor_upf is None or rep is None:
+        if self.anchor_upf is None:
             return None
+        rep = zone_representative(topology, self.ue_zone)
         flight = self.in_flight.get(self.anchor_upf)
         anchor = flight[0] if flight else self.load.host(self.anchor_upf)
         rtt = 2 * topology.one_way_latency_us(rep, anchor)
@@ -228,9 +224,7 @@ class _Run:
     def on_trigger(self, sim: Simulator, event: Event) -> None:
         (index,) = event.values
         trigger = self.scenario.triggers[index]
-        ue = self.scenario.ue
-        if ue is not None and trigger.ue_id == ue.id:
-            self.ue_zone = trigger.new_zone
+        self.ue_zone = trigger.new_zone  # every trigger moves the scenario's UE
         affected = sorted(
             (nf for nf in self.topology.nfs.values() if nf.kind in trigger.affected_kinds),
             key=lambda nf: nf.id,

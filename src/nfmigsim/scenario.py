@@ -6,14 +6,16 @@ declared once, in the ``_*_KEYS`` and ``_DIRTY_MODELS`` tables below.
 
 The parser checks types, key names and that every number is finite (JSON
 as read by Python may hold ``NaN`` and ``Infinity``, and a float key may be
-given an integer no float can hold).  Each numeric bound
+given an integer no float can hold).  Every dotted path an error names,
+such as ``nfs[1].memory``, comes from :class:`_Reader`.  Each numeric bound
 belongs to the constructor of the object that stores the value, and
-:meth:`_Reader.build` reports a rejected value as ``'<dotted path of the
-object>': <field> ...`` (top-level keys have no path).  The one range
-comparison the parser makes is ``MAX_PAGES_PER_SCENARIO``, a sum over
-objects that must be checked before each image is allocated.  Validation
-errors name the offending entity; ``validate_topology`` owns
-``intra_host_latency_us``, so that bound is one of them.
+:meth:`_Reader.build` reports a rejected value as ``'<path of the object>':
+<field> ...`` (top-level keys have no path).  The one range comparison the
+parser makes is ``MAX_PAGES_PER_SCENARIO``, a sum over objects that must be
+checked before each image is allocated.  Validation errors name the
+offending entity: ``validate_topology`` owns the topology's rules, among
+them ``intra_host_latency_us``, and :class:`Scenario` owns the rules that
+tie its objects together, so a scenario made in code is checked like a file.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ class MigrationTrigger:
     objective: Objective | None = None  # overrides the scenario objective
 
     def __post_init__(self):
-        if self.time_us < 0:
+        if not self.time_us >= 0:  # NaN fails too
             raise ValueError(f"time_us must be >= 0, got {self.time_us}")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario; its triggers, given in any order, are kept in time order."""
+
     name: str
     seed: int
     duration_us: int
@@ -111,17 +115,47 @@ class Scenario:
     dirty_specs: Mapping[str, DirtyModelSpec]
 
     def __post_init__(self):
-        if self.duration_us < 0:
+        if not self.duration_us >= 0:  # NaN fails too
             raise ValueError(f"duration_us must be >= 0, got {self.duration_us}")
-        if self.rtt_sample_interval_us <= 0:
+        if not self.rtt_sample_interval_us > 0:
             raise ValueError(
                 f"rtt_sample_interval_us must be > 0, got {self.rtt_sample_interval_us}"
             )
         samples = self.duration_us // self.rtt_sample_interval_us
-        if samples > MAX_RTT_SAMPLES:
+        if not samples <= MAX_RTT_SAMPLES:  # an infinite duration gives NaN
             raise ValueError(
                 f"duration_us // rtt_sample_interval_us must be <= {MAX_RTT_SAMPLES}, got {samples}"
             )
+        ue, topology, duration_us = self.ue, self.topology, self.duration_us
+        # Checked in the order given, so an error names the trigger's index there.
+        for i, t in enumerate(self.triggers):
+            if t.time_us > duration_us:
+                raise ScenarioValidationError(
+                    f"triggers[{i}].time_us={t.time_us} exceeds duration_us={duration_us}"
+                )
+            if ue is not None and t.ue_id != ue.id:
+                raise ScenarioValidationError(f"triggers[{i}] references unknown UE '{t.ue_id}'")
+        zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(self.triggers)]
+        if ue is not None:
+            zones.append(("ue.zone", ue.zone))
+        # Functions only ever run on hosts reachable from where they started.
+        origin = min((nf.host for nf in topology.nfs.values()), default=None)
+        reachable = topology.routes_from(origin) if origin is not None else topology.hosts
+        for where, zone in zones:
+            in_zone = topology.hosts_in_hall(zone)
+            if not in_zone:
+                raise ScenarioValidationError(f"{where} '{zone}' matches no host hall")
+            for host in in_zone:
+                if host.id not in reachable:
+                    raise ScenarioValidationError(
+                        f"{where} '{zone}': host '{host.id}' cannot be reached from the "
+                        "hosts that run functions"
+                    )
+        for i, s in enumerate(topology.sessions):
+            if ue is not None and s.ue_id != ue.id:
+                raise ScenarioValidationError(f"sessions[{i}] references unknown UE '{s.ue_id}'")
+        by_time = tuple(sorted(self.triggers, key=lambda t: t.time_us))
+        object.__setattr__(self, "triggers", by_time)
 
 
 class _Reader:
@@ -133,14 +167,14 @@ class _Reader:
         self.data = data
         self.path = path
 
-    def _full(self, key: str) -> str:
+    def path_of(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def fields(self, table: Mapping[str, tuple]) -> list:
         """Reject any key ``table`` does not name, then read its keys in its order."""
         for key in self.data:
             if key not in table:
-                raise ScenarioParseError(f"unknown key '{self._full(key)}'")
+                raise ScenarioParseError(f"unknown key '{self.path_of(key)}'")
         read = self.read
         return [read(key, spec) for key, spec in table.items()]
 
@@ -148,41 +182,48 @@ class _Reader:
         """The value at ``key`` checked against ``spec``: ``(kind,)`` or ``(kind, default)``.
 
         ``kind`` is a JSON type (``float`` takes integers too), an enum read
-        from a string, ``list[enum]`` for a list of them, or ``_Reader`` for
-        an object.  An absent key reads as the default; without one, it is
-        an error.
+        from a string, ``_Reader`` for an object, or ``list[kind]`` for a
+        list of enums or objects.  A list of objects is read lazily, one
+        child reader per item as it is reached.  An absent key reads as the
+        default, which for an object is read as if given; without a
+        default, it is an error.
         """
-        data = self.data
-        if key not in data:
-            if len(spec) == 1:
-                raise ScenarioParseError(f"missing required key '{self._full(key)}'")
-            return spec[1]
-        value = data[key]
         kind = spec[0]
+        if key in self.data:
+            value = self.data[key]
+        elif len(spec) == 1:
+            raise ScenarioParseError(f"missing required key '{self.path_of(key)}'")
+        elif kind is _Reader and spec[1] is not None:
+            value = spec[1]
+        else:
+            return spec[1]
         if kind is _Reader:
-            return _Reader(value, self._full(key))
-        plain = _JSON_TYPES.get(kind)  # None for an enum or a list of one
+            return _Reader(value, self.path_of(key))
+        plain = _JSON_TYPES.get(kind)  # None for an enum or a list
         checked = plain or (list if isinstance(kind, GenericAlias) else str)
         if not isinstance(value, checked) or isinstance(value, bool) and kind is not bool:
-            raise ScenarioParseError(f"'{self._full(key)}' has wrong type {type(value).__name__}")
+            raise ScenarioParseError(f"'{self.path_of(key)}' has wrong type {type(value).__name__}")
         # NaN fails too, and so does an integer too large to read as a float.
         if kind is float and not abs(value) <= sys.float_info.max:
-            raise ScenarioParseError(f"'{self._full(key)}' must be finite, got {value}")
+            raise ScenarioParseError(f"'{self.path_of(key)}' must be finite, got {value}")
         if plain:
             return value
         if checked is list:
             (member,) = get_args(kind)
-            return tuple(self.member(member, raw, f"{key}[{j}]") for j, raw in enumerate(value))
+            items = (self.member(member, raw, f"{key}[{j}]") for j, raw in enumerate(value))
+            return items if member is _Reader else tuple(items)
         return self.member(kind, value, key)
 
-    def member(self, kind: EnumMeta, raw: Any, key: str) -> Any:
-        """The member of ``kind`` whose value is ``raw``, the value found at ``key``."""
+    def member(self, kind: EnumMeta | type[_Reader], raw: Any, key: str) -> Any:
+        """The member of ``kind`` (an enum, or ``_Reader``) for ``raw``, found at ``key``."""
+        if kind is _Reader:
+            return _Reader(raw, self.path_of(key))
         try:
             return kind(raw)
         except ValueError:
             valid = ", ".join(m.value for m in kind)
             raise ScenarioParseError(
-                f"'{self._full(key)}' must be one of: {valid} (got '{raw}')"
+                f"'{self.path_of(key)}' must be one of: {valid} (got '{raw}')"
             ) from None
 
     def build(self, constructor: Callable, *args, **kwargs) -> Any:
@@ -202,7 +243,7 @@ class _Reader:
 
 
 #: The types a value of each plain JSON kind may have.
-_JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool, list: list, dict: dict}
+_JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool, list: list}
 
 # Each object's keys in reading order, which is also the order its values
 # are unpacked in: key -> (kind,) when required, or (kind, default).  A
@@ -213,19 +254,19 @@ _TOP_KEYS = {
     "duration_us": (int,),
     "objective": (Objective, Objective.MINIMIZE_DOWNTIME),
     "rtt_sample_interval_us": (int, 100_000),
-    "topology": (dict,),
-    "ue": (_Reader, None),  # "must be an object" when it is not one
-    "nfs": (list, ()),
-    "sessions": (list, ()),
-    "migration_params": (dict, {}),
-    "triggers": (list, ()),
+    "topology": (_Reader,),
+    "ue": (_Reader, None),
+    "nfs": (list[_Reader], ()),
+    "sessions": (list[_Reader], ()),
+    "migration_params": (_Reader, {}),
+    "triggers": (list[_Reader], ()),
 }
 _TOPOLOGY_KEYS = {
     "intra_host_latency_us": (float, DEFAULT_INTRA_HOST_LATENCY_US),
     "l2_overlay_enabled": (bool, False),
-    "driver_overrides": (dict, {}),
-    "hosts": (list,),
-    "links": (list, ()),
+    "driver_overrides": (_Reader, {}),
+    "hosts": (list[_Reader],),
+    "links": (list[_Reader], ()),
 }
 _DRIVER_KEYS = {"rtt_inter_host_us": (int,), "carries_l2": (bool,), "isolation": (IsolationLevel,)}
 _HOST_KEYS = {
@@ -247,14 +288,14 @@ _NF_KEYS = {
     "stateful": (bool, None),  # the kind's default variant
     "cpu_demand": (float, NfInstance.cpu_demand),
     "host": (str,),
-    "memory": (dict, None),  # read as {} for a stateful instance
+    "memory": (_Reader, {}),
 }
 _MEMORY_KEYS = {
     "num_pages": (int, 256),
     "page_size": (int, 4096),
     "working_set": (list, None),
     "working_set_fraction": (float, DEFAULT_WORKING_SET_FRACTION),
-    "dirty_model": (dict, {"kind": "constant-rate"}),
+    "dirty_model": (_Reader, {"kind": "constant-rate"}),
 }
 #: One table per dirty-model kind, so a model holding another kind's number is rejected.
 _DIRTY_MODELS = {
@@ -279,7 +320,7 @@ _TRIGGER_KEYS = {
 
 def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, DirtyModelSpec]:
     """The image and dirty model at ``reader``; ``pages_before`` earlier images' pages."""
-    num_pages, page_size, working_set, fraction, raw_model = reader.fields(_MEMORY_KEYS)
+    num_pages, page_size, working_set, fraction, model_reader = reader.fields(_MEMORY_KEYS)
     # Checked before the image allocates its state bytes.
     room = MAX_PAGES_PER_SCENARIO - pages_before
     if num_pages > room:
@@ -288,12 +329,12 @@ def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, Dirt
             f" pages less {pages_before} in earlier images), got {num_pages}"
         )
     image = reader.build(MemoryImage, num_pages, page_size, working_set, fraction)
-    model_reader = _Reader(raw_model, f"{reader.path}.dirty_model")
     model = model_reader.read("kind", (str,))
     table = _DIRTY_MODELS.get(model)
     if table is None:
         raise ScenarioParseError(
-            f"'{model_reader.path}.kind' must be 'constant-rate' or 'bernoulli' (got '{model}')"
+            f"'{model_reader.path_of('kind')}' must be 'constant-rate' or 'bernoulli'"
+            f" (got '{model}')"
         )
     _, value = model_reader.fields(table)
     spec = DirtyModelSpec(model, value)
@@ -305,69 +346,47 @@ def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, Dirt
 def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     """Construct and validate a scenario from an already-parsed document."""
     top = _Reader(data, "")
-    name, seed, duration_us, objective, interval, *objects = top.fields(_TOP_KEYS)
-    raw_topology, ue_reader, raw_nfs, raw_sessions, raw_params, raw_triggers = objects
+    name, seed, duration_us, objective, interval, *readers = top.fields(_TOP_KEYS)
+    topo_reader, ue_reader, nf_readers, session_readers, params_reader, trigger_readers = readers
     if name is None:
         name = Path(source).stem if source != "<dict>" else "scenario"
 
-    topo_reader = _Reader(raw_topology, "topology")
-    intra, l2_overlay, raw_overrides, raw_hosts, raw_links = topo_reader.fields(_TOPOLOGY_KEYS)
+    intra, l2_overlay, drivers, host_readers, link_readers = topo_reader.fields(_TOPOLOGY_KEYS)
     overrides = {}
     if l2_overlay:
         overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
         overrides[DriverKind.OVERLAY] = replace(overlay, carries_l2=True)
-    overrides_reader = _Reader(raw_overrides, "topology.driver_overrides")
-    for raw_kind, raw_profile in raw_overrides.items():
-        kind = overrides_reader.member(DriverKind, raw_kind, raw_kind)
-        reader = _Reader(raw_profile, f"topology.driver_overrides.{raw_kind}")
+    for raw_kind in drivers.data:
+        kind = drivers.member(DriverKind, raw_kind, raw_kind)
+        reader = drivers.read(raw_kind, (_Reader,))
         overrides[kind] = reader.build(NetworkDriverProfile, kind, *reader.fields(_DRIVER_KEYS))
-
-    hosts = []
-    for i, raw_host in enumerate(raw_hosts):
-        reader = _Reader(raw_host, f"topology.hosts[{i}]")
-        hosts.append(reader.build(HostNode, *reader.fields(_HOST_KEYS)))
-
-    links = []
-    for i, raw_link in enumerate(raw_links):
-        reader = _Reader(raw_link, f"topology.links[{i}]")
-        links.append(reader.build(Link, *reader.fields(_LINK_KEYS)))
-
+    hosts = [reader.build(HostNode, *reader.fields(_HOST_KEYS)) for reader in host_readers]
+    links = [reader.build(Link, *reader.fields(_LINK_KEYS)) for reader in link_readers]
     ue = UeSpec(*ue_reader.fields(_UE_KEYS)) if ue_reader is not None else None
 
     nfs = []
     dirty_specs: dict[str, DirtyModelSpec] = {}
     pages = 0
-    for i, raw_nf in enumerate(raw_nfs):
-        reader = _Reader(raw_nf, f"nfs[{i}]")
-        nf_id, kind, stateful, demand, host, raw_memory = reader.fields(_NF_KEYS)
+    for reader in nf_readers:
+        nf_id, kind, stateful, demand, host, memory_reader = reader.fields(_NF_KEYS)
         if stateful is None:
             stateful = STATEFUL_VARIANTS[kind][0]
         memory = None
         if stateful:
-            memory_reader = _Reader(raw_memory or {}, f"{reader.path}.memory")
             memory, dirty_specs[nf_id] = _parse_memory(memory_reader, pages)
             pages += memory.num_pages
-        elif raw_memory is not None:
-            raise ScenarioParseError(f"'{reader.path}.memory' given for a stateless instance")
+        elif "memory" in reader.data:
+            raise ScenarioParseError(f"'{memory_reader.path}' given for a stateless instance")
         nfs.append(reader.build(NfInstance, nf_id, kind, host, memory, demand))
 
-    sessions = []
-    for i, raw_session in enumerate(raw_sessions):
-        reader = _Reader(raw_session, f"sessions[{i}]")
-        sessions.append(PduSession(*reader.fields(_SESSION_KEYS)))
-
-    params_reader = _Reader(raw_params, "migration_params")
+    sessions = [PduSession(*reader.fields(_SESSION_KEYS)) for reader in session_readers]
     migration_params = params_reader.build(
         MigrationParams, *params_reader.fields(_MIGRATION_PARAMS_KEYS)
     )
-
     triggers = []
-    for i, raw_trigger in enumerate(raw_triggers):
-        reader = _Reader(raw_trigger, f"triggers[{i}]")
-        time_us, kinds, trigger_objective, ue_id, new_zone = reader.fields(_TRIGGER_KEYS)
-        triggers.append(
-            reader.build(MigrationTrigger, time_us, ue_id, new_zone, kinds, trigger_objective)
-        )
+    for reader in trigger_readers:
+        time_us, kinds, own_objective, ue_id, zone = reader.fields(_TRIGGER_KEYS)
+        triggers.append(reader.build(MigrationTrigger, time_us, ue_id, zone, kinds, own_objective))
 
     try:
         topology = validate_topology(
@@ -380,7 +399,9 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         )
     except SimulatorError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-    scenario = top.build(
+    # Scenario checks the rules that tie its objects together; it raises
+    # ScenarioValidationError, which ``build`` lets through.
+    return top.build(
         Scenario,
         name=name,
         seed=seed,
@@ -390,43 +411,9 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         topology=topology,
         ue=ue,
         migration_params=migration_params,
-        triggers=tuple(sorted(triggers, key=lambda t: t.time_us)),
+        triggers=tuple(triggers),
         dirty_specs=dirty_specs,
     )
-
-    # Checked in document order, so an error names the trigger's index in the file.
-    for i, trigger in enumerate(triggers):
-        if trigger.time_us > duration_us:
-            raise ScenarioValidationError(
-                f"triggers[{i}].time_us={trigger.time_us} exceeds duration_us={duration_us}"
-            )
-        if ue is not None and trigger.ue_id != ue.id:
-            raise ScenarioValidationError(
-                f"triggers[{i}] references unknown UE '{trigger.ue_id}'"
-            )
-    zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(triggers)]
-    if ue is not None:
-        zones.append(("ue.zone", ue.zone))
-    # Functions only ever run on hosts reachable from where they started.
-    origin = min((nf.host for nf in nfs), default=None)
-    reachable = topology.routes_from(origin) if origin is not None else None
-    for where, zone in zones:
-        in_zone = topology.hosts_in_hall(zone)
-        if not in_zone:
-            raise ScenarioValidationError(f"{where} '{zone}' matches no host hall")
-        for host in in_zone:
-            if reachable is not None and host.id not in reachable:
-                raise ScenarioValidationError(
-                    f"{where} '{zone}': host '{host.id}' cannot be reached from the "
-                    "hosts that run functions"
-                )
-    for i, session in enumerate(sessions):
-        if ue is not None and session.ue_id != ue.id:
-            raise ScenarioValidationError(
-                f"sessions[{i}] references unknown UE '{session.ue_id}'"
-            )
-
-    return scenario
 
 
 def read_document(path: str | Path) -> dict:

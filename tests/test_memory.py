@@ -29,6 +29,19 @@ def clean_image(num_pages, page_size=1, **kwargs):
 
 
 class TestMemoryImage:
+    @pytest.mark.parametrize(
+        "num_pages, message",
+        [
+            (2.5, "num_pages must be an integer, got 2.5"),
+            (math.nan, "num_pages must be >= 0, got nan"),
+            (True, "num_pages must be an integer, got True"),
+        ],
+    )
+    def test_num_pages_must_be_a_whole_number(self, num_pages, message):
+        with pytest.raises(ValueError) as info:
+            MemoryImage(num_pages, 4096)
+        assert str(info.value) == message
+
     def test_fresh_image_all_never_copied(self):
         image = MemoryImage(10, 4096)
         assert image.never_copied_count == 10

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -255,11 +258,40 @@ class TestAnalyticPreCopy:
             ((100, 100, math.nan, 2, 10), "rate_pages_per_s must be finite and >= 0, got nan"),
             ((100, 100, math.inf, 2, 10), "rate_pages_per_s must be finite and >= 0, got inf"),
             ((100, 100, 10, 2, 0), "max_rounds must be >= 1, got 0"),
+            ((100, math.nan, 10, 2, 10), "bandwidth must be positive, got nan"),
+            ((100, 100, 200, math.nan, 10), "stop_threshold must be >= 0, got nan"),
+            ((100, 100, 200, -1, 10), "stop_threshold must be >= 0, got -1"),
         ],
     )
     def test_inputs_that_give_negative_or_no_times_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
             analytic_pre_copy(*args)
+
+    @pytest.mark.parametrize(
+        "max_rounds, message",
+        [
+            ("nan", "max_rounds must be >= 1, got nan"),
+            ("inf", "max_rounds must be <= 1000, got inf"),
+        ],
+    )
+    def test_a_round_cap_that_never_stops_fails_instead_of_running_on(self, max_rounds, message):
+        # In a child process with a timeout: a round cap that lets NaN or
+        # infinity through never stops a batch that does not shrink, and must
+        # fail this test rather than hang the suite.
+        code = (
+            "import math; from nfmigsim import analytic_pre_copy; "
+            f"analytic_pre_copy(100, 100, 200, 2, math.{max_rounds})"
+        )
+        src = str(Path(analytic_pre_copy.__code__.co_filename).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+        assert child.returncode == 1
+        assert child.stderr.splitlines()[-1] == f"ValueError: {message}"
 
     @pytest.mark.parametrize("rate, capped", [(5_000, False), (21_000, True)])
     def test_matches_simulation_exactly_at_scale(self, rate, capped):

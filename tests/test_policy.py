@@ -112,6 +112,17 @@ class TestSelectStrategy:
             with pytest.raises(InvalidCombinationError):
                 select_strategy(kind, False, Objective.MINIMIZE_DOWNTIME)
 
+    @pytest.mark.parametrize("kind, stateful", [(NfKind.SMF, True), (NfKind.UPF, False)])
+    def test_an_unknown_objective_is_named_before_the_variant(self, kind, stateful):
+        message = "objective must be one of: downtime, migration-time, bytes (got 'latency')"
+        with pytest.raises(ValueError) as info:
+            select_strategy(kind, stateful, "latency")
+        assert str(info.value) == message
+
+    def test_an_objective_may_be_given_by_its_value(self):
+        expected = select_strategy(NfKind.SMF, True, Objective.MINIMIZE_BYTES)
+        assert select_strategy(NfKind.SMF, True, "bytes") is expected
+
     def test_grid_has_one_row_set_per_valid_variant(self):
         pairs = [(kind, stateful) for kind, stateful, _, _ in policy_grid()]
         assert sorted(set(pairs)) == sorted(

@@ -502,6 +502,24 @@ def test_rtt_series_is_read_from_the_trace_once():
     assert bundle.rtt_series == tuple((e.time_us, e.values[0]) for e in samples)
 
 
+@pytest.mark.parametrize("queued", [False, True])
+def test_a_migration_started_at_the_horizon_is_reported_but_not_traced_past_it(tmp_path, queued):
+    data = read_document(bundled_scenario_path())
+    data["triggers"][0]["time_us"] = data["duration_us"]
+    if queued:
+        data["triggers"].append({**data["triggers"][0], "new_zone": "hall-A"})
+    paths = export_metrics(run_scenario(build_scenario(data)), tmp_path)
+    rows = [row.split(",") for row in paths["migrations"].read_text().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("0", "success")] * 3
+    events = [json.loads(line) for line in paths["trace"].read_text().splitlines()]
+    kinds = [event["kind"] for event in events]
+    assert kinds.count("migration-started") == 3
+    assert "migration-complete" not in kinds
+    # A trigger queued behind a migration that is still running is never placed.
+    assert kinds.count("migration-queued") == (3 if queued else 0)
+    assert max(event["time_us"] for event in events) == data["duration_us"]
+
+
 class TestOverlappingTriggers:
     def test_a_trigger_during_a_migration_is_queued_and_placed_at_completion(self, tmp_path):
         bundle = run_scenario(drone_turning_back())

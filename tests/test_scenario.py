@@ -1,9 +1,11 @@
 """Scenario loading, end-to-end runs, metric export and the CLI."""
 
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -28,7 +30,7 @@ from nfmigsim import (
 from nfmigsim import scenario as scenario_module
 from nfmigsim.cli import main
 from nfmigsim.runner import MIGRATIONS_CSV_HEADER, TRACE_KINDS
-from nfmigsim.scenario import read_document
+from nfmigsim.scenario import MigrationTrigger, UeSpec, read_document
 
 MINIMAL = {
     "duration_us": 500_000,
@@ -410,6 +412,149 @@ def test_one_bad_leaf_runs_or_raises_a_scenario_error(fault):
     except (ScenarioParseError, ScenarioValidationError):
         return
     run_scenario(scenario)
+
+
+def _drone_with_an_isolated_hall():
+    """The drone document plus host edge-c1 in hall-C, linked to no other host."""
+    data = read_document(bundled_scenario_path())
+    data["topology"]["hosts"].append({"id": "edge-c1", "hall": "hall-C", "driver": "macvlan"})
+    return data
+
+
+def _moved_trigger(scenario, **changes):
+    """The ``dataclasses.replace`` changes that edit the scenario's one trigger."""
+    (trigger,) = scenario.triggers
+    return {"triggers": (dataclasses.replace(trigger, **changes),)}
+
+
+_UNREACHED = "host 'edge-c1' cannot be reached from the hosts that run functions"
+# Each rule that ties a scenario's objects together: a document edit, the same
+# fault made in code with ``dataclasses.replace``, and the message both raise.
+_CROSS_OBJECT_FAULTS = {
+    "trigger-after-the-run": (
+        lambda d: d["triggers"][0].update(time_us=5_000_000),
+        lambda s: _moved_trigger(s, time_us=5_000_000),
+        "triggers[0].time_us=5000000 exceeds duration_us=2000000",
+    ),
+    "trigger-of-another-ue": (
+        lambda d: d["triggers"][0].update(ue_id="drone-9"),
+        lambda s: _moved_trigger(s, ue_id="drone-9"),
+        "triggers[0] references unknown UE 'drone-9'",
+    ),
+    "trigger-into-no-hall": (
+        lambda d: d["triggers"][0].update(new_zone="hall-Z"),
+        lambda s: _moved_trigger(s, new_zone="hall-Z"),
+        "triggers[0].new_zone 'hall-Z' matches no host hall",
+    ),
+    "trigger-into-an-unreachable-hall": (
+        lambda d: d["triggers"][0].update(new_zone="hall-C"),
+        lambda s: _moved_trigger(s, new_zone="hall-C"),
+        f"triggers[0].new_zone 'hall-C': {_UNREACHED}",
+    ),
+    "ue-in-no-hall": (
+        lambda d: d["ue"].update(zone="hall-Z"),
+        lambda s: {"ue": UeSpec("drone-1", "hall-Z")},
+        "ue.zone 'hall-Z' matches no host hall",
+    ),
+    "ue-in-an-unreachable-hall": (
+        lambda d: d["ue"].update(zone="hall-C"),
+        lambda s: {"ue": UeSpec("drone-1", "hall-C")},
+        f"ue.zone 'hall-C': {_UNREACHED}",
+    ),
+    "session-of-another-ue": (
+        lambda d: (d["ue"].update(id="drone-9"), d["triggers"][0].update(ue_id="drone-9")),
+        lambda s: {"ue": UeSpec("drone-9", "hall-A"), **_moved_trigger(s, ue_id="drone-9")},
+        "sessions[0] references unknown UE 'drone-1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_CROSS_OBJECT_FAULTS))
+def test_a_cross_object_fault_fails_alike_in_a_document_and_in_code(fault):
+    edit, changes, message = _CROSS_OBJECT_FAULTS[fault]
+    data = _drone_with_an_isolated_hall()
+    scenario = build_scenario(copy.deepcopy(data))
+    edit(data)
+    with pytest.raises(ScenarioValidationError) as from_document:
+        build_scenario(data)
+    with pytest.raises(ScenarioValidationError) as from_code:
+        dataclasses.replace(scenario, **changes(scenario))
+    assert str(from_document.value) == str(from_code.value) == message
+
+
+def test_a_scenario_made_in_code_keeps_its_triggers_in_time_order():
+    scenario = load_scenario(bundled_scenario_path())
+    (trigger,) = scenario.triggers
+    late, early = (dataclasses.replace(trigger, time_us=t) for t in (1_500_000, 500_000))
+    moved = dataclasses.replace(scenario, triggers=(late, early))
+    assert moved.triggers == (early, late)
+    # The index an error names is the one given, not the one in time order.
+    with pytest.raises(ScenarioValidationError) as info:
+        dataclasses.replace(scenario, triggers=(late, dataclasses.replace(early, new_zone="x")))
+    assert str(info.value) == "triggers[1].new_zone 'x' matches no host hall"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"duration_us": math.nan}, "duration_us must be >= 0, got nan"),
+        ({"rtt_sample_interval_us": math.nan}, "rtt_sample_interval_us must be > 0, got nan"),
+        # The sample count of an endless run is NaN, which no longer passes the cap.
+        (
+            {"duration_us": math.inf},
+            "duration_us // rtt_sample_interval_us must be <= 1000000, got nan",
+        ),
+    ],
+)
+def test_a_scenario_bound_made_in_code_rejects_nan(changes, message):
+    drone = load_scenario(bundled_scenario_path())
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(drone, **changes)
+    assert str(info.value) == message
+
+
+def test_a_trigger_time_rejects_nan():
+    with pytest.raises(ValueError) as info:
+        MigrationTrigger(math.nan, "drone-1", "hall-B")
+    assert str(info.value) == "time_us must be >= 0, got nan"
+
+
+@pytest.mark.parametrize(
+    "path, dotted",
+    [
+        (("topology",), "topology"),
+        (("topology", "driver_overrides"), "topology.driver_overrides"),
+        (("nfs", 1, "memory"), "nfs[1].memory"),
+        (("nfs", 1, "memory", "dirty_model"), "nfs[1].memory.dirty_model"),
+        (("migration_params",), "migration_params"),
+    ],
+)
+def test_a_nested_key_that_is_not_an_object_names_its_path(path, dotted):
+    data = _error_surface_document()
+    _at_path(data, path[:-1])[path[-1]] = [1]
+    with pytest.raises(ScenarioParseError) as info:
+        build_scenario(data)
+    assert str(info.value) == f"'{dotted}' must be an object"
+
+
+# Two faults in one document, and the one that is reported: the reader meets
+# objects in document order, and list items only when it reaches them.
+_TWO_FAULTS = [
+    ((("nfs", 0), 5), (("topology", "hosts", 0), 5), "'topology.hosts[0]' must be an object"),
+    ((("triggers", 0), 5), (("sessions", 0), 5), "'sessions[0]' must be an object"),
+    ((("triggers", 0), 5), (("topology", "links", 1), 5), "'topology.links[1]' must be an object"),
+    ((("triggers", 0, "time_us"), 10**9), (("nfs", 2), 5), "'nfs[2]' must be an object"),
+]
+
+
+@pytest.mark.parametrize("first, second, message", _TWO_FAULTS)
+def test_the_first_of_two_faults_is_the_one_reported(first, second, message):
+    data = _error_surface_document()
+    for path, value in (first, second):
+        _at_path(data, path[:-1])[path[-1]] = value
+    with pytest.raises(ScenarioParseError) as info:
+        build_scenario(data)
+    assert str(info.value) == message
 
 
 def test_readme_names_every_scenario_key():
