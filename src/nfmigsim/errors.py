@@ -1,4 +1,8 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and :func:`check_bound`, which checks every
+numeric bound: it raises ``InvariantViolation`` when the owner names an entity, else ``ValueError``.
+"""
+
+import math
 
 
 class SimulatorError(Exception):
@@ -44,3 +48,35 @@ class ScenarioParseError(SimulatorError):
 
 class ScenarioValidationError(SimulatorError):
     """The scenario parsed but violates a domain rule."""
+
+
+def shown(value: object) -> str:
+    """``value`` for a message; an integer past 20 digits is shown by sign and size only."""
+    if isinstance(value, int) and not -(10**20) < value < 10**20:
+        digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one short
+        digits += abs(value) >= 10**digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    return repr(value)
+
+
+def check_bound(name: str, value, low=None, high=None, *, above=None, integer=False, entity=None):
+    """Raise unless ``value`` is >= ``low`` (or > ``above``), an ``int`` but not a ``bool``
+    (with ``integer``) and <= ``high``, tested in that order.  A ``high`` of ``math.inf`` asks
+    the low side for a finite value too.  NaN fails every comparison.
+    """
+    if above is None:
+        side, holds = f">= {low}", low is None or value >= low
+    else:
+        side, holds = "positive" if above == 0 else f"> {above}", value > above
+    if high == math.inf:
+        side, holds = f"finite and {side}", holds and value < high
+    if not holds:
+        rule = side
+    elif integer and (isinstance(value, bool) or not isinstance(value, int)):
+        rule = "an integer"
+    elif high is not None and not value <= high:
+        rule = f"<= {high}"
+    else:
+        return
+    detail = f"{name} must be {rule}, got {shown(value)}"
+    raise ValueError(detail) if entity is None else InvariantViolation(entity, detail)

@@ -26,7 +26,7 @@ from operator import sub
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_bound
 
 MICROS_PER_SECOND = 10**6
 
@@ -82,30 +82,23 @@ class MemoryImage:
         working_set: Iterable[int] | None = None,
         working_set_fraction: float | None = None,
     ):
-        if not num_pages >= 0:  # NaN fails too
-            raise ValueError(f"num_pages must be >= 0, got {num_pages}")
-        if not isinstance(num_pages, int) or isinstance(num_pages, bool):
-            raise ValueError(f"num_pages must be an integer, got {num_pages!r}")
-        if num_pages > MAX_PAGES_PER_IMAGE:
-            raise ValueError(f"num_pages must be <= {MAX_PAGES_PER_IMAGE}, got {num_pages}")
-        if not isinstance(page_size, int) or isinstance(page_size, bool) or page_size <= 0:
-            raise ValueError(f"page_size must be an integer > 0, got {page_size!r}")
+        check_bound("num_pages", num_pages, 0, MAX_PAGES_PER_IMAGE, integer=True)
+        check_bound("page_size", page_size, integer=True)  # first, so "4096" is a ValueError
+        check_bound("page_size", page_size, above=0)
         self._num_pages = num_pages
         self._page_size = page_size
         fraction = (
             DEFAULT_WORKING_SET_FRACTION if working_set_fraction is None else working_set_fraction
         )
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"working_set_fraction must be in [0, 1], got {fraction}")
+        check_bound("working_set_fraction", fraction, 0, 1)
         ws: Sequence[int]
         if working_set is not None:
             pages = tuple(working_set)
             for page_id in pages:
-                if not isinstance(page_id, int) or isinstance(page_id, bool):
-                    raise ValueError(f"working_set page ids must be integers, got {page_id!r}")
+                check_bound("working_set page id", page_id, integer=True)
             ws = tuple(sorted(set(pages)))
-            if ws and (ws[0] < 0 or ws[-1] >= num_pages):
-                raise ValueError("working_set contains page ids outside the image")
+            for page_id in ws[:1] + ws[-1:]:  # the lowest and the highest
+                check_bound("working_set page id", page_id, 0, num_pages - 1)
         else:
             ws = range(int(fraction * num_pages))
         self._working_set = ws  # ascending page ids
@@ -342,10 +335,7 @@ class ConstantRateDirty:
     rate_pages_per_s: float
 
     def __post_init__(self):
-        if not 0 <= self.rate_pages_per_s < math.inf:
-            raise ValueError(
-                f"rate_pages_per_s must be finite and >= 0, got {self.rate_pages_per_s}"
-            )
+        check_bound("rate_pages_per_s", self.rate_pages_per_s, 0, math.inf)
         num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
         object.__setattr__(self, "_ratio", (num, den * MICROS_PER_SECOND))
         object.__setattr__(self, "_carry", [0])
@@ -375,10 +365,7 @@ class BernoulliDirty:
     rng: Random = field(repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_per_page_per_ms <= 1.0:
-            raise ValueError(
-                f"p_per_page_per_ms must be in [0, 1], got {self.p_per_page_per_ms}"
-            )
+        check_bound("p_per_page_per_ms", self.p_per_page_per_ms, 0, 1)
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
         q = 1.0 - (1.0 - self.p_per_page_per_ms) ** (duration_us / 1000.0)
@@ -408,10 +395,8 @@ def advance_dirty(image: MemoryImage, process: DirtyProcess, duration_us: int) -
     Returns the number of newly dirtied pages.  Must only be called while
     the owning function executes; frozen images reject it.
     """
-    if not 0 <= duration_us < math.inf:  # NaN fails too
-        raise ValueError(f"duration must be finite and >= 0, got {duration_us}")
-    if not isinstance(duration_us, int):  # a fractional one would make the carry a float
-        raise ValueError(f"duration must be whole microseconds, got {duration_us!r}")
+    # A fractional duration would make the carry a float.
+    check_bound("duration", duration_us, 0, math.inf, integer=True)
     if image.frozen:
         raise InvariantViolation(
             "memory-image", "dirty-page process advanced while the function is frozen"

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InvariantViolation, StrategyInapplicableError
+from .errors import InvariantViolation, StrategyInapplicableError, check_bound
 from .memory import (
     MICROS_PER_SECOND,
     DirtyProcess,
@@ -46,6 +46,8 @@ from .model import Channel, NfInstance
 
 #: The most pre-copy rounds a migration may run: a run costs time per round.
 MAX_PRECOPY_ROUNDS = 1000
+#: The ``MigrationParams`` bounds other than ``>= 0``, as (low, high).
+_PARAM_BOUNDS = {"precopy_max_rounds": (1, MAX_PRECOPY_ROUNDS)}
 
 
 class Strategy(str, Enum):
@@ -77,15 +79,7 @@ class MigrationParams:
     def __post_init__(self):
         # The clock counts whole microseconds, so every field is an integer.
         for name, value in vars(self).items():
-            low = 1 if name == "precopy_max_rounds" else 0
-            if not value >= low:  # NaN fails too
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.precopy_max_rounds > MAX_PRECOPY_ROUNDS:
-            raise ValueError(
-                f"precopy_max_rounds must be <= {MAX_PRECOPY_ROUNDS}, got {self.precopy_max_rounds}"
-            )
+            check_bound(name, value, *_PARAM_BOUNDS.get(name, (0,)), integer=True)
 
 
 class Phase(NamedTuple):
@@ -274,19 +268,11 @@ def analytic_pre_copy(
     the same whole-microsecond round durations and fractional-page carry,
     without any event or page bookkeeping.
     """
-    # Each bound is written so that NaN fails it too.
-    if not num_pages >= 0:
-        raise ValueError(f"num_pages must be >= 0, got {num_pages}")
-    if not bandwidth_pages_per_s > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_pages_per_s}")
-    if not 0 <= dirty_rate_pages_per_s < math.inf:
-        raise ValueError(f"rate_pages_per_s must be finite and >= 0, got {dirty_rate_pages_per_s}")
-    if not stop_threshold >= 0:
-        raise ValueError(f"stop_threshold must be >= 0, got {stop_threshold}")
-    if not max_rounds >= 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    if max_rounds > MAX_PRECOPY_ROUNDS:  # the cap MigrationParams puts on the same rule
-        raise ValueError(f"max_rounds must be <= {MAX_PRECOPY_ROUNDS}, got {max_rounds}")
+    check_bound("num_pages", num_pages, 0, math.inf)
+    check_bound("bandwidth", bandwidth_pages_per_s, high=math.inf, above=0)
+    check_bound("rate_pages_per_s", dirty_rate_pages_per_s, 0, math.inf)
+    check_bound("stop_threshold", stop_threshold, 0)
+    check_bound("max_rounds", max_rounds, *_PARAM_BOUNDS["precopy_max_rounds"])
     bandwidth = Fraction(bandwidth_pages_per_s)
     rate = Fraction(dirty_rate_pages_per_s)
     carry = Fraction(0)

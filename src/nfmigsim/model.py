@@ -25,6 +25,7 @@ from .errors import (
     DuplicateIdError,
     InvariantViolation,
     NoPathError,
+    check_bound,
 )
 from .memory import MemoryImage
 
@@ -57,16 +58,8 @@ class NetworkDriverProfile:
     isolation: IsolationLevel
 
     def __post_init__(self):
-        if not self.rtt_inter_host_us > 0:  # NaN fails too
-            raise InvariantViolation(
-                f"driver '{self.kind.value}'",
-                f"rtt_inter_host_us must be positive, got {self.rtt_inter_host_us}",
-            )
-        if self.rtt_inter_host_us > MAX_LATENCY_US:
-            raise InvariantViolation(
-                f"driver '{self.kind.value}'",
-                f"rtt_inter_host_us must be <= {MAX_LATENCY_US}, got {self.rtt_inter_host_us}",
-            )
+        entity, rtt = f"driver '{self.kind.value}'", self.rtt_inter_host_us
+        check_bound("rtt_inter_host_us", rtt, high=MAX_LATENCY_US, above=0, entity=entity)
 
 
 #: Measured container-to-container RTTs across two hosts, per driver.
@@ -137,10 +130,7 @@ class HostNode:
     attached_driver: DriverKind
 
     def __post_init__(self):
-        if not self.cpu_capacity >= 0:  # NaN fails too
-            raise InvariantViolation(
-                self.id, f"cpu_capacity must be >= 0, got {self.cpu_capacity}"
-            )
+        check_bound("cpu_capacity", self.cpu_capacity, 0, entity=self.id)
 
 
 @dataclass(frozen=True)
@@ -152,20 +142,8 @@ class Link:
 
     def __post_init__(self):
         entity = f"link ({self.a}, {self.b})"
-        if not self.bandwidth_bps > 0:  # NaN fails too
-            raise InvariantViolation(
-                entity, f"bandwidth_bps must be positive, got {self.bandwidth_bps}"
-            )
-        if not self.extra_latency_us >= 0:
-            raise InvariantViolation(
-                entity, f"extra_latency_us must be >= 0, got {self.extra_latency_us}"
-            )
-        if self.extra_latency_us == math.inf:  # no channel could carry it
-            raise InvariantViolation(entity, "extra_latency_us must be finite, got inf")
-        if self.extra_latency_us > MAX_LATENCY_US:
-            raise InvariantViolation(
-                entity, f"extra_latency_us must be <= {MAX_LATENCY_US}, got {self.extra_latency_us}"
-            )
+        check_bound("bandwidth_bps", self.bandwidth_bps, above=0, entity=entity)
+        check_bound("extra_latency_us", self.extra_latency_us, 0, MAX_LATENCY_US, entity=entity)
 
 
 @dataclass(frozen=True)
@@ -192,8 +170,7 @@ class NfInstance:
     cpu_demand: float = 1.0
 
     def __post_init__(self):
-        if not self.cpu_demand >= 0:  # NaN fails too
-            raise InvariantViolation(self.id, f"cpu_demand must be >= 0, got {self.cpu_demand}")
+        check_bound("cpu_demand", self.cpu_demand, 0, entity=self.id)
 
     @property
     def stateful(self) -> bool:
@@ -212,10 +189,9 @@ class Channel:
     latency_us: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bps is not None and not self.bandwidth_bps > 0:  # NaN fails too
-            raise ValueError(f"bandwidth_bps must be None or positive, got {self.bandwidth_bps}")
-        if not 0 <= self.latency_us < math.inf:
-            raise ValueError(f"latency_us must be finite and >= 0, got {self.latency_us}")
+        if self.bandwidth_bps is not None:
+            check_bound("bandwidth_bps", self.bandwidth_bps, above=0)
+        check_bound("latency_us", self.latency_us, 0, math.inf)
 
 
 class ValidatedTopology:
@@ -348,12 +324,7 @@ def validate_topology(
     entity.  Hosts that run function instances must be mutually reachable
     over the link graph.
     """
-    if not intra_host_latency_us >= 0:  # NaN fails too
-        raise InvariantViolation(
-            "topology", f"intra_host_latency_us must be >= 0, got {intra_host_latency_us}"
-        )
-    if intra_host_latency_us == math.inf:  # no channel could carry it
-        raise InvariantViolation("topology", "intra_host_latency_us must be finite, got inf")
+    check_bound("intra_host_latency_us", intra_host_latency_us, 0, math.inf, entity="topology")
     host_map: dict[str, HostNode] = {}
     for host in hosts:
         if host.id in host_map:

@@ -35,6 +35,8 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
     SimulatorError,
+    check_bound,
+    shown,
 )
 from .memory import (
     DEFAULT_WORKING_SET_FRACTION,
@@ -95,8 +97,7 @@ class MigrationTrigger:
     objective: Objective | None = None  # overrides the scenario objective
 
     def __post_init__(self):
-        if not self.time_us >= 0:  # NaN fails too
-            raise ValueError(f"time_us must be >= 0, got {self.time_us}")
+        check_bound("time_us", self.time_us, 0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -115,23 +116,17 @@ class Scenario:
     dirty_specs: Mapping[str, DirtyModelSpec]
 
     def __post_init__(self):
-        if not self.duration_us >= 0:  # NaN fails too
-            raise ValueError(f"duration_us must be >= 0, got {self.duration_us}")
-        if not self.rtt_sample_interval_us > 0:
-            raise ValueError(
-                f"rtt_sample_interval_us must be > 0, got {self.rtt_sample_interval_us}"
-            )
+        check_bound("duration_us", self.duration_us, 0, integer=True)
+        check_bound("rtt_sample_interval_us", self.rtt_sample_interval_us, above=0, integer=True)
         samples = self.duration_us // self.rtt_sample_interval_us
-        if not samples <= MAX_RTT_SAMPLES:  # an infinite duration gives NaN
-            raise ValueError(
-                f"duration_us // rtt_sample_interval_us must be <= {MAX_RTT_SAMPLES}, got {samples}"
-            )
+        check_bound("duration_us // rtt_sample_interval_us", samples, high=MAX_RTT_SAMPLES)
         ue, topology, duration_us = self.ue, self.topology, self.duration_us
         # Checked in the order given, so an error names the trigger's index there.
         for i, t in enumerate(self.triggers):
             if t.time_us > duration_us:
                 raise ScenarioValidationError(
-                    f"triggers[{i}].time_us={t.time_us} exceeds duration_us={duration_us}"
+                    f"triggers[{i}].time_us={shown(t.time_us)} exceeds"
+                    f" duration_us={shown(duration_us)}"
                 )
             if ue is not None and t.ue_id != ue.id:
                 raise ScenarioValidationError(f"triggers[{i}] references unknown UE '{t.ue_id}'")
@@ -205,7 +200,7 @@ class _Reader:
             raise ScenarioParseError(f"'{self.path_of(key)}' has wrong type {type(value).__name__}")
         # NaN fails too, and so does an integer too large to read as a float.
         if kind is float and not abs(value) <= sys.float_info.max:
-            raise ScenarioParseError(f"'{self.path_of(key)}' must be finite, got {value}")
+            raise ScenarioParseError(f"'{self.path_of(key)}' must be finite, got {shown(value)}")
         if plain:
             return value
         if checked is list:
@@ -223,7 +218,7 @@ class _Reader:
         except ValueError:
             valid = ", ".join(m.value for m in kind)
             raise ScenarioParseError(
-                f"'{self.path_of(key)}' must be one of: {valid} (got '{raw}')"
+                f"'{self.path_of(key)}' must be one of: {valid} (got {shown(raw)})"
             ) from None
 
     def build(self, constructor: Callable, *args, **kwargs) -> Any:
@@ -326,7 +321,7 @@ def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, Dirt
     if num_pages > room:
         raise ScenarioParseError(
             f"'{reader.path}': num_pages must be <= {room} (a scenario's {MAX_PAGES_PER_SCENARIO}"
-            f" pages less {pages_before} in earlier images), got {num_pages}"
+            f" pages less {pages_before} in earlier images), got {shown(num_pages)}"
         )
     image = reader.build(MemoryImage, num_pages, page_size, working_set, fraction)
     model = model_reader.read("kind", (str,))
@@ -425,8 +420,11 @@ def read_document(path: str | Path) -> dict:
         raise ScenarioParseError(f"cannot read '{path}': {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"'{path}' is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ScenarioParseError(f"'{path}' holds an integer of more than {limit} digits") from exc
     except RecursionError as exc:
         raise ScenarioParseError(f"'{path}' nests JSON too deeply") from exc
     if not isinstance(data, dict):

@@ -153,14 +153,25 @@ class TestMemoryImage:
         # A fractional duration once made the carry a float, and the next draw raised.
         image = clean_image(100)
         process = ConstantRateDirty(10)
-        with pytest.raises(ValueError, match=f"duration must be whole microseconds, got {duration}"):
+        with pytest.raises(ValueError) as info:
             advance_dirty(image, process, duration)
+        assert str(info.value) == f"duration must be an integer, got {duration}"
         assert advance_dirty(image, process, 1_000_000) == 10
 
-    @pytest.mark.parametrize("page_size", [1.5, math.nan, math.inf, True, 0])
-    def test_page_size_must_be_a_positive_integer(self, page_size):
-        with pytest.raises(ValueError, match=f"page_size must be an integer > 0, got {page_size}"):
+    @pytest.mark.parametrize(
+        "page_size, rule",
+        [
+            (1.5, "an integer"),
+            (math.nan, "an integer"),
+            (math.inf, "an integer"),
+            (True, "an integer"),
+            (0, "positive"),
+        ],
+    )
+    def test_page_size_must_be_a_positive_integer(self, page_size, rule):
+        with pytest.raises(ValueError) as info:
             MemoryImage(10, page_size)
+        assert str(info.value) == f"page_size must be {rule}, got {page_size}"
 
 
 class TestConstantRate:

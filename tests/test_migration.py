@@ -252,13 +252,13 @@ class TestAnalyticPreCopy:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((-100, 100, 10, 2, 10), "num_pages must be >= 0, got -100"),
-            ((100, 0, 10, 2, 10), "bandwidth must be positive, got 0"),
+            ((-100, 100, 10, 2, 10), "num_pages must be finite and >= 0, got -100"),
+            ((100, 0, 10, 2, 10), "bandwidth must be finite and positive, got 0"),
             ((100, 100, -10, 2, 10), "rate_pages_per_s must be finite and >= 0, got -10"),
             ((100, 100, math.nan, 2, 10), "rate_pages_per_s must be finite and >= 0, got nan"),
             ((100, 100, math.inf, 2, 10), "rate_pages_per_s must be finite and >= 0, got inf"),
             ((100, 100, 10, 2, 0), "max_rounds must be >= 1, got 0"),
-            ((100, math.nan, 10, 2, 10), "bandwidth must be positive, got nan"),
+            ((100, math.nan, 10, 2, 10), "bandwidth must be finite and positive, got nan"),
             ((100, 100, 200, math.nan, 10), "stop_threshold must be >= 0, got nan"),
             ((100, 100, 200, -1, 10), "stop_threshold must be >= 0, got -1"),
         ],

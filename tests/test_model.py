@@ -337,9 +337,9 @@ class TestChannel:
 
     @pytest.mark.parametrize("bandwidth", [0, -10, float("nan")])
     def test_bandwidth_must_be_none_or_positive(self, bandwidth):
-        message = f"bandwidth_bps must be None or positive, got {bandwidth}"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             Channel(bandwidth, 0)
+        assert str(info.value) == f"bandwidth_bps must be positive, got {bandwidth}"
 
     @pytest.mark.parametrize("latency", [-50, -0.5, float("nan"), float("inf")])
     def test_latency_must_be_non_negative(self, latency):
@@ -421,12 +421,11 @@ class TestDerivedState:
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=-1)
 
     def test_nan_intra_host_latency_rejected(self):
-        with pytest.raises(
-            InvariantViolation, match="topology: intra_host_latency_us must be >= 0, got nan"
-        ):
+        with pytest.raises(InvariantViolation) as info:
             two_host_topology(
                 DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("nan")
             )
+        assert str(info.value) == "topology: intra_host_latency_us must be finite and >= 0, got nan"
 
     def test_nan_link_bandwidth_rejected(self):
         with pytest.raises(
@@ -442,16 +441,15 @@ class TestDerivedState:
 
     def test_infinite_latency_rejected_where_it_is_validated(self):
         # Either once validated, and the first channel over it raised.
-        with pytest.raises(
-            InvariantViolation, match=r"link \(h1, h2\): extra_latency_us must be finite, got inf"
-        ):
+        with pytest.raises(InvariantViolation) as info:
             Link("h1", "h2", 10**8, float("inf"))
-        with pytest.raises(
-            InvariantViolation, match="topology: intra_host_latency_us must be finite, got inf"
-        ):
+        message = "link (h1, h2): extra_latency_us must be <= 1000000000000, got inf"
+        assert str(info.value) == message
+        with pytest.raises(InvariantViolation) as info:
             two_host_topology(
                 DriverKind.MACVLAN, DriverKind.MACVLAN, intra_host_latency_us=float("inf")
             )
+        assert str(info.value) == "topology: intra_host_latency_us must be finite and >= 0, got inf"
 
     def test_latency_over_the_cap_rejected(self):
         assert Link("h1", "h2", 10**8, MAX_LATENCY_US).extra_latency_us == MAX_LATENCY_US

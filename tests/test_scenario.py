@@ -6,7 +6,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -313,7 +316,7 @@ class TestErrorSurface:
         _at(data, path)[key] = 10**400
         with pytest.raises(ScenarioParseError) as info:
             build_scenario(data)
-        assert str(info.value) == f"'{path}.{key}' must be finite, got {10**400}"
+        assert str(info.value) == f"'{path}.{key}' must be finite, got an integer of 401 digits"
 
     def test_float_key_reads_an_integer_a_float_can_hold(self):
         data = _error_surface_document()
@@ -498,12 +501,9 @@ def test_a_scenario_made_in_code_keeps_its_triggers_in_time_order():
     "changes, message",
     [
         ({"duration_us": math.nan}, "duration_us must be >= 0, got nan"),
-        ({"rtt_sample_interval_us": math.nan}, "rtt_sample_interval_us must be > 0, got nan"),
-        # The sample count of an endless run is NaN, which no longer passes the cap.
-        (
-            {"duration_us": math.inf},
-            "duration_us // rtt_sample_interval_us must be <= 1000000, got nan",
-        ),
+        ({"rtt_sample_interval_us": math.nan}, "rtt_sample_interval_us must be positive, got nan"),
+        # An endless run once gave a NaN sample count, which no longer passed the cap.
+        ({"duration_us": math.inf}, "duration_us must be an integer, got inf"),
     ],
 )
 def test_a_scenario_bound_made_in_code_rejects_nan(changes, message):
@@ -517,6 +517,43 @@ def test_a_trigger_time_rejects_nan():
     with pytest.raises(ValueError) as info:
         MigrationTrigger(math.nan, "drone-1", "hall-B")
     assert str(info.value) == "time_us must be >= 0, got nan"
+
+
+def test_a_fractional_trigger_time_is_rejected_not_truncated():
+    # It was once recorded at 1000000 us.
+    with pytest.raises(ValueError) as info:
+        MigrationTrigger(1000000.7, "drone-1", "hall-B")
+    assert str(info.value) == "time_us must be an integer, got 1000000.7"
+
+
+def test_a_fractional_duration_made_in_code_is_rejected():
+    drone = load_scenario(bundled_scenario_path())
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(drone, duration_us=2000000.5)
+    assert str(info.value) == "duration_us must be an integer, got 2000000.5"
+
+
+def test_a_fractional_sample_interval_fails_instead_of_running_on():
+    # In a child process with a timeout: this scenario's run once never
+    # returned, its trace growing without bound, and must fail this test
+    # rather than hang the suite.
+    code = (
+        "import dataclasses; from nfmigsim import *; "
+        "drone = load_scenario(bundled_scenario_path()); "
+        "run_scenario(dataclasses.replace("
+        "drone, triggers=(), duration_us=100, rtt_sample_interval_us=0.5))"
+    )
+    src = str(Path(scenario_module.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert child.returncode == 1
+    last = child.stderr.splitlines()[-1]
+    assert last == "ValueError: rtt_sample_interval_us must be an integer, got 0.5"
 
 
 @pytest.mark.parametrize(
@@ -878,15 +915,16 @@ _DOCUMENT_FAULTS = {
     # Numbers no float can hold: each used to end in an OverflowError traceback.
     "cpu-demand-past-the-largest-float": (
         lambda d: d["nfs"][0].update(cpu_demand=10**400),
-        f"error: 'nfs[0].cpu_demand' must be finite, got {10**400}",
+        "error: 'nfs[0].cpu_demand' must be finite, got an integer of 401 digits",
     ),
     "intra-host-latency-past-the-largest-float": (
         lambda d: d["topology"].update(intra_host_latency_us=10**400),
-        f"error: 'topology.intra_host_latency_us' must be finite, got {10**400}",
+        "error: 'topology.intra_host_latency_us' must be finite, got an integer of 401 digits",
     ),
     "link-latency-over-the-cap": (
         lambda d: d["topology"]["links"][1].update(extra_latency_us=10**400),
-        f"error: 'topology.links[1]': extra_latency_us must be <= 1000000000000, got {10**400}",
+        "error: 'topology.links[1]': extra_latency_us must be <= 1000000000000,"
+        " got an integer of 401 digits",
     ),
     "driver-rtt-over-the-cap": (
         lambda d: d["topology"].update(
@@ -895,7 +933,7 @@ _DOCUMENT_FAULTS = {
             }
         ),
         "error: 'topology.driver_overrides.macvlan': rtt_inter_host_us must be <= 1000000000000,"
-        f" got {10**400}",
+        " got an integer of 401 digits",
     ),
 }
 
@@ -933,11 +971,12 @@ class TestUnreadableDocument:
         path = tmp_path / "digits.scenario"
         document = '{"duration_us": ' + "9" * 5000 + ', "topology": {"hosts": []}}'
         path.write_text(document, encoding="utf-8")
-        with pytest.raises(ScenarioParseError, match="is not valid JSON: Exceeds the limit"):
+        message = f"'{path}' holds an integer of more than 4300 digits"
+        with pytest.raises(ScenarioParseError) as info:
             read_document(path)
-        code, err = self.simulate(path, capsys)
-        assert code == 2 and err.startswith(f"error: '{path}' is not valid JSON: ")
-        assert err.count("\n") == 1
+        assert str(info.value) == message
+        assert self.simulate(path, capsys) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
         assert not (tmp_path / "out").exists()
 
     def test_not_an_object(self, tmp_path, capsys):
