@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from operator import itemgetter
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -23,6 +24,8 @@ from .errors import SchedulingInPastError
 
 
 class Event(NamedTuple):
+    """Built by ``tuple.__new__`` inside the engine, which skips the generated ``__new__``."""
+
     time_us: int
     seq: int
     kind: str
@@ -81,7 +84,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time_us, seq, kind, values)
+        event = tuple.__new__(Event, (time_us, seq, kind, values))
         if callback is None:
             self._notes.append(event)
         else:
@@ -108,14 +111,17 @@ class Simulator:
             self._now = time_us
             notes = callback(self, event)
             if notes:
-                event = Event(time_us, seq, event.kind, event.values + notes)
+                event = tuple.__new__(Event, (time_us, seq, event.kind, event.values + notes))
             processed.append(event)
         # A callback schedules nothing before its own time, so the heap
-        # order above is (time, seq) order and one sort merges the notes in.
+        # order above is (time, seq) order.  The notes are in seq order, so a
+        # stable sort by time puts them in (time, seq) order too, and the one
+        # sort of both runs is a merge.
         notes = self._notes
         due = [event for event in notes if event.time_us <= t_end_us]
         if due:
             self._notes = [event for event in notes if event.time_us > t_end_us]
+            due.sort(key=itemgetter(0))
             processed += due
             processed.sort()
         self.trace += processed

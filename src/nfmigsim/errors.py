@@ -51,7 +51,11 @@ class ScenarioValidationError(SimulatorError):
 
 
 def shown(value: object) -> str:
-    """``value`` for a message; an integer past 20 digits is shown by sign and size only."""
+    """``value`` for a message; an integer past 20 digits is shown by sign and size only, and a
+    string past 60 characters by its first 40 and its length.
+    """
+    if isinstance(value, str) and len(value) > 60:
+        return f"{value[:40] + '...'!r} ({len(value)} characters)"
     if isinstance(value, int) and not -(10**20) < value < 10**20:
         digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one short
         digits += abs(value) >= 10**digits
@@ -62,21 +66,18 @@ def shown(value: object) -> str:
 def check_bound(name: str, value, low=None, high=None, *, above=None, integer=False, entity=None):
     """Raise unless ``value`` is >= ``low`` (or > ``above``), an ``int`` but not a ``bool``
     (with ``integer``) and <= ``high``, tested in that order.  A ``high`` of ``math.inf`` asks
-    the low side for a finite value too.  NaN fails every comparison.
+    the low side for a finite value too.  NaN fails every comparison.  The message is built
+    only when a test fails.
     """
-    if above is None:
-        side, holds = f">= {low}", low is None or value >= low
-    else:
-        side, holds = "positive" if above == 0 else f"> {above}", value > above
+    holds = (low is None or value >= low) if above is None else value > above
     if high == math.inf:
-        side, holds = f"finite and {side}", holds and value < high
-    if not holds:
-        rule = side
-    elif integer and (isinstance(value, bool) or not isinstance(value, int)):
-        rule = "an integer"
-    elif high is not None and not value <= high:
-        rule = f"<= {high}"
-    else:
+        holds = holds and value < high
+    wrong_type = integer and (isinstance(value, bool) or not isinstance(value, int))
+    if holds and not wrong_type and (high is None or value <= high):
         return
+    side = f">= {low}" if above is None else "positive" if above == 0 else f"> {above}"
+    if high == math.inf:
+        side = f"finite and {side}"
+    rule = side if not holds else "an integer" if wrong_type else f"<= {high}"
     detail = f"{name} must be {rule}, got {shown(value)}"
     raise ValueError(detail) if entity is None else InvariantViolation(entity, detail)

@@ -87,6 +87,8 @@ class Phase(NamedTuple):
 
     ``down`` says whether the function is unavailable for the span: only
     pre-copy rounds and post-copy's background stream run while it serves.
+    The strategies build phases by ``tuple.__new__``, which skips the
+    generated ``__new__``, and so spell ``down`` out.
     """
 
     name: str
@@ -94,7 +96,7 @@ class Phase(NamedTuple):
     down: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationReport:
     """A migration's outcome; its phases run back to back from the migration's start.
 
@@ -178,7 +180,10 @@ def _stop_and_copy(
     pages = copy(image)
     image.frozen = False
     copy_us = transfer_time_us(pages, image.page_size, channel)
-    return pages, [Phase("freeze", params.freeze_overhead_us), Phase(name, copy_us)]
+    return pages, [
+        tuple.__new__(Phase, ("freeze", params.freeze_overhead_us, True)),
+        tuple.__new__(Phase, (name, copy_us, True)),
+    ]
 
 
 def migrate_inter_copy(
@@ -193,7 +198,7 @@ def migrate_inter_copy(
     image = _require_stateful(nf)
     image.reset_for_transfer()
     copied, phases = _stop_and_copy(image, MemoryImage.copy_all, "copy-image", channel, params)
-    phases.append(Phase("restart", params.restart_overhead_us))
+    phases.append(tuple.__new__(Phase, ("restart", params.restart_overhead_us, True)))
     return MigrationReport(Strategy.INTER_COPY, copied * image.page_size, phases=tuple(phases))
 
 
@@ -223,7 +228,7 @@ def migrate_pre_copy(
         advance_dirty(image, dirty_process, round_us)
         rounds += 1
         pages_sent += batch
-        phases.append(Phase(f"copy-round-{rounds}", round_us, down=False))
+        phases.append(tuple.__new__(Phase, (f"copy-round-{rounds}", round_us, False)))
         if image.dirty_count <= params.precopy_stop_threshold:
             break
         if rounds >= params.precopy_max_rounds:
@@ -233,7 +238,7 @@ def migrate_pre_copy(
     )
     pages_sent += residual
     phases += frozen
-    phases.append(Phase("restart", params.restart_overhead_us))
+    phases.append(tuple.__new__(Phase, ("restart", params.restart_overhead_us, True)))
     return MigrationReport(
         Strategy.PRE_COPY,
         bytes_transferred=pages_sent * page_size,
@@ -348,7 +353,7 @@ def migrate_post_copy(
     _, phases = _stop_and_copy(
         image, MemoryImage.copy_working_set, "copy-working-set", channel, params
     )
-    phases.append(Phase("restart", params.restart_overhead_us))
+    phases.append(tuple.__new__(Phase, ("restart", params.restart_overhead_us, True)))
     downtime = sum(span for _, span, _ in phases)
 
     page_us = serialize_us(page_size, channel)
@@ -395,7 +400,9 @@ def migrate_post_copy(
         image.copy_all()
 
     if last_arrival > downtime:
-        phases.append(Phase("background-stream", last_arrival - downtime, down=False))
+        phases.append(
+            tuple.__new__(Phase, ("background-stream", last_arrival - downtime, False))
+        )
     return MigrationReport(
         Strategy.POST_COPY,
         bytes_transferred=image.clean_count * page_size,
@@ -516,8 +523,8 @@ def migrate_parallel(
     delta, phases = _stop_and_copy(image, MemoryImage.copy_dirty, "copy-delta", channel, params)
     signaling = params.handover_signal_roundtrips * 2 * latency_ceil_us(channel)
     phases += (
-        Phase("handover-signal", signaling),
-        Phase("activate-replica", params.activation_overhead_us),
+        tuple.__new__(Phase, ("handover-signal", signaling, True)),
+        tuple.__new__(Phase, ("activate-replica", params.activation_overhead_us, True)),
     )
     replica.retired = True
     return MigrationReport(
@@ -534,6 +541,5 @@ def redeploy_stateless(nf: NfInstance, params: MigrationParams) -> MigrationRepo
         raise StrategyInapplicableError(
             f"'{nf.id}' ({nf.kind.value.upper()}) holds state; redeploying would drop it"
         )
-    return MigrationReport(
-        Strategy.NO_MIGRATION_REDEPLOY, 0, phases=(Phase("restart", params.restart_overhead_us),)
-    )
+    restart = tuple.__new__(Phase, ("restart", params.restart_overhead_us, True))
+    return MigrationReport(Strategy.NO_MIGRATION_REDEPLOY, 0, phases=(restart,))

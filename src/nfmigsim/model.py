@@ -135,6 +135,8 @@ class HostNode:
 
 @dataclass(frozen=True)
 class Link:
+    """A link between two hosts; ``bandwidth_bps`` is in bytes per second, despite its name."""
+
     a: str
     b: str
     bandwidth_bps: int
@@ -181,8 +183,9 @@ class NfInstance:
 class Channel:
     """A transfer conduit between two placements.
 
-    ``bandwidth_bps`` of ``None`` means co-located endpoints: no
-    serialization delay, intra-host latency only.
+    ``bandwidth_bps`` is in bytes per second, despite its name; ``None``
+    means co-located endpoints: no serialization delay, intra-host latency
+    only.
     """
 
     bandwidth_bps: int | None
@@ -222,6 +225,7 @@ class ValidatedTopology:
         # Neighbours in id order, sorted once: the BFS tie-break.
         self._neighbors = {h: sorted(adj.items()) for h, adj in adjacency.items()}
         self._routes: dict[str, dict[str, tuple[int, int | None]]] = {}
+        self._channels: dict[tuple[str, str], Channel] = {}
         by_hall: dict[str, list[HostNode]] = {}
         for host in sorted(hosts.values(), key=lambda h: h.id):
             by_hall.setdefault(host.hall, []).append(host)
@@ -297,9 +301,17 @@ class ValidatedTopology:
         return self._latency_and_bandwidth(a, b)[0]
 
     def channel(self, a: str, b: str) -> Channel:
-        """Transfer channel between two hosts (bottleneck bandwidth, one-way latency)."""
-        latency, bandwidth = self._latency_and_bandwidth(a, b)
-        return Channel(bandwidth, latency)
+        """Transfer channel between two hosts (bottleneck bandwidth, one-way latency).
+
+        The route is symmetric, so each unordered host pair has one shared
+        ``Channel``, built and checked on the first call that finds it.
+        """
+        key = (a, b) if a < b else (b, a)
+        channel = self._channels.get(key)
+        if channel is None:
+            latency, bandwidth = self._latency_and_bandwidth(a, b)
+            channel = self._channels[key] = Channel(bandwidth, latency)
+        return channel
 
 
 def _check_nf_invariants(nf: NfInstance) -> None:

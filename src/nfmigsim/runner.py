@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Event, Simulator, rng_stream
+from .errors import check_bound, shown
 from .memory import DirtyProcess
 from .migration import (
     MigrationReport,
@@ -45,7 +46,7 @@ from .policy import (
     static_key,
     static_violations,
 )
-from .scenario import Scenario
+from .scenario import MAX_SEED, Scenario
 
 MIGRATIONS_CSV_HEADER = (
     "trigger_id,nf_id,kind,strategy,downtime_us,migration_time_us,"
@@ -92,6 +93,8 @@ TRACE_KINDS: dict[str, dict[str, type]] = {
 
 
 class RecordedMigration(NamedTuple):
+    """Built by ``tuple.__new__`` in the run, which skips the generated ``__new__``."""
+
     trigger_index: int
     nf_id: str
     kind: NfKind
@@ -252,7 +255,8 @@ class _Run:
         if target is None:
             reason = f"no feasible host in hall '{trigger.new_zone}'"
             report = MigrationReport(decision.chosen, 0, failure_reason=reason)
-            self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, None, report))
+            record = (index, nf.id, nf.kind, source, None, report)
+            self.reports.append(tuple.__new__(RecordedMigration, record))
             sim.schedule(sim.now, "migration-infeasible", None, trigger.new_zone, nf.id)
             return
         if target.id == source:
@@ -303,13 +307,18 @@ class _Run:
             report.outcome_label(),
             target.id,
         )
-        self.reports.append(RecordedMigration(index, nf.id, nf.kind, source, target.id, report))
+        record = (index, nf.id, nf.kind, source, target.id, report)
+        self.reports.append(tuple.__new__(RecordedMigration, record))
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
     """Execute every trigger and sample the user-plane RTT over the run."""
-    effective_seed = scenario.seed if seed is None else seed
-    run = _Run(scenario, effective_seed)
+    if seed is None:
+        seed = scenario.seed
+    else:
+        entity = f"scenario {shown(scenario.name)}"
+        check_bound("seed", seed, -MAX_SEED, MAX_SEED, integer=True, entity=entity)
+    run = _Run(scenario, seed)
     sim = Simulator()
     for index, trigger in enumerate(scenario.triggers):
         sim.schedule(trigger.time_us, "trigger", run.on_trigger, index)
@@ -318,7 +327,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> MetricsBundle:
 
     return MetricsBundle(
         scenario_name=scenario.name,
-        seed=effective_seed,
+        seed=seed,
         duration_us=scenario.duration_us,
         reports=tuple(run.reports),
         trace=tuple(sim.trace),
@@ -389,22 +398,22 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
     with paths["migrations"].open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MIGRATIONS_CSV_HEADER.split(","))
-        for rec in bundle.reports:
-            writer.writerow(
-                [
-                    rec.trigger_index,
-                    rec.nf_id,
-                    rec.kind.value,
-                    rec.report.strategy.value,
-                    rec.report.downtime_us,
-                    rec.report.migration_time_us,
-                    rec.report.bytes_transferred,
-                    rec.report.sync_bytes,
-                    rec.report.stall_time_us,
-                    rec.report.rounds,
-                    rec.report.outcome_label(),
-                ]
+        writer.writerows(
+            (
+                index,
+                nf_id,
+                kind.value,
+                report.strategy.value,
+                report.downtime_us,
+                report.migration_time_us,
+                report.bytes_transferred,
+                report.sync_bytes,
+                report.stall_time_us,
+                report.rounds,
+                report.outcome_label(),
             )
+            for index, nf_id, kind, _, _, report in bundle.reports
+        )
 
     with paths["rtt"].open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -68,6 +68,8 @@ from .policy import Objective
 MAX_RTT_SAMPLES = 10**6
 #: The most pages a scenario's images may hold together (one state byte each).
 MAX_PAGES_PER_SCENARIO = 10**7
+#: The largest seed magnitude a run takes: a seed is formatted into every stream's label.
+MAX_SEED = 2**63 - 1
 DEFAULT_AFFECTED_KINDS = (NfKind.SMF, NfKind.AMF)
 
 
@@ -116,6 +118,7 @@ class Scenario:
     dirty_specs: Mapping[str, DirtyModelSpec]
 
     def __post_init__(self):
+        check_bound("seed", self.seed, -MAX_SEED, MAX_SEED, integer=True)
         check_bound("duration_us", self.duration_us, 0, integer=True)
         check_bound("rtt_sample_interval_us", self.rtt_sample_interval_us, above=0, integer=True)
         samples = self.duration_us // self.rtt_sample_interval_us
@@ -129,7 +132,9 @@ class Scenario:
                     f" duration_us={shown(duration_us)}"
                 )
             if ue is not None and t.ue_id != ue.id:
-                raise ScenarioValidationError(f"triggers[{i}] references unknown UE '{t.ue_id}'")
+                raise ScenarioValidationError(
+                    f"triggers[{i}] references unknown UE {shown(t.ue_id)}"
+                )
         zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(self.triggers)]
         if ue is not None:
             zones.append(("ue.zone", ue.zone))
@@ -139,16 +144,18 @@ class Scenario:
         for where, zone in zones:
             in_zone = topology.hosts_in_hall(zone)
             if not in_zone:
-                raise ScenarioValidationError(f"{where} '{zone}' matches no host hall")
+                raise ScenarioValidationError(f"{where} {shown(zone)} matches no host hall")
             for host in in_zone:
                 if host.id not in reachable:
                     raise ScenarioValidationError(
-                        f"{where} '{zone}': host '{host.id}' cannot be reached from the "
+                        f"{where} {shown(zone)}: host '{host.id}' cannot be reached from the "
                         "hosts that run functions"
                     )
         for i, s in enumerate(topology.sessions):
             if ue is not None and s.ue_id != ue.id:
-                raise ScenarioValidationError(f"sessions[{i}] references unknown UE '{s.ue_id}'")
+                raise ScenarioValidationError(
+                    f"sessions[{i}] references unknown UE {shown(s.ue_id)}"
+                )
         by_time = tuple(sorted(self.triggers, key=lambda t: t.time_us))
         object.__setattr__(self, "triggers", by_time)
 
@@ -169,7 +176,7 @@ class _Reader:
         """Reject any key ``table`` does not name, then read its keys in its order."""
         for key in self.data:
             if key not in table:
-                raise ScenarioParseError(f"unknown key '{self.path_of(key)}'")
+                raise ScenarioParseError(f"unknown key {shown(self.path_of(key))}")
         read = self.read
         return [read(key, spec) for key, spec in table.items()]
 
@@ -218,7 +225,7 @@ class _Reader:
         except ValueError:
             valid = ", ".join(m.value for m in kind)
             raise ScenarioParseError(
-                f"'{self.path_of(key)}' must be one of: {valid} (got {shown(raw)})"
+                f"{shown(self.path_of(key))} must be one of: {valid} (got {shown(raw)})"
             ) from None
 
     def build(self, constructor: Callable, *args, **kwargs) -> Any:

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from nfmigsim import bundled_scenario_path, load_scenario
+from nfmigsim import bundled_scenario_path, load_scenario, run_scenario
 from nfmigsim.errors import InvariantViolation, check_bound, shown
 from nfmigsim.memory import BernoulliDirty, ConstantRateDirty, MemoryImage, advance_dirty
 from nfmigsim.migration import MAX_PRECOPY_ROUNDS, MigrationParams, analytic_pre_copy
@@ -22,7 +22,7 @@ from nfmigsim.model import (
     NfKind,
     validate_topology,
 )
-from nfmigsim.scenario import MAX_RTT_SAMPLES, MigrationTrigger
+from nfmigsim.scenario import MAX_RTT_SAMPLES, MAX_SEED, MigrationTrigger
 
 DRONE = load_scenario(bundled_scenario_path())
 INTERVAL = DRONE.rtt_sample_interval_us
@@ -188,6 +188,19 @@ BOUNDS = {
         above=0,
         integer=True,
     ),
+    "Scenario.seed": Bound(
+        lambda v: dataclasses.replace(DRONE, seed=v), ValueError, "seed", -MAX_SEED, MAX_SEED,
+        integer=True,
+    ),
+    # A fresh scenario for each run that goes ahead: a run changes its images' page state.
+    "run_scenario.seed": Bound(
+        lambda v: run_scenario(load_scenario(bundled_scenario_path()), seed=v),
+        InvariantViolation,
+        "seed",
+        -MAX_SEED,
+        MAX_SEED,
+        integer=True,
+    ),
 }
 
 EXTREMES = [math.nan, math.inf, -math.inf, True, 10**400, -(10**400), 10**5000]
@@ -262,6 +275,10 @@ _SHOWN = [
     (math.nan, "nan"),
     (2.5, "2.5"),
     ("4096", "'4096'"),
+    ("x" * 60, repr("x" * 60)),
+    ("x" * 61, f"'{'x' * 40}...' (61 characters)"),
+    # A quote in the string makes the start a double-quoted repr.
+    ("a'b" * 400, repr("a'b" * 13 + "a...") + " (1200 characters)"),
 ]
 
 

@@ -225,7 +225,13 @@ def drive(sim, steps):
 @settings(max_examples=120, deadline=None)
 @given(steps=STEPS)
 def test_annotations_off_the_heap_match_a_heap_only_engine(steps):
-    assert drive(Simulator(), steps) == drive(HeapOnlySimulator(), steps)
+    sim = Simulator()
+    observed = drive(sim, steps)
+    assert observed == drive(HeapOnlySimulator(), steps)
+    # The engine builds events by ``tuple.__new__``, past Event's own ``__new__``.
+    scheduled = [obs[1] for obs in observed if obs[0] == "scheduled"]
+    for event in scheduled + sim.trace:
+        assert type(event) is Event and len(event) == 4 and type(event.values) is tuple
 
 
 class TestRngStreams:

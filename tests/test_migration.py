@@ -898,8 +898,20 @@ def handed_over(channel, params):
 def test_downtime_sums_the_down_phases(migrate, down):
     report = migrate(Channel(100, 5), MigrationParams(precopy_stop_threshold=2))
     assert {name: is_down for name, _, is_down in report.phases} == down
+    # The strategies build phases by ``tuple.__new__``: each is still a whole Phase.
+    for phase in report.phases:
+        assert type(phase) is Phase and len(phase) == 3 and type(phase.down) is bool
     assert report.downtime_us == sum(span for name, span, _ in report.phases if down[name])
     assert 0 < report.downtime_us <= report.migration_time_us
+
+
+def test_a_report_is_slotted_and_frozen():
+    report = redeploy_stateless(stateless_upf(), MigrationParams())
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.rounds = 1
+    assert report == dataclasses.replace(report)
+    assert repr(report).startswith("MigrationReport(strategy=<Strategy.NO_MIGRATION_REDEPLOY")
 
 
 class TestCrossStrategyInvariants:

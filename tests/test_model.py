@@ -232,6 +232,21 @@ def test_ring_with_two_shortest_paths_is_read_from_the_lower_id():
     assert_routes_match_bfs_and_are_symmetric(topo, links)
 
 
+def test_a_failed_channel_lookup_raises_on_every_call():
+    hosts = [HostNode(h, "z", 4, DriverKind.MACVLAN) for h in ("h1", "h2", "h3")]
+    topo = validate_topology(hosts, [Link("h1", "h2", 10**8)], [])
+    for _ in range(2):
+        with pytest.raises(DanglingReferenceError, match="unknown host 'h9'"):
+            topo.channel("h1", "h9")
+        with pytest.raises(DanglingReferenceError, match="unknown host 'h9'"):
+            topo.channel("h9", "h9")
+        with pytest.raises(NoPathError):
+            topo.channel("h3", "h1")
+        with pytest.raises(NoPathError):
+            topo.channel("h1", "h3")
+    assert topo.channel("h2", "h1") is topo.channel("h1", "h2") == Channel(10**8, 260.0)
+
+
 class TestValidateTopology:
     def test_minimal_topology_valid(self):
         hosts = [

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfmigsim import (
+    Channel,
     DriverKind,
     HostLoad,
     HostNode,
@@ -421,6 +422,20 @@ def load_scenario_gen():
 
 
 SCENARIO_GEN = load_scenario_gen()
+
+
+@pytest.mark.parametrize("name", ["drone", "generate-301"])
+def test_each_host_pair_shares_one_channel(name):
+    if name == "drone":
+        topology = load_scenario(bundled_scenario_path()).topology
+    else:
+        topology = build_scenario(SCENARIO_GEN.generate(301)).topology
+    hosts = sorted(topology.hosts)
+    for a in hosts:
+        for b in hosts:
+            channel = topology.channel(a, b)
+            latency, bandwidth = topology._latency_and_bandwidth(a, b)
+            assert topology.channel(b, a) is channel == Channel(bandwidth, latency)
 
 
 def test_generated_exports_match_the_committed_digests(tmp_path):

@@ -464,6 +464,17 @@ _CROSS_OBJECT_FAULTS = {
         lambda s: {"ue": UeSpec("drone-1", "hall-C")},
         f"ue.zone 'hall-C': {_UNREACHED}",
     ),
+    # A string a document echoes is shown by its start and length past 60 characters.
+    "trigger-into-a-long-hall-name": (
+        lambda d: d["triggers"][0].update(new_zone="x" * 1000),
+        lambda s: _moved_trigger(s, new_zone="x" * 1000),
+        f"triggers[0].new_zone '{'x' * 40}...' (1000 characters) matches no host hall",
+    ),
+    "trigger-of-a-long-ue-id": (
+        lambda d: d["triggers"][0].update(ue_id="u" * 1000),
+        lambda s: _moved_trigger(s, ue_id="u" * 1000),
+        f"triggers[0] references unknown UE '{'u' * 40}...' (1000 characters)",
+    ),
     "session-of-another-ue": (
         lambda d: (d["ue"].update(id="drone-9"), d["triggers"][0].update(ue_id="drone-9")),
         lambda s: {"ue": UeSpec("drone-9", "hall-A"), **_moved_trigger(s, ue_id="drone-9")},
@@ -637,6 +648,17 @@ class TestRunScenario:
         scenario = load_scenario(bundled_scenario_path())
         bundle = run_scenario(scenario, seed=7)
         assert bundle.seed == 7
+
+    def test_seed_flag_past_the_bound_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        seed = str(-(2**63))
+        argv = ["simulate", str(bundled_scenario_path()), "--seed", seed, "--out", str(out)]
+        code, err = _exit_code_and_error(argv, capsys)
+        assert code == 2 and err == (
+            "error: scenario 'drone-hall-transition': seed must be >= -9223372036854775807,"
+            " got -9223372036854775808\n"
+        )
+        assert not out.exists()
 
     def test_infeasible_target_recorded_not_raised(self, tmp_path):
         # hall-B's host cannot carry L2, but the UPF anchors an Ethernet session.
@@ -925,6 +947,18 @@ _DOCUMENT_FAULTS = {
         lambda d: d["topology"]["links"][1].update(extra_latency_us=10**400),
         "error: 'topology.links[1]': extra_latency_us must be <= 1000000000000,"
         " got an integer of 401 digits",
+    ),
+    "long-unknown-top-level-key": (
+        lambda d: d.update({"k" * 1000: 1}),
+        f"error: unknown key '{'k' * 40}...' (1000 characters)",
+    ),
+    "long-unknown-nested-key": (
+        lambda d: d["nfs"][1]["memory"]["dirty_model"].update({"k" * 1000: 1}),
+        f"error: unknown key 'nfs[1].memory.dirty_model.{'k' * 14}...' (1026 characters)",
+    ),
+    "seed-past-the-bound": (
+        lambda d: d.update(seed=2**63),
+        "error: seed must be <= 9223372036854775807, got 9223372036854775808",
     ),
     "driver-rtt-over-the-cap": (
         lambda d: d["topology"].update(
