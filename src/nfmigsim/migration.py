@@ -11,9 +11,14 @@ and produces a report with downtime, total migration time and byte counts:
 * post-copy: freeze briefly, ship only the working set, restart at the
   target; the rest streams in the background and a touched-but-missing page
   stalls the function for a demand fetch.
-* replica handover: a synchronized duplicate runs at the target, fed full
-  copies plus periodic dirty deltas; the handover ships only the pages that
+* replica handover: a synchronized duplicate runs at the target, fed a full
+  copy plus periodic dirty deltas; the handover ships only the pages that
   changed since the last completed sync.
+
+Pre-copy rounds and replica sync ticks are one loop, ``_copy_rounds``: copy
+the dirty set while the function runs.  Pre-copy fires each batch where the
+previous one lands, so a replica handed over after one tick is exactly a
+two-round pre-copy.
 
 A closed-form evaluator for the constant-rate pre-copy case serves as an
 independent oracle: it mirrors the per-round geometric shrinkage without
@@ -32,8 +37,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InvariantViolation, StrategyInapplicableError, check_bound
 from .memory import (
@@ -202,46 +208,70 @@ def migrate_inter_copy(
     return MigrationReport(Strategy.INTER_COPY, copied * image.page_size, phases=tuple(phases))
 
 
+class SyncTick(NamedTuple):
+    """One batch of ``_copy_rounds``, in microseconds from the copy's start."""
+
+    fired_at_us: int
+    pages: int
+    done_us: int
+
+
+def _copy_rounds(
+    image: MemoryImage, channel: Channel, dirty: DirtyProcess, interval_us: int = 0
+) -> Iterator[SyncTick]:
+    """Copy the image while its function runs, then its dirty set, batch after batch.
+
+    The whole image ships first, fired at 0.  The next batch fires where it
+    lands, and each later one at ``max(previous fire + interval_us, previous
+    landing)``.  A batch ships the pages dirty at its firing, so writes made
+    while it is in flight wait for the next.  The source dirties through
+    every wait and every transfer, and a batch is yielded once it has
+    landed, so the caller may stop there and freeze the image.
+    """
+    image.reset_for_transfer()
+    fire = due = 0
+    pages = image.copy_all()
+    while True:
+        done = fire + transfer_time_us(pages, image.page_size, channel)
+        advance_dirty(image, dirty, done - fire)
+        yield tuple.__new__(SyncTick, (fire, pages, done))
+        fire = max(due, done)
+        advance_dirty(image, dirty, fire - done)
+        due = fire + interval_us
+        pages = image.copy_dirty()
+
+
 def migrate_pre_copy(
     nf: NfInstance,
     channel: Channel,
     params: MigrationParams,
     dirty_process: DirtyProcess,
 ) -> MigrationReport:
-    """Iterative copy rounds while running, then a short frozen residual copy.
+    """Copy rounds while running, then a short frozen residual copy.
 
-    Round 1 ships the full image; each later round ships the pages dirtied
-    during the previous one.  Rounds stop once the dirty set is at most the
-    stop threshold, or unconditionally at the round cap, so a workload that
+    The rounds are ``_copy_rounds`` with no interval, each fired where the
+    previous one lands.  They stop once the dirty set is at most the stop
+    threshold, or unconditionally at the round cap, so a workload that
     dirties faster than the channel drains still terminates (with a large
     final frozen batch, as expected).
     """
     image = _require_stateful(nf)
-    image.reset_for_transfer()
-    page_size = image.page_size
-    rounds = 0
     pages_sent = 0
     phases: list[Phase] = []
-    while True:
-        batch = image.copy_all() if rounds == 0 else image.copy_dirty()
-        round_us = transfer_time_us(batch, page_size, channel)
-        advance_dirty(image, dirty_process, round_us)
-        rounds += 1
+    batches = islice(_copy_rounds(image, channel, dirty_process), params.precopy_max_rounds)
+    for rounds, (fire, batch, done) in enumerate(batches, 1):
         pages_sent += batch
-        phases.append(tuple.__new__(Phase, (f"copy-round-{rounds}", round_us, False)))
+        phases.append(tuple.__new__(Phase, (f"copy-round-{rounds}", done - fire, False)))
         if image.dirty_count <= params.precopy_stop_threshold:
-            break
-        if rounds >= params.precopy_max_rounds:
             break
     residual, frozen = _stop_and_copy(
         image, MemoryImage.copy_dirty, "copy-residual", channel, params
     )
-    pages_sent += residual
     phases += frozen
     phases.append(tuple.__new__(Phase, ("restart", params.restart_overhead_us, True)))
     return MigrationReport(
         Strategy.PRE_COPY,
-        bytes_transferred=pages_sent * page_size,
+        bytes_transferred=(pages_sent + residual) * image.page_size,
         rounds=rounds,
         phases=tuple(phases),
     )
@@ -412,46 +442,26 @@ def migrate_post_copy(
     )
 
 
-@dataclass(frozen=True)
-class SyncTick:
-    fired_at_us: int
-    pages: int
-    done_us: int
-
-
 class ReplicaHandle:
     """A synchronized duplicate instance being fed the source's memory.
 
-    The replica starts by shipping the full image, and the source dirties
-    pages for the whole copy; ``now_us`` starts where that copy lands.  Sync
-    ticks follow, each shipping the pages dirtied since the previous one:
-    the first fires at ``now_us``, each later one at ``max(previous fire +
-    ppm_sync_interval_us, now_us)``.  A tick copies the dirty set as of its
-    firing, so writes made while it is in flight wait for the next tick.
-    The full copy and every tick accrue in ``sync_bytes``.
-
-    The replica's clock counts from its start, like every strategy's
-    phases, and moves only through :meth:`run_until_ticks`, one whole tick
-    at a time; the source keeps executing (and dirtying) until
-    :func:`migrate_parallel` hands over at that instant.
+    Its sync is ``_copy_rounds`` at ``ppm_sync_interval_us``: the full copy,
+    then one sync tick per later batch, all accruing in ``sync_bytes``.  Its
+    clock ``now_us`` counts from its start, like every strategy's phases,
+    and stands where the last batch landed.  It moves only through
+    :meth:`run_until_ticks`, one whole tick at a time; the source keeps
+    executing (and dirtying) until :func:`migrate_parallel` hands over.
     """
 
     def __init__(
-        self,
-        nf: NfInstance,
-        channel: Channel,
-        params: MigrationParams,
-        dirty_process: DirtyProcess,
+        self, nf: NfInstance, channel: Channel, params: MigrationParams, dirty_process: DirtyProcess
     ):
         self.nf = nf
         image = self.image = _require_stateful(nf)
         self.channel = channel
-        self.params = params
-        self.dirty_process = dirty_process
-        image.reset_for_transfer()
-        self.sync_bytes = image.copy_all() * image.page_size
-        self.now_us = transfer_time_us(image.num_pages, image.page_size, channel)
-        advance_dirty(image, dirty_process, self.now_us)
+        self._batches = _copy_rounds(image, channel, dirty_process, params.ppm_sync_interval_us)
+        _, pages, self.now_us = next(self._batches)
+        self.sync_bytes = pages * image.page_size
         self.tick_log: list[SyncTick] = []
         self.retired = False
 
@@ -468,18 +478,11 @@ class ReplicaHandle:
         """
         if self.retired:
             raise InvariantViolation(self.nf.id, "replica already handed over")
-        image = self.image
         while len(self.tick_log) < n:
-            fire = self.now_us
-            if self.tick_log:
-                fire = max(self.tick_log[-1].fired_at_us + self.params.ppm_sync_interval_us, fire)
-            advance_dirty(image, self.dirty_process, fire - self.now_us)
-            pages = image.copy_dirty()
-            done = fire + transfer_time_us(pages, image.page_size, self.channel)
-            advance_dirty(image, self.dirty_process, done - fire)
-            self.now_us = done
-            self.sync_bytes += pages * image.page_size
-            self.tick_log.append(SyncTick(fire, pages, done))
+            tick = next(self._batches)
+            self.tick_log.append(tick)
+            self.sync_bytes += tick.pages * self.image.page_size
+            self.now_us = tick.done_us
         return self.now_us
 
 
@@ -489,10 +492,7 @@ def start_replica_sync(
     params: MigrationParams,
     dirty_process: DirtyProcess,
 ) -> ReplicaHandle:
-    """Instantiate a duplicate of ``nf`` at the target and ship it the image.
-
-    Its clock starts at 0 and stands where the initial copy lands.
-    """
+    """Instantiate a duplicate of ``nf`` at the target; its clock stands where the image lands."""
     return ReplicaHandle(nf, channel, params, dirty_process)
 
 
@@ -506,7 +506,7 @@ def migrate_parallel(
     The handover happens at ``replica.now_us``, where the initial copy or
     the last :meth:`ReplicaHandle.run_until_ticks` left it; ``at_time_us``,
     if given, must equal that instant.  It freezes the source, transfers the
-    pages dirtied since the last landed sync, exchanges the handover signal
+    pages dirtied since the last sync fired, exchanges the handover signal
     and activates the replica (no cold restart).  The accrued duplication
     cost travels in ``sync_bytes``.
     """

@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolation,
     NoPathError,
     check_bound,
+    shown,
 )
 from .memory import MemoryImage
 
@@ -340,15 +341,15 @@ def validate_topology(
     host_map: dict[str, HostNode] = {}
     for host in hosts:
         if host.id in host_map:
-            raise DuplicateIdError(f"host id '{host.id}' appears more than once")
+            raise DuplicateIdError(f"host id {shown(host.id)} appears more than once")
         host_map[host.id] = host
 
     seen_pairs: set[frozenset[str]] = set()
     for link in links:
-        for endpoint in (link.a, link.b):
+        for endpoint, other in ((link.a, link.b), (link.b, link.a)):
             if endpoint not in host_map:
                 raise DanglingReferenceError(
-                    f"link ({link.a}, {link.b}) references unknown host '{endpoint}'"
+                    f"link from {shown(other)} to unknown host {shown(endpoint)}"
                 )
         if link.a == link.b:
             raise InvariantViolation(
@@ -364,10 +365,10 @@ def validate_topology(
     nf_map: dict[str, NfInstance] = {}
     for nf in nfs:
         if nf.id in nf_map:
-            raise DuplicateIdError(f"function id '{nf.id}' appears more than once")
+            raise DuplicateIdError(f"function id {shown(nf.id)} appears more than once")
         if nf.host not in host_map:
             raise DanglingReferenceError(
-                f"function '{nf.id}' placed on unknown host '{nf.host}'"
+                f"function {shown(nf.id)} placed on unknown host {shown(nf.host)}"
             )
         _check_nf_invariants(nf)
         nf_map[nf.id] = nf
@@ -375,16 +376,17 @@ def validate_topology(
     session_ids: set[str] = set()
     for session in sessions:
         if session.id in session_ids:
-            raise DuplicateIdError(f"session id '{session.id}' appears more than once")
+            raise DuplicateIdError(f"session id {shown(session.id)} appears more than once")
         session_ids.add(session.id)
         anchor = nf_map.get(session.anchor_upf)
         if anchor is None:
             raise DanglingReferenceError(
-                f"session '{session.id}' anchors to unknown function '{session.anchor_upf}'"
+                f"session {shown(session.id)} anchors to unknown function "
+                f"{shown(session.anchor_upf)}"
             )
         if anchor.kind is not NfKind.UPF:
             raise InvariantViolation(
-                session.id, f"anchor '{anchor.id}' is a {anchor.kind.value.upper()}, not a UPF"
+                session.id, f"anchor {shown(anchor.id)} is a {anchor.kind.value.upper()}, not a UPF"
             )
 
     topology = ValidatedTopology(
@@ -403,6 +405,7 @@ def validate_topology(
             if other not in reachable:
                 raise InvariantViolation(
                     "topology",
-                    f"hosts '{occupied[0]}' and '{other}' run functions but are not connected",
+                    f"hosts {shown(occupied[0])} and {shown(other)} run functions"
+                    " but are not connected",
                 )
     return topology

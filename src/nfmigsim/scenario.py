@@ -359,7 +359,7 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
         overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
         overrides[DriverKind.OVERLAY] = replace(overlay, carries_l2=True)
     for raw_kind in drivers.data:
-        kind = drivers.member(DriverKind, raw_kind, raw_kind)
+        kind = topo_reader.member(DriverKind, raw_kind, "driver_overrides")
         reader = drivers.read(raw_kind, (_Reader,))
         overrides[kind] = reader.build(NetworkDriverProfile, kind, *reader.fields(_DRIVER_KEYS))
     hosts = [reader.build(HostNode, *reader.fields(_HOST_KEYS)) for reader in host_readers]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfmigsim import (
@@ -690,6 +690,32 @@ class TestParallelHandover:
         assert ppm.sync_bytes > 0
 
 
+def landing_us(pages, page_size, channel):
+    """Microseconds from a batch's firing to its landing: serialization, then the
+    latency rounded up; 0 for an empty batch."""
+    if pages == 0:
+        return 0
+    serialize = 0
+    if channel.bandwidth_bps is not None:
+        nbytes = Fraction(pages * page_size * 10**6)
+        serialize = math.ceil(nbytes / Fraction(channel.bandwidth_bps))
+    return serialize + math.ceil(channel.latency_us)
+
+
+def constant_rate_dirtied(rate, num_pages):
+    """``dirtied(span_us)``: the pages ``rate`` dirties over consecutive spans,
+    each count capped at the image, the fraction carried to the next span."""
+    carry = Fraction(0)
+
+    def dirtied(span_us):
+        nonlocal carry
+        accumulated = Fraction(rate) * Fraction(span_us, 10**6) + carry
+        carry = accumulated - math.floor(accumulated)
+        return min(num_pages, math.floor(accumulated))
+
+    return dirtied
+
+
 def reference_replica(num_pages, page_size, channel, interval, rate, n):
     """Sync ticks and handover delta of a replica under constant-rate dirtying.
 
@@ -699,33 +725,38 @@ def reference_replica(num_pages, page_size, channel, interval, rate, n):
     one at ``max(fire + interval, done)``.  After ``n`` ticks the handover
     ships what dirtied since the last fire.  Returns (ticks, delta).
     """
-
-    def landing_us(pages):
-        if pages == 0:
-            return 0
-        serialize = 0
-        if channel.bandwidth_bps is not None:
-            nbytes = Fraction(pages * page_size * 10**6)
-            serialize = math.ceil(nbytes / Fraction(channel.bandwidth_bps))
-        return serialize + math.ceil(channel.latency_us)
-
-    carry = Fraction(0)
-
-    def dirtied(span_us):
-        nonlocal carry
-        accumulated = Fraction(rate) * Fraction(span_us, 10**6) + carry
-        carry = accumulated - math.floor(accumulated)
-        return min(num_pages, math.floor(accumulated))
-
-    previous_fire, fire = 0, landing_us(num_pages)
+    dirtied = constant_rate_dirtied(rate, num_pages)
+    previous_fire, fire = 0, landing_us(num_pages, page_size, channel)
     ticks = []
     for _ in range(n):
         pages = dirtied(fire - previous_fire)
-        done = fire + landing_us(pages)
+        done = fire + landing_us(pages, page_size, channel)
         ticks.append((fire, pages, done))
         previous_fire, fire = fire, max(fire + interval, done)
-    now = ticks[-1][2] if ticks else landing_us(num_pages)
+    now = ticks[-1][2] if ticks else landing_us(num_pages, page_size, channel)
     return ticks, dirtied(now - previous_fire)
+
+
+def reference_pre_copy(num_pages, page_size, channel, rate, threshold, max_rounds):
+    """(rounds, downtime, migration time, pages) of a pre-copy with no overheads
+    under constant-rate dirtying.
+
+    Each round ships the pages dirtied during the previous one (the whole
+    image first) and lasts until it lands, latency included.  Rounds stop
+    once the pages dirtied during a round are at most ``threshold``, or at
+    ``max_rounds``; those pages then ship frozen, which is the downtime.
+    """
+    dirtied = constant_rate_dirtied(rate, num_pages)
+    batch, rounds, elapsed, pages = num_pages, 0, 0, 0
+    while True:
+        span = landing_us(batch, page_size, channel)
+        residual = dirtied(span)
+        rounds, elapsed, pages = rounds + 1, elapsed + span, pages + batch
+        if residual <= threshold or rounds == max_rounds:
+            break
+        batch = residual
+    downtime = landing_us(residual, page_size, channel)
+    return rounds, downtime, elapsed + downtime, pages + residual
 
 
 replica_channels = st.builds(
@@ -760,6 +791,41 @@ def test_replica_matches_constant_rate_recurrence(num_pages, page_size, channel,
     assert report.migration_time_us == report.downtime_us
     assert report.downtime_us == transfer_time_us(delta, page_size, channel)
     assert report.sync_bytes == replica.sync_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_pages=st.integers(0, 40),
+    page_size=st.integers(2, 4),
+    channel=replica_channels,
+    rate=dirty_rates,
+    threshold=st.integers(0, 10),
+    max_rounds=st.integers(1, 8),
+)
+@example(
+    num_pages=40, page_size=4, channel=Channel(None, 2.5), rate=300, threshold=0, max_rounds=8
+)
+@example(
+    num_pages=40, page_size=3, channel=Channel(7.5, 0.25), rate=2.5, threshold=0, max_rounds=4
+)
+def test_pre_copy_matches_constant_rate_recurrence(
+    num_pages, page_size, channel, rate, threshold, max_rounds
+):
+    # The closed form above covers zero latency and 1-byte pages; this
+    # recurrence covers latency, larger pages and no bandwidth limit.
+    params = MigrationParams(
+        **ZERO_OVERHEADS, precopy_stop_threshold=threshold, precopy_max_rounds=max_rounds
+    )
+    nf = stateful_nf(num_pages, page_size)
+    report = migrate_pre_copy(nf, channel, params, ConstantRateDirty(rate))
+    rounds, downtime, migration_time, pages = reference_pre_copy(
+        num_pages, page_size, channel, rate, threshold, max_rounds
+    )
+    assert report.rounds == rounds
+    assert report.downtime_us == downtime
+    assert report.migration_time_us == migration_time
+    assert report.bytes_transferred == pages * page_size
+    assert nf.memory.all_clean
 
 
 def replica_dirty_process(bernoulli, rate, seed):
@@ -804,6 +870,38 @@ def test_run_until_ticks_in_two_calls_equals_one(
     whole.run_until_ticks(a + extra)
     assert replica_state(split) == replica_state(whole)
     assert migrate_parallel(split, params) == migrate_parallel(whole, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_pages=st.integers(0, 40),
+    page_size=st.integers(1, 4),
+    channel=replica_channels,
+    bernoulli=st.booleans(),
+    rate=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_a_one_tick_replica_is_a_two_round_pre_copy(
+    num_pages, page_size, channel, bernoulli, rate, seed
+):
+    params = MigrationParams(**ZERO_OVERHEADS, precopy_stop_threshold=0, precopy_max_rounds=2)
+    pre_dirty, ppm_dirty = (replica_dirty_process(bernoulli, rate, seed) for _ in range(2))
+    pre = migrate_pre_copy(stateful_nf(num_pages, page_size), channel, params, pre_dirty)
+    replica = start_replica_sync(stateful_nf(num_pages, page_size), channel, params, ppm_dirty)
+    replica.run_until_ticks(1)
+    ppm = migrate_parallel(replica, params)
+    (tick,) = replica.tick_log
+    spans = {name: span for name, span, _ in pre.phases + ppm.phases}
+    copy_us = transfer_time_us(num_pages, page_size, channel)
+    # Pre-copy stops after one round only when nothing dirtied during it; the
+    # tick, fired where the initial copy lands, then ships nothing.
+    assert pre.rounds == 2 or tick.pages == 0
+    rounds = [spans[f"copy-round-{k}"] for k in range(1, pre.rounds + 1)]
+    assert rounds == [copy_us, tick.done_us - tick.fired_at_us][: pre.rounds]
+    assert tick.fired_at_us == copy_us
+    assert spans["copy-residual"] == spans["copy-delta"]
+    assert pre.bytes_transferred == ppm.sync_bytes + ppm.bytes_transferred
+    assert pre.migration_time_us == replica.now_us + ppm.migration_time_us
 
 
 @settings(max_examples=50, deadline=None)

@@ -303,6 +303,30 @@ class TestValidateTopology:
         with pytest.raises(DuplicateIdError, match="session id 'pdu-1' appears more than once"):
             validate_topology(hosts, [], nfs, sessions=[session, session])
 
+    @pytest.mark.parametrize(
+        "hosts, links, nfs, sessions",
+        [
+            ([("a" * 1000)] * 2, [], [], []),
+            (["h1"], [("a" * 1000, "b" * 1000)], [], []),
+            (["h1"], [], [("u" * 1000, "a" * 1000)], []),
+            (["h1"], [], [("u" * 1000, "h1")] * 2, []),
+            (["h1"], [], [("u" * 1000, "h1")], [("s" * 1000, "u" * 1000)] * 2),
+            (["h1"], [], [("u" * 1000, "h1")], [("s" * 1000, "a" * 1000)]),
+        ],
+    )
+    def test_long_ids_are_echoed_by_start_and_length(self, hosts, links, nfs, sessions):
+        # Every id an error names goes through ``errors.shown``, so even two
+        # 1,000-character ids keep the message short.
+        with pytest.raises((DuplicateIdError, DanglingReferenceError)) as info:
+            validate_topology(
+                [HostNode(host, "z", 4, DriverKind.MACVLAN) for host in hosts],
+                [Link(a, b, 10**6) for a, b in links],
+                [NfInstance(nf, NfKind.UPF, host) for nf, host in nfs],
+                sessions=[PduSession(s, SessionType.IP, "ue-1", upf) for s, upf in sessions],
+            )
+        assert "(1000 characters)" in str(info.value)
+        assert len(str(info.value)) <= 180
+
     def test_stateful_upf_rejected(self):
         hosts = [HostNode("h1", "z", 4, DriverKind.MACVLAN)]
         nfs = [NfInstance("upf-1", NfKind.UPF, "h1", memory=MemoryImage(8, 4096))]

@@ -904,6 +904,9 @@ def _link(data, a, b):
     data["topology"]["links"].append({"a": a, "b": b, "bandwidth_bps": 1})
 
 
+_LONG_ID = "h" * 1000
+_LONG_SHOWN = f"'{'h' * 40}...' (1000 characters)"
+
 # Each edit of the drone document, and the one error line it must end in.
 _DOCUMENT_FAULTS = {
     "host-not-an-object": (
@@ -956,6 +959,30 @@ _DOCUMENT_FAULTS = {
         lambda d: d["nfs"][1]["memory"]["dirty_model"].update({"k" * 1000: 1}),
         f"error: unknown key 'nfs[1].memory.dirty_model.{'k' * 14}...' (1026 characters)",
     ),
+    # A 1,000-character id that the topology check echoes, shown by its start and length.
+    "long-duplicate-host-id": (
+        lambda d: d["topology"]["hosts"].extend(
+            2 * [{**d["topology"]["hosts"][0], "id": _LONG_ID}]
+        ),
+        f"error: host id {_LONG_SHOWN} appears more than once",
+    ),
+    "function-on-a-long-unknown-host": (
+        lambda d: d["nfs"][0].update(host=_LONG_ID),
+        f"error: function 'upf-1' placed on unknown host {_LONG_SHOWN}",
+    ),
+    "link-to-a-long-unknown-host": (
+        lambda d: d["topology"]["links"][0].update(a=_LONG_ID),
+        f"error: link from 'edge-a2' to unknown host {_LONG_SHOWN}",
+    ),
+    "session-anchored-to-a-long-unknown-function": (
+        lambda d: d["sessions"][0].update(anchor_upf=_LONG_ID),
+        f"error: session 'pdu-1' anchors to unknown function {_LONG_SHOWN}",
+    ),
+    "long-unknown-driver-override": (
+        lambda d: d["topology"].update(driver_overrides={_LONG_ID: {}}),
+        "error: 'topology.driver_overrides' must be one of: host, bridge, macvlan, ipvlan-l2,"
+        f" ipvlan-l3, overlay (got {_LONG_SHOWN})",
+    ),
     "seed-past-the-bound": (
         lambda d: d.update(seed=2**63),
         "error: seed must be <= 9223372036854775807, got 9223372036854775808",
@@ -979,6 +1006,7 @@ def test_document_fault_exits_2_with_one_error_line(tmp_path, capsys, fault):
     edit(data)
     argv = ["simulate", str(write(tmp_path, data)), "--out", str(tmp_path / "out")]
     assert _exit_code_and_error(argv, capsys) == (2, message + "\n")
+    assert len(message.encode()) < 200  # with its newline, at most 200 bytes
     assert not (tmp_path / "out").exists()
 
 
