@@ -18,7 +18,7 @@ and produces a report with downtime, total migration time and byte counts:
 Pre-copy rounds and replica sync ticks are one loop, ``_copy_rounds``: copy
 the dirty set while the function runs.  Pre-copy fires each batch where the
 previous one lands, so a replica handed over after one tick is exactly a
-two-round pre-copy.
+two-round pre-copy, its ``sync-copy`` and ``sync-tick-1`` phases the rounds.
 
 A closed-form evaluator for the constant-rate pre-copy case serves as an
 independent oracle: it mirrors the per-round geometric shrinkage without
@@ -92,7 +92,7 @@ class Phase(NamedTuple):
     """One span of a migration timeline; it starts where the previous phase ends.
 
     ``down`` says whether the function is unavailable for the span: only
-    pre-copy rounds and post-copy's background stream run while it serves.
+    pre-copy rounds, replica sync and post-copy's stream run while it serves.
     The strategies build phases by ``tuple.__new__``, which skips the
     generated ``__new__``, and so spell ``down`` out.
     """
@@ -446,7 +446,8 @@ class ReplicaHandle:
     """A synchronized duplicate instance being fed the source's memory.
 
     Its sync is ``_copy_rounds`` at ``ppm_sync_interval_us``: the full copy,
-    then one sync tick per later batch, all accruing in ``sync_bytes``.  Its
+    then one sync tick per later batch, accruing in ``sync_bytes`` and, as
+    running phases ``sync-copy`` and ``sync-tick-k``, in ``phases``.  Its
     clock ``now_us`` counts from its start, like every strategy's phases,
     and stands where the last batch landed.  It moves only through
     :meth:`run_until_ticks`, one whole tick at a time; the source keeps
@@ -462,6 +463,7 @@ class ReplicaHandle:
         self._batches = _copy_rounds(image, channel, dirty_process, params.ppm_sync_interval_us)
         _, pages, self.now_us = next(self._batches)
         self.sync_bytes = pages * image.page_size
+        self.phases = [tuple.__new__(Phase, ("sync-copy", self.now_us, False))]
         self.tick_log: list[SyncTick] = []
         self.retired = False
 
@@ -482,6 +484,8 @@ class ReplicaHandle:
             tick = next(self._batches)
             self.tick_log.append(tick)
             self.sync_bytes += tick.pages * self.image.page_size
+            name = f"sync-tick-{len(self.tick_log)}"
+            self.phases.append(tuple.__new__(Phase, (name, tick.done_us - self.now_us, False)))
             self.now_us = tick.done_us
         return self.now_us
 
@@ -507,8 +511,9 @@ def migrate_parallel(
     the last :meth:`ReplicaHandle.run_until_ticks` left it; ``at_time_us``,
     if given, must equal that instant.  It freezes the source, transfers the
     pages dirtied since the last sync fired, exchanges the handover signal
-    and activates the replica (no cold restart).  The accrued duplication
-    cost travels in ``sync_bytes``.
+    and activates the replica (no cold restart).  The report's phases are
+    the replica's sync phases, then that frozen tail.  The accrued
+    duplication cost travels in ``sync_bytes``.
     """
     if replica.retired:
         raise InvariantViolation(replica.nf.id, "replica already handed over")
@@ -520,12 +525,12 @@ def migrate_parallel(
 
     image = replica.image
     channel = replica.channel
-    delta, phases = _stop_and_copy(image, MemoryImage.copy_dirty, "copy-delta", channel, params)
+    delta, frozen = _stop_and_copy(image, MemoryImage.copy_dirty, "copy-delta", channel, params)
     signaling = params.handover_signal_roundtrips * 2 * latency_ceil_us(channel)
-    phases += (
+    phases = replica.phases + frozen + [
         tuple.__new__(Phase, ("handover-signal", signaling, True)),
         tuple.__new__(Phase, ("activate-replica", params.activation_overhead_us, True)),
-    )
+    ]
     replica.retired = True
     return MigrationReport(
         Strategy.PARALLEL,

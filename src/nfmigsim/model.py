@@ -144,9 +144,13 @@ class Link:
     extra_latency_us: int = 0
 
     def __post_init__(self):
-        entity = f"link ({self.a}, {self.b})"
+        entity = self.label
         check_bound("bandwidth_bps", self.bandwidth_bps, above=0, entity=entity)
         check_bound("extra_latency_us", self.extra_latency_us, 0, MAX_LATENCY_US, entity=entity)
+
+    @property
+    def label(self) -> str:  # how messages name the link
+        return f"link ({shown(self.a)}, {shown(self.b)})"
 
 
 @dataclass(frozen=True)
@@ -319,7 +323,7 @@ def _check_nf_invariants(nf: NfInstance) -> None:
     variants = STATEFUL_VARIANTS[nf.kind]
     if nf.stateful not in variants:
         state = "stateful" if variants[0] else "stateless"
-        raise InvariantViolation(nf.id, f"{nf.kind.value.upper()} instances are {state}")
+        raise InvariantViolation(shown(nf.id), f"{nf.kind.value.upper()} instances are {state}")
 
 
 def validate_topology(
@@ -352,14 +356,10 @@ def validate_topology(
                     f"link from {shown(other)} to unknown host {shown(endpoint)}"
                 )
         if link.a == link.b:
-            raise InvariantViolation(
-                f"link ({link.a}, {link.b})", "endpoints must be distinct"
-            )
+            raise InvariantViolation(link.label, "endpoints must be distinct")
         pair = frozenset((link.a, link.b))
         if pair in seen_pairs:
-            raise InvariantViolation(
-                f"link ({link.a}, {link.b})", "duplicate link between the same host pair"
-            )
+            raise InvariantViolation(link.label, "duplicate link between the same host pair")
         seen_pairs.add(pair)
 
     nf_map: dict[str, NfInstance] = {}
@@ -386,7 +386,8 @@ def validate_topology(
             )
         if anchor.kind is not NfKind.UPF:
             raise InvariantViolation(
-                session.id, f"anchor {shown(anchor.id)} is a {anchor.kind.value.upper()}, not a UPF"
+                shown(session.id),
+                f"anchor {shown(anchor.id)} is a {anchor.kind.value.upper()}, not a UPF",
             )
 
     topology = ValidatedTopology(

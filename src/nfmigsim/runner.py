@@ -10,6 +10,8 @@ function is assigned: a migration moves it there when it starts, while the
 sampled user-plane RTT reads the source until the migration completes.  A
 trigger that finds a function migrating is queued (``migration-queued``),
 and the latest queued trigger is placed when that migration completes.
+Every migration is traced as ``migration-started``, its report's phases
+back to back from there, and ``migration-complete`` where they end.
 
 Everything is a pure function of (scenario, seed): reruns produce identical
 reports, RTT series and event traces, byte for byte.
@@ -87,8 +89,6 @@ TRACE_KINDS: dict[str, dict[str, type]] = {
     "migration-skipped": {"host": str, "nf": str, "reason": str},
     "migration-infeasible": {"hall": str, "nf": str},
     "migration-queued": {"hall": str, "nf": str},
-    "replica-sync-started": {"nf": str, "pages": int, "target": str},
-    "sync-tick": {"nf": str, "pages": int},
 }
 
 
@@ -263,20 +263,12 @@ class _Run:
             sim.schedule(sim.now, "migration-skipped", None, source, nf.id, "already-on-target")
             return
 
-        # The strategies count from their own start; ``at`` puts them on the clock.
-        # Each is called as a module global, so a wrapper installed here sees every call.
+        # Each strategy is called as a module global, so a wrapper installed here sees every call.
         channel = self.topology.channel(source, target.id)
-        at = sim.now
         if decision.chosen is Strategy.PARALLEL:
             replica = start_replica_sync(nf, channel, self.params, self.dirty_procs[nf.id])
-            sim.schedule(at, "replica-sync-started", None, nf.id, nf.memory.num_pages, target.id)
-            # Hand over as soon as the replica flushed its first sync tick; the
-            # residual delta is then at most one interval old.
-            handover_us = replica.run_until_ticks(1)
+            replica.run_until_ticks(1)  # hand over after one tick: a delta at most one interval old
             report = migrate_parallel(replica, self.params)
-            for tick in replica.tick_log:
-                sim.schedule(at + tick.done_us, "sync-tick", None, nf.id, tick.pages)
-            at += handover_us
         elif decision.chosen is Strategy.PRE_COPY:
             report = migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf.id])
         elif decision.chosen is Strategy.INTER_COPY:
@@ -293,6 +285,7 @@ class _Run:
             report.strategy.value,
             target.id,
         )
+        at = sim.now  # the strategies count from their own start
         for name, span_us, _ in report.phases:
             sim.schedule(at, "migration-phase", None, at + span_us, nf.id, name)
             at += span_us

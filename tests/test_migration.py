@@ -613,8 +613,14 @@ class TestParallelHandover:
         replica = start_replica_sync(nf, Channel(100, 0), params, ConstantRateDirty(10))
         handover_at = replica.run_until_ticks(1)
         report = migrate_parallel(replica, params, at_time_us=handover_at)
+        # The 100-page copy takes 1 s, during which 10 pages dirty; the tick
+        # fired at 1 s ships them in 100 ms, during which 1 page dirties.
+        assert [(name, span) for name, span, _ in report.phases[:2]] == [
+            ("sync-copy", 1_000_000),
+            ("sync-tick-1", 100_000),
+        ]
         assert report.downtime_us == 10_000
-        assert report.migration_time_us == 10_000
+        assert report.migration_time_us == 1_000_000 + 100_000 + 10_000
         assert report.bytes_transferred == 1
         assert report.sync_bytes == 110
         assert nf.memory.all_clean
@@ -788,8 +794,14 @@ def test_replica_matches_constant_rate_recurrence(num_pages, page_size, channel,
     assert replica.sync_bytes == (num_pages + sum(t[1] for t in ticks)) * page_size
     report = migrate_parallel(replica, params, at_time_us=now)
     assert report.bytes_transferred == delta * page_size
-    assert report.migration_time_us == report.downtime_us
+    assert report.migration_time_us == now + report.downtime_us
     assert report.downtime_us == transfer_time_us(delta, page_size, channel)
+    # The sync phases run from each landing to the next, from the replica's start.
+    landings = [landing_us(num_pages, page_size, channel)] + [t[2] for t in ticks]
+    sync = [("sync-copy", landings[0], False)] + [
+        (f"sync-tick-{k}", landings[k] - landings[k - 1], False) for k in range(1, n + 1)
+    ]
+    assert report.phases[: n + 1] == tuple(sync)
     assert report.sync_bytes == replica.sync_bytes
 
 
@@ -896,12 +908,13 @@ def test_a_one_tick_replica_is_a_two_round_pre_copy(
     # Pre-copy stops after one round only when nothing dirtied during it; the
     # tick, fired where the initial copy lands, then ships nothing.
     assert pre.rounds == 2 or tick.pages == 0
-    rounds = [spans[f"copy-round-{k}"] for k in range(1, pre.rounds + 1)]
-    assert rounds == [copy_us, tick.done_us - tick.fired_at_us][: pre.rounds]
     assert tick.fired_at_us == copy_us
+    sync = [spans["sync-copy"], spans["sync-tick-1"]]
+    assert sync == [copy_us, tick.done_us - tick.fired_at_us]
+    assert [spans[f"copy-round-{k}"] for k in range(1, pre.rounds + 1)] == sync[: pre.rounds]
     assert spans["copy-residual"] == spans["copy-delta"]
     assert pre.bytes_transferred == ppm.sync_bytes + ppm.bytes_transferred
-    assert pre.migration_time_us == replica.now_us + ppm.migration_time_us
+    assert pre.migration_time_us == ppm.migration_time_us
 
 
 @settings(max_examples=50, deadline=None)
@@ -987,7 +1000,14 @@ def handed_over(channel, params):
         ),
         (
             handed_over,
-            {"freeze": True, "copy-delta": True, "handover-signal": True, "activate-replica": True},
+            {
+                "sync-copy": False,
+                "sync-tick-1": False,
+                "freeze": True,
+                "copy-delta": True,
+                "handover-signal": True,
+                "activate-replica": True,
+            },
         ),
         (lambda c, p: redeploy_stateless(stateless_upf(), p), {"restart": True}),
     ],

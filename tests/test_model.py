@@ -366,7 +366,7 @@ class TestValidateTopology:
             state = "stateful" if variants[0] else "stateless"
             with pytest.raises(InvariantViolation) as info:
                 validate_topology(hosts, [], [nf])
-            assert str(info.value) == f"nf-1: {kind.value.upper()} instances are {state}"
+            assert str(info.value) == f"'nf-1': {kind.value.upper()} instances are {state}"
 
 
 class TestChannel:
@@ -468,13 +468,13 @@ class TestDerivedState:
 
     def test_nan_link_bandwidth_rejected(self):
         with pytest.raises(
-            InvariantViolation, match=r"link \(h1, h2\): bandwidth_bps must be positive, got nan"
+            InvariantViolation, match=r"link \('h1', 'h2'\): bandwidth_bps must be positive, got nan"
         ):
             Link("h1", "h2", float("nan"))
 
     def test_nan_link_extra_latency_rejected(self):
         with pytest.raises(
-            InvariantViolation, match=r"link \(h1, h2\): extra_latency_us must be >= 0, got nan"
+            InvariantViolation, match=r"link \('h1', 'h2'\): extra_latency_us must be >= 0, got nan"
         ):
             Link("h1", "h2", 10**8, float("nan"))
 
@@ -482,7 +482,7 @@ class TestDerivedState:
         # Either once validated, and the first channel over it raised.
         with pytest.raises(InvariantViolation) as info:
             Link("h1", "h2", 10**8, float("inf"))
-        message = "link (h1, h2): extra_latency_us must be <= 1000000000000, got inf"
+        message = "link ('h1', 'h2'): extra_latency_us must be <= 1000000000000, got inf"
         assert str(info.value) == message
         with pytest.raises(InvariantViolation) as info:
             two_host_topology(
@@ -494,7 +494,7 @@ class TestDerivedState:
         assert Link("h1", "h2", 10**8, MAX_LATENCY_US).extra_latency_us == MAX_LATENCY_US
         with pytest.raises(
             InvariantViolation,
-            match=rf"link \(h1, h2\): extra_latency_us must be <= {MAX_LATENCY_US}, "
+            match=rf"link \('h1', 'h2'\): extra_latency_us must be <= {MAX_LATENCY_US}, "
             rf"got {MAX_LATENCY_US + 1}$",
         ):
             Link("h1", "h2", 10**8, MAX_LATENCY_US + 1)

@@ -328,12 +328,17 @@ def test_drone_exports_match_the_committed_digests(tmp_path):
     assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_DRONE_EXPORTS)
 
 
-def test_bernoulli_drone_exports_match_the_committed_digests(tmp_path):
+def bernoulli_drone():
+    """The drone scenario with every dirty model Bernoulli."""
     data = read_document(bundled_scenario_path())
     for nf in data["nfs"]:
         if "memory" in nf:
             nf["memory"]["dirty_model"] = {"kind": "bernoulli", "p_per_page_per_ms": 0.002}
-    scenario = build_scenario(data)
+    return build_scenario(data)
+
+
+def test_bernoulli_drone_exports_match_the_committed_digests(tmp_path):
+    scenario = bernoulli_drone()
     assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_BERNOULLI_EXPORTS)
 
 
@@ -457,33 +462,34 @@ def drone_turning_back():
         (load_scenario(bundled_scenario_path()), 7),
         (drone_turning_back(), None),
         (build_scenario({**read_document(bundled_scenario_path()), "objective": "bytes"}), 42),
+        (bernoulli_drone(), 42),
+        (build_scenario(SCENARIO_GEN.generate(301)), 301),
     ],
-    ids=["drone-42", "drone-7", "turn-back", "drone-bytes"],  # the last runs pre-copy
+    ids=["drone-42", "drone-7", "turn-back", "drone-bytes", "bernoulli-42", "generate-301"],
 )
 def test_phase_events_tile_each_migration(scenario, seed):
-    """Each migration's phases run back to back and end at its completion.
+    """Each migration's phases run back to back from its start to its completion.
 
-    The first phase starts at ``migration-started``, or for a replica
-    handover at the sync tick it hands over at.  Each phase starts where the
-    previous one ended, so the migration time, the sum of the spans, is
-    the time from the first phase's start to the completion.  The downtime
-    is the sum of every span but the pre-copy rounds and the background
-    stream, which run while the function serves.
+    The first phase starts at ``migration-started`` and each later one where
+    the previous one ended, whatever the strategy, so the migration time,
+    the sum of the spans, is the time from the start to the completion.
+    The downtime is the sum of every span but the pre-copy rounds, the
+    replica's sync and the background stream, which run while the function
+    serves.  ``drone-bytes`` runs pre-copy.
     """
     bundle = run_scenario(scenario, seed=seed)
     reports = {}
     for rec in bundle.reports:
         reports.setdefault(rec.nf_id, []).append(rec.report)
-    clock, first, spans, completed = {}, {}, {}, []
+    started, clock, spans, completed = {}, {}, {}, []
     for event in bundle.trace:
         data = data_of(event)
         nf = data.get("nf")
-        if event.kind in ("migration-started", "sync-tick"):
-            clock[nf] = event.time_us
-            spans.setdefault(nf, [])
+        if event.kind == "migration-started":
+            started[nf] = clock[nf] = event.time_us
+            spans[nf] = []
         elif event.kind == "migration-phase":
             assert event.time_us == clock[nf]
-            first.setdefault(nf, event.time_us)
             spans[nf].append((data["phase"], data["end_us"] - event.time_us))
             clock[nf] = data["end_us"]
         elif event.kind == "migration-complete":
@@ -491,10 +497,10 @@ def test_phase_events_tile_each_migration(scenario, seed):
             report = reports[nf].pop(0)
             phases = spans.pop(nf)
             assert phases == [(name, span) for name, span, _ in report.phases]
-            live = ("copy-round-", "background-stream")
+            live = ("copy-round-", "sync-", "background-stream")
             down = [span for name, span in phases if not name.startswith(live)]
             assert data["downtime_us"] == sum(down)
-            assert event.time_us - first.pop(nf) == report.migration_time_us
+            assert event.time_us - started.pop(nf) == report.migration_time_us
             completed.append(nf)
     assert len(completed) == len(bundle.reports) and not spans
 

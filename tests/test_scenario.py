@@ -923,11 +923,11 @@ _DOCUMENT_FAULTS = {
     ),
     "self-link": (
         lambda d: _link(d, "edge-a1", "edge-a1"),
-        "error: link (edge-a1, edge-a1): endpoints must be distinct",
+        "error: link ('edge-a1', 'edge-a1'): endpoints must be distinct",
     ),
     "duplicate-link": (
         lambda d: _link(d, "edge-b1", "edge-a1"),
-        "error: link (edge-b1, edge-a1): duplicate link between the same host pair",
+        "error: link ('edge-b1', 'edge-a1'): duplicate link between the same host pair",
     ),
     "duplicate-function-id": (
         lambda d: d["nfs"].append(dict(d["nfs"][0])),
@@ -977,6 +977,24 @@ _DOCUMENT_FAULTS = {
     "session-anchored-to-a-long-unknown-function": (
         lambda d: d["sessions"][0].update(anchor_upf=_LONG_ID),
         f"error: session 'pdu-1' anchors to unknown function {_LONG_SHOWN}",
+    ),
+    # A long id in an entity label: a link's endpoints, a function's or a session's id.
+    "self-link-on-a-long-host-id": (
+        lambda d: (
+            d["topology"]["hosts"].append({**d["topology"]["hosts"][0], "id": _LONG_ID}),
+            _link(d, _LONG_ID, _LONG_ID),
+        ),
+        f"error: link ({_LONG_SHOWN}, {_LONG_SHOWN}): endpoints must be distinct",
+    ),
+    "stateful-upf-with-a-long-id": (
+        lambda d: d["nfs"][0].update(
+            id=_LONG_ID, stateful=True, memory={"num_pages": 8, "page_size": 4096}
+        ),
+        f"error: {_LONG_SHOWN}: UPF instances are stateless",
+    ),
+    "long-session-id-anchored-to-an-smf": (
+        lambda d: d["sessions"][0].update(id=_LONG_ID, anchor_upf="smf-1"),
+        f"error: {_LONG_SHOWN}: anchor 'smf-1' is a SMF, not a UPF",
     ),
     "long-unknown-driver-override": (
         lambda d: d["topology"].update(driver_overrides={_LONG_ID: {}}),
