@@ -56,6 +56,16 @@ class BatchFilter(Enum):
 # Bit 0 of a byte means dirty and bit 1 never copied.  So ``dirty_where``
 # writes a hit mask as the state of an all-clean image, and only an image with
 # dirty or never-copied pages pays its big-integer pass over state and mask.
+#
+# Every write lands in the one state buffer, in place.  Only the constructor,
+# ``reset_for_transfer`` and a Bernoulli draw's random bytes allocate
+# image-sized memory.  A fresh buffer pays a minor page fault per 4 KiB it
+# touches (456 for 10^6 pages), and ``bytearray[a:b] = x`` first copies any
+# ``x`` that is not a ``bytearray`` into a temporary of its size.  So a run of
+# clean pages is written from ``_ZEROS`` through a ``memoryview`` of the
+# state, which copies straight from the source, and so is every ``bytes``
+# source.  ``_ZEROS`` is calloc'd: its pages map the kernel's shared zero
+# page, so reading it, all 10 MB of it included, adds nothing resident.
 _CLEAN, _DIRTY, _NEVER = 0, 1, 2
 _STATES = (PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED)
 _DIRTY_TO_CLEAN = bytes((_CLEAN, _CLEAN, _NEVER)) + bytes(253)
@@ -63,6 +73,10 @@ _ONLY_DIRTY = bytes((0, 1, 0)) + bytes(253)
 _ONLY_NEVER = bytes((0, 0, 1)) + bytes(253)
 # ``_BELOW[k]`` maps a random byte to 1 if it is below ``k``, else to 0.
 _BELOW = tuple(bytes((1,)) * k + bytes(256 - k) for k in range(257))
+_ZEROS = memoryview(bytes(MAX_PAGES_PER_IMAGE))
+# Mask counts and span translations go 16 KiB at a time, so their temporaries
+# stay small: small enough for the holes of a fragmented heap.
+_CHUNK = 1 << 14
 
 
 class MemoryImage:
@@ -178,25 +192,50 @@ class MemoryImage:
                 self._never -= 1
             state[page_id] = _CLEAN
 
+    def mark_dirty(self, pages: Iterable[int]) -> int:
+        """Mark ``pages`` dirty, in place; returns how many were not dirty yet."""
+        state = self._state
+        marked = 0
+        for page_id in pages:
+            byte = state[page_id]
+            if byte != _DIRTY:
+                if byte == _NEVER:
+                    self._never -= 1
+                state[page_id] = _DIRTY
+                marked += 1
+        self._dirty += marked
+        return marked
+
     def copy_all(self) -> int:
-        """Record that the whole image landed at the target; returns its page count."""
+        """Record that the whole image landed at the target; returns its page count.
+
+        Any starting state ends all clean, so a migration needs no reset first.
+        """
         if self._dirty or self._never:
-            self._state = bytearray(self._num_pages)
+            memoryview(self._state)[:] = _ZEROS[: self._num_pages]
             self._dirty = self._never = 0
         return self._num_pages
 
     def copy_dirty(self) -> int:
         """Record that every dirty page landed at the target; returns how many.
 
-        Only the span from the first to the last dirty page is translated, in
-        place, so a round costs the dirty span, not the image.
+        Only the span from the first to the last dirty page is written, in
+        place, so a round costs the dirty span, not the image.  A span that
+        is one run of dirty pages, as constant-rate dirtying leaves it, is
+        cleared from the zero view with no temporary; any other span is
+        translated 16 KiB at a time.
         """
         copied = self._dirty
         if copied:
             state = self._state
             first = state.find(_DIRTY)
             last = state.rfind(_DIRTY) + 1
-            state[first:last] = state[first:last].translate(_DIRTY_TO_CLEAN)
+            if last - first == copied:
+                memoryview(state)[first:last] = _ZEROS[:copied]
+            else:
+                for start in range(first, last, _CHUNK):
+                    end = min(last, start + _CHUNK)
+                    state[start:end] = state[start:end].translate(_DIRTY_TO_CLEAN)
             self._dirty = 0
         return copied
 
@@ -207,7 +246,7 @@ class MemoryImage:
             state = self._state
             self._never -= state.count(_NEVER, 0, ws.stop)
             self._dirty -= state.count(_DIRTY, 0, ws.stop)
-            state[: ws.stop] = bytes(ws.stop)
+            memoryview(state)[: ws.stop] = _ZEROS[: ws.stop]
         else:
             self.mark_copied(ws)
         return len(ws)
@@ -236,6 +275,7 @@ class MemoryImage:
         run of never-copied pages and one slice assignment copies it.
         """
         state = self._state
+        view = memoryview(state)
         n = self._num_pages
         copied = 0
         cursor = 0
@@ -250,7 +290,7 @@ class MemoryImage:
             dirty = state.find(_DIRTY, start, end)
             if dirty >= 0:
                 end = dirty
-            state[start:end] = bytes(end - start)
+            view[start:end] = _ZEROS[: end - start]
             copied += end - start
             cursor = end
         self._never -= copied
@@ -260,7 +300,7 @@ class MemoryImage:
         """Start a new migration: every page needs to reach the new target."""
         if self._never == self._num_pages:
             return
-        self._state[:] = bytes((_NEVER,)) * self._num_pages
+        self._state[:] = bytearray((_NEVER,)) * self._num_pages
         self._dirty = 0
         self._never = self._num_pages
 
@@ -287,7 +327,7 @@ class MemoryImage:
             if end < 0:
                 end = stop
             self._never -= state.count(_NEVER, start, end)
-            state[start:end] = bytes((_DIRTY,)) * (end - start)
+            state[start:end] = bytearray((_DIRTY,)) * (end - start)
             marked += end - start
             cursor = end
         self._dirty += marked
@@ -297,22 +337,29 @@ class MemoryImage:
         """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
 
         Returns how many of those pages were not dirty yet.  An all-clean
-        image copies the mask in as its state.  Otherwise the state and the
-        mask are combined as two big integers, so the whole image is one
-        C-level step: a hit sets a page's dirty bit and clears its
-        never-copied bit, and the new state's popcount gives the dirty count.
+        image copies the mask in as its state, in place, and counts its hits
+        by popcounts over 16 KiB slices, so it allocates nothing image-sized.
+        Otherwise the state and the mask are combined as two big integers,
+        so the whole image is one C-level step: a hit sets a page's dirty
+        bit and clears its never-copied bit, and the new state's popcount
+        gives the dirty count.
         """
-        if len(mask) != self._num_pages:
-            raise ValueError(f"mask of {len(mask)} bytes for an image of {self._num_pages} pages")
-        hit = int.from_bytes(mask, "little")
+        n = self._num_pages
+        if len(mask) != n:
+            raise ValueError(f"mask of {len(mask)} bytes for an image of {n} pages")
         if self.all_clean:
-            self._state[:] = mask
-            self._dirty = hit.bit_count()
+            view = memoryview(self._state)
+            view[:] = mask
+            self._dirty = sum(
+                int.from_bytes(view[i : i + _CHUNK], "little").bit_count()
+                for i in range(0, n, _CHUNK)
+            )
             return self._dirty
+        hit = int.from_bytes(mask, "little")
         state = int.from_bytes(self._state, "little")
         on_never = (hit << 1) & state
         state = (state ^ on_never) | hit
-        self._state[:] = state.to_bytes(self._num_pages, "little")
+        memoryview(self._state)[:] = state.to_bytes(n, "little")
         self._never -= on_never.bit_count()
         dirty = state.bit_count() - self._never  # no byte has both bits set
         marked = dirty - self._dirty
@@ -359,6 +406,10 @@ class BernoulliDirty:
     and the random numbers a draw consumes depend only on the image size and
     on the bytes drawn, never on the page states.  Hits on dirty pages change
     nothing.
+
+    The pages below ``k`` are marked through :meth:`MemoryImage.dirty_where`
+    and the edge hits, collected as a list of page ids, one by one after it,
+    so a draw copies neither its mask nor the image.
     """
 
     p_per_page_per_ms: float
@@ -374,16 +425,17 @@ class BernoulliDirty:
         f = s - k
         rng = self.rng
         rand = rng.randbytes(image.num_pages)
-        hits = rand.translate(_BELOW[k])
+        marked = image.dirty_where(rand.translate(_BELOW[k]))
         if f:  # k < 256 here; about one page in 256 sits on the edge
-            hits = bytearray(hits)
             random = rng.random
+            edges = []
             edge = rand.find(k)
             while edge >= 0:
                 if random() < f:
-                    hits[edge] = 1
+                    edges.append(edge)
                 edge = rand.find(k, edge + 1)
-        return image.dirty_where(hits)
+            marked += image.mark_dirty(edges)
+        return marked
 
 
 DirtyProcess = ConstantRateDirty | BernoulliDirty

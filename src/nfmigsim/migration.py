@@ -202,7 +202,6 @@ def migrate_inter_copy(
     Every page crosses the channel exactly once.
     """
     image = _require_stateful(nf)
-    image.reset_for_transfer()
     copied, phases = _stop_and_copy(image, MemoryImage.copy_all, "copy-image", channel, params)
     phases.append(tuple.__new__(Phase, ("restart", params.restart_overhead_us, True)))
     return MigrationReport(Strategy.INTER_COPY, copied * image.page_size, phases=tuple(phases))
@@ -228,7 +227,6 @@ def _copy_rounds(
     every wait and every transfer, and a batch is yielded once it has
     landed, so the caller may stop there and freeze the image.
     """
-    image.reset_for_transfer()
     fire = due = 0
     pages = image.copy_all()
     while True:

@@ -131,7 +131,7 @@ class HostNode:
     attached_driver: DriverKind
 
     def __post_init__(self):
-        check_bound("cpu_capacity", self.cpu_capacity, 0, entity=self.id)
+        check_bound("cpu_capacity", self.cpu_capacity, 0, entity=shown(self.id))
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class NfInstance:
     cpu_demand: float = 1.0
 
     def __post_init__(self):
-        check_bound("cpu_demand", self.cpu_demand, 0, entity=self.id)
+        check_bound("cpu_demand", self.cpu_demand, 0, entity=shown(self.id))
 
     @property
     def stateful(self) -> bool:

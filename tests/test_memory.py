@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,8 @@ COPY_OPERATIONS = st.one_of(
     st.tuples(st.just("copy-dirty")),
     st.tuples(st.just("copy-working-set")),
     st.tuples(st.just("dirty-where"), st.lists(st.booleans(), min_size=64, max_size=64)),
+    st.tuples(st.just("copy-all")),
+    st.tuples(st.just("reset")),
 )
 
 
@@ -504,6 +507,24 @@ HALVES = [page % 2 == 0 for page in range(64)]
         ("copy-working-set",),
     ],
 )
+# The dirty span is one run: ``copy_dirty`` clears it from the zero view.
+@example(
+    states=[PageState.CLEAN_AT_TARGET] * 10
+    + [PageState.DIRTY_SINCE_COPY] * 30
+    + [PageState.NEVER_COPIED] * 10,
+    working_set=0.3,
+    operations=[("copy-dirty",), ("dirty-where", THIRDS), ("copy-all",), ("reset",)],
+)
+# The dirty span is two runs around one never-copied page: ``copy_dirty`` translates
+# it, then meets runs split by clean and never-copied pages.
+@example(
+    states=[PageState.DIRTY_SINCE_COPY] * 20
+    + [PageState.NEVER_COPIED]
+    + [PageState.DIRTY_SINCE_COPY] * 20
+    + [PageState.CLEAN_AT_TARGET] * 5,
+    working_set=0.3,
+    operations=[("copy-dirty",), ("dirty-where", HALVES), ("copy-dirty",), ("copy-all",)],
+)
 def test_run_copies_match_page_list_reference(states, working_set, operations):
     num_pages = len(states)
     if isinstance(working_set, float):
@@ -530,6 +551,12 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
             assert image.copy_working_set() == len(ws_pages)
             for page in ws_pages:
                 reference[page] = clean
+        elif kind == "copy-all":
+            assert image.copy_all() == num_pages
+            reference = [clean] * num_pages
+        elif kind == "reset":
+            image.reset_for_transfer()
+            reference = [never] * num_pages
         else:
             mask = operation[1][:num_pages]
             newly = sum(hit and s is not dirty for hit, s in zip(mask, reference))
@@ -547,18 +574,22 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
     [
         [PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY] * 4000,
         [PageState.CLEAN_AT_TARGET] * 8000,  # the mask becomes the state
+        # Edge hits land on pages in all three states.
+        [PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED] * 2700,
     ],
-    ids=["half-dirty", "all-clean"],
+    ids=["half-dirty", "all-clean", "mixed"],
 )
 def test_draw_matches_the_reference_law_on_a_large_image(p, seed, start):
     # Thousands of pages put dozens of pages on the edge byte in each draw.
     image = image_in_states(start)
     reference = ReferenceImage(image.num_pages)
     reference.dirty = dirty_pages(image)
-    reference.never = set()
+    reference.never = {page for page, s in enumerate(start) if s is PageState.NEVER_COPIED}
     newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), 7_000)
     assert newly == len(reference.bernoulli(p, seed, 7_000))
     assert dirty_pages(image) == reference.dirty
+    assert image.dirty_count == len(reference.dirty)
+    assert image.never_copied_count == len(reference.never)
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,3 +609,99 @@ def test_bernoulli_draw_does_not_depend_on_page_states(states, p, duration_us, s
     hits = dirty_pages(clean)
     assert dirty_pages(mixed) - before == hits - before
     assert newly == len(hits - before)
+
+
+class TestWritesInPlace:
+    """Bulk writes on a 10^6-page image allocate nothing image-sized.
+
+    A fresh image-sized buffer costs a minor page fault per 4 KiB, and a
+    ``bytes`` source written into a ``bytearray`` slice is first copied.
+    Each test also checks the written state against one built without the
+    image's methods.
+    """
+
+    PAGES = 10**6
+    BOUND = 64 * 1024
+    DIRTY_TO_CLEAN = bytes((0, 0, 2)) + bytes(253)
+
+    def peak(self, image, write):
+        """The peak bytes ``write()`` allocates; the state buffer must stay the same object."""
+        state = image._state
+        tracemalloc.start()
+        try:
+            result = write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image._state is state
+        return peak, result
+
+    def test_copy_all_from_never_copied(self):
+        image = MemoryImage(self.PAGES, 1)
+        peak, copied = self.peak(image, image.copy_all)
+        assert peak <= self.BOUND
+        assert copied == self.PAGES and image.all_clean
+        assert image._state == bytes(self.PAGES)
+
+    def test_copy_all_from_a_dirtied_image(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_lowest(self.PAGES // 2)
+        image.dirty_lowest(self.PAGES // 4)
+        peak, copied = self.peak(image, image.copy_all)
+        assert peak <= self.BOUND
+        assert copied == self.PAGES and image.all_clean
+        assert image._state == bytes(self.PAGES)
+
+    def test_copy_working_set(self):
+        image = MemoryImage(self.PAGES, 1)
+        peak, copied = self.peak(image, image.copy_working_set)
+        assert peak <= self.BOUND
+        assert copied == image.clean_count == self.PAGES // 5
+        assert image._state == bytes(copied) + bytes((2,)) * (self.PAGES - copied)
+
+    def test_copy_lowest_over_several_runs(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.mark_copied(range(0, self.PAGES, 100_000))  # ten clean pages split the runs
+        peak, copied = self.peak(image, lambda: image.copy_lowest(self.PAGES))
+        assert peak <= self.BOUND
+        assert copied == self.PAGES - 10 and image.all_clean
+        assert image._state == bytes(self.PAGES)
+
+    def test_copy_dirty_on_one_run(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_lowest(self.PAGES // 2)
+        image.mark_dirty(range(300_000, 700_000))  # over clean and never-copied pages
+        expected = image._state.translate(self.DIRTY_TO_CLEAN)
+        peak, copied = self.peak(image, image.copy_dirty)
+        assert peak <= self.BOUND
+        assert copied == 400_000 and image.dirty_count == 0
+        assert image._state == expected
+
+    def test_copy_dirty_on_many_runs(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_lowest(self.PAGES // 2)
+        image.mark_dirty(range(0, self.PAGES, 3))  # dirty pages among clean and never-copied
+        never = image.never_copied_count
+        expected = image._state.translate(self.DIRTY_TO_CLEAN)
+        peak, copied = self.peak(image, image.copy_dirty)
+        assert peak <= self.BOUND
+        assert copied == len(range(0, self.PAGES, 3))
+        assert (image.dirty_count, image.never_copied_count) == (0, never)
+        assert image._state == expected
+
+    def test_dirty_where_on_an_all_clean_image(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_all()
+        mask = bytes((1, 0, 0)) * (self.PAGES // 3) + bytes((1,))
+        peak, marked = self.peak(image, lambda: image.dirty_where(mask))
+        assert peak <= self.BOUND
+        assert marked == image.dirty_count == self.PAGES // 3 + 1
+        assert image._state == mask
+
+    def test_reset_allocates_at_most_one_image(self):
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_all()
+        peak, _ = self.peak(image, image.reset_for_transfer)
+        assert peak <= self.PAGES + self.BOUND
+        assert image.never_copied_count == self.PAGES
+        assert image._state == bytes((2,)) * self.PAGES

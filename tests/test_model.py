@@ -437,17 +437,17 @@ class TestDerivedState:
             )
 
     def test_negative_capacity_rejected_at_construction(self):
-        with pytest.raises(InvariantViolation, match="h1: cpu_capacity must be >= 0"):
+        with pytest.raises(InvariantViolation, match="'h1': cpu_capacity must be >= 0"):
             HostNode("h1", "z", -1, DriverKind.MACVLAN)
 
     def test_nan_capacity_rejected_at_construction(self):
         # NaN fails every comparison, so a `< 0` check would let it through
         # and no demand would ever exceed the host's capacity.
-        with pytest.raises(InvariantViolation, match="h1: cpu_capacity must be >= 0, got nan"):
+        with pytest.raises(InvariantViolation, match="'h1': cpu_capacity must be >= 0, got nan"):
             HostNode("h1", "z", float("nan"), DriverKind.MACVLAN)
 
     def test_nan_cpu_demand_rejected(self):
-        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got nan"):
+        with pytest.raises(InvariantViolation, match="'upf-1': cpu_demand must be >= 0, got nan"):
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))
 
     def test_nan_cpu_demand_assignment_rejected(self):
@@ -456,8 +456,24 @@ class TestDerivedState:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 nf.cpu_demand = value
         assert nf.cpu_demand == 2.0
-        with pytest.raises(InvariantViolation, match="upf-1: cpu_demand must be >= 0, got -1"):
+        with pytest.raises(InvariantViolation, match="'upf-1': cpu_demand must be >= 0, got -1"):
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda long_id: HostNode(long_id, "z", -1, DriverKind.MACVLAN),
+            lambda long_id: NfInstance(long_id, NfKind.UPF, "h1", cpu_demand=-1),
+        ],
+        ids=["host", "function"],
+    )
+    def test_a_1000_character_id_gives_a_short_bound_error(self, build):
+        # The id was once echoed whole: a 1,035-character message for a host.
+        with pytest.raises(InvariantViolation) as info:
+            build("h" * 1000)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "(1000 characters)" in message
 
     def test_nan_intra_host_latency_rejected(self):
         with pytest.raises(InvariantViolation) as info:
