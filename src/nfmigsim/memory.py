@@ -339,29 +339,35 @@ class MemoryImage:
         Returns how many of those pages were not dirty yet.  An all-clean
         image copies the mask in as its state, in place, and counts its hits
         by popcounts over 16 KiB slices, so it allocates nothing image-sized.
-        Otherwise the state and the mask are combined as two big integers,
-        so the whole image is one C-level step: a hit sets a page's dirty
-        bit and clears its never-copied bit, and the new state's popcount
-        gives the dirty count.
+        Otherwise each 16 KiB slice of the state and the mask is combined as
+        two big integers and written back in place: a hit sets a page's
+        dirty bit and clears its never-copied bit, and the new state's
+        popcount gives the dirty count.
         """
         n = self._num_pages
         if len(mask) != n:
             raise ValueError(f"mask of {len(mask)} bytes for an image of {n} pages")
+        view = memoryview(self._state)
         if self.all_clean:
-            view = memoryview(self._state)
             view[:] = mask
             self._dirty = sum(
                 int.from_bytes(view[i : i + _CHUNK], "little").bit_count()
                 for i in range(0, n, _CHUNK)
             )
             return self._dirty
-        hit = int.from_bytes(mask, "little")
-        state = int.from_bytes(self._state, "little")
-        on_never = (hit << 1) & state
-        state = (state ^ on_never) | hit
-        memoryview(self._state)[:] = state.to_bytes(n, "little")
-        self._never -= on_never.bit_count()
-        dirty = state.bit_count() - self._never  # no byte has both bits set
+        hits = memoryview(mask)
+        never_hit = set_bits = 0
+        for start in range(0, n, _CHUNK):
+            end = min(n, start + _CHUNK)
+            hit = int.from_bytes(hits[start:end], "little")
+            state = int.from_bytes(view[start:end], "little")
+            on_never = (hit << 1) & state
+            state = (state ^ on_never) | hit
+            view[start:end] = state.to_bytes(end - start, "little")
+            never_hit += on_never.bit_count()
+            set_bits += state.bit_count()
+        self._never -= never_hit
+        dirty = set_bits - self._never  # no byte has both bits set
         marked = dirty - self._dirty
         self._dirty = dirty
         return marked

@@ -31,8 +31,9 @@ from .errors import (
 from .memory import MemoryImage
 
 DEFAULT_INTRA_HOST_LATENCY_US = 25
-#: The most latency, in µs, one link or driver may add (about 11.6 days).  It
-#: keeps a route's summed latency a finite float, however many links it spans.
+#: The most latency, in µs, one link, driver or intra-host hop may add (about
+#: 11.6 days).  It keeps a route's summed latency, and twice it as an RTT, a
+#: finite float, however many links it spans.
 MAX_LATENCY_US = 10**12
 
 
@@ -272,29 +273,8 @@ class ValidatedTopology:
                         frontier.append(neighbor)
         return table
 
-    def _route(self, a: str, b: str) -> tuple[int, int | None]:
-        """The route between two hosts, read from the lower id's table: symmetric."""
-        low, high = (a, b) if a < b else (b, a)
-        route = self.routes_from(low).get(high)
-        if route is None:
-            self.host(high)
-            raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
-        return route
-
-    def _latency_and_bandwidth(self, a: str, b: str) -> tuple[float, int | None]:
-        """One-way latency and bottleneck bandwidth (``None`` on one host) from ``a`` to ``b``."""
-        if a == b:
-            self.host(a)
-            return float(self.intra_host_latency_us), None
-        extra, bandwidth = self._route(a, b)  # both hosts exist once a route is found
-        rtt = max(
-            self.drivers[self.hosts[a].attached_driver].rtt_inter_host_us,
-            self.drivers[self.hosts[b].attached_driver].rtt_inter_host_us,
-        )
-        return rtt / 2 + extra, bandwidth
-
     def one_way_latency_us(self, a: str, b: str) -> float:
-        """One-way latency between containers on hosts ``a`` and ``b``.
+        """One-way latency between containers on hosts ``a`` and ``b``, read from their ``Channel``.
 
         Same host: the configured intra-host latency.  Across hosts: half
         the RTT of the more restrictive endpoint driver plus the route's
@@ -303,19 +283,34 @@ class ValidatedTopology:
         measured RTT exactly when both hosts share a driver and no link on
         the route adds latency.
         """
-        return self._latency_and_bandwidth(a, b)[0]
+        return self.channel(a, b).latency_us
 
     def channel(self, a: str, b: str) -> Channel:
         """Transfer channel between two hosts (bottleneck bandwidth, one-way latency).
 
-        The route is symmetric, so each unordered host pair has one shared
-        ``Channel``, built and checked on the first call that finds it.
+        The one place a host pair becomes a latency and a bandwidth.  The
+        route is read from the lower id's table, so each unordered pair has
+        one shared ``Channel``, built and checked on the first call that
+        finds it; a failed lookup caches nothing.
         """
-        key = (a, b) if a < b else (b, a)
+        low, high = key = (a, b) if a < b else (b, a)
         channel = self._channels.get(key)
         if channel is None:
-            latency, bandwidth = self._latency_and_bandwidth(a, b)
-            channel = self._channels[key] = Channel(bandwidth, latency)
+            if a == b:
+                self.host(a)
+                channel = Channel(None, float(self.intra_host_latency_us))
+            else:
+                route = self.routes_from(low).get(high)
+                if route is None:
+                    self.host(high)
+                    raise NoPathError(f"hosts '{a}' and '{b}' are not connected")
+                extra, bandwidth = route  # both hosts exist once a route is found
+                rtt = max(
+                    self.drivers[self.hosts[a].attached_driver].rtt_inter_host_us,
+                    self.drivers[self.hosts[b].attached_driver].rtt_inter_host_us,
+                )
+                channel = Channel(bandwidth, rtt / 2 + extra)
+            self._channels[key] = channel
         return channel
 
 
@@ -341,7 +336,9 @@ def validate_topology(
     entity.  Hosts that run function instances must be mutually reachable
     over the link graph.
     """
-    check_bound("intra_host_latency_us", intra_host_latency_us, 0, math.inf, entity="topology")
+    check_bound(
+        "intra_host_latency_us", intra_host_latency_us, 0, MAX_LATENCY_US, entity="topology"
+    )
     host_map: dict[str, HostNode] = {}
     for host in hosts:
         if host.id in host_map:

@@ -3,7 +3,8 @@
 Each trigger moves the UE to a new zone and migrates the affected function
 instances there, each to the host a :class:`TargetSelector` picks: the
 zone's nearest host that passes ``check_placement``, found with one
-``check_placement`` call per placement.  A function whose chosen host is
+``check_placement`` call per placement.  Nearness, like each sampled RTT,
+is the latency of the host pair's shared ``Channel``.  A function whose chosen host is
 the one it runs on stays put and leaves only a ``migration-skipped``
 event.  :class:`~nfmigsim.policy.HostLoad` is the one record of where each
 function is assigned: a migration moves it there when it starts, while the
@@ -137,10 +138,10 @@ def zone_representative(topology: ValidatedTopology, hall: str) -> str | None:
 class TargetSelector:
     """Where a function goes in a hall: the nearest host that passes ``check_placement``.
 
-    A hall's hosts are ranked by (latency to the hall's representative, id)
-    the first time the hall is asked for.  The static rules depend only on
-    a host's driver, so for each (hall, ``static_key``) that ranking is cut
-    once to the hosts where ``static_violations`` is empty.  The walk then
+    The static rules depend only on a host's driver, so on the first use of
+    each (hall, ``static_key``) the hall's hosts where ``static_violations``
+    is empty are ranked once, by (latency to the hall's representative, id).
+    Each latency is read from the pair's shared ``Channel``.  The walk then
     skips a host whose ``load.used_by_others``, plus the function's demand,
     exceeds its capacity, and confirms the first host it does not skip
     with ``check_placement``, which counts the same float.
@@ -149,22 +150,10 @@ class TargetSelector:
     def __init__(self, topology: ValidatedTopology, load: HostLoad):
         self._topology = topology
         self._load = load
-        self._ranked: dict[str, list[HostNode]] = {}
         self._candidates: dict[tuple, tuple[HostNode, ...]] = {}
         self._static_keys = {
             nf.id: static_key(nf, topology.sessions) for nf in topology.nfs.values()
         }
-
-    def _ranked_hall(self, hall: str) -> list[HostNode]:
-        ranked = self._ranked.get(hall)
-        if ranked is None:
-            topology = self._topology
-            rep = zone_representative(topology, hall)
-            ranked = self._ranked[hall] = sorted(
-                topology.hosts_in_hall(hall),
-                key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id),
-            )
-        return ranked
 
     def choose(self, nf: NfInstance, hall: str) -> HostNode | None:
         """The first feasible host in ``hall`` for ``nf``, or None."""
@@ -172,11 +161,14 @@ class TargetSelector:
         key = (hall, self._static_keys[nf.id])
         hosts = self._candidates.get(key)
         if hosts is None:
-            hosts = self._candidates[key] = tuple(
+            rep = zone_representative(topology, hall)
+            feasible = [
                 host
-                for host in self._ranked_hall(hall)
+                for host in topology.hosts_in_hall(hall)
                 if not static_violations(nf, host, topology.sessions, topology)
-            )
+            ]
+            feasible.sort(key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id))
+            hosts = self._candidates[key] = tuple(feasible)
         for host in hosts:
             if load.used_by_others(host.id, nf.id) + nf.cpu_demand > host.cpu_capacity:
                 continue

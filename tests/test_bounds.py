@@ -165,7 +165,7 @@ BOUNDS = {
         InvariantViolation,
         "intra_host_latency_us",
         0,
-        math.inf,
+        MAX_LATENCY_US,
     ),
     "MigrationTrigger": Bound(
         lambda v: MigrationTrigger(v, "drone-1", "hall-B"), ValueError, "time_us", 0, integer=True

@@ -698,6 +698,20 @@ class TestWritesInPlace:
         assert marked == image.dirty_count == self.PAGES // 3 + 1
         assert image._state == mask
 
+    def test_dirty_where_on_a_mixed_image(self):
+        # Over the whole image at once, the big-integer pass peaked at 5.3 MB.
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_lowest(self.PAGES // 2)
+        image.mark_dirty(range(0, self.PAGES, 7))  # dirty pages among clean and never-copied
+        mask = bytes((1, 0, 0, 0, 0)) * (self.PAGES // 5)
+        expected = bytes(1 if hit else page for page, hit in zip(image._state, mask))
+        was_dirty = image.dirty_count
+        peak, marked = self.peak(image, lambda: image.dirty_where(mask))
+        assert peak <= 2 * self.BOUND
+        assert image._state == expected
+        assert image.dirty_count == expected.count(1) == was_dirty + marked
+        assert image.never_copied_count == expected.count(2)
+
     def test_reset_allocates_at_most_one_image(self):
         image = MemoryImage(self.PAGES, 1)
         image.copy_all()

@@ -36,6 +36,7 @@ from nfmigsim import (
 from nfmigsim import runner
 from nfmigsim.engine import Event
 from nfmigsim.scenario import read_document
+from test_model import expected_route
 
 
 def data_of(event):
@@ -431,16 +432,17 @@ SCENARIO_GEN = load_scenario_gen()
 
 @pytest.mark.parametrize("name", ["drone", "generate-301"])
 def test_each_host_pair_shares_one_channel(name):
-    if name == "drone":
-        topology = load_scenario(bundled_scenario_path()).topology
-    else:
-        topology = build_scenario(SCENARIO_GEN.generate(301)).topology
+    data = read_document(bundled_scenario_path()) if name == "drone" else SCENARIO_GEN.generate(301)
+    topology = build_scenario(data).topology
+    links = [Link(**link) for link in data["topology"]["links"]]
     hosts = sorted(topology.hosts)
     for a in hosts:
         for b in hosts:
+            latency, bandwidth = expected_route(topology, links, a, b)
             channel = topology.channel(a, b)
-            latency, bandwidth = topology._latency_and_bandwidth(a, b)
-            assert topology.channel(b, a) is channel == Channel(bandwidth, latency)
+            assert channel == Channel(bandwidth, latency)
+            assert topology.one_way_latency_us(a, b) == channel.latency_us
+            assert topology.channel(b, a) is channel
 
 
 def test_generated_exports_match_the_committed_digests(tmp_path):

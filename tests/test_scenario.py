@@ -1014,6 +1014,11 @@ _DOCUMENT_FAULTS = {
         "error: 'topology.driver_overrides.macvlan': rtt_inter_host_us must be <= 1000000000000,"
         " got an integer of 401 digits",
     ),
+    # Twice this latency, the RTT of a co-located pair, once overflowed to inf in a traceback.
+    "intra-host-latency-over-the-cap": (
+        lambda d: d["topology"].update(intra_host_latency_us=1e308),
+        "error: topology: intra_host_latency_us must be <= 1000000000000, got 1e+308",
+    ),
 }
 
 
