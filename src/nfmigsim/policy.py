@@ -18,9 +18,11 @@ the authentication server needs high isolation, hosts have finite compute).
 
 from __future__ import annotations
 
-from bisect import insort
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidCombinationError
@@ -138,38 +140,39 @@ class PlacementViolation:
 class HostLoad:
     """The host each function is assigned to, and so the compute in use per host.
 
-    Each host's load is the sum of its members' demands in topology order.
-    A move recounts that sum for both hosts it touches rather than adding
-    and subtracting, so it cannot drift: a move and its reverse give back
-    the same float, equal to a recount of the assignment.
+    Each demand and capacity is read as the decimal it prints as,
+    ``Fraction(repr(x))``, and kept as an ``int`` count of one unit, the
+    least common multiple of their denominators.  So loads are exact, and no
+    order of the functions changes them.
     """
 
     def __init__(self, topology: ValidatedTopology):
-        self._rank = {nf_id: rank for rank, nf_id in enumerate(topology.nfs)}
-        self._demand = [nf.cpu_demand for nf in topology.nfs.values()]
+        demands = {nf.id: Fraction(repr(nf.cpu_demand)) for nf in topology.nfs.values()}
+        capacities = {h.id: h.cpu_capacity for h in topology.hosts.values()}
+        # An infinite capacity, which only a host made in code can have, stays math.inf.
+        exact = {h: Fraction(repr(c)) for h, c in capacities.items() if c < math.inf}
+        unit = self._unit = math.lcm(*(x.denominator for x in (*demands.values(), *exact.values())))
+        self._demand = {nf_id: int(demand * unit) for nf_id, demand in demands.items()}
+        self._capacity = {**capacities, **{h: int(value * unit) for h, value in exact.items()}}
         self._host = {nf.id: nf.host for nf in topology.nfs.values()}
-        self._members: dict[str, list[int]] = {host_id: [] for host_id in topology.hosts}
-        for rank, nf in enumerate(topology.nfs.values()):
-            self._members[nf.host].append(rank)
-        self._used = {host_id: self._recount(host_id) for host_id in topology.hosts}
+        self._used = dict.fromkeys(topology.hosts, 0)
+        for nf_id, host_id in self._host.items():
+            self._used[host_id] += self._demand[nf_id]
 
-    def _recount(self, host_id: str, skip: int | None = None) -> float:
-        used = 0.0
-        for member in self._members[host_id]:
-            if member != skip:
-                used += self._demand[member]
-        return used
+    def used_by_others(self, host_id: str, nf_id: str) -> Fraction:
+        """Exact compute in use on ``host_id`` by the functions there other than ``nf_id``."""
+        used = self._used[host_id]
+        if self._host.get(nf_id) == host_id:
+            used -= self._demand[nf_id]
+        return Fraction(used, self._unit)
 
-    def used_by_others(self, host_id: str, nf_id: str) -> float:
-        """Compute in use on ``host_id`` by every function except ``nf_id``.
-
-        ``nf_id`` need not be deployed: a candidate function is counted
-        against everything assigned to the host.  On any host but the
-        function's own this is the stored sum, with no recount.
-        """
-        if self._host.get(nf_id) != host_id:
-            return self._used[host_id]
-        return self._recount(host_id, self._rank[nf_id])
+    def fits(self, nf: NfInstance, host_id: str) -> bool:
+        """The one capacity rule: ``host_id``'s load with ``nf`` on it is within its capacity."""
+        used = self._used[host_id]
+        if self._host.get(nf.id) != host_id:
+            demand = self._demand.get(nf.id)  # None for a function outside the topology
+            used += Fraction(repr(nf.cpu_demand)) * self._unit if demand is None else demand
+        return used <= self._capacity[host_id]
 
     def host(self, nf_id: str) -> str:
         """The host ``nf_id`` is assigned to."""
@@ -177,15 +180,10 @@ class HostLoad:
 
     def move(self, nf_id: str, host_id: str) -> None:
         """Assign ``nf_id`` to ``host_id``."""
-        source = self._host[nf_id]
-        if source == host_id:
-            return
-        rank = self._rank[nf_id]
-        self._members[source].remove(rank)
-        insort(self._members[host_id], rank)
+        demand = self._demand[nf_id]
+        self._used[self._host[nf_id]] -= demand
+        self._used[host_id] += demand
         self._host[nf_id] = host_id
-        self._used[source] = self._recount(source)
-        self._used[host_id] = self._recount(host_id)
 
 
 def _anchored_ethernet(nf: NfInstance, sessions: Sequence[PduSession]) -> list[PduSession]:
@@ -252,19 +250,20 @@ def check_placement(
 ) -> list[PlacementViolation]:
     """Constraints violated by putting ``nf`` on ``host``; empty means feasible.
 
-    The static violations come first, then capacity.  ``load`` holds where
-    every function is assigned now (default: as deployed); capacity
-    accounting excludes ``nf`` itself.
+    The static violations come first, then capacity (:meth:`HostLoad.fits`).
+    ``load`` holds where every function is assigned now (default: as
+    deployed); capacity accounting excludes ``nf`` itself.
     """
     violations = static_violations(nf, host, sessions, topology)
     if load is None:
         load = HostLoad(topology)
-    used = load.used_by_others(host.id, nf.id)
-    if used + nf.cpu_demand > host.cpu_capacity:
+    if not load.fits(nf, host.id):
+        used = load.used_by_others(host.id, nf.id)  # printed as 0.6, not 0.6000000000000001
         violations.append(
             PlacementViolation(
                 ViolationKind.CAPACITY_EXCEEDED,
-                f"'{host.id}' has {host.cpu_capacity} units, {used} in use; "
+                f"'{host.id}' has {host.cpu_capacity} units,"
+                f" {Decimal(used.numerator) / used.denominator} in use; "
                 f"'{nf.id}' needs {nf.cpu_demand}",
             )
         )

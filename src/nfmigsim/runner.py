@@ -142,9 +142,9 @@ class TargetSelector:
     each (hall, ``static_key``) the hall's hosts where ``static_violations``
     is empty are ranked once, by (latency to the hall's representative, id).
     Each latency is read from the pair's shared ``Channel``.  The walk then
-    skips a host whose ``load.used_by_others``, plus the function's demand,
-    exceeds its capacity, and confirms the first host it does not skip
-    with ``check_placement``, which counts the same float.
+    skips a host where the function does not ``load.fits``, and confirms
+    the first host it does not skip with ``check_placement``, which asks
+    ``fits`` the same exact question.
     """
 
     def __init__(self, topology: ValidatedTopology, load: HostLoad):
@@ -158,6 +158,7 @@ class TargetSelector:
     def choose(self, nf: NfInstance, hall: str) -> HostNode | None:
         """The first feasible host in ``hall`` for ``nf``, or None."""
         topology, load = self._topology, self._load
+        sessions = topology.sessions
         key = (hall, self._static_keys[nf.id])
         hosts = self._candidates.get(key)
         if hosts is None:
@@ -165,14 +166,12 @@ class TargetSelector:
             feasible = [
                 host
                 for host in topology.hosts_in_hall(hall)
-                if not static_violations(nf, host, topology.sessions, topology)
+                if not static_violations(nf, host, sessions, topology)
             ]
             feasible.sort(key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id))
             hosts = self._candidates[key] = tuple(feasible)
         for host in hosts:
-            if load.used_by_others(host.id, nf.id) + nf.cpu_demand > host.cpu_capacity:
-                continue
-            if not check_placement(nf, host, topology.sessions, topology, load):
+            if load.fits(nf, host.id) and not check_placement(nf, host, sessions, topology, load):
                 return host
         return None
 

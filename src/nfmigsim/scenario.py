@@ -336,7 +336,7 @@ def _parse_memory(reader: _Reader, pages_before: int) -> tuple[MemoryImage, Dirt
     if table is None:
         raise ScenarioParseError(
             f"'{model_reader.path_of('kind')}' must be 'constant-rate' or 'bernoulli'"
-            f" (got '{model}')"
+            f" (got {shown(model)})"
         )
     _, value = model_reader.fields(table)
     spec = DirtyModelSpec(model, value)

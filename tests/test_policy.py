@@ -1,5 +1,7 @@
 """Strategy selection table and placement feasibility rules."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -241,12 +243,12 @@ class TestCheckPlacement:
 
 
 def recount(topo, assignment, host_id, skip):
-    """Load of ``host_id`` without ``skip``, summed from scratch in topology order."""
-    total = 0.0
-    for nf in topo.nfs.values():
-        if nf.id != skip and assignment[nf.id] == host_id:
-            total += nf.cpu_demand
-    return total
+    """Load of ``host_id`` without ``skip``: the exact sum of the decimals its demands print as."""
+    return sum(
+        Fraction(repr(nf.cpu_demand))
+        for nf in topo.nfs.values()
+        if nf.id != skip and assignment[nf.id] == host_id
+    )
 
 
 class TestHostLoad:

@@ -1,5 +1,6 @@
 """Target selection, overlapping triggers and trace export in the scenario runner."""
 
+import copy
 import gc
 import hashlib
 import importlib.util
@@ -8,6 +9,7 @@ import math
 import re
 import tempfile
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -647,10 +649,11 @@ def test_overlapping_triggers_keep_one_consistent_lifecycle_per_function(data):
 
         def recount(self):
             for host_id in topology.hosts:
-                expected = 0.0
-                for nf in topology.nfs.values():
-                    if self.host(nf.id) == host_id:
-                        expected += nf.cpu_demand
+                expected = sum(
+                    Fraction(repr(nf.cpu_demand))
+                    for nf in topology.nfs.values()
+                    if self.host(nf.id) == host_id
+                )
                 # No function has the empty id, so this is the host's whole load.
                 assert self.used_by_others(host_id, "") == expected
 
@@ -684,3 +687,110 @@ def test_overlapping_triggers_keep_one_consistent_lifecycle_per_function(data):
     for rec in bundle.reports:
         assert rec.report.downtime_us <= rec.report.migration_time_us
     assert export_bytes(bundle) == export_bytes(run_scenario(scenario))
+
+
+def drone_beside_small_functions(demands):
+    """The drone with ``upf-1`` at demand 0.1 and ``edge-b1``, its only hall-B host with L2,
+    at capacity 0.7 and running one stateless UDM of each of ``demands``, in that order.
+    """
+    data = read_document(bundled_scenario_path())
+    (edge_b1,) = [host for host in data["topology"]["hosts"] if host["id"] == "edge-b1"]
+    edge_b1["cpu_capacity"] = 0.7
+    data["nfs"][0]["cpu_demand"] = 0.1
+    data["nfs"] += [
+        {"id": f"udm-{demand}", "kind": "udm", "host": "edge-b1", "stateful": False,
+         "cpu_demand": demand}
+        for demand in demands
+    ]
+    return build_scenario(data)
+
+
+def test_placement_does_not_depend_on_the_order_of_the_functions():
+    # As floats, 0.1 + 0.2 + 0.3 + 0.1 exceeds 0.7, while 0.3 + 0.2 + 0.1 + 0.1 does not.
+    exports = []
+    for demands in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+        bundle = run_scenario(drone_beside_small_functions(demands))
+        assert targets(bundle)["upf-1"] == "edge-b1"
+        exports.append(export_bytes(bundle))
+    assert exports[0] == exports[1]
+
+
+@pytest.mark.parametrize("capacity", [1e308, 10**308], ids=["1e308", "10**308"])
+def test_loads_stay_exact_at_the_parsers_extremes(capacity):
+    # One unit serves a demand of 5e-324 and a capacity near the largest float.
+    data = read_document(bundled_scenario_path())
+    (edge_b1,) = [host for host in data["topology"]["hosts"] if host["id"] == "edge-b1"]
+    edge_b1["cpu_capacity"] = capacity
+    data["nfs"][0]["cpu_demand"] = 5e-324
+    bundle = run_scenario(build_scenario(data))
+    assert targets(bundle)["upf-1"] == "edge-b1"
+    scenario = build_scenario(data)
+    load = HostLoad(scenario.topology)
+    load.move("upf-1", "edge-b1")
+    assert load.used_by_others("edge-b1", "") == Fraction("5e-324")
+    assert load.used_by_others("edge-b1", "upf-1") == 0
+    assert load.used_by_others("edge-a1", "") == 2
+    assert load.fits(scenario.topology.nfs["udr-1"], "edge-b1")
+
+
+@st.composite
+def near_capacity_documents(draw):
+    """UPFs in hall-A that a trigger moves into hall-B, whose hosts run stateless UDMs.
+
+    Demands are tenths, and each hall-B host's capacity is its UDMs' demand
+    plus one UPF's: summed as floats in some orders, these demands land just
+    past the capacity, while their decimal sum does not.
+    """
+    upf_tenths = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    hosts = [{"id": "a0", "hall": "hall-A", "cpu_capacity": 100, "driver": "macvlan"}]
+    nfs = []
+    for k in range(draw(st.integers(1, 3))):
+        udm_tenths = draw(st.lists(st.sampled_from([1, 2, 3, 7]), min_size=3, max_size=6))
+        hosts.append(
+            {
+                "id": f"b{k}",
+                "hall": "hall-B",
+                "cpu_capacity": (sum(udm_tenths) + draw(st.sampled_from(upf_tenths))) / 10,
+                "driver": draw(st.sampled_from(["macvlan", "overlay"])),
+            }
+        )
+        nfs += [
+            {"id": f"udm-{k}-{i}", "kind": "udm", "host": f"b{k}", "stateful": False,
+             "cpu_demand": t / 10}
+            for i, t in enumerate(udm_tenths)
+        ]
+    nfs += [
+        {"id": f"upf-{i}", "kind": "upf", "host": "a0", "cpu_demand": t / 10}
+        for i, t in enumerate(upf_tenths)
+    ]
+    links = [
+        {"a": "a0", "b": host["id"], "bandwidth_bps": 10**8, "extra_latency_us": 10 * k}
+        for k, host in enumerate(hosts[1:])
+    ]
+    sessions = [
+        {"id": f"pdu-{i}", "type": draw(st.sampled_from(["ip", "ethernet"])), "ue_id": "ue-1",
+         "anchor_upf": f"upf-{i}"}
+        for i in range(len(upf_tenths))
+    ]
+    kinds = draw(st.sampled_from([["upf"], ["upf", "udm"]]))
+    return {
+        "duration_us": 2_000_000,
+        "topology": {"hosts": hosts, "links": links},
+        "ue": {"id": "ue-1", "zone": "hall-A"},
+        "nfs": nfs,
+        "sessions": sessions,
+        "triggers": [
+            {"time_us": 1_000_000, "ue_id": "ue-1", "new_zone": "hall-B", "affected_kinds": kinds}
+        ],
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=near_capacity_documents(), order=st.randoms(use_true_random=False))
+def test_exports_do_not_depend_on_document_order(data, order):
+    shuffled = copy.deepcopy(data)
+    topology = shuffled["topology"]
+    for items in (topology["hosts"], topology["links"], shuffled["nfs"], shuffled["sessions"]):
+        order.shuffle(items)
+    expected = export_bytes(run_scenario(build_scenario(data)))
+    assert export_bytes(run_scenario(build_scenario(shuffled))) == expected

@@ -996,6 +996,11 @@ _DOCUMENT_FAULTS = {
         lambda d: d["sessions"][0].update(id=_LONG_ID, anchor_upf="smf-1"),
         f"error: {_LONG_SHOWN}: anchor 'smf-1' is a SMF, not a UPF",
     ),
+    "long-dirty-model-kind": (
+        lambda d: d["nfs"][1]["memory"]["dirty_model"].update(kind="k" * 300),
+        "error: 'nfs[1].memory.dirty_model.kind' must be 'constant-rate' or 'bernoulli'"
+        f" (got '{'k' * 40}...' (300 characters))",
+    ),
     "long-unknown-driver-override": (
         lambda d: d["topology"].update(driver_overrides={_LONG_ID: {}}),
         "error: 'topology.driver_overrides' must be one of: host, bridge, macvlan, ipvlan-l2,"
