@@ -1,16 +1,20 @@
-"""Command-line entry point: simulate, sweep, policy-table."""
+"""Command-line entry point: simulate, sweep, policy-table.
+
+A command runs with the cyclic garbage collector paused: a run builds only acyclic records.
+"""
 
 from __future__ import annotations
 
 import argparse
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import sys
 from pathlib import Path
 
-from .errors import ScenarioParseError, SimulatorError
+from .errors import ScenarioParseError, SimulatorError, shown
 from .policy import Objective, policy_table_text
 from .runner import export_metrics, run_scenario
 from .scenario import build_scenario, load_scenario, read_document
@@ -67,10 +71,14 @@ def _cmd_sweep(args) -> int:
         label = ",".join(label_parts)
         directory = label.replace("/", "_")
         if directory in variants:
+            first = variants[directory][0]
             raise ScenarioParseError(
-                f"variants '{variants[directory][0]}' and '{label}' would both write '{directory}'"
+                f"variants {shown(first)} and {shown(label)} would write the same directory"
             )
-        variants[directory] = (label, build_scenario(data, source=str(args.scenario)))
+        scenario = build_scenario(data, source=str(args.scenario))
+        if "\0" in directory or len(directory.encode()) > 255:  # NAME_MAX on Linux and macOS
+            raise ScenarioParseError(f"variant {shown(label)} cannot name a directory")
+        variants[directory] = (label, scenario)
     out_root = Path(args.out)
     print(f"{'variant':<56}{'migrations':>11}{'downtime_us':>13}{'bytes':>14}")
     for directory, (label, scenario) in variants.items():
@@ -83,7 +91,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfmigsim",
         description="Simulate live migration of virtualized 5G core functions "
@@ -118,8 +126,14 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument("--out", type=Path, default=Path("out"))
 
     sub.add_parser("policy-table", help="print the strategy decision grid")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    # tests/test_runner.py pins that a run leaves no cyclic garbage, so the pause defers nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)
@@ -133,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

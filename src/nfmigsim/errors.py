@@ -63,21 +63,26 @@ def shown(value: object) -> str:
     return repr(value)
 
 
-def check_bound(name: str, value, low=None, high=None, *, above=None, integer=False, entity=None):
-    """Raise unless ``value`` is >= ``low`` (or > ``above``), an ``int`` but not a ``bool``
-    (with ``integer``) and <= ``high``, tested in that order.  A ``high`` of ``math.inf`` asks
-    the low side for a finite value too.  NaN fails every comparison.  The message is built
-    only when a test fails.
+def check_bound(
+    name: str, value, low=None, high=None, *, above=None, integer=False, number=False, entity=None
+):
+    """Raise unless ``value`` is >= ``low`` (or > ``above``), an ``int`` (with ``integer``) or an
+    ``int`` or ``float`` (with ``number``) but not a ``bool``, and <= ``high``, tested in that
+    order.  A ``high`` of ``math.inf`` asks the low side for a finite value too.  NaN fails every
+    comparison.  The message is built only when a test fails.
     """
     holds = (low is None or value >= low) if above is None else value > above
     if high == math.inf:
         holds = holds and value < high
-    wrong_type = integer and (isinstance(value, bool) or not isinstance(value, int))
+    wrong_type = (integer or number) and (
+        isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+    )
     if holds and not wrong_type and (high is None or value <= high):
         return
     side = f">= {low}" if above is None else "positive" if above == 0 else f"> {above}"
     if high == math.inf:
         side = f"finite and {side}"
-    rule = side if not holds else "an integer" if wrong_type else f"<= {high}"
+    kind = "an integer" if integer else "an int or float"
+    rule = side if not holds else kind if wrong_type else f"<= {high}"
     detail = f"{name} must be {rule}, got {shown(value)}"
     raise ValueError(detail) if entity is None else InvariantViolation(entity, detail)

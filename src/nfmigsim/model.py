@@ -132,7 +132,8 @@ class HostNode:
     attached_driver: DriverKind
 
     def __post_init__(self):
-        check_bound("cpu_capacity", self.cpu_capacity, 0, entity=shown(self.id))
+        # An infinite capacity is allowed: HostLoad reads it as fitting anything.
+        check_bound("cpu_capacity", self.cpu_capacity, 0, number=True, entity=shown(self.id))
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ class NfInstance:
     cpu_demand: float = 1.0
 
     def __post_init__(self):
-        check_bound("cpu_demand", self.cpu_demand, 0, entity=shown(self.id))
+        demand = self.cpu_demand
+        check_bound("cpu_demand", demand, 0, math.inf, number=True, entity=shown(self.id))
 
     @property
     def stateful(self) -> bool:

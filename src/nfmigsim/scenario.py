@@ -21,6 +21,7 @@ tie its objects together, so a scenario made in code is checked like a file.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
@@ -208,6 +209,9 @@ class _Reader:
         # NaN fails too, and so does an integer too large to read as a float.
         if kind is float and not abs(value) <= sys.float_info.max:
             raise ScenarioParseError(f"'{self.path_of(key)}' must be finite, got {shown(value)}")
+        if plain is str and not value.isascii() and _SURROGATE.search(value):
+            path = self.path_of(key)
+            raise ScenarioParseError(f"'{path}' must be valid UTF-8, got {shown(value)}")
         if plain:
             return value
         if checked is list:
@@ -243,6 +247,9 @@ class _Reader:
             detail = str(exc)
         raise ScenarioParseError(f"'{self.path}': {detail}" if self.path else detail)
 
+
+#: A lone surrogate, which JSON writes as "\ud800" and no UTF-8 output file can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: The types a value of each plain JSON kind may have.
 _JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool, list: list}

@@ -39,9 +39,13 @@ class Bound:
     high: object = None
     above: object = None
     integer: bool = False
+    number: bool = False
 
     def rejects(self, value) -> bool:
-        if self.integer and (isinstance(value, bool) or not isinstance(value, int)):
+        kinds = int if self.integer else (int, float)
+        if (self.integer or self.number) and (
+            isinstance(value, bool) or not isinstance(value, kinds)
+        ):
             return True
         if self.high == math.inf and not value < math.inf:
             return True
@@ -143,7 +147,11 @@ BOUNDS = {
         above=0,
     ),
     "HostNode": Bound(
-        lambda v: HostNode("h", "A", v, DriverKind.HOST), InvariantViolation, "cpu_capacity", 0
+        lambda v: HostNode("h", "A", v, DriverKind.HOST),
+        InvariantViolation,
+        "cpu_capacity",
+        0,
+        number=True,
     ),
     "Link.bandwidth_bps": Bound(
         lambda v: Link("a", "b", v), InvariantViolation, "bandwidth_bps", above=0
@@ -156,7 +164,12 @@ BOUNDS = {
         MAX_LATENCY_US,
     ),
     "NfInstance": Bound(
-        lambda v: NfInstance("n", NfKind.UPF, "h", None, v), InvariantViolation, "cpu_demand", 0
+        lambda v: NfInstance("n", NfKind.UPF, "h", None, v),
+        InvariantViolation,
+        "cpu_demand",
+        0,
+        math.inf,
+        number=True,
     ),
     "Channel.bandwidth_bps": Bound(lambda v: Channel(v, 0), ValueError, "bandwidth_bps", above=0),
     "Channel.latency_us": Bound(lambda v: Channel(10, v), ValueError, "latency_us", 0, math.inf),
@@ -251,6 +264,10 @@ def test_the_integer_rule_and_the_entity():
     with pytest.raises(ValueError) as info:
         check_bound("x", 1.0, 0, integer=True)
     assert str(info.value) == "x must be an integer, got 1.0"
+    for value, shown_value in ((True, "True"), ("1.5", "'1.5'")):
+        with pytest.raises(ValueError) as info:
+            check_bound("x", value, number=True)
+        assert str(info.value) == f"x must be an int or float, got {shown_value}"
     with pytest.raises(InvariantViolation) as info:
         check_bound("x", False, integer=True, entity="e")
     assert (info.value.entity, info.value.detail) == ("e", "x must be an integer, got False")
@@ -259,6 +276,8 @@ def test_the_integer_rule_and_the_entity():
 def test_a_value_inside_every_bound_passes():
     assert check_bound("x", 5, 0, 10, above=4, integer=True) is None
     assert check_bound("x", 0.5, 0, math.inf) is None
+    assert check_bound("x", 0.5, 0, math.inf, number=True) is None
+    assert check_bound("x", math.inf, 0, number=True) is None
 
 
 _SHOWN = [

@@ -1,8 +1,10 @@
 """Driver profiles, latency lookup, derived function state and topology validation."""
 
 import dataclasses
+import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from nfmigsim import (
     validate_topology,
 )
 from nfmigsim.model import MAX_LATENCY_US
+from nfmigsim.policy import HostLoad
 
 # Measured RTT, L2 capability and isolation per driver.
 DRIVER_TABLE_EXPECTED = {
@@ -447,17 +450,57 @@ class TestDerivedState:
             HostNode("h1", "z", float("nan"), DriverKind.MACVLAN)
 
     def test_nan_cpu_demand_rejected(self):
-        with pytest.raises(InvariantViolation, match="'upf-1': cpu_demand must be >= 0, got nan"):
+        with pytest.raises(
+            InvariantViolation, match="'upf-1': cpu_demand must be finite and >= 0, got nan"
+        ):
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("nan"))
 
     def test_nan_cpu_demand_assignment_rejected(self):
         nf = NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=2.0)
-        for value in (float("nan"), -1, 0.5):
+        for value in (float("nan"), -1, 0.5, float("inf"), True):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 nf.cpu_demand = value
         assert nf.cpu_demand == 2.0
-        with pytest.raises(InvariantViolation, match="'upf-1': cpu_demand must be >= 0, got -1"):
+        with pytest.raises(
+            InvariantViolation, match="'upf-1': cpu_demand must be finite and >= 0, got -1"
+        ):
             NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=-1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=float("inf")),
+                "'upf-1': cpu_demand must be finite and >= 0, got inf",
+            ),
+            (
+                lambda: NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=True),
+                "'upf-1': cpu_demand must be an int or float, got True",
+            ),
+            (
+                lambda: HostNode("h1", "z", True, DriverKind.MACVLAN),
+                "'h1': cpu_capacity must be an int or float, got True",
+            ),
+        ],
+        ids=["infinite-demand", "bool-demand", "bool-capacity"],
+    )
+    def test_a_value_host_load_cannot_read_is_rejected_at_construction(self, build, message):
+        # Each used to build, and a run then died in HostLoad on Fraction('inf') or Fraction('True').
+        with pytest.raises(InvariantViolation) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_an_infinite_capacity_fits_anything(self):
+        hosts = [
+            HostNode("h1", "z", math.inf, DriverKind.MACVLAN),
+            HostNode("h2", "z", 1, DriverKind.MACVLAN),
+        ]
+        nfs = [NfInstance(f"upf-{i}", NfKind.UPF, "h2", cpu_demand=1e300) for i in range(3)]
+        load = HostLoad(validate_topology(hosts, [Link("h1", "h2", 10**8)], nfs))
+        for nf in nfs:
+            assert load.fits(nf, "h1") and not load.fits(nf, "h2")
+            load.move(nf.id, "h1")
+        assert load.used_by_others("h1", "upf-0") == 2 * Fraction("1e300")
 
     @pytest.mark.parametrize(
         "build",

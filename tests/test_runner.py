@@ -35,7 +35,7 @@ from nfmigsim import (
     run_scenario,
     validate_topology,
 )
-from nfmigsim import runner
+from nfmigsim import cli, runner
 from nfmigsim.engine import Event
 from nfmigsim.scenario import read_document
 from test_model import expected_route
@@ -331,13 +331,18 @@ def test_drone_exports_match_the_committed_digests(tmp_path):
     assert export_digests(scenario, (42, 7), tmp_path) == golden_digests(GOLDEN_DRONE_EXPORTS)
 
 
-def bernoulli_drone():
-    """The drone scenario with every dirty model Bernoulli."""
+def bernoulli_drone_document():
+    """The drone document with every dirty model Bernoulli."""
     data = read_document(bundled_scenario_path())
     for nf in data["nfs"]:
         if "memory" in nf:
             nf["memory"]["dirty_model"] = {"kind": "bernoulli", "p_per_page_per_ms": 0.002}
-    return build_scenario(data)
+    return data
+
+
+def bernoulli_drone():
+    """The drone scenario with every dirty model Bernoulli."""
+    return build_scenario(bernoulli_drone_document())
 
 
 def test_bernoulli_drone_exports_match_the_committed_digests(tmp_path):
@@ -430,6 +435,13 @@ def load_scenario_gen():
 
 
 SCENARIO_GEN = load_scenario_gen()
+
+# Documents a run reads through load_scenario, by name.
+GC_DOCUMENTS = {
+    "drone": lambda: read_document(bundled_scenario_path()),
+    "bernoulli-drone": bernoulli_drone_document,
+    "generate-301": lambda: SCENARIO_GEN.generate(301),
+}
 
 
 @pytest.mark.parametrize("name", ["drone", "generate-301"])
@@ -583,13 +595,38 @@ class TestOverlappingTriggers:
             kinds = {e.kind for e in run_scenario(scenario).trace}
             assert "migration-queued" not in kinds
 
-    def test_a_finished_run_leaves_no_cyclic_garbage(self):
-        scenario = build_scenario(SCENARIO_GEN.generate(301))
+    # The CLI pauses the cyclic collector for a command (cli.main): these two tests are why
+    # the pause defers nothing, so no command can grow memory by it.
+    @pytest.mark.parametrize("name", list(GC_DOCUMENTS))
+    def test_a_finished_run_leaves_no_cyclic_garbage(self, tmp_path, name):
+        path = tmp_path / "case.scenario"
+        path.write_text(json.dumps(GC_DOCUMENTS[name]()), encoding="utf-8")
         gc.collect()
         gc.disable()
         try:
-            run_scenario(scenario)
-            assert gc.collect() < 1000
+            bundle = run_scenario(load_scenario(path))
+            export_metrics(bundle, tmp_path / "out")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "document-fault"])
+    def test_a_command_leaves_no_cyclic_garbage_but_its_parser(self, tmp_path, command):
+        drone = str(bundled_scenario_path())
+        bad = tmp_path / "bad.scenario"
+        bad.write_text("{", encoding="utf-8")
+        argv, code = {
+            "simulate": (["simulate", drone, "--out", str(tmp_path / "out")], 0),
+            "sweep": (["sweep", drone, "--param", "seed=1,2", "--out", str(tmp_path / "sw")], 0),
+            "document-fault": (["simulate", str(bad), "--out", str(tmp_path / "out")], 2),
+        }[command]
+        gc.collect()
+        gc.disable()
+        try:
+            cli._parser()
+            parser_only = gc.collect()
+            assert cli.main(argv) == code
+            assert gc.collect() == parser_only
         finally:
             gc.enable()
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -1019,6 +1020,15 @@ _DOCUMENT_FAULTS = {
         "error: 'topology.driver_overrides.macvlan': rtt_inter_host_us must be <= 1000000000000,"
         " got an integer of 401 digits",
     ),
+    # A string no UTF-8 output file can hold once ended in a UnicodeEncodeError traceback.
+    "lone-surrogate-in-the-name": (
+        lambda d: d.update(name="drone-\ud800"),
+        "error: 'name' must be valid UTF-8, got 'drone-\\ud800'",
+    ),
+    "lone-surrogate-in-a-host-id": (
+        lambda d: d["topology"]["hosts"][0].update(id="edge-\udc80"),
+        "error: 'topology.hosts[0].id' must be valid UTF-8, got 'edge-\\udc80'",
+    ),
     # Twice this latency, the RTT of a co-located pair, once overflowed to inf in a traceback.
     "intra-host-latency-over-the-cap": (
         lambda d: d["topology"].update(intra_host_latency_us=1e308),
@@ -1107,9 +1117,29 @@ class TestSweepParams:
         argv = ["sweep", str(bundled_scenario_path()), "--param", "name=a/b,a_b"]
         code = main([*argv, "--out", str(tmp_path / "sweep")])
         captured = capsys.readouterr()
-        message = "error: variants 'name=a/b' and 'name=a_b' would both write 'name=a_b'\n"
+        message = "error: variants 'name=a/b' and 'name=a_b' would write the same directory\n"
         assert (code, captured.err) == (2, message)
         assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "param, shown_label",
+        [
+            ('name=a,"a\\u0000b"', "'name=a\\x00b'"),
+            (
+                "migration_params.restart_overhead_us=1,1" + "0" * 300,
+                f"'restart_overhead_us=1{'0' * 19}...' (321 characters)",
+            ),
+        ],
+        ids=["nul", "over-255-bytes"],
+    )
+    def test_a_variant_no_directory_can_be_named_for_runs_no_variant(
+        self, tmp_path, capsys, param, shown_label
+    ):
+        # Each once ran the earlier variant first: a NUL then ended in a ValueError traceback,
+        # and a name past 255 bytes in exit 3.
+        code, err = self.sweep(tmp_path, capsys, param)
+        assert (code, err) == (2, f"error: variant {shown_label} cannot name a directory\n")
         assert not (tmp_path / "sweep").exists()
 
     def test_a_bad_later_variant_runs_no_variant(self, tmp_path, capsys):
@@ -1127,6 +1157,69 @@ def test_out_naming_an_existing_file_exits_3(tmp_path, capsys):
     argv = ["simulate", str(bundled_scenario_path()), "--out", str(out)]
     code, err = _exit_code_and_error(argv, capsys)
     assert code == 3 and err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test; its state is put back after."""
+    before = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if before else gc.disable()
+
+
+class TestCollectorPause:
+    """``cli.main`` pauses the cyclic collector for its command and puts back what it found."""
+
+    def argv(self, tmp_path, case):
+        drone = str(bundled_scenario_path())
+        out = str(tmp_path / "out")
+        if case == "document-fault":
+            data = read_document(bundled_scenario_path())
+            data["nfs"][0]["cpu_demand"] = -1
+            return ["simulate", str(write(tmp_path, data)), "--out", out]
+        if case == "out-is-a-file":
+            (tmp_path / "taken").write_text("", encoding="utf-8")
+            return ["simulate", drone, "--out", str(tmp_path / "taken")]
+        return {
+            "simulate": ["simulate", drone, "--out", out],
+            "sweep": ["sweep", drone, "--param", "seed=1,2", "--out", out],
+            "policy-table": ["policy-table"],
+        }[case]
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("simulate", 0),
+            ("sweep", 0),
+            ("policy-table", 0),
+            ("document-fault", 2),
+            ("out-is-a-file", 3),
+        ],
+    )
+    def test_each_exit_puts_the_collector_back(self, tmp_path, collector, case, code):
+        assert main(self.argv(tmp_path, case)) == code
+        assert gc.isenabled() is collector
+
+    def test_an_escaping_exception_puts_the_collector_back(self, tmp_path, monkeypatch, collector):
+        def fails(scenario, seed=None):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr("nfmigsim.cli.run_scenario", fails)
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(self.argv(tmp_path, "simulate"))
+        assert gc.isenabled() is collector
+
+    def test_the_run_sees_the_collector_paused(self, tmp_path, monkeypatch, collector):
+        seen = []
+
+        def wrapped(scenario, seed=None):
+            seen.append(gc.isenabled())
+            return run_scenario(scenario, seed=seed)
+
+        monkeypatch.setattr("nfmigsim.cli.run_scenario", wrapped)
+        assert main(self.argv(tmp_path, "simulate")) == 0
+        assert seen == [False] and gc.isenabled() is collector
 
 
 def generated_document(seed):
