@@ -20,6 +20,22 @@ from .runner import export_metrics, run_scenario
 from .scenario import build_scenario, load_scenario, read_document
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each non-printable character escaped as ``repr`` writes it.
+
+    So a name or a label prints on one line; printable text is returned as it is.
+    """
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
+def _os_error_text(exc: OSError) -> str:
+    """``str(exc)`` with each path it names through :func:`shown`, so a long path is cut."""
+    if exc.filename is None:
+        return str(exc)
+    names = " -> ".join(shown(name) for name in (exc.filename, exc.filename2) if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}: {names}"
+
+
 def _set_dotted(data: dict, dotted_key: str, value) -> None:
     parts = dotted_key.split(".")
     node = data
@@ -49,10 +65,10 @@ def _cmd_simulate(args) -> int:
         scenario = dataclasses.replace(scenario, objective=Objective(args.objective))
     bundle = run_scenario(scenario, seed=args.seed)
     paths = export_metrics(bundle, args.out)
-    print(f"scenario '{bundle.scenario_name}' seed={bundle.seed}")
+    print(f"scenario '{_one_line(bundle.scenario_name)}' seed={bundle.seed}")
     print(f"migrations: {len(bundle.reports)}, rtt samples: {len(bundle.rtt_series)}")
     for name in ("migrations", "rtt", "trace", "summary"):
-        print(f"wrote {paths[name]}")
+        print(f"wrote {_one_line(str(paths[name]))}")
     return 0
 
 
@@ -87,7 +103,7 @@ def _cmd_sweep(args) -> int:
         totals = bundle.totals_by_kind().values()
         downtime = sum(kind["downtime_us"] for kind in totals)
         total_bytes = sum(kind["bytes"] + kind["sync_bytes"] for kind in totals)
-        print(f"{label:<56}{len(bundle.reports):>11}{downtime:>13}{total_bytes:>14}")
+        print(f"{_one_line(label):<56}{len(bundle.reports):>11}{downtime:>13}{total_bytes:>14}")
     return 0
 
 
@@ -145,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"i/o error: {_os_error_text(exc)}", file=sys.stderr)
         return 3
     finally:
         if collecting:

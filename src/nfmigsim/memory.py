@@ -51,21 +51,25 @@ class BatchFilter(Enum):
 
 # One state byte per page.  The bulk transitions below are slice assignments,
 # ``bytearray.translate``, ``find``, ``count`` and big-integer bit operations,
-# which run in C; Python steps are spent per run of pages, never per page of
-# the image (the Bernoulli model's steps are one per 256 pages on average).
-# Bit 0 of a byte means dirty and bit 1 never copied.  So ``dirty_where``
-# writes a hit mask as the state of an all-clean image, and only an image with
-# dirty or never-copied pages pays its big-integer pass over state and mask.
+# which run in C; Python steps are spent per run of pages or per 16 KiB slice,
+# never per page of the image (the Bernoulli model's steps are one per 256
+# pages on average).  Bit 0 of a byte means dirty and bit 1 never copied.  So
+# ``dirty_slice`` writes a hit mask as the state of an all-clean slice, and
+# only a slice with dirty or never-copied pages pays the big-integer pass over
+# state and mask.
 #
-# Every write lands in the one state buffer, in place.  Only the constructor,
-# ``reset_for_transfer`` and a Bernoulli draw's random bytes allocate
-# image-sized memory.  A fresh buffer pays a minor page fault per 4 KiB it
-# touches (456 for 10^6 pages), and ``bytearray[a:b] = x`` first copies any
-# ``x`` that is not a ``bytearray`` into a temporary of its size.  So a run of
-# clean pages is written from ``_ZEROS`` through a ``memoryview`` of the
-# state, which copies straight from the source, and so is every ``bytes``
-# source.  ``_ZEROS`` is calloc'd: its pages map the kernel's shared zero
-# page, so reading it, all 10 MB of it included, adds nothing resident.
+# Every write lands in the one state buffer, in place.  Of the operations that
+# set page states, only the constructor and ``reset_for_transfer`` allocate
+# image-sized memory: a Bernoulli draw and ``dirty_where`` go 16 KiB at a
+# time, so their temporaries fit the holes of a fragmented heap and never
+# grow it.  A fresh
+# buffer pays a minor page fault per 4 KiB it touches (456 for 10^6 pages),
+# and ``bytearray[a:b] = x`` first copies any ``x`` that is not a
+# ``bytearray`` into a temporary of its size.  So a run of clean pages is
+# written from ``_ZEROS`` through a ``memoryview`` of the state, which copies
+# straight from the source, and so is every ``bytes`` source.  ``_ZEROS`` is
+# calloc'd: its pages map the kernel's shared zero page, so reading it, all
+# 10 MB of it included, adds nothing resident.
 _CLEAN, _DIRTY, _NEVER = 0, 1, 2
 _STATES = (PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED)
 _DIRTY_TO_CLEAN = bytes((_CLEAN, _CLEAN, _NEVER)) + bytes(253)
@@ -74,8 +78,9 @@ _ONLY_NEVER = bytes((0, 0, 1)) + bytes(253)
 # ``_BELOW[k]`` maps a random byte to 1 if it is below ``k``, else to 0.
 _BELOW = tuple(bytes((1,)) * k + bytes(256 - k) for k in range(257))
 _ZEROS = memoryview(bytes(MAX_PAGES_PER_IMAGE))
-# Mask counts and span translations go 16 KiB at a time, so their temporaries
-# stay small: small enough for the holes of a fragmented heap.
+# Masks, random bytes and span translations go 16 KiB at a time.  The size is a
+# multiple of 4: ``Random.randbytes`` draws whole 32-bit words, so a run of
+# calls of this size yields the bytes of one call for the whole image.
 _CHUNK = 1 << 14
 
 
@@ -221,17 +226,18 @@ class MemoryImage:
 
         Only the span from the first to the last dirty page is written, in
         place, so a round costs the dirty span, not the image.  A span that
-        is one run of dirty pages, as constant-rate dirtying leaves it, is
-        cleared from the zero view with no temporary; any other span is
-        translated 16 KiB at a time.
+        holds no never-copied page, as constant-rate dirtying (one run) and
+        every Bernoulli draw after a copy leave it, is cleared from the zero
+        view with no temporary; any other span is translated 16 KiB at a
+        time.
         """
         copied = self._dirty
         if copied:
             state = self._state
             first = state.find(_DIRTY)
             last = state.rfind(_DIRTY) + 1
-            if last - first == copied:
-                memoryview(state)[first:last] = _ZEROS[:copied]
+            if not self._never or last - first == copied:
+                memoryview(state)[first:last] = _ZEROS[: last - first]
             else:
                 for start in range(first, last, _CHUNK):
                     end = min(last, start + _CHUNK)
@@ -336,40 +342,46 @@ class MemoryImage:
     def dirty_where(self, mask: bytes) -> int:
         """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
 
-        Returns how many of those pages were not dirty yet.  An all-clean
-        image copies the mask in as its state, in place, and counts its hits
-        by popcounts over 16 KiB slices, so it allocates nothing image-sized.
-        Otherwise each 16 KiB slice of the state and the mask is combined as
-        two big integers and written back in place: a hit sets a page's
-        dirty bit and clears its never-copied bit, and the new state's
-        popcount gives the dirty count.
+        Returns how many of those pages were not dirty yet.  The mask covers
+        the whole image; it is marked by :meth:`dirty_slice` 16 KiB at a
+        time, so nothing image-sized is allocated.
         """
         n = self._num_pages
         if len(mask) != n:
             raise ValueError(f"mask of {len(mask)} bytes for an image of {n} pages")
-        view = memoryview(self._state)
-        if self.all_clean:
-            view[:] = mask
-            self._dirty = sum(
-                int.from_bytes(view[i : i + _CHUNK], "little").bit_count()
-                for i in range(0, n, _CHUNK)
-            )
-            return self._dirty
         hits = memoryview(mask)
-        never_hit = set_bits = 0
-        for start in range(0, n, _CHUNK):
-            end = min(n, start + _CHUNK)
-            hit = int.from_bytes(hits[start:end], "little")
-            state = int.from_bytes(view[start:end], "little")
-            on_never = (hit << 1) & state
-            state = (state ^ on_never) | hit
-            view[start:end] = state.to_bytes(end - start, "little")
-            never_hit += on_never.bit_count()
-            set_bits += state.bit_count()
-        self._never -= never_hit
-        dirty = set_bits - self._never  # no byte has both bits set
-        marked = dirty - self._dirty
-        self._dirty = dirty
+        return sum(self.dirty_slice(i, hits[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
+
+    def dirty_slice(self, start: int, hits: bytes) -> int:
+        """Mark dirty each page ``start + i`` whose byte ``hits[i]`` is 1 (the others are 0).
+
+        Returns how many of those pages were not dirty yet.  A slice of the
+        state with no dirty and no never-copied page (two ``find`` calls
+        tell) takes ``hits`` as its state, in place, and counts its hits by
+        a popcount.  Otherwise the state slice and ``hits`` are combined as
+        two big integers and written back in place: a hit sets a page's
+        dirty bit and clears its never-copied bit.  The integers are the
+        size of ``hits``, so callers pass 16 KiB at a time.
+        """
+        end = start + len(hits)
+        if not 0 <= start <= end <= self._num_pages:
+            raise ValueError(f"slice [{start}, {end}) outside image of {self._num_pages} pages")
+        state = self._state
+        view = memoryview(state)
+        if state.find(_DIRTY, start, end) < 0 and state.find(_NEVER, start, end) < 0:
+            view[start:end] = hits
+            marked = int.from_bytes(hits, "little").bit_count()
+        else:
+            hit = int.from_bytes(hits, "little")
+            old = int.from_bytes(view[start:end], "little")
+            on_never = (hit << 1) & old
+            new = (old ^ on_never) | hit
+            view[start:end] = new.to_bytes(end - start, "little")
+            never_hit = on_never.bit_count()
+            self._never -= never_hit
+            # Each bit set is one dirty or one never-copied page.
+            marked = new.bit_count() - old.bit_count() + never_hit
+        self._dirty += marked
         return marked
 
 
@@ -413,9 +425,15 @@ class BernoulliDirty:
     on the bytes drawn, never on the page states.  Hits on dirty pages change
     nothing.
 
-    The pages below ``k`` are marked through :meth:`MemoryImage.dirty_where`
-    and the edge hits, collected as a list of page ids, one by one after it,
-    so a draw copies neither its mask nor the image.
+    The image is drawn 16 KiB of pages at a time: each slice's random bytes
+    are thresholded by one ``translate`` and marked through
+    :meth:`MemoryImage.dirty_slice`, and its edge pages are collected as
+    page ids.  Only after the last slice does each edge draw its
+    ``random()``, in page order, and the edge hits are marked by
+    :meth:`MemoryImage.mark_dirty`.  The slices draw the bytes of one
+    ``randbytes`` call for the whole image, so the stream is the same as a
+    one-shot draw's, and a draw allocates nothing image-sized: on 10^6
+    pages it peaks under 280 KB, most of it the list of edges.
     """
 
     p_per_page_per_ms: float
@@ -429,18 +447,22 @@ class BernoulliDirty:
         s = 256.0 * q  # exact: a power-of-two scale
         k = math.floor(s)
         f = s - k
-        rng = self.rng
-        rand = rng.randbytes(image.num_pages)
-        marked = image.dirty_where(rand.translate(_BELOW[k]))
-        if f:  # k < 256 here; about one page in 256 sits on the edge
-            random = rng.random
-            edges = []
-            edge = rand.find(k)
-            while edge >= 0:
-                if random() < f:
-                    edges.append(edge)
-                edge = rand.find(k, edge + 1)
-            marked += image.mark_dirty(edges)
+        below = _BELOW[k]
+        randbytes = self.rng.randbytes
+        n = image.num_pages
+        marked = 0
+        edges = []  # the pages whose byte equals k, ascending
+        for start in range(0, n, _CHUNK):
+            rand = randbytes(min(_CHUNK, n - start))
+            marked += image.dirty_slice(start, rand.translate(below))
+            if f:  # k < 256 here; about one page in 256 sits on the edge
+                edge = rand.find(k)
+                while edge >= 0:
+                    edges.append(start + edge)
+                    edge = rand.find(k, edge + 1)
+        if edges:
+            random = self.rng.random
+            marked += image.mark_dirty(page for page in edges if random() < f)
         return marked
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvalidCombinationError
+from .errors import InvalidCombinationError, shown
 from .migration import Strategy
 from .model import (
     HostNode,
@@ -137,20 +137,29 @@ class PlacementViolation:
     detail: str
 
 
+def _exact(x: float) -> Fraction:
+    """An ``int`` as itself and a ``float`` as the decimal it prints as, ``Fraction(repr(x))``.
+
+    An ``int`` never goes through a string, so one past 4,300 digits, which
+    only a host or function made in code can have, is read too.
+    """
+    return Fraction(x) if isinstance(x, int) else Fraction(repr(x))
+
+
 class HostLoad:
     """The host each function is assigned to, and so the compute in use per host.
 
-    Each demand and capacity is read as the decimal it prints as,
-    ``Fraction(repr(x))``, and kept as an ``int`` count of one unit, the
-    least common multiple of their denominators.  So loads are exact, and no
-    order of the functions changes them.
+    Each demand and capacity is read exactly (:func:`_exact`) and kept as an
+    ``int`` count of one unit, the least common multiple of their
+    denominators.  So loads are exact, and no order of the functions changes
+    them.
     """
 
     def __init__(self, topology: ValidatedTopology):
-        demands = {nf.id: Fraction(repr(nf.cpu_demand)) for nf in topology.nfs.values()}
+        demands = {nf.id: _exact(nf.cpu_demand) for nf in topology.nfs.values()}
         capacities = {h.id: h.cpu_capacity for h in topology.hosts.values()}
         # An infinite capacity, which only a host made in code can have, stays math.inf.
-        exact = {h: Fraction(repr(c)) for h, c in capacities.items() if c < math.inf}
+        exact = {h: _exact(c) for h, c in capacities.items() if c < math.inf}
         unit = self._unit = math.lcm(*(x.denominator for x in (*demands.values(), *exact.values())))
         self._demand = {nf_id: int(demand * unit) for nf_id, demand in demands.items()}
         self._capacity = {**capacities, **{h: int(value * unit) for h, value in exact.items()}}
@@ -171,7 +180,7 @@ class HostLoad:
         used = self._used[host_id]
         if self._host.get(nf.id) != host_id:
             demand = self._demand.get(nf.id)  # None for a function outside the topology
-            used += Fraction(repr(nf.cpu_demand)) * self._unit if demand is None else demand
+            used += _exact(nf.cpu_demand) * self._unit if demand is None else demand
         return used <= self._capacity[host_id]
 
     def host(self, nf_id: str) -> str:
@@ -262,9 +271,9 @@ def check_placement(
         violations.append(
             PlacementViolation(
                 ViolationKind.CAPACITY_EXCEEDED,
-                f"'{host.id}' has {host.cpu_capacity} units,"
+                f"'{host.id}' has {shown(host.cpu_capacity)} units,"
                 f" {Decimal(used.numerator) / used.denominator} in use; "
-                f"'{nf.id}' needs {nf.cpu_demand}",
+                f"'{nf.id}' needs {shown(nf.cpu_demand)}",
             )
         )
     return violations

@@ -72,6 +72,13 @@ class TestMemoryImage:
         assert dirty_pages(image) == {0, 3, 4}
         assert (image.dirty_count, image.clean_count, image.never_copied_count) == (3, 3, 0)
 
+    @pytest.mark.parametrize("start, length", [(-1, 2), (9, 2), (11, 0)])
+    def test_dirty_slice_outside_the_image_rejected(self, start, length):
+        image = clean_image(10)
+        with pytest.raises(ValueError, match=r"slice \[.*\) outside image of 10 pages"):
+            image.dirty_slice(start, bytes((1,)) * length)
+        assert image.all_clean
+
     def test_default_working_set_fraction(self):
         image = MemoryImage(100, 1)
         assert image.working_set == frozenset(range(20))
@@ -339,14 +346,14 @@ class ReferenceImage:
         self.never.difference_update(picked)
         return picked
 
-    def bernoulli(self, p, seed, duration_us):
+    def bernoulli(self, p, rng, duration_us):
         """The byte-threshold law, page by page in ascending order.
 
-        One random byte per page of the image; a byte below ``k`` is a hit,
-        and a byte equal to ``k`` is a hit when ``random() < f``.  A hit on a
-        dirty page changes nothing.
+        One ``randbytes`` call gives one random byte per page of the image; a
+        byte below ``k`` is a hit, and a byte equal to ``k`` is a hit when
+        ``random() < f``, drawn only when ``f`` is not 0.  A hit on a dirty
+        page changes nothing.
         """
-        rng = random.Random(seed)
         q = 1.0 - (1.0 - p) ** (duration_us / 1000.0)
         k = math.floor(256 * q)
         f = 256 * q - k
@@ -354,7 +361,7 @@ class ReferenceImage:
         hits = [
             page
             for page in range(self.num_pages)
-            if rand[page] < k or (rand[page] == k and rng.random() < f)
+            if rand[page] < k or (f and rand[page] == k and rng.random() < f)
         ]
         picked = [page for page in hits if page not in self.dirty]
         self.dirty.update(picked)
@@ -413,7 +420,7 @@ def test_page_state_matches_set_reference(num_pages, working_set, rate, p, opera
         elif kind == "bernoulli":
             duration_us, seed = operation[1:]
             newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), duration_us)
-            assert newly == len(reference.bernoulli(p, seed, duration_us))
+            assert newly == len(reference.bernoulli(p, random.Random(seed), duration_us))
             assert image.take_transfer_batch(BatchFilter.DIRTY_ONLY) == sorted(reference.dirty)
         elif kind == "copy-all":
             assert image.copy_all() == num_pages
@@ -470,6 +477,7 @@ COPY_OPERATIONS = st.one_of(
     st.tuples(st.just("copy-dirty")),
     st.tuples(st.just("copy-working-set")),
     st.tuples(st.just("dirty-where"), st.lists(st.booleans(), min_size=64, max_size=64)),
+    st.tuples(st.just("dirty-slice"), st.integers(0, 64), st.lists(st.booleans(), max_size=64)),
     st.tuples(st.just("copy-all")),
     st.tuples(st.just("reset")),
 )
@@ -485,7 +493,8 @@ HALVES = [page % 2 == 0 for page in range(64)]
     working_set=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.sets(st.integers(0, 63))),
     operations=st.lists(COPY_OPERATIONS, max_size=12),
 )
-# All clean: the first draw takes the mask as the state, the second meets dirty pages.
+# All clean: the first draw takes the mask as the state, the second meets dirty pages, and
+# ``copy_dirty`` clears the scattered dirty pages from the zero view (no never-copied page).
 @example(
     states=[PageState.CLEAN_AT_TARGET] * 64,
     working_set=0.3,
@@ -557,6 +566,14 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
         elif kind == "reset":
             image.reset_for_transfer()
             reference = [never] * num_pages
+        elif kind == "dirty-slice":
+            start = min(operation[1], num_pages)
+            hits = operation[2][: num_pages - start]
+            newly = sum(hit and s is not dirty for hit, s in zip(hits, reference[start:]))
+            assert image.dirty_slice(start, bytes(hits)) == newly
+            for page, hit in enumerate(hits, start):
+                if hit:
+                    reference[page] = dirty
         else:
             mask = operation[1][:num_pages]
             newly = sum(hit and s is not dirty for hit, s in zip(mask, reference))
@@ -576,8 +593,12 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
         [PageState.CLEAN_AT_TARGET] * 8000,  # the mask becomes the state
         # Edge hits land on pages in all three states.
         [PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED] * 2700,
+        # Three 16 KiB slices and 3 pages: the first slice all clean, the rest mixed.
+        [PageState.CLEAN_AT_TARGET] * 16_384
+        + [PageState.CLEAN_AT_TARGET, PageState.DIRTY_SINCE_COPY, PageState.NEVER_COPIED] * 10_923
+        + [PageState.NEVER_COPIED] * 2,
     ],
-    ids=["half-dirty", "all-clean", "mixed"],
+    ids=["half-dirty", "all-clean", "mixed", "multi-slice"],
 )
 def test_draw_matches_the_reference_law_on_a_large_image(p, seed, start):
     # Thousands of pages put dozens of pages on the edge byte in each draw.
@@ -585,11 +606,14 @@ def test_draw_matches_the_reference_law_on_a_large_image(p, seed, start):
     reference = ReferenceImage(image.num_pages)
     reference.dirty = dirty_pages(image)
     reference.never = {page for page, s in enumerate(start) if s is PageState.NEVER_COPIED}
-    newly = advance_dirty(image, BernoulliDirty(p, random.Random(seed)), 7_000)
-    assert newly == len(reference.bernoulli(p, seed, 7_000))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    newly = advance_dirty(image, BernoulliDirty(p, rng), 7_000)
+    assert newly == len(reference.bernoulli(p, reference_rng, 7_000))
     assert dirty_pages(image) == reference.dirty
     assert image.dirty_count == len(reference.dirty)
     assert image.never_copied_count == len(reference.never)
+    # The draw used the stream of one randbytes call for the image, then its edge draws.
+    assert rng.random() == reference_rng.random()
 
 
 @settings(max_examples=200, deadline=None)
@@ -689,6 +713,18 @@ class TestWritesInPlace:
         assert (image.dirty_count, image.never_copied_count) == (0, never)
         assert image._state == expected
 
+    def test_copy_dirty_on_scattered_pages_with_none_never_copied(self):
+        # Every byte of the span is 0 or 1, so it is cleared from the zero view:
+        # translated 16 KiB at a time, it peaked at two 16 KiB temporaries.
+        image = MemoryImage(self.PAGES, 1)
+        image.copy_all()
+        dirtied = range(5, self.PAGES - 5, 3)
+        image.mark_dirty(dirtied)
+        peak, copied = self.peak(image, image.copy_dirty)
+        assert peak <= 4096
+        assert copied == len(dirtied) and image.all_clean
+        assert image._state == bytes(self.PAGES)
+
     def test_dirty_where_on_an_all_clean_image(self):
         image = MemoryImage(self.PAGES, 1)
         image.copy_all()
@@ -711,6 +747,41 @@ class TestWritesInPlace:
         assert image._state == expected
         assert image.dirty_count == expected.count(1) == was_dirty + marked
         assert image.never_copied_count == expected.count(2)
+
+    @staticmethod
+    def drawn(state, p, rng, duration_us):
+        """The state a draw leaves, from one ``randbytes`` call for the whole image."""
+        q = 1.0 - (1.0 - p) ** (duration_us / 1000.0)
+        k = math.floor(256 * q)
+        f = 256 * q - k
+        rand = rng.randbytes(len(state))
+        hits = bytearray(rand.translate(bytes((1,)) * k + bytes(256 - k)))
+        edge = rand.find(k) if f else -1
+        while edge >= 0:
+            hits[edge] = rng.random() < f
+            edge = rand.find(k, edge + 1)
+        return bytes(1 if hit else page for page, hit in zip(state, hits))
+
+    @pytest.mark.parametrize("start", ["all-clean", "mixed"])
+    def test_bernoulli_draw(self, start):
+        # One randbytes call for the image and its threshold mask peaked at about 2 MB.
+        image = MemoryImage(self.PAGES, 1)
+        if start == "all-clean":
+            image.copy_all()
+        else:
+            image.copy_lowest(self.PAGES // 2)
+            image.mark_dirty(range(0, self.PAGES, 7))  # dirty pages among clean and never-copied
+        p, duration_us = 0.003, 7_000  # q about 0.021: k is 5, and about 3,900 pages are edges
+        rng, reference_rng = random.Random(5), random.Random(5)
+        dirty = BernoulliDirty(p, rng)
+        expected = self.drawn(image._state, p, reference_rng, duration_us)
+        was_dirty = image.dirty_count
+        peak, marked = self.peak(image, lambda: advance_dirty(image, dirty, duration_us))
+        assert peak <= 5 * self.BOUND  # 16 KiB slices and the list of edge pages
+        assert image._state == expected
+        assert image.dirty_count == expected.count(1) == was_dirty + marked
+        assert image.never_copied_count == expected.count(2)
+        assert rng.random() == reference_rng.random()
 
     def test_reset_allocates_at_most_one_image(self):
         image = MemoryImage(self.PAGES, 1)

@@ -216,6 +216,27 @@ class TestCheckPlacement:
         violations = check_placement(mover, topo.hosts["dst"], (), topo)
         assert [v.kind for v in violations] == [ViolationKind.CAPACITY_EXCEEDED]
 
+    def test_an_integer_past_the_digit_limit_is_read_exactly(self):
+        # Read through repr, a capacity of 5,001 digits raised ValueError from inside a run.
+        big = 10**5000
+        hosts = [
+            HostNode("src", "hall-A", big, DriverKind.MACVLAN),
+            HostNode("dst", "hall-B", 8, DriverKind.MACVLAN),
+        ]
+        links = [Link("src", "dst", 10**8)]
+        occupant = NfInstance("upf-0", NfKind.UPF, "src", cpu_demand=big - 1)
+        fits = NfInstance("upf-1", NfKind.UPF, "dst", cpu_demand=1)
+        too_big = NfInstance("upf-2", NfKind.UPF, "dst", cpu_demand=2)
+        topo = validate_topology(hosts, links, [occupant, fits, too_big])
+        load = HostLoad(topo)
+        assert load.used_by_others("src", "upf-1") == big - 1
+        assert check_placement(fits, topo.hosts["src"], (), topo, load) == []
+        [violation] = check_placement(too_big, topo.hosts["src"], (), topo, load)
+        assert violation.detail == (
+            "'src' has an integer of 5001 digits units,"
+            " 1.000000000000000000000000000E+5000 in use; 'upf-2' needs 2"
+        )
+
     def test_capacity_respects_current_placements(self):
         hosts = [
             HostNode("src", "hall-A", 8, DriverKind.MACVLAN),

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import gc
 import hashlib
 import importlib.util
@@ -814,6 +815,28 @@ class TestCli:
         assert (tmp_path / "out" / "trace.jsonl").exists()
         assert (tmp_path / "out" / "summary.txt").exists()
 
+    @pytest.mark.parametrize(
+        "name, printed",
+        [
+            ("drone-x", "drone-x"),
+            ("it's a drone", "it's a drone"),
+            ("a\nb", "a\\nb"),
+            ("a\u2028b\x00c", "a\\u2028b\\x00c"),
+        ],
+        ids=["plain", "apostrophe", "newline", "line-separator-and-nul"],
+    )
+    def test_simulate_prints_the_name_on_one_line(self, tmp_path, capsys, name, printed):
+        # A raw newline in the name once split the first line in two.
+        data = read_document(bundled_scenario_path())
+        data["name"] = name
+        out_dir = tmp_path / "out"
+        argv = ["simulate", str(write(tmp_path, data)), "--seed", "42", "--out", str(out_dir)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"scenario '{printed}' seed=42", "migrations: 3, rtt samples: 201"]
+        files = ("migrations.csv", "rtt.csv", "trace.jsonl", "summary.txt")
+        assert lines[2:] == [f"wrote {out_dir / file}" for file in files]
+
     def test_simulate_objective_override(self, tmp_path):
         code = main(
             [
@@ -875,6 +898,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "inter-copy" in out
         assert out.count("\n") == 26  # header + rule + 24 rows
+
+    def test_sweep_prints_each_label_on_one_line(self, tmp_path, capsys):
+        # A raw newline in a label once split its row of the table in two.
+        argv = ["sweep", str(bundled_scenario_path()), "--param", 'name="a\\nb",drone-x']
+        assert main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == ["variant", "name=a\\nb", "name=drone-x"]
+        assert rows[2] == f"{'name=drone-x':<56}{3:>11}{81040:>13}{1572864:>14}"
+        assert (tmp_path / "sweep" / "name=a\nb" / "summary.txt").exists()
 
     def test_sweep_runs_variants(self, tmp_path, capsys):
         code = main(
@@ -1157,6 +1189,21 @@ def test_out_naming_an_existing_file_exits_3(tmp_path, capsys):
     argv = ["simulate", str(bundled_scenario_path()), "--out", str(out)]
     code, err = _exit_code_and_error(argv, capsys)
     assert code == 3 and err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+def test_a_long_path_in_an_i_o_error_is_cut(tmp_path, capsys):
+    # The whole path once went into the line: 519 bytes for a path of this shape.
+    directory = tmp_path / ("d" * 200)
+    directory.mkdir()
+    out = directory / ("o" * 250)
+    out.write_text("", encoding="utf-8")
+    argv = ["simulate", str(bundled_scenario_path()), "--out", str(out)]
+    code, err = _exit_code_and_error(argv, capsys)
+    path = str(out)
+    shown_path = f"'{path[:40]}...' ({len(path)} characters)"
+    reason = f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}"
+    assert (code, err) == (3, f"i/o error: {reason}: {shown_path}\n")
+    assert len(err.encode()) <= 200
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
