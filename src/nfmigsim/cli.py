@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ScenarioParseError, SimulatorError, shown
+from .errors import ScenarioParseError, SimulatorError, os_error_text, shown
 from .policy import Objective, policy_table_text
 from .runner import export_metrics, run_scenario
 from .scenario import build_scenario, load_scenario, read_document
@@ -26,14 +26,6 @@ def _one_line(text: str) -> str:
     So a name or a label prints on one line; printable text is returned as it is.
     """
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
-
-
-def _os_error_text(exc: OSError) -> str:
-    """``str(exc)`` with each path it names through :func:`shown`, so a long path is cut."""
-    if exc.filename is None:
-        return str(exc)
-    names = " -> ".join(shown(name) for name in (exc.filename, exc.filename2) if name is not None)
-    return f"[Errno {exc.errno}] {exc.strerror}: {names}"
 
 
 def _set_dotted(data: dict, dotted_key: str, value) -> None:
@@ -48,7 +40,7 @@ def _set_dotted(data: dict, dotted_key: str, value) -> None:
 
 def _parse_param(spec: str) -> tuple[str, list]:
     if "=" not in spec:
-        raise ScenarioParseError(f"--param expects KEY=V1,V2,... (got '{spec}')")
+        raise ScenarioParseError(f"--param expects KEY=V1,V2,... (got {shown(spec)})")
     key, _, raw_values = spec.partition("=")
     values = []
     for chunk in raw_values.split(","):
@@ -161,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"i/o error: {_os_error_text(exc)}", file=sys.stderr)
+        print(f"i/o error: {os_error_text(exc)}", file=sys.stderr)
         return 3
     finally:
         if collecting:

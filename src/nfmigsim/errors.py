@@ -3,6 +3,8 @@ numeric bound: it raises ``InvariantViolation`` when the owner names an entity, 
 """
 
 import math
+import re
+from itertools import accumulate
 
 
 class SimulatorError(Exception):
@@ -50,17 +52,37 @@ class ScenarioValidationError(SimulatorError):
     """The scenario parsed but violates a domain rule."""
 
 
+# One character or one escape of the text ``repr`` writes for a string.
+_REPR_PIECE = re.compile(r"\\(?:x..|u.{4}|U.{8}|.)|.", re.DOTALL)
+
+
 def shown(value: object) -> str:
     """``value`` for a message; an integer past 20 digits is shown by sign and size only, and a
-    string past 60 characters by its first 40 and its length.
+    string past 60 characters or 70 bytes of ``repr`` by the ``repr`` of its first 40 characters,
+    cut to 40 bytes at a whole character or escape, and its length: at most 70 bytes in all.
     """
-    if isinstance(value, str) and len(value) > 60:
-        return f"{value[:40] + '...'!r} ({len(value)} characters)"
+    if isinstance(value, str):
+        text = repr(value[:60])
+        if len(value) <= 60 and len(text.encode()) <= 70:
+            return text
+        text = repr(value[:40])
+        pieces = _REPR_PIECE.findall(text, 1, len(text) - 1)
+        sizes = accumulate(len(piece.encode()) for piece in pieces)
+        kept = "".join(piece for piece, size in zip(pieces, sizes) if size <= 40)
+        return f"{text[0]}{kept}...{text[0]} ({len(value)} characters)"
     if isinstance(value, int) and not -(10**20) < value < 10**20:
         digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one short
         digits += abs(value) >= 10**digits
         return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
     return repr(value)
+
+
+def os_error_text(exc: OSError) -> str:
+    """``str(exc)`` with each path it names through :func:`shown`, so a long path is cut."""
+    if exc.filename is None:
+        return str(exc)
+    names = " -> ".join(shown(name) for name in (exc.filename, exc.filename2) if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}: {names}"
 
 
 def check_bound(

@@ -60,9 +60,8 @@ class BatchFilter(Enum):
 #
 # Every write lands in the one state buffer, in place.  Of the operations that
 # set page states, only the constructor and ``reset_for_transfer`` allocate
-# image-sized memory: a Bernoulli draw and ``dirty_where`` go 16 KiB at a
-# time, so their temporaries fit the holes of a fragmented heap and never
-# grow it.  A fresh
+# image-sized memory: a Bernoulli draw goes 16 KiB at a time, so its
+# temporaries fit the holes of a fragmented heap and never grow it.  A fresh
 # buffer pays a minor page fault per 4 KiB it touches (456 for 10^6 pages),
 # and ``bytearray[a:b] = x`` first copies any ``x`` that is not a
 # ``bytearray`` into a temporary of its size.  So a run of clean pages is
@@ -275,30 +274,12 @@ class MemoryImage:
         )
 
     def copy_lowest(self, limit: int) -> int:
-        """Copy up to ``limit`` never-copied pages, lowest first; returns how many.
-
-        Works run by run, like :meth:`dirty_lowest`: ``find`` locates each
-        run of never-copied pages and one slice assignment copies it.
-        """
-        state = self._state
-        view = memoryview(state)
-        n = self._num_pages
+        """Copy up to ``limit`` never-copied pages, lowest first; returns how many."""
+        view = memoryview(self._state)
         copied = 0
-        cursor = 0
-        while copied < limit:
-            start = state.find(_NEVER, cursor)
-            if start < 0:
-                break
-            end = min(n, start + limit - copied)
-            clean = state.find(_CLEAN, start, end)
-            if clean >= 0:
-                end = clean
-            dirty = state.find(_DIRTY, start, end)
-            if dirty >= 0:
-                end = dirty
+        for start, end in self._lowest_runs((_NEVER,), limit):
             view[start:end] = _ZEROS[: end - start]
             copied += end - start
-            cursor = end
         self._never -= copied
         return copied
 
@@ -311,46 +292,44 @@ class MemoryImage:
         self._never = self._num_pages
 
     def dirty_lowest(self, limit: int) -> int:
-        """Mark up to ``limit`` non-dirty pages dirty, lowest page id first.
-
-        Works run by run: each step finds the next non-dirty page and the end
-        of its run, then marks the run with one slice assignment.
-        """
+        """Mark up to ``limit`` non-dirty pages dirty, lowest first; returns how many."""
         state = self._state
-        n = self._num_pages
         marked = 0
-        cursor = 0
-        while marked < limit:
-            clean = state.find(_CLEAN, cursor)
-            if clean < 0:
-                clean = n
-            never = state.find(_NEVER, cursor, clean)
-            start = clean if never < 0 else never
-            if start == n:
-                break
-            stop = min(n, start + limit - marked)
-            end = state.find(_DIRTY, start, stop)
-            if end < 0:
-                end = stop
+        for start, end in self._lowest_runs((_CLEAN, _NEVER), limit):
             self._never -= state.count(_NEVER, start, end)
             state[start:end] = bytearray((_DIRTY,)) * (end - start)
             marked += end - start
-            cursor = end
         self._dirty += marked
         return marked
 
-    def dirty_where(self, mask: bytes) -> int:
-        """Mark dirty every page whose byte in ``mask`` is 1 (the others are 0).
+    def _lowest_runs(self, wanted: tuple[int, ...], limit: int) -> Iterator[tuple[int, int]]:
+        """The lowest runs of pages whose state byte is in ``wanted``, ``limit`` pages in all.
 
-        Returns how many of those pages were not dirty yet.  The mask covers
-        the whole image; it is marked by :meth:`dirty_slice` 16 KiB at a
-        time, so nothing image-sized is allocated.
+        Yields each run as ``(start, end)``; the caller may rewrite it before the next is
+        sought.  ``find`` locates a run's start, each search stopping at the best start so
+        far, and its end, the first other byte; so the walk costs a few ``find`` calls per
+        run, never a step per page.
         """
+        state = self._state
         n = self._num_pages
-        if len(mask) != n:
-            raise ValueError(f"mask of {len(mask)} bytes for an image of {n} pages")
-        hits = memoryview(mask)
-        return sum(self.dirty_slice(i, hits[i : i + _CHUNK]) for i in range(0, n, _CHUNK))
+        others = [byte for byte in (_CLEAN, _DIRTY, _NEVER) if byte not in wanted]
+        cursor = 0
+        while limit > 0:
+            start = n
+            for byte in wanted:
+                found = state.find(byte, cursor, start)
+                if found >= 0:
+                    start = found
+            if start == n:
+                return
+            end = min(n, start + limit)
+            for byte in others:
+                found = state.find(byte, start, end)
+                if found >= 0:
+                    end = found
+            yield start, end
+            limit -= end - start
+            cursor = end
 
     def dirty_slice(self, start: int, hits: bytes) -> int:
         """Mark dirty each page ``start + i`` whose byte ``hits[i]`` is 1 (the others are 0).

@@ -37,6 +37,7 @@ from .errors import (
     ScenarioValidationError,
     SimulatorError,
     check_bound,
+    os_error_text,
     shown,
 )
 from .memory import (
@@ -149,7 +150,7 @@ class Scenario:
             for host in in_zone:
                 if host.id not in reachable:
                     raise ScenarioValidationError(
-                        f"{where} {shown(zone)}: host '{host.id}' cannot be reached from the "
+                        f"{where} {shown(zone)}: host {shown(host.id)} cannot be reached from the "
                         "hosts that run functions"
                     )
         for i, s in enumerate(topology.sessions):
@@ -428,21 +429,24 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
 def read_document(path: str | Path) -> dict:
     """The JSON object a scenario file holds, not yet validated."""
     path = Path(path)
+    name = shown(str(path))
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"cannot read '{path}': {exc}") from exc
+    except OSError as exc:  # its text names the path
+        raise ScenarioParseError(f"cannot read the scenario: {os_error_text(exc)}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"cannot read {name}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"'{path}' is not valid JSON: {exc}") from exc
+        raise ScenarioParseError(f"{name} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         limit = sys.get_int_max_str_digits()
-        raise ScenarioParseError(f"'{path}' holds an integer of more than {limit} digits") from exc
+        raise ScenarioParseError(f"{name} holds an integer of more than {limit} digits") from exc
     except RecursionError as exc:
-        raise ScenarioParseError(f"'{path}' nests JSON too deeply") from exc
+        raise ScenarioParseError(f"{name} nests JSON too deeply") from exc
     if not isinstance(data, dict):
-        raise ScenarioParseError(f"'{path}' must contain a JSON object")
+        raise ScenarioParseError(f"{name} must contain a JSON object")
     return data
 
 

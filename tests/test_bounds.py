@@ -5,6 +5,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfmigsim import bundled_scenario_path, load_scenario, run_scenario
 from nfmigsim.errors import InvariantViolation, check_bound, shown
@@ -298,6 +300,11 @@ _SHOWN = [
     ("x" * 61, f"'{'x' * 40}...' (61 characters)"),
     # A quote in the string makes the start a double-quoted repr.
     ("a'b" * 400, repr("a'b" * 13 + "a...") + " (1200 characters)"),
+    # Cut to 40 bytes of ``repr`` at a whole escape or character, not to 40 characters.
+    ("\x01" * 1000, "'" + "\\x01" * 10 + "...' (1000 characters)"),
+    ("界" * 100, f"'{'界' * 13}...' (100 characters)"),
+    ("\\" * 60, "'" + "\\\\" * 20 + "...' (60 characters)"),
+    ("\ud800" * 3, "'\\ud800\\ud800\\ud800'"),
 ]
 
 
@@ -305,3 +312,21 @@ _SHOWN = [
 def test_shown_gives_a_huge_integer_by_sign_and_size(value, text):
     # It never meets Python's digit limit: 10**5000 has more than 4300 digits.
     assert shown(value) == text
+
+
+# Any character, lone surrogates included, and the ones ``repr`` escapes or UTF-8 widens; and
+# printable ASCII, whole up to 60 characters and by its first 40 past that.
+_ANY_TEXT = st.text(
+    st.one_of(st.characters(blacklist_categories=()), st.sampled_from("\x01\n'\"\\界😀\udc80")),
+    max_size=200,
+) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT)
+def test_shown_takes_at_most_70_bytes_for_any_string(value):
+    text = shown(value)
+    assert len(text.encode()) <= 70
+    if value.isascii() and value.isprintable() and not set("'\"\\") & set(value):
+        cut = f"{value[:40] + '...'!r} ({len(value)} characters)"
+        assert text == (repr(value) if len(value) <= 60 else cut)

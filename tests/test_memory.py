@@ -20,7 +20,7 @@ from nfmigsim import (
     advance_dirty,
     rng_stream,
 )
-from nfmigsim.memory import MAX_PAGES_PER_IMAGE
+from nfmigsim.memory import _CHUNK, MAX_PAGES_PER_IMAGE
 
 
 def clean_image(num_pages, page_size=1, **kwargs):
@@ -52,22 +52,20 @@ class TestMemoryImage:
     def test_total_bytes(self):
         assert MemoryImage(12, 4096).total_bytes == 12 * 4096
 
-    def test_dirty_where_counts_only_newly_dirtied(self):
+    def test_dirty_slice_counts_only_newly_dirtied(self):
         image = MemoryImage(6, 1)
         image.mark_copied([0, 1, 2])  # pages 3-5 stay never copied
-        assert image.dirty_where(bytes((1, 0, 0, 1, 0, 0))) == 2
-        assert image.dirty_where(bytes((1, 1, 0, 1, 1, 0))) == 2  # 0 and 3 already dirty
+        assert image.dirty_slice(0, bytes((1, 0, 0, 1, 0, 0))) == 2
+        assert image.dirty_slice(0, bytes((1, 1, 0, 1, 1, 0))) == 2  # 0 and 3 already dirty
         dirty, clean = PageState.DIRTY_SINCE_COPY, PageState.CLEAN_AT_TARGET
         states = [image.page_state(p) for p in range(6)]
         assert states == [dirty, dirty, clean, dirty, dirty, PageState.NEVER_COPIED]
         assert (image.dirty_count, image.clean_count, image.never_copied_count) == (4, 1, 1)
-        with pytest.raises(ValueError):
-            image.dirty_where(bytes(5))
 
-    def test_dirty_where_on_an_all_clean_image_copies_the_mask(self):
+    def test_dirty_slice_on_an_all_clean_image_copies_the_mask(self):
         image = clean_image(6)
         mask = bytearray((1, 0, 0, 1, 1, 0))
-        assert image.dirty_where(mask) == 3
+        assert image.dirty_slice(0, mask) == 3
         mask[:] = bytes((0, 1, 1, 0, 0, 1))
         assert dirty_pages(image) == {0, 3, 4}
         assert (image.dirty_count, image.clean_count, image.never_copied_count) == (3, 3, 0)
@@ -285,7 +283,7 @@ class TestBernoulliStatistics:
         # Every third page dirty, the rest half clean and half never copied.
         image = MemoryImage(self.PAGES, 1)
         image.mark_copied(range(self.PAGES // 2))
-        image.dirty_where(bytes((1, 0, 0)) * (self.PAGES // 3))
+        image.dirty_slice(0, bytes((1, 0, 0)) * (self.PAGES // 3))
         return image
 
     @pytest.mark.parametrize(
@@ -460,7 +458,7 @@ def image_in_states(states, working_set=None, fraction=None):
     """An image whose page ``i`` is in ``states[i]``."""
     image = MemoryImage(len(states), 1, working_set=working_set, working_set_fraction=fraction)
     image.mark_copied([i for i, s in enumerate(states) if s is not PageState.NEVER_COPIED])
-    image.dirty_where(bytes(s is PageState.DIRTY_SINCE_COPY for s in states))
+    image.dirty_slice(0, bytes(s is PageState.DIRTY_SINCE_COPY for s in states))
     return image
 
 
@@ -474,9 +472,12 @@ PAGE_STATE_RUNS = st.lists(
 ).map(lambda runs: [state for state, length in runs for _ in range(length)][:64])
 COPY_OPERATIONS = st.one_of(
     st.tuples(st.just("copy-lowest"), st.integers(0, 70)),
+    st.tuples(st.just("dirty-lowest"), st.integers(0, 70)),
     st.tuples(st.just("copy-dirty")),
     st.tuples(st.just("copy-working-set")),
-    st.tuples(st.just("dirty-where"), st.lists(st.booleans(), min_size=64, max_size=64)),
+    st.tuples(
+        st.just("dirty-slice"), st.just(0), st.lists(st.booleans(), min_size=64, max_size=64)
+    ),
     st.tuples(st.just("dirty-slice"), st.integers(0, 64), st.lists(st.booleans(), max_size=64)),
     st.tuples(st.just("copy-all")),
     st.tuples(st.just("reset")),
@@ -499,10 +500,10 @@ HALVES = [page % 2 == 0 for page in range(64)]
     states=[PageState.CLEAN_AT_TARGET] * 64,
     working_set=0.3,
     operations=[
-        ("dirty-where", THIRDS),
-        ("dirty-where", HALVES),
+        ("dirty-slice", 0, THIRDS),
+        ("dirty-slice", 0, HALVES),
         ("copy-dirty",),
-        ("dirty-where", HALVES),
+        ("dirty-slice", 0, HALVES),
     ],
 )
 # All never copied: every draw combines state and mask.
@@ -510,9 +511,9 @@ HALVES = [page % 2 == 0 for page in range(64)]
     states=[PageState.NEVER_COPIED] * 64,
     working_set=0.3,
     operations=[
-        ("dirty-where", THIRDS),
+        ("dirty-slice", 0, THIRDS),
         ("copy-lowest", 20),
-        ("dirty-where", HALVES),
+        ("dirty-slice", 0, HALVES),
         ("copy-working-set",),
     ],
 )
@@ -522,7 +523,7 @@ HALVES = [page % 2 == 0 for page in range(64)]
     + [PageState.DIRTY_SINCE_COPY] * 30
     + [PageState.NEVER_COPIED] * 10,
     working_set=0.3,
-    operations=[("copy-dirty",), ("dirty-where", THIRDS), ("copy-all",), ("reset",)],
+    operations=[("copy-dirty",), ("dirty-slice", 0, THIRDS), ("copy-all",), ("reset",)],
 )
 # The dirty span is two runs around one never-copied page: ``copy_dirty`` translates
 # it, then meets runs split by clean and never-copied pages.
@@ -532,7 +533,7 @@ HALVES = [page % 2 == 0 for page in range(64)]
     + [PageState.DIRTY_SINCE_COPY] * 20
     + [PageState.CLEAN_AT_TARGET] * 5,
     working_set=0.3,
-    operations=[("copy-dirty",), ("dirty-where", HALVES), ("copy-dirty",), ("copy-all",)],
+    operations=[("copy-dirty",), ("dirty-slice", 0, HALVES), ("copy-dirty",), ("copy-all",)],
 )
 def test_run_copies_match_page_list_reference(states, working_set, operations):
     num_pages = len(states)
@@ -552,6 +553,11 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
             assert image.copy_lowest(operation[1]) == len(picked)
             for page in picked:
                 reference[page] = clean
+        elif kind == "dirty-lowest":
+            picked = [p for p in range(num_pages) if reference[p] is not dirty][: operation[1]]
+            assert image.dirty_lowest(operation[1]) == len(picked)
+            for page in picked:
+                reference[page] = dirty
         elif kind == "copy-dirty":
             # The clear is bounded by the dirty span; the reference maps every page.
             assert image.copy_dirty() == reference.count(dirty)
@@ -566,7 +572,7 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
         elif kind == "reset":
             image.reset_for_transfer()
             reference = [never] * num_pages
-        elif kind == "dirty-slice":
+        else:
             start = min(operation[1], num_pages)
             hits = operation[2][: num_pages - start]
             newly = sum(hit and s is not dirty for hit, s in zip(hits, reference[start:]))
@@ -574,11 +580,6 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
             for page, hit in enumerate(hits, start):
                 if hit:
                     reference[page] = dirty
-        else:
-            mask = operation[1][:num_pages]
-            newly = sum(hit and s is not dirty for hit, s in zip(mask, reference))
-            assert image.dirty_where(bytes(mask)) == newly
-            reference = [dirty if hit else s for hit, s in zip(mask, reference)]
         assert [image.page_state(page) for page in range(num_pages)] == reference
         assert image.dirty_count == reference.count(dirty)
         assert image.never_copied_count == reference.count(never)
@@ -725,16 +726,22 @@ class TestWritesInPlace:
         assert copied == len(dirtied) and image.all_clean
         assert image._state == bytes(self.PAGES)
 
-    def test_dirty_where_on_an_all_clean_image(self):
+    @staticmethod
+    def dirty_in_slices(image, mask):
+        """Mark a whole-image mask 16 KiB at a time, as a Bernoulli draw does."""
+        hits = memoryview(mask)
+        return sum(image.dirty_slice(i, hits[i : i + _CHUNK]) for i in range(0, len(mask), _CHUNK))
+
+    def test_dirty_slices_on_an_all_clean_image(self):
         image = MemoryImage(self.PAGES, 1)
         image.copy_all()
         mask = bytes((1, 0, 0)) * (self.PAGES // 3) + bytes((1,))
-        peak, marked = self.peak(image, lambda: image.dirty_where(mask))
+        peak, marked = self.peak(image, lambda: self.dirty_in_slices(image, mask))
         assert peak <= self.BOUND
         assert marked == image.dirty_count == self.PAGES // 3 + 1
         assert image._state == mask
 
-    def test_dirty_where_on_a_mixed_image(self):
+    def test_dirty_slices_on_a_mixed_image(self):
         # Over the whole image at once, the big-integer pass peaked at 5.3 MB.
         image = MemoryImage(self.PAGES, 1)
         image.copy_lowest(self.PAGES // 2)
@@ -742,7 +749,7 @@ class TestWritesInPlace:
         mask = bytes((1, 0, 0, 0, 0)) * (self.PAGES // 5)
         expected = bytes(1 if hit else page for page, hit in zip(image._state, mask))
         was_dirty = image.dirty_count
-        peak, marked = self.peak(image, lambda: image.dirty_where(mask))
+        peak, marked = self.peak(image, lambda: self.dirty_in_slices(image, mask))
         assert peak <= 2 * self.BOUND
         assert image._state == expected
         assert image.dirty_count == expected.count(1) == was_dirty + marked

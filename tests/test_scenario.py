@@ -34,6 +34,7 @@ from nfmigsim import (
 )
 from nfmigsim import scenario as scenario_module
 from nfmigsim.cli import main
+from nfmigsim.errors import shown
 from nfmigsim.runner import MIGRATIONS_CSV_HEADER, TRACE_KINDS
 from nfmigsim.scenario import MigrationTrigger, UeSpec, read_document
 
@@ -1007,6 +1008,19 @@ _DOCUMENT_FAULTS = {
         lambda d: d["topology"]["links"][0].update(a=_LONG_ID),
         f"error: link from 'edge-a2' to unknown host {_LONG_SHOWN}",
     ),
+    # Cut by its bytes: each control character is a four-byte escape.
+    "trigger-into-a-long-control-character-hall": (
+        lambda d: d["triggers"][0].update(new_zone="\x01" * 1000),
+        "error: triggers[0].new_zone '" + "\\x01" * 10 + "...' (1000 characters) matches no"
+        " host hall",
+    ),
+    "long-host-id-in-a-reachable-hall-with-no-link": (
+        lambda d: d["topology"]["hosts"].append(
+            {**d["topology"]["hosts"][0], "id": _LONG_ID, "hall": "hall-B"}
+        ),
+        f"error: triggers[0].new_zone 'hall-B': host {_LONG_SHOWN} cannot be reached from the"
+        " hosts that run functions",
+    ),
     "session-anchored-to-a-long-unknown-function": (
         lambda d: d["sessions"][0].update(anchor_upf=_LONG_ID),
         f"error: session 'pdu-1' anchors to unknown function {_LONG_SHOWN}",
@@ -1096,14 +1110,15 @@ class TestUnreadableDocument:
     def test_nested_too_deeply(self, tmp_path, capsys):
         path = tmp_path / "deep.scenario"
         path.write_text("[" * 200_000, encoding="utf-8")
-        assert self.simulate(path, capsys) == (2, f"error: '{path}' nests JSON too deeply\n")
+        message = f"error: {shown(str(path))} nests JSON too deeply\n"
+        assert self.simulate(path, capsys) == (2, message)
 
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # Python's int-digit limit makes json.loads raise a plain ValueError.
         path = tmp_path / "digits.scenario"
         document = '{"duration_us": ' + "9" * 5000 + ', "topology": {"hosts": []}}'
         path.write_text(document, encoding="utf-8")
-        message = f"'{path}' holds an integer of more than 4300 digits"
+        message = f"{shown(str(path))} holds an integer of more than 4300 digits"
         with pytest.raises(ScenarioParseError) as info:
             read_document(path)
         assert str(info.value) == message
@@ -1113,7 +1128,17 @@ class TestUnreadableDocument:
 
     def test_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, [])
-        assert self.simulate(path, capsys) == (2, f"error: '{path}' must contain a JSON object\n")
+        message = f"error: {shown(str(path))} must contain a JSON object\n"
+        assert self.simulate(path, capsys) == (2, message)
+
+    def test_a_long_missing_path_is_cut(self, tmp_path, capsys):
+        # The path once went into the line raw, and twice: 585 bytes for 250 characters.
+        path = tmp_path / ("p" * (250 - len(str(tmp_path)) - 1))
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+        message = f"error: cannot read the scenario: {reason}: {shown(str(path))}\n"
+        assert len(str(path)) == 250
+        assert self.simulate(path, capsys) == (2, message)
+        assert len(message.encode()) <= 200
 
 
 class TestSweepParams:
@@ -1125,6 +1150,12 @@ class TestSweepParams:
     def test_param_without_values(self, tmp_path, capsys):
         message = "error: --param expects KEY=V1,V2,... (got 'seed')\n"
         assert self.sweep(tmp_path, capsys, "seed") == (2, message)
+
+    def test_long_param_without_values(self, tmp_path, capsys):
+        # The spec once went into the line raw: 346 bytes for 300 characters.
+        message = f"error: --param expects KEY=V1,V2,... (got {shown('s' * 300)})\n"
+        assert self.sweep(tmp_path, capsys, "s" * 300) == (2, message)
+        assert len(message.encode()) <= 200
 
     def test_param_through_a_list(self, tmp_path, capsys):
         message = "error: cannot override through non-object key 'hosts'\n"
