@@ -81,20 +81,6 @@ BUILTIN_DRIVER_PROFILES: Mapping[DriverKind, NetworkDriverProfile] = {
 }
 
 
-def driver_table(
-    overrides: Mapping[DriverKind, NetworkDriverProfile] | None = None,
-) -> dict[DriverKind, NetworkDriverProfile]:
-    """The driver profile table, optionally with per-kind overrides.
-
-    An override is the only way to change a driver's L2 capability, e.g.
-    the L2-capable overlay attachments some orchestrators offer.
-    """
-    table = dict(BUILTIN_DRIVER_PROFILES)
-    if overrides:
-        table.update(overrides)
-    return table
-
-
 class NfKind(str, Enum):
     UPF = "upf"
     SMF = "smf"
@@ -218,13 +204,13 @@ class ValidatedTopology:
         links: Sequence[Link],
         nfs: dict[str, NfInstance],
         sessions: tuple[PduSession, ...],
-        drivers: Mapping[DriverKind, NetworkDriverProfile],
+        drivers: dict[DriverKind, NetworkDriverProfile],
         intra_host_latency_us: float,
     ):
         self.hosts = hosts
         self.nfs = nfs
         self.sessions = sessions
-        self.drivers = dict(drivers)
+        self.drivers = drivers
         self.intra_host_latency_us = intra_host_latency_us
         adjacency: dict[str, dict[str, Link]] = {h: {} for h in hosts}
         for link in links:
@@ -336,7 +322,10 @@ def validate_topology(
     Raises :class:`DuplicateIdError`, :class:`DanglingReferenceError` or
     :class:`InvariantViolation`; the message always names the offending
     entity.  Hosts that run function instances must be mutually reachable
-    over the link graph.
+    over the link graph.  ``drivers`` replaces built-in profiles by kind,
+    merged over ``BUILTIN_DRIVER_PROFILES`` here: an override is the only
+    way to change a driver's L2 capability, e.g. the L2-capable overlay
+    attachments some orchestrators offer.
     """
     check_bound(
         "intra_host_latency_us", intra_host_latency_us, 0, MAX_LATENCY_US, entity="topology"
@@ -394,7 +383,7 @@ def validate_topology(
         links,
         nf_map,
         tuple(sessions),
-        driver_table(drivers),
+        {**BUILTIN_DRIVER_PROFILES, **(drivers or {})},
         intra_host_latency_us,
     )
 

@@ -195,24 +195,24 @@ class HostLoad:
         self._host[nf_id] = host_id
 
 
-def _anchored_ethernet(nf: NfInstance, sessions: Sequence[PduSession]) -> list[PduSession]:
-    if nf.kind is not NfKind.UPF:
-        return []
-    return [
-        s for s in sessions if s.anchor_upf == nf.id and s.session_type is SessionType.ETHERNET
-    ]
-
-
 def static_key(
     nf: NfInstance, sessions: Sequence[PduSession]
-) -> tuple[bool, IsolationLevel | None]:
+) -> tuple[tuple[str, ...], IsolationLevel | None]:
     """What :func:`static_violations` asks of a host on behalf of ``nf``.
 
-    The pair is (``nf`` is a UPF anchoring an Ethernet session, the
-    isolation its kind needs).  Functions with equal keys pass the static
-    rules on exactly the same hosts.
+    The pair is (the ids of the Ethernet sessions ``nf`` anchors, empty
+    unless it is a UPF, the isolation its kind needs).  It is the only
+    reading of ``sessions`` for the static rules, so functions with equal
+    keys pass them on exactly the same hosts.
     """
-    return bool(_anchored_ethernet(nf, sessions)), required_isolation(nf.kind)
+    ethernet = ()
+    if nf.kind is NfKind.UPF:
+        ethernet = tuple(
+            s.id
+            for s in sessions
+            if s.anchor_upf == nf.id and s.session_type is SessionType.ETHERNET
+        )
+    return ethernet, required_isolation(nf.kind)
 
 
 def static_violations(
@@ -221,29 +221,24 @@ def static_violations(
     sessions: Sequence[PduSession],
     topology: ValidatedTopology,
 ) -> list[PlacementViolation]:
-    """The rules ``host``'s driver alone decides: L2 for Ethernet sessions, isolation."""
+    """The rules ``host``'s driver alone decides, read from :func:`static_key`: L2, isolation."""
+    ethernet, needed = static_key(nf, sessions)
     profile = topology.drivers[host.attached_driver]
     violations: list[PlacementViolation] = []
-
-    if not profile.carries_l2:
-        anchored_ethernet = _anchored_ethernet(nf, sessions)
-        if anchored_ethernet:
-            violations.append(
-                PlacementViolation(
-                    ViolationKind.ETHERNET_PDU_REQUIRES_L2,
-                    f"'{nf.id}' anchors Ethernet session(s) "
-                    f"{[s.id for s in anchored_ethernet]} but driver "
-                    f"'{host.attached_driver.value}' on '{host.id}' cannot carry L2",
-                )
+    if ethernet and not profile.carries_l2:
+        violations.append(
+            PlacementViolation(
+                ViolationKind.ETHERNET_PDU_REQUIRES_L2,
+                f"{shown(nf.id)} anchors Ethernet session(s) {list(ethernet)} but driver "
+                f"'{host.attached_driver.value}' on {shown(host.id)} cannot carry L2",
             )
-
-    needed = required_isolation(nf.kind)
+        )
     if needed is not None and profile.isolation is not needed:
         violations.append(
             PlacementViolation(
                 ViolationKind.ISOLATION_TOO_LOW,
-                f"'{nf.id}' requires {needed.name} isolation; driver "
-                f"'{host.attached_driver.value}' on '{host.id}' provides "
+                f"{shown(nf.id)} requires {needed.name} isolation; driver "
+                f"'{host.attached_driver.value}' on {shown(host.id)} provides "
                 f"{profile.isolation.name}",
             )
         )
@@ -271,9 +266,9 @@ def check_placement(
         violations.append(
             PlacementViolation(
                 ViolationKind.CAPACITY_EXCEEDED,
-                f"'{host.id}' has {shown(host.cpu_capacity)} units,"
+                f"{shown(host.id)} has {shown(host.cpu_capacity)} units,"
                 f" {Decimal(used.numerator) / used.denominator} in use; "
-                f"'{nf.id}' needs {shown(nf.cpu_demand)}",
+                f"{shown(nf.id)} needs {shown(nf.cpu_demand)}",
             )
         )
     return violations

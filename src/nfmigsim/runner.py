@@ -138,9 +138,10 @@ def zone_representative(topology: ValidatedTopology, hall: str) -> str | None:
 class TargetSelector:
     """Where a function goes in a hall: the nearest host that passes ``check_placement``.
 
-    The static rules depend only on a host's driver, so on the first use of
-    each (hall, ``static_key``) the hall's hosts where ``static_violations``
-    is empty are ranked once, by (latency to the hall's representative, id).
+    The static rules depend only on a host's driver and ``static_key``, so
+    on the first use of each (hall, ``static_key``) the hall's hosts where
+    ``static_violations`` is empty are ranked once, by (latency to the
+    hall's representative, id).
     Each latency is read from the pair's shared ``Channel``.  The walk then
     skips a host where the function does not ``load.fits``, and confirms
     the first host it does not skip with ``check_placement``, which asks

@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import EnumMeta
 from importlib import resources
 from pathlib import Path
@@ -49,7 +49,6 @@ from .memory import (
 )
 from .migration import MigrationParams
 from .model import (
-    BUILTIN_DRIVER_PROFILES,
     DEFAULT_INTRA_HOST_LATENCY_US,
     STATEFUL_VARIANTS,
     DriverKind,
@@ -150,8 +149,8 @@ class Scenario:
             for host in in_zone:
                 if host.id not in reachable:
                     raise ScenarioValidationError(
-                        f"{where} {shown(zone)}: host {shown(host.id)} cannot be reached from the "
-                        "hosts that run functions"
+                        f"{where}: host {shown(host.id)} cannot be reached from the hosts that"
+                        " run functions"
                     )
         for i, s in enumerate(topology.sessions):
             if ue is not None and s.ue_id != ue.id:
@@ -273,7 +272,6 @@ _TOP_KEYS = {
 }
 _TOPOLOGY_KEYS = {
     "intra_host_latency_us": (float, DEFAULT_INTRA_HOST_LATENCY_US),
-    "l2_overlay_enabled": (bool, False),
     "driver_overrides": (_Reader, {}),
     "hosts": (list[_Reader],),
     "links": (list[_Reader], ()),
@@ -361,11 +359,8 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
     if name is None:
         name = Path(source).stem if source != "<dict>" else "scenario"
 
-    intra, l2_overlay, drivers, host_readers, link_readers = topo_reader.fields(_TOPOLOGY_KEYS)
+    intra, drivers, host_readers, link_readers = topo_reader.fields(_TOPOLOGY_KEYS)
     overrides = {}
-    if l2_overlay:
-        overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
-        overrides[DriverKind.OVERLAY] = replace(overlay, carries_l2=True)
     for raw_kind in drivers.data:
         kind = topo_reader.member(DriverKind, raw_kind, "driver_overrides")
         reader = drivers.read(raw_kind, (_Reader,))
@@ -404,7 +399,7 @@ def build_scenario(data: Mapping[str, Any], source: str = "<dict>") -> Scenario:
             links,
             nfs,
             sessions=sessions,
-            drivers=overrides or None,
+            drivers=overrides,
             intra_host_latency_us=intra,
         )
     except SimulatorError as exc:

@@ -28,7 +28,6 @@ from nfmigsim import (
     STATEFUL_VARIANTS,
     PduSession,
     SessionType,
-    driver_table,
     validate_topology,
 )
 from nfmigsim.model import MAX_LATENCY_US
@@ -72,8 +71,11 @@ class TestDriverProfiles:
     def test_override_flips_l2_capability(self):
         overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
         l2_overlay = dataclasses.replace(overlay, carries_l2=True)
-        assert driver_table()[DriverKind.OVERLAY].carries_l2 is False
-        assert driver_table({DriverKind.OVERLAY: l2_overlay})[DriverKind.OVERLAY] == l2_overlay
+        default = two_host_topology(DriverKind.HOST, DriverKind.OVERLAY)
+        assert default.drivers[DriverKind.OVERLAY].carries_l2 is False
+        overrides = {DriverKind.OVERLAY: l2_overlay}
+        topo = two_host_topology(DriverKind.HOST, DriverKind.OVERLAY, drivers=overrides)
+        assert topo.drivers == {**BUILTIN_DRIVER_PROFILES, DriverKind.OVERLAY: l2_overlay}
 
 
 class TestOneWayLatency:

@@ -14,6 +14,7 @@ from nfmigsim import (
     IsolationLevel,
     Link,
     MemoryImage,
+    NetworkDriverProfile,
     NfInstance,
     NfKind,
     Objective,
@@ -28,7 +29,7 @@ from nfmigsim import (
     validate_topology,
 )
 from nfmigsim import policy
-from nfmigsim.policy import POLICY_TABLE, policy_grid
+from nfmigsim.policy import POLICY_TABLE, policy_grid, static_key, static_violations
 
 # Chosen strategy per (kind, stateful, objective), transcribed from the
 # per-function analysis.
@@ -261,6 +262,84 @@ class TestCheckPlacement:
         ]
         extended_kinds = {v.kind for v in check_placement(upf, host, extended, topo)}
         assert base <= extended_kinds
+
+    def test_details_show_long_ids_like_every_model_message(self):
+        long_nf, long_host = "u" * 1000, "h" * 1000
+        hosts = [
+            HostNode("src", "hall-A", 8, DriverKind.MACVLAN),
+            HostNode(long_host, "hall-B", 0, DriverKind.OVERLAY),
+        ]
+        upf = NfInstance(long_nf, NfKind.UPF, "src")
+        sessions = [PduSession("pdu-eth", SessionType.ETHERNET, "ue-1", long_nf)]
+        topo = validate_topology(hosts, [Link("src", long_host, 10**8)], [upf], sessions)
+        ausf = NfInstance(long_nf, NfKind.AUSF, "src", memory=MemoryImage(8, 4096))
+        host = topo.hosts[long_host]
+        shown_nf = f"'{'u' * 40}...' (1000 characters)"
+        shown_host = f"'{'h' * 40}...' (1000 characters)"
+        assert [v.detail for v in check_placement(upf, host, sessions, topo)] == [
+            f"{shown_nf} anchors Ethernet session(s) ['pdu-eth'] but driver 'overlay' on"
+            f" {shown_host} cannot carry L2",
+            f"{shown_host} has 0 units, 0 in use; {shown_nf} needs 1.0",
+        ]
+        [violation] = static_violations(ausf, topo.hosts["src"], sessions, topo)
+        assert violation.detail == (
+            f"{shown_nf} requires HIGH isolation; driver 'macvlan' on 'src' provides MEDIUM"
+        )
+
+
+@given(
+    kinds=st.lists(st.sampled_from(NfKind), min_size=2, max_size=5),
+    sessions=st.lists(st.tuples(st.sampled_from(SessionType), st.integers(0, 4)), max_size=6),
+    overrides=st.dictionaries(
+        st.sampled_from(DriverKind),
+        st.tuples(st.booleans(), st.sampled_from(IsolationLevel)),
+        max_size=3,
+    ),
+)
+def test_equal_static_keys_pass_the_static_rules_on_the_same_hosts(kinds, sessions, overrides):
+    # TargetSelector ranks a hall's hosts once per (hall, static_key): this is its premise.
+    hosts = [HostNode(driver.value, "hall-A", 8, driver) for driver in DriverKind]
+    nfs = [
+        NfInstance(
+            f"nf-{i}", kind, "host", MemoryImage(8, 4096) if STATEFUL_VARIANTS[kind][0] else None
+        )
+        for i, kind in enumerate(kinds)
+    ]
+    # Any anchor, a UPF or not: the rules read the sessions they are given.
+    sessions = [
+        PduSession(f"pdu-{j}", session_type, "ue-1", f"nf-{anchor % len(nfs)}")
+        for j, (session_type, anchor) in enumerate(sessions)
+    ]
+    drivers = {
+        kind: NetworkDriverProfile(kind, 500, carries_l2, isolation)
+        for kind, (carries_l2, isolation) in overrides.items()
+    }
+    topo = validate_topology(hosts, [], nfs, drivers=drivers)
+    passes = {}
+    for nf in nfs:
+        key = static_key(nf, sessions)
+        ethernet = [
+            s.id
+            for s in sessions
+            if nf.kind is NfKind.UPF
+            and s.anchor_upf == nf.id
+            and s.session_type is SessionType.ETHERNET
+        ]
+        assert key == (tuple(ethernet), required_isolation(nf.kind))
+        emptiness = []
+        for host in hosts:
+            violations = static_violations(nf, host, sessions, topo)
+            emptiness.append(not violations)
+            l2 = [v.detail for v in violations if v.kind is ViolationKind.ETHERNET_PDU_REQUIRES_L2]
+            assert l2 == (
+                [
+                    f"'{nf.id}' anchors Ethernet session(s) {ethernet} but driver"
+                    f" '{host.id}' on '{host.id}' cannot carry L2"
+                ]
+                if ethernet and not topo.drivers[host.attached_driver].carries_l2
+                else []
+            )
+        assert passes.setdefault(key, emptiness) == emptiness
 
 
 def recount(topo, assignment, host_id, skip):

@@ -455,7 +455,7 @@ _CROSS_OBJECT_FAULTS = {
     "trigger-into-an-unreachable-hall": (
         lambda d: d["triggers"][0].update(new_zone="hall-C"),
         lambda s: _moved_trigger(s, new_zone="hall-C"),
-        f"triggers[0].new_zone 'hall-C': {_UNREACHED}",
+        f"triggers[0].new_zone: {_UNREACHED}",
     ),
     "ue-in-no-hall": (
         lambda d: d["ue"].update(zone="hall-Z"),
@@ -465,7 +465,7 @@ _CROSS_OBJECT_FAULTS = {
     "ue-in-an-unreachable-hall": (
         lambda d: d["ue"].update(zone="hall-C"),
         lambda s: {"ue": UeSpec("drone-1", "hall-C")},
-        f"ue.zone 'hall-C': {_UNREACHED}",
+        f"ue.zone: {_UNREACHED}",
     ),
     # A string a document echoes is shown by its start and length past 60 characters.
     "trigger-into-a-long-hall-name": (
@@ -671,8 +671,9 @@ class TestRunScenario:
         assert not report.succeeded
         assert "no feasible host" in report.failure_reason
 
-    def test_l2_overlay_enabled_admits_an_ethernet_anchor(self, tmp_path):
-        data = ethernet_anchor_to_overlay(l2_overlay_enabled=True)
+    def test_l2_overlay_override_admits_an_ethernet_anchor(self, tmp_path):
+        l2_overlay = {"rtt_inter_host_us": 656, "carries_l2": True, "isolation": "high"}
+        data = ethernet_anchor_to_overlay(driver_overrides={"overlay": l2_overlay})
         scenario = load_scenario(write(tmp_path, data))
         overlay = scenario.topology.drivers[DriverKind.OVERLAY]
         assert (overlay.rtt_inter_host_us, overlay.carries_l2, overlay.isolation.name) == (
@@ -682,19 +683,6 @@ class TestRunScenario:
         )
         bundle = run_scenario(scenario)
         assert [(rec.target_host, rec.report.succeeded) for rec in bundle.reports] == [("h2", True)]
-
-    def test_explicit_overlay_override_wins_over_l2_overlay_enabled(self, tmp_path):
-        data = ethernet_anchor_to_overlay(
-            l2_overlay_enabled=True,
-            driver_overrides={
-                "overlay": {"rtt_inter_host_us": 700, "carries_l2": False, "isolation": "high"}
-            },
-        )
-        scenario = load_scenario(write(tmp_path, data))
-        assert scenario.topology.drivers[DriverKind.OVERLAY].rtt_inter_host_us == 700
-        report = run_scenario(scenario).reports[0].report
-        assert not report.succeeded
-        assert "no feasible host" in report.failure_reason
 
     def test_trigger_objective_overrides_scenario(self, tmp_path):
         data = read_document(bundled_scenario_path())
@@ -882,7 +870,7 @@ class TestCli:
         assert main(["simulate", str(write(tmp_path, data)), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         prefix = "ue.zone" if where == "ue" else "triggers[0].new_zone"
-        assert err.startswith(f"error: {prefix} 'hall-C': host 'h3' cannot be reached")
+        assert err.startswith(f"error: {prefix}: host 'h3' cannot be reached")
         assert "Traceback" not in err
 
     def test_simulator_error_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -939,7 +927,15 @@ def _link(data, a, b):
 
 
 _LONG_ID = "h" * 1000
+_LONG_HALL = "g" * 1000
 _LONG_SHOWN = f"'{'h' * 40}...' (1000 characters)"
+
+
+def _long_host_in_a_long_hall(data):
+    """Add a host with a 1,000-character id, and no link, in a 1,000-character hall."""
+    hosts = data["topology"]["hosts"]
+    hosts.append({**hosts[0], "id": _LONG_ID, "hall": _LONG_HALL})
+
 
 # Each edit of the drone document, and the one error line it must end in.
 _DOCUMENT_FAULTS = {
@@ -1018,8 +1014,23 @@ _DOCUMENT_FAULTS = {
         lambda d: d["topology"]["hosts"].append(
             {**d["topology"]["hosts"][0], "id": _LONG_ID, "hall": "hall-B"}
         ),
-        f"error: triggers[0].new_zone 'hall-B': host {_LONG_SHOWN} cannot be reached from the"
-        " hosts that run functions",
+        f"error: triggers[0].new_zone: host {_LONG_SHOWN} cannot be reached from the hosts that"
+        " run functions",
+    ),
+    # The zone is not echoed: 1,000 characters of it once took the line past 200 bytes.
+    "trigger-into-a-long-hall-whose-long-host-has-no-link": (
+        lambda d: (_long_host_in_a_long_hall(d), d["triggers"][0].update(new_zone=_LONG_HALL)),
+        f"error: triggers[0].new_zone: host {_LONG_SHOWN} cannot be reached from the hosts that"
+        " run functions",
+    ),
+    "ue-in-a-long-hall-whose-long-host-has-no-link": (
+        lambda d: (_long_host_in_a_long_hall(d), d["ue"].update(zone=_LONG_HALL)),
+        f"error: ue.zone: host {_LONG_SHOWN} cannot be reached from the hosts that run functions",
+    ),
+    # A former shortcut: an L2-capable overlay is a ``driver_overrides.overlay`` entry.
+    "removed-l2-overlay-enabled-key": (
+        lambda d: d["topology"].update(l2_overlay_enabled=True),
+        "error: unknown key 'topology.l2_overlay_enabled'",
     ),
     "session-anchored-to-a-long-unknown-function": (
         lambda d: d["sessions"][0].update(anchor_upf=_LONG_ID),
