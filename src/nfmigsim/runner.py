@@ -138,14 +138,13 @@ def zone_representative(topology: ValidatedTopology, hall: str) -> str | None:
 class TargetSelector:
     """Where a function goes in a hall: the nearest host that passes ``check_placement``.
 
-    The static rules depend only on a host's driver and ``static_key``, so
-    on the first use of each (hall, ``static_key``) the hall's hosts where
-    ``static_violations`` is empty are ranked once, by (latency to the
-    hall's representative, id).
-    Each latency is read from the pair's shared ``Channel``.  The walk then
-    skips a host where the function does not ``load.fits``, and confirms
-    the first host it does not skip with ``check_placement``, which asks
-    ``fits`` the same exact question.
+    The static rules read only a host's driver and two parts of ``static_key``: whether
+    it names an Ethernet session, and the isolation.  On the first use of each (hall,
+    those two parts) the hall's hosts where ``static_violations`` is empty are ranked
+    once, by (latency to the hall's representative, id), each read from the pair's
+    shared ``Channel``.  The walk then skips a host where the function does not
+    ``load.fits``, and confirms the first host it does not skip with
+    ``check_placement``, which asks ``fits`` the same exact question.
     """
 
     def __init__(self, topology: ValidatedTopology, load: HostLoad):
@@ -160,7 +159,8 @@ class TargetSelector:
         """The first feasible host in ``hall`` for ``nf``, or None."""
         topology, load = self._topology, self._load
         sessions = topology.sessions
-        key = (hall, self._static_keys[nf.id])
+        ethernet, needed = self._static_keys[nf.id]
+        key = (hall, bool(ethernet), needed)
         hosts = self._candidates.get(key)
         if hosts is None:
             rep = zone_representative(topology, hall)

@@ -1,8 +1,7 @@
 """Three fixed 10^5-page post-copy migrations, one report ``repr`` per line.
 
 The lines are committed in ``data/post_copy_reports.golden``; a tier-1 test
-compares them.  The script needs only the standard library, so every
-supported Python can check them:
+compares them on every supported Python.  Run as a script, it prints them for a diff:
 
     PYTHONPATH=src python tests/post_copy_golden.py | diff - tests/data/post_copy_reports.golden
 """

@@ -4,9 +4,8 @@ Each replica's sync ticks land well inside ``ppm_sync_interval_us``, so a
 tick after the first fires on an image the previous tick's flight left
 dirty: the draws cover both the all-clean and the dirty image.  The script
 checks that some draw met a dirty image.  The lines are committed in
-``data/replica_bernoulli_reports.golden``; a tier-1 test compares them.
-The script needs only the standard library, so every supported Python can
-check them:
+``data/replica_bernoulli_reports.golden``; a tier-1 test compares them on
+every supported Python.  Run as a script, it prints them for a diff:
 
     PYTHONPATH=src python tests/replica_bernoulli_golden.py | diff - tests/data/replica_bernoulli_reports.golden
 """

@@ -585,6 +585,19 @@ def test_run_copies_match_page_list_reference(states, working_set, operations):
         assert image.never_copied_count == reference.count(never)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 3, 100_003])
+@pytest.mark.parametrize("seed", [1, 7, 301])
+def test_randbytes_in_chunks_gives_the_bytes_of_one_call(n, seed):
+    # What a chunked Bernoulli draw relies on, on every supported Python: randbytes
+    # takes whole 32-bit words, so slices of a multiple of 4 bytes tile one call's stream.
+    assert _CHUNK % 4 == 0
+    whole, chunked = random.Random(seed), random.Random(seed)
+    one_call = whole.randbytes(n)
+    chunks = b"".join(chunked.randbytes(min(_CHUNK, n - i)) for i in range(0, n, _CHUNK))
+    assert chunks == one_call
+    assert chunked.random() == whole.random()
+
+
 @pytest.mark.parametrize("p", [0.00001, 0.0004, 0.003, 0.05, 0.5, 1.0])
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(

@@ -1119,7 +1119,6 @@ def test_post_copy_matches_page_by_page_reference_at_scale(
 
 
 def test_post_copy_reports_match_the_golden_file():
-    # The same check runs without pytest in CI on every supported Python.
     golden = Path(__file__).parent / "data" / "post_copy_reports.golden"
     assert "".join(post_copy_golden.reports()) == golden.read_text(encoding="utf-8")
 

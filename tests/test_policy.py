@@ -297,7 +297,8 @@ class TestCheckPlacement:
     ),
 )
 def test_equal_static_keys_pass_the_static_rules_on_the_same_hosts(kinds, sessions, overrides):
-    # TargetSelector ranks a hall's hosts once per (hall, static_key): this is its premise.
+    # TargetSelector ranks a hall's hosts once per (hall, whether static_key names an Ethernet
+    # session, its isolation): this is its premise.  It implies the same for equal static keys.
     hosts = [HostNode(driver.value, "hall-A", 8, driver) for driver in DriverKind]
     nfs = [
         NfInstance(
@@ -339,7 +340,7 @@ def test_equal_static_keys_pass_the_static_rules_on_the_same_hosts(kinds, sessio
                 if ethernet and not topo.drivers[host.attached_driver].carries_l2
                 else []
             )
-        assert passes.setdefault(key, emptiness) == emptiness
+        assert passes.setdefault((bool(key[0]), key[1]), emptiness) == emptiness
 
 
 def recount(topo, assignment, host_id, skip):

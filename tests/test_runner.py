@@ -292,6 +292,29 @@ def test_pruned_walk_picks_what_a_full_walk_picks(case):
             load.move(nf.id, chosen.id)
 
 
+def test_upfs_anchoring_ethernet_share_one_ranking_per_hall(monkeypatch):
+    # Keyed on the anchored session ids, each of the 15 UPFs ranked each hall for itself:
+    # 1,700 static checks against 300.
+    calls = []
+    original = runner.static_violations
+
+    def counting(nf, host, *args):
+        calls.append((nf.id, host.id))
+        return original(nf, host, *args)
+
+    monkeypatch.setattr(runner, "static_violations", counting)
+    data = SCENARIO_GEN.generate(1)
+    upfs = [nf["id"] for nf in data["nfs"] if nf["kind"] == "upf"]
+    data["sessions"] = [
+        {"id": f"pdu-{i}", "type": "ethernet", "ue_id": "ue-1", "anchor_upf": upf}
+        for i, upf in enumerate(upfs)
+    ]
+    bundle = run_scenario(build_scenario(data))
+    assert len(upfs) == 15
+    assert len(bundle.reports) == SCENARIO_GEN.expected_migrations(data)
+    assert len(calls) <= 300
+
+
 def test_trace_lines_are_sorted_key_json_of_each_event(tmp_path):
     bundle = run_scenario(load_scenario(bundled_scenario_path()), seed=42)
     lines = export_metrics(bundle, tmp_path)["trace"].read_text(encoding="utf-8").splitlines()
@@ -579,6 +602,7 @@ class TestOverlappingTriggers:
             "upf-1": ("edge-a1", 1_100_000),
         }
         assert not any(e.kind == "migration-skipped" for e in bundle.trace)
+        assert export_bytes(run_scenario(drone_turning_back())) == export_bytes(bundle)
 
     def test_rtt_reads_the_source_until_the_return_completes(self):
         bundle = run_scenario(drone_turning_back())

@@ -885,8 +885,9 @@ class TestCli:
     def test_policy_table_prints_grid(self, capsys):
         assert main(["policy-table"]) == 0
         out = capsys.readouterr().out
-        assert "inter-copy" in out
         assert out.count("\n") == 26  # header + rule + 24 rows
+        golden = Path(__file__).parent / "data" / "policy_table.golden"
+        assert out == golden.read_text(encoding="utf-8")
 
     def test_sweep_prints_each_label_on_one_line(self, tmp_path, capsys):
         # A raw newline in a label once split its row of the table in two.
@@ -911,8 +912,9 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "restart_overhead_us=0" in out
-        assert (tmp_path / "sweep" / "restart_overhead_us=0" / "migrations.csv").exists()
-        assert (tmp_path / "sweep" / "restart_overhead_us=50000" / "migrations.csv").exists()
+        for variant in ("restart_overhead_us=0", "restart_overhead_us=50000"):
+            assert (tmp_path / "sweep" / variant / "migrations.csv").exists()
+            assert (tmp_path / "sweep" / variant / "trace.jsonl").stat().st_size > 0
 
 
 def _exit_code_and_error(argv, capsys):
@@ -939,6 +941,10 @@ def _long_host_in_a_long_hall(data):
 
 # Each edit of the drone document, and the one error line it must end in.
 _DOCUMENT_FAULTS = {
+    "topology-a-list": (
+        lambda d: d.update(topology=[d["topology"]]),
+        "error: 'topology' must be an object",
+    ),
     "host-not-an-object": (
         lambda d: d["topology"].update(hosts=[5]),
         "error: 'topology.hosts[0]' must be an object",
@@ -950,6 +956,10 @@ _DOCUMENT_FAULTS = {
     "session-of-an-unknown-ue": (
         lambda d: d["sessions"][0].update(ue_id="ghost"),
         "error: sessions[0] references unknown UE 'ghost'",
+    ),
+    "link-of-zero-bandwidth": (
+        lambda d: d["topology"]["links"][0].update(bandwidth_bps=0),
+        "error: 'topology.links[0]': bandwidth_bps must be positive, got 0",
     ),
     "self-link": (
         lambda d: _link(d, "edge-a1", "edge-a1"),
@@ -981,6 +991,11 @@ _DOCUMENT_FAULTS = {
         "error: 'topology.links[1]': extra_latency_us must be <= 1000000000000,"
         " got an integer of 401 digits",
     ),
+    "duration-past-the-largest-float": (
+        lambda d: d.update(duration_us=10**400),
+        "error: duration_us // rtt_sample_interval_us must be <= 1000000, got an integer of 397"
+        " digits",
+    ),
     "long-unknown-top-level-key": (
         lambda d: d.update({"k" * 1000: 1}),
         f"error: unknown key '{'k' * 40}...' (1000 characters)",
@@ -1003,6 +1018,10 @@ _DOCUMENT_FAULTS = {
     "link-to-a-long-unknown-host": (
         lambda d: d["topology"]["links"][0].update(a=_LONG_ID),
         f"error: link from 'edge-a2' to unknown host {_LONG_SHOWN}",
+    ),
+    "trigger-into-a-long-hall-that-matches-none": (
+        lambda d: d["triggers"][0].update(new_zone="x" * 1000),
+        f"error: triggers[0].new_zone '{'x' * 40}...' (1000 characters) matches no host hall",
     ),
     # Cut by its bytes: each control character is a four-byte escape.
     "trigger-into-a-long-control-character-hall": (
@@ -1059,6 +1078,10 @@ _DOCUMENT_FAULTS = {
         "error: 'nfs[1].memory.dirty_model.kind' must be 'constant-rate' or 'bernoulli'"
         f" (got '{'k' * 40}...' (300 characters))",
     ),
+    "constant-rate-model-with-a-bernoulli-key": (
+        lambda d: d["nfs"][1]["memory"]["dirty_model"].update(p_per_page_per_ms=0.001),
+        "error: unknown key 'nfs[1].memory.dirty_model.p_per_page_per_ms'",
+    ),
     "long-unknown-driver-override": (
         lambda d: d["topology"].update(driver_overrides={_LONG_ID: {}}),
         "error: 'topology.driver_overrides' must be one of: host, bridge, macvlan, ipvlan-l2,"
@@ -1108,7 +1131,9 @@ def test_document_fault_exits_2_with_one_error_line(tmp_path, capsys, fault):
 class TestUnreadableDocument:
     def simulate(self, path, capsys):
         argv = ["simulate", str(path), "--out", str(path.parent / "out")]
-        return _exit_code_and_error(argv, capsys)
+        code, err = _exit_code_and_error(argv, capsys)
+        assert len(err.encode()) <= 200  # one error line of at most 200 bytes, whatever the path
+        return code, err
 
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.scenario"
@@ -1135,21 +1160,26 @@ class TestUnreadableDocument:
         assert str(info.value) == message
         assert self.simulate(path, capsys) == (2, f"error: {message}\n")
         assert not (tmp_path / "out").exists()
-        assert not (tmp_path / "out").exists()
 
     def test_not_an_object(self, tmp_path, capsys):
         path = write(tmp_path, [])
         message = f"error: {shown(str(path))} must contain a JSON object\n"
         assert self.simulate(path, capsys) == (2, message)
 
+    @staticmethod
+    def missing(path):
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+        return f"error: cannot read the scenario: {reason}: {shown(str(path))}\n"
+
     def test_a_long_missing_path_is_cut(self, tmp_path, capsys):
         # The path once went into the line raw, and twice: 585 bytes for 250 characters.
         path = tmp_path / ("p" * (250 - len(str(tmp_path)) - 1))
-        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
-        message = f"error: cannot read the scenario: {reason}: {shown(str(path))}\n"
         assert len(str(path)) == 250
-        assert self.simulate(path, capsys) == (2, message)
-        assert len(message.encode()) <= 200
+        assert self.simulate(path, capsys) == (2, self.missing(path))
+
+    def test_a_missing_path_under_a_long_directory_is_cut(self, tmp_path, capsys):
+        path = tmp_path / ("p" * 200) / "missing.scenario"
+        assert self.simulate(path, capsys) == (2, self.missing(path))
 
 
 class TestSweepParams:
