@@ -3,7 +3,8 @@ functions across edge hosts: driver-level latency model, dirty-page memory
 transfer strategies, per-function migration policy, and scenario execution
 with reproducible metrics."""
 
-from .engine import Event, Simulator, rng_stream
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
@@ -55,93 +56,59 @@ from .model import (
     ValidatedTopology,
     validate_topology,
 )
-from .policy import (
-    HostLoad,
-    Objective,
-    PlacementViolation,
-    StrategyDecision,
-    ViolationKind,
-    check_placement,
-    policy_table_text,
-    required_isolation,
-    select_strategy,
-)
-from .runner import MetricsBundle, RecordedMigration, export_metrics, run_scenario
-from .scenario import (
-    MigrationTrigger,
-    Scenario,
-    UeSpec,
-    build_scenario,
-    bundled_scenario_path,
-    load_scenario,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchFilter",
-    "BernoulliDirty",
-    "BUILTIN_DRIVER_PROFILES",
-    "Channel",
-    "ConstantRateDirty",
-    "DanglingReferenceError",
-    "DriverKind",
-    "DuplicateIdError",
-    "Event",
-    "HostLoad",
-    "HostNode",
-    "InvalidCombinationError",
-    "InvariantViolation",
-    "IsolationLevel",
-    "Link",
-    "MemoryImage",
-    "MetricsBundle",
-    "MigrationParams",
-    "MigrationReport",
-    "MigrationTrigger",
-    "NetworkDriverProfile",
-    "NfInstance",
-    "NfKind",
-    "NoPathError",
-    "Objective",
-    "PageState",
-    "PduSession",
-    "PlacementViolation",
-    "PreCopyEstimate",
-    "RecordedMigration",
-    "ReplicaHandle",
-    "Scenario",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "SchedulingInPastError",
-    "SessionType",
-    "Simulator",
-    "SimulatorError",
-    "STATEFUL_VARIANTS",
-    "Strategy",
-    "StrategyDecision",
-    "StrategyInapplicableError",
-    "UeSpec",
-    "ValidatedTopology",
-    "ViolationKind",
-    "advance_dirty",
-    "analytic_pre_copy",
-    "build_scenario",
-    "bundled_scenario_path",
-    "check_placement",
-    "export_metrics",
-    "load_scenario",
-    "migrate_inter_copy",
-    "migrate_parallel",
-    "migrate_post_copy",
-    "migrate_pre_copy",
-    "policy_table_text",
-    "redeploy_stateless",
-    "required_isolation",
-    "rng_stream",
-    "run_scenario",
-    "select_strategy",
-    "start_replica_sync",
-    "transfer_time_us",
-    "validate_topology",
-]
+# The control plane (the event engine, placement policy, scenario documents
+# and the runner) loads on first use, so a caller of the strategy API above
+# imports only the data plane.  Each lazy name is listed once, under the
+# module that defines it.
+_LAZY = {
+    "engine": ("Event", "Simulator", "rng_stream"),
+    "policy": (
+        "HostLoad",
+        "Objective",
+        "PlacementViolation",
+        "StrategyDecision",
+        "ViolationKind",
+        "check_placement",
+        "policy_table_text",
+        "required_isolation",
+        "select_strategy",
+    ),
+    "runner": ("MetricsBundle", "RecordedMigration", "export_metrics", "run_scenario"),
+    "scenario": (
+        "MigrationTrigger",
+        "Scenario",
+        "UeSpec",
+        "build_scenario",
+        "bundled_scenario_path",
+        "load_scenario",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _ModuleType)
+    ]
+    + list(_HOME),
+    key=str.lower,
+)
+
+
+def __getattr__(name: str) -> object:
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})

@@ -33,10 +33,10 @@ clock.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -359,8 +359,10 @@ def migrate_post_copy(
     call on the image.  A stall delays the stream and the touch alike, so
     at offset ``t`` the stream has sent ``(t - latency) // page_us`` pages,
     or all of them with no bandwidth limit.  A page has arrived when its
-    rank, less the fetched ranks below it, is under the pages streamed, or
-    when it was fetched; the fetched ranks are one ascending list.  The
+    rank is below the stream head, the first rank the stream has yet to
+    pass, or when it was fetched.  The head moves one rank per page sent
+    and one more per fetched rank it skips, which a min-heap of the fetched
+    ranks at or past it yields in order, so a fetch costs O(log fetches).  The
     image is written once, at the end: all of it on success, and on
     failure, which only the first fetch can meet since every stall is the
     same, the streamed pages and that one fetched page.  The cost grows
@@ -391,16 +393,15 @@ def migrate_post_copy(
     start = downtime + latency  # the stream starts one latency after restart
     unsent = image.never_copied_count  # pages the stream has yet to send
     streamed = 0  # pages the stream has sent
-    fetched: list[int] = []  # stream ranks of the fetched pages, ascending
+    head = 0  # every rank below the head has arrived
+    fetched: set[int] = set()  # stream ranks of the fetched pages
+    ahead: list[int] = []  # min-heap of the fetched ranks at or past the head
     last_arrival = downtime
     stall_total = 0
     failure: str | None = None
 
     for (offset, page), rank in zip(ordered_trace, ranks):
-        if rank < streamed:  # working set (rank < 0) or streamed
-            continue
-        below = bisect_left(fetched, rank)  # a page's place in the stream is rank - below
-        if rank - below < streamed or below < len(fetched) and fetched[below] == rank:
+        if rank < head or rank in fetched:  # working set (rank < 0), streamed or fetched
             continue
         if offset >= latency:  # stalls delay the stream and the touch alike
             due = int((offset - latency) // page_us) - streamed if page_us else unsent
@@ -409,8 +410,12 @@ def migrate_post_copy(
                     due = unsent
                 streamed += due
                 unsent -= due
+                head += due
+                while ahead and ahead[0] < head:  # the stream skips the fetched pages
+                    heappop(ahead)
+                    head += 1
                 last_arrival = start + streamed * page_us + stall_total  # the stream clock
-                if rank - below < streamed:
+                if rank < head:
                     continue
         stall_total += stall
         last_arrival = downtime + offset + stall_total  # no page lands later than the fetch
@@ -419,7 +424,8 @@ def migrate_post_copy(
             image.copy_lowest(streamed)  # nothing was fetched before this page
             image.mark_copied((page,))
             break
-        fetched.insert(below, rank)
+        fetched.add(rank)
+        heappush(ahead, rank)
         unsent -= 1
 
     if failure is None:

@@ -26,7 +26,6 @@ import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
 from enum import EnumMeta
-from importlib import resources
 from pathlib import Path
 from types import GenericAlias
 from typing import Any, get_args
@@ -452,4 +451,4 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def bundled_scenario_path(name: str = "drone") -> Path:
     """Filesystem path of a scenario shipped with the package."""
-    return Path(resources.files("nfmigsim") / "scenarios" / f"{name}.scenario")
+    return Path(__file__).parent / "scenarios" / f"{name}.scenario"

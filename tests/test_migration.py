@@ -1087,17 +1087,22 @@ def scale_trace(rng, num_pages, horizon_us, touches=2_000):
 
 
 @pytest.mark.parametrize(
-    "working_set, bandwidth, deadline_us, start_us",
+    "working_set, bandwidth, deadline_us, start_us, reach",
     [
-        (None, 10**5, 500_000, 0),  # default working set, 40 us per page
-        ("tuple", 10**5, 500_000, 0),
-        (None, None, 500_000, 0),  # no bandwidth limit: the stream lands at once
-        ("tuple", 10**5, 50, 20_000),  # the first fetch fails, after the stream started
+        (None, 10**5, 500_000, 0, 1),  # default working set, 40 us per page
+        ("tuple", 10**5, 500_000, 0, 1),
+        (None, None, 500_000, 0, 1),  # no bandwidth limit: the stream lands at once
+        ("tuple", 10**5, 50, 20_000, 1),  # the first fetch fails, after the stream started
+        # Touches in the first tenth of the stream: hundreds fetch ahead of
+        # it, and the stream head then skips nearly every fetched rank.
+        ("tuple", 10**5, 500_000, 0, 10),
     ],
 )
 def test_post_copy_matches_page_by_page_reference_at_scale(
-    working_set, bandwidth, deadline_us, start_us
+    working_set, bandwidth, deadline_us, start_us, reach
 ):
+    """Touches go to the first ``1 / reach`` of the pages, over half the time
+    the stream takes to send them."""
     num_pages, page_size = 2 * 10**4, 4
     rng = random.Random(num_pages + start_us)
     if working_set == "tuple":
@@ -1105,8 +1110,9 @@ def test_post_copy_matches_page_by_page_reference_at_scale(
     image = MemoryImage(num_pages, page_size, working_set=working_set)
     channel = Channel(bandwidth, 40)
     params = MigrationParams(postcopy_fault_deadline_us=deadline_us)
-    horizon_us = (num_pages * serialize_us(page_size, channel) or 200) // 2
-    trace = [(start_us + offset, page) for offset, page in scale_trace(rng, num_pages, horizon_us)]
+    touched = num_pages // reach
+    horizon_us = (touched * serialize_us(page_size, channel) or 200) // 2
+    trace = [(start_us + offset, page) for offset, page in scale_trace(rng, touched, horizon_us)]
     expected, states = reference_post_copy(image, channel, params, trace)
     nf = NfInstance("smf-t", NfKind.SMF, "h1", memory=image)
     report = migrate_post_copy(nf, channel, params, trace)
