@@ -138,17 +138,11 @@ class MigrationReport:
         return f"failed({self.failure_reason})"
 
 
-def _ceil_div_us(numerator: int, bandwidth: int | float) -> int:
-    if isinstance(bandwidth, int):
-        return -(-numerator // bandwidth)
-    return math.ceil(Fraction(numerator) / Fraction(bandwidth))
-
-
 def serialize_us(nbytes: int, channel: Channel) -> int:
-    """Link occupancy for ``nbytes`` at the channel's bandwidth, rounded up."""
+    """Link occupancy for ``nbytes`` at the channel's ``int`` bandwidth, rounded up."""
     if nbytes <= 0 or channel.bandwidth_bps is None:
         return 0
-    return _ceil_div_us(nbytes * MICROS_PER_SECOND, channel.bandwidth_bps)
+    return -(-nbytes * MICROS_PER_SECOND // channel.bandwidth_bps)
 
 
 def latency_ceil_us(channel: Channel) -> int:

@@ -32,8 +32,8 @@ from .memory import MemoryImage
 
 DEFAULT_INTRA_HOST_LATENCY_US = 25
 #: The most latency, in µs, one link, driver or intra-host hop may add (about
-#: 11.6 days).  It keeps a route's summed latency, and twice it as an RTT, a
-#: finite float, however many links it spans.
+#: 11.6 days).  Link and driver latencies are integers, so twice an inter-host
+#: latency is an exact integer while it stays below 2^53 (over 4,500 links).
 MAX_LATENCY_US = 10**12
 
 
@@ -61,7 +61,9 @@ class NetworkDriverProfile:
 
     def __post_init__(self):
         entity, rtt = f"driver '{self.kind.value}'", self.rtt_inter_host_us
-        check_bound("rtt_inter_host_us", rtt, high=MAX_LATENCY_US, above=0, entity=entity)
+        check_bound(
+            "rtt_inter_host_us", rtt, high=MAX_LATENCY_US, above=0, integer=True, entity=entity
+        )
 
 
 #: Measured container-to-container RTTs across two hosts, per driver.
@@ -118,13 +120,14 @@ class HostNode:
     attached_driver: DriverKind
 
     def __post_init__(self):
-        # An infinite capacity is allowed: HostLoad reads it as fitting anything.
-        check_bound("cpu_capacity", self.cpu_capacity, 0, number=True, entity=shown(self.id))
+        capacity = self.cpu_capacity
+        check_bound("cpu_capacity", capacity, 0, math.inf, number=True, entity=shown(self.id))
 
 
 @dataclass(frozen=True)
 class Link:
-    """A link between two hosts; ``bandwidth_bps`` is in bytes per second, despite its name."""
+    """A link between two hosts: ``int`` bytes per second (``bandwidth_bps``, despite its
+    name) and ``int`` µs of extra latency, as a document holds them, so route sums are exact."""
 
     a: str
     b: str
@@ -133,8 +136,9 @@ class Link:
 
     def __post_init__(self):
         entity = self.label
-        check_bound("bandwidth_bps", self.bandwidth_bps, above=0, entity=entity)
-        check_bound("extra_latency_us", self.extra_latency_us, 0, MAX_LATENCY_US, entity=entity)
+        check_bound("bandwidth_bps", self.bandwidth_bps, above=0, integer=True, entity=entity)
+        latency = self.extra_latency_us
+        check_bound("extra_latency_us", latency, 0, MAX_LATENCY_US, integer=True, entity=entity)
 
     @property
     def label(self) -> str:  # how messages name the link
@@ -177,9 +181,9 @@ class NfInstance:
 class Channel:
     """A transfer conduit between two placements.
 
-    ``bandwidth_bps`` is in bytes per second, despite its name; ``None``
-    means co-located endpoints: no serialization delay, intra-host latency
-    only.
+    ``bandwidth_bps`` is a positive ``int`` of bytes per second, despite its
+    name; ``None`` means co-located endpoints: no serialization delay,
+    intra-host latency only.
     """
 
     bandwidth_bps: int | None
@@ -187,7 +191,7 @@ class Channel:
 
     def __post_init__(self):
         if self.bandwidth_bps is not None:
-            check_bound("bandwidth_bps", self.bandwidth_bps, above=0)
+            check_bound("bandwidth_bps", self.bandwidth_bps, above=0, integer=True)
         check_bound("latency_us", self.latency_us, 0, math.inf)
 
 
@@ -240,8 +244,8 @@ class ValidatedTopology:
 
         BFS scans neighbours in id order and fills a host's entry, from its
         parent's entry and the link between them, when it first reaches it:
-        the fewest-hop route with an id-ordered tie-break.  ``source`` maps
-        to ``(0, None)``.  Built once per source.
+        the fewest-hop route with an id-ordered tie-break; the extra latency
+        is an exact ``int`` sum.  ``source`` maps to ``(0, None)``.  Built once per source.
         """
         table = self._routes.get(source)
         if table is None:

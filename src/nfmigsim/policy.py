@@ -149,20 +149,19 @@ def _exact(x: float) -> Fraction:
 class HostLoad:
     """The host each function is assigned to, and so the compute in use per host.
 
-    Each demand and capacity is read exactly (:func:`_exact`) and kept as an
-    ``int`` count of one unit, the least common multiple of their
+    Each demand and capacity is finite, read exactly (:func:`_exact`) and
+    kept as an ``int`` count of one unit, the least common multiple of their
     denominators.  So loads are exact, and no order of the functions changes
     them.
     """
 
     def __init__(self, topology: ValidatedTopology):
-        demands = {nf.id: _exact(nf.cpu_demand) for nf in topology.nfs.values()}
-        capacities = {h.id: h.cpu_capacity for h in topology.hosts.values()}
-        # An infinite capacity, which only a host made in code can have, stays math.inf.
-        exact = {h: _exact(c) for h, c in capacities.items() if c < math.inf}
-        unit = self._unit = math.lcm(*(x.denominator for x in (*demands.values(), *exact.values())))
-        self._demand = {nf_id: int(demand * unit) for nf_id, demand in demands.items()}
-        self._capacity = {**capacities, **{h: int(value * unit) for h, value in exact.items()}}
+        demand = {nf.id: _exact(nf.cpu_demand) for nf in topology.nfs.values()}
+        capacity = {h.id: _exact(h.cpu_capacity) for h in topology.hosts.values()}
+        exact = (*demand.values(), *capacity.values())
+        unit = self._unit = math.lcm(*(x.denominator for x in exact))
+        self._demand = {nf_id: int(x * unit) for nf_id, x in demand.items()}
+        self._capacity = {host_id: int(x * unit) for host_id, x in capacity.items()}
         self._host = {nf.id: nf.host for nf in topology.nfs.values()}
         self._used = dict.fromkeys(topology.hosts, 0)
         for nf_id, host_id in self._host.items():

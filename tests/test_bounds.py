@@ -147,16 +147,18 @@ BOUNDS = {
         "rtt_inter_host_us",
         high=MAX_LATENCY_US,
         above=0,
+        integer=True,
     ),
     "HostNode": Bound(
         lambda v: HostNode("h", "A", v, DriverKind.HOST),
         InvariantViolation,
         "cpu_capacity",
         0,
+        math.inf,
         number=True,
     ),
     "Link.bandwidth_bps": Bound(
-        lambda v: Link("a", "b", v), InvariantViolation, "bandwidth_bps", above=0
+        lambda v: Link("a", "b", v), InvariantViolation, "bandwidth_bps", above=0, integer=True
     ),
     "Link.extra_latency_us": Bound(
         lambda v: Link("a", "b", 10**8, v),
@@ -164,6 +166,7 @@ BOUNDS = {
         "extra_latency_us",
         0,
         MAX_LATENCY_US,
+        integer=True,
     ),
     "NfInstance": Bound(
         lambda v: NfInstance("n", NfKind.UPF, "h", None, v),
@@ -173,7 +176,9 @@ BOUNDS = {
         math.inf,
         number=True,
     ),
-    "Channel.bandwidth_bps": Bound(lambda v: Channel(v, 0), ValueError, "bandwidth_bps", above=0),
+    "Channel.bandwidth_bps": Bound(
+        lambda v: Channel(v, 0), ValueError, "bandwidth_bps", above=0, integer=True
+    ),
     "Channel.latency_us": Bound(lambda v: Channel(10, v), ValueError, "latency_us", 0, math.inf),
     "validate_topology": Bound(
         lambda v: validate_topology([_HOST], [], [], intra_host_latency_us=v),

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import random
 from collections import deque
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from nfmigsim import (
     validate_topology,
 )
 from nfmigsim.model import MAX_LATENCY_US
-from nfmigsim.policy import HostLoad
 
 # Measured RTT, L2 capability and isolation per driver.
 DRIVER_TABLE_EXPECTED = {
@@ -166,8 +164,9 @@ def early_exit_bfs(links, a, b):
 
 
 @st.composite
-def link_graphs(draw):
-    """Up to 12 hosts (ids "h0".."h11", so id order is not numeric order) and random links.
+def link_graphs(draw, latencies=st.integers(0, 500)):
+    """Up to 12 hosts (ids "h0".."h11", so id order is not numeric order) and random links,
+    each with an extra latency drawn from ``latencies``.
 
     A drawn spanning chain makes about half the graphs connected; the rest
     are usually cut into several components.
@@ -180,22 +179,34 @@ def link_graphs(draw):
         order = draw(st.permutations(ids))
         pairs |= {tuple(sorted(pair)) for pair in zip(order, order[1:])}
     links = [
-        Link(a, b, draw(st.integers(1, 10**9)), draw(st.integers(0, 500)))
+        Link(a, b, draw(st.integers(1, 10**9)), draw(latencies))
         for a, b in sorted(pairs)
     ]
     return ids, links
+
+
+def route_links(links, a, b):
+    """The links of the early-exit BFS route from the lower id; None if cut off."""
+    hops = early_exit_bfs(links, min(a, b), max(a, b))
+    if hops is None:
+        return None
+    by_pair = {frozenset((link.a, link.b)): link for link in links}
+    return [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
+
+
+def pair_rtt(topo, a, b):
+    """The RTT of the more restrictive of the two hosts' drivers."""
+    return max(topo.drivers[topo.hosts[h].attached_driver].rtt_inter_host_us for h in (a, b))
 
 
 def expected_route(topo, links, a, b):
     """(latency, channel bandwidth) from an early-exit BFS run from the lower id; None if cut off."""
     if a == b:
         return topo.intra_host_latency_us, None
-    hops = early_exit_bfs(links, min(a, b), max(a, b))
-    if hops is None:
+    used = route_links(links, a, b)
+    if used is None:
         return None
-    by_pair = {frozenset((link.a, link.b)): link for link in links}
-    used = [by_pair[frozenset(step)] for step in zip(hops, hops[1:])]
-    rtt = max(topo.drivers[topo.hosts[h].attached_driver].rtt_inter_host_us for h in (a, b))
+    rtt = pair_rtt(topo, a, b)
     extra = sum(link.extra_latency_us for link in used)
     return rtt / 2 + extra, min(link.bandwidth_bps for link in used)
 
@@ -223,6 +234,39 @@ def test_routes_equal_an_early_exit_bfs_from_the_lower_id_both_ways(graph):
     ids, links = graph
     topo = validate_topology([HostNode(i, "z", 4, DriverKind.MACVLAN) for i in ids], links, [])
     assert_routes_match_bfs_and_are_symmetric(topo, links)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graph=link_graphs(st.integers(0, MAX_LATENCY_US)),
+    kinds=st.lists(st.sampled_from(DriverKind), min_size=12, max_size=12),
+    rtts=st.lists(
+        st.integers(0, MAX_LATENCY_US // 2 - 1).map(lambda k: 2 * k + 1),
+        min_size=len(DriverKind),
+        max_size=len(DriverKind),
+    ),
+)
+def test_inter_host_latencies_are_exact_half_integers(graph, kinds, rtts):
+    # Integer link and driver latencies make every route sum exact, so no
+    # order of adding a route's links can change a latency by a last bit.
+    ids, links = graph
+    drivers = {
+        kind: dataclasses.replace(BUILTIN_DRIVER_PROFILES[kind], rtt_inter_host_us=rtt)
+        for kind, rtt in zip(DriverKind, rtts)
+    }
+    hosts = [HostNode(i, "z", 4, kind) for i, kind in zip(ids, kinds)]
+    topo = validate_topology(hosts, links, [], drivers=drivers)
+    for a in ids:
+        for b in ids:
+            used = route_links(links, a, b)
+            if a == b or used is None:
+                continue
+            twice = 2 * topo.channel(a, b).latency_us
+            assert twice.is_integer()
+            extra = 0
+            for link in reversed(used):
+                extra += link.extra_latency_us
+            assert twice == pair_rtt(topo, a, b) + 2 * extra
 
 
 def test_ring_with_two_shortest_paths_is_read_from_the_lower_id():
@@ -391,6 +435,29 @@ class TestChannel:
             Channel(100, latency)
 
 
+@pytest.mark.parametrize(
+    "value", [7.5, 1e8, True], ids=["fraction", "integral-float", "bool"]
+)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: Link("h1", "h2", v), "link ('h1', 'h2'): bandwidth_bps"),
+        (lambda v: Link("h1", "h2", 10**8, v), "link ('h1', 'h2'): extra_latency_us"),
+        (
+            lambda v: NetworkDriverProfile(DriverKind.HOST, v, True, IsolationLevel.NONE),
+            "driver 'host': rtt_inter_host_us",
+        ),
+        (lambda v: Channel(v, 0), "bandwidth_bps"),
+    ],
+    ids=["link-bandwidth", "link-latency", "driver-rtt", "channel-bandwidth"],
+)
+def test_link_driver_and_channel_numbers_must_be_integers(build, message, value):
+    # A document holds each of these as an int; a float is not one even when integral.
+    with pytest.raises((InvariantViolation, ValueError)) as info:
+        build(value)
+    assert str(info.value) == f"{message} must be an integer, got {value!r}"
+
+
 class TestDerivedState:
     def test_state_follows_memory(self):
         smf = NfInstance("smf-1", NfKind.SMF, "h1", memory=MemoryImage(8, 4096))
@@ -442,13 +509,17 @@ class TestDerivedState:
             )
 
     def test_negative_capacity_rejected_at_construction(self):
-        with pytest.raises(InvariantViolation, match="'h1': cpu_capacity must be >= 0"):
+        with pytest.raises(
+            InvariantViolation, match="'h1': cpu_capacity must be finite and >= 0, got -1"
+        ):
             HostNode("h1", "z", -1, DriverKind.MACVLAN)
 
     def test_nan_capacity_rejected_at_construction(self):
         # NaN fails every comparison, so a `< 0` check would let it through
         # and no demand would ever exceed the host's capacity.
-        with pytest.raises(InvariantViolation, match="'h1': cpu_capacity must be >= 0, got nan"):
+        with pytest.raises(
+            InvariantViolation, match="'h1': cpu_capacity must be finite and >= 0, got nan"
+        ):
             HostNode("h1", "z", float("nan"), DriverKind.MACVLAN)
 
     def test_nan_cpu_demand_rejected(self):
@@ -492,17 +563,12 @@ class TestDerivedState:
             build()
         assert str(info.value) == message
 
-    def test_an_infinite_capacity_fits_anything(self):
-        hosts = [
-            HostNode("h1", "z", math.inf, DriverKind.MACVLAN),
-            HostNode("h2", "z", 1, DriverKind.MACVLAN),
-        ]
-        nfs = [NfInstance(f"upf-{i}", NfKind.UPF, "h2", cpu_demand=1e300) for i in range(3)]
-        load = HostLoad(validate_topology(hosts, [Link("h1", "h2", 10**8)], nfs))
-        for nf in nfs:
-            assert load.fits(nf, "h1") and not load.fits(nf, "h2")
-            load.move(nf.id, "h1")
-        assert load.used_by_others("h1", "upf-0") == 2 * Fraction("1e300")
+    def test_an_infinite_capacity_is_rejected_at_construction(self):
+        # A capacity is finite, like every capacity a document can hold, so HostLoad
+        # keeps each one as an exact int count.
+        with pytest.raises(InvariantViolation) as info:
+            HostNode("h1", "z", math.inf, DriverKind.MACVLAN)
+        assert str(info.value) == "'h1': cpu_capacity must be finite and >= 0, got inf"
 
     @pytest.mark.parametrize(
         "build",
@@ -543,7 +609,7 @@ class TestDerivedState:
         # Either once validated, and the first channel over it raised.
         with pytest.raises(InvariantViolation) as info:
             Link("h1", "h2", 10**8, float("inf"))
-        message = "link ('h1', 'h2'): extra_latency_us must be <= 1000000000000, got inf"
+        message = "link ('h1', 'h2'): extra_latency_us must be an integer, got inf"
         assert str(info.value) == message
         with pytest.raises(InvariantViolation) as info:
             two_host_topology(
@@ -563,10 +629,10 @@ class TestDerivedState:
         NetworkDriverProfile(DriverKind.HOST, MAX_LATENCY_US, True, IsolationLevel.NONE)
         with pytest.raises(
             InvariantViolation,
-            match=f"driver 'host': rtt_inter_host_us must be <= {MAX_LATENCY_US}, got 1e"
-            r"\+300$",
+            match=f"driver 'host': rtt_inter_host_us must be <= {MAX_LATENCY_US}, got an "
+            "integer of 301 digits$",
         ):
-            NetworkDriverProfile(DriverKind.HOST, 1e300, True, IsolationLevel.NONE)
+            NetworkDriverProfile(DriverKind.HOST, 10**300, True, IsolationLevel.NONE)
 
     def test_a_route_of_links_at_the_cap_has_a_finite_latency(self):
         # Without the cap, two links of 1e308 each would sum past the largest float.

@@ -326,6 +326,14 @@ class TestErrorSurface:
         data["topology"]["hosts"][0]["cpu_capacity"] = 10**308
         assert build_scenario(data).topology.hosts["edge-a1"].cpu_capacity == 10**308
 
+    def test_a_negative_capacity_reads_like_a_negative_demand(self):
+        data = _error_surface_document()
+        data["topology"]["hosts"][0]["cpu_capacity"] = -1
+        with pytest.raises(ScenarioParseError) as info:
+            build_scenario(data)
+        message = "'topology.hosts[0]': cpu_capacity must be finite and >= 0, got -1"
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "path, key, value, error",
         [
