@@ -1,9 +1,11 @@
-"""Exception types shared across the simulator, and :func:`check_bound`, which checks every
-numeric bound: it raises ``InvariantViolation`` when the owner names an entity, else ``ValueError``.
+"""Exception types shared across the simulator; :func:`check_bound`, which checks every numeric
+bound: it raises ``InvariantViolation`` when the owner names an entity, else ``ValueError``; and
+:func:`checked`, which runs a record's checks on every copy of it.
 """
 
 import math
 import re
+from functools import wraps
 from itertools import accumulate
 
 
@@ -108,3 +110,26 @@ def check_bound(
     rule = side if not holds else kind if wrong_type else f"<= {high}"
     detail = f"{name} must be {rule}, got {shown(value)}"
     raise ValueError(detail) if entity is None else InvariantViolation(entity, detail)
+
+
+def checked(record):
+    """Class decorator: the ``NamedTuple`` class ``record`` runs its ``_check`` on each record it
+    builds, whether by its constructor or by ``_make``, and so by ``_replace``: no copy skips a
+    bound.  ``typing.NamedTuple`` forbids ``__new__`` and ``_make`` in the class body.
+    """
+    fields_new, fields_make = record.__new__, record._make.__func__
+
+    @wraps(fields_new)
+    def __new__(cls, *args, **kwargs):
+        self = fields_new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _make(cls, values):
+        self = fields_make(cls, values)
+        self._check()
+        return self
+
+    record.__new__ = __new__
+    record._make = classmethod(_make)
+    return record

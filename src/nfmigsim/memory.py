@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import sub
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvariantViolation, check_bound
+from .errors import InvariantViolation, check_bound, checked
 
 MICROS_PER_SECOND = 10**6
 
@@ -364,34 +362,42 @@ class MemoryImage:
         return marked
 
 
-@dataclass(frozen=True)
 class ConstantRateDirty:
     """Deterministic dirtying at a fixed page rate with exact carry.
 
     Over a span of ``t`` microseconds the raw count is
     ``floor(rate * t / 1e6 + carry)`` and the fractional remainder is carried
     to the next call, so slicing a span into sub-calls yields the same total.
-    With the rate as the exact ratio ``num / den``, the carry is an integer
+    With the rate as the exact ratio ``num / den`` (``as_integer_ratio`` of an
+    ``int``, ``float``, ``Fraction`` or ``Decimal``), the carry is an integer
     count of ``1 / (den * 1e6)`` pages, so each draw is one integer ``divmod``.
-    The rate is frozen; the carry, in a one-item list, is all a draw changes.
+    The rate is read-only; the carry is all a draw changes.
     """
 
-    rate_pages_per_s: float
+    __slots__ = ("_rate", "_ratio", "_carry")
 
-    def __post_init__(self):
-        check_bound("rate_pages_per_s", self.rate_pages_per_s, 0, math.inf)
-        num, den = Fraction(self.rate_pages_per_s).as_integer_ratio()
-        object.__setattr__(self, "_ratio", (num, den * MICROS_PER_SECOND))
-        object.__setattr__(self, "_carry", [0])
+    def __init__(self, rate_pages_per_s: float):
+        check_bound("rate_pages_per_s", rate_pages_per_s, 0, math.inf)
+        num, den = rate_pages_per_s.as_integer_ratio()
+        self._rate = rate_pages_per_s
+        self._ratio = (num, den * MICROS_PER_SECOND)
+        self._carry = 0
+
+    @property
+    def rate_pages_per_s(self) -> float:
+        return self._rate
+
+    def __repr__(self) -> str:
+        return f"ConstantRateDirty(rate_pages_per_s={self._rate!r})"
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
-        (num, unit), carry = self._ratio, self._carry
-        raw, carry[0] = divmod(num * duration_us + carry[0], unit)
+        num, unit = self._ratio
+        raw, self._carry = divmod(num * duration_us + self._carry, unit)
         return image.dirty_lowest(raw)
 
 
-@dataclass(frozen=True)
-class BernoulliDirty:
+@checked
+class BernoulliDirty(NamedTuple):
     """Each non-dirty page flips independently with a per-millisecond probability.
 
     Over ``t`` microseconds of execution a page flips with probability
@@ -416,10 +422,13 @@ class BernoulliDirty:
     """
 
     p_per_page_per_ms: float
-    rng: Random = field(repr=False)
+    rng: Random
 
-    def __post_init__(self):
+    def _check(self):
         check_bound("p_per_page_per_ms", self.p_per_page_per_ms, 0, 1)
+
+    def __repr__(self) -> str:  # the stream's repr says nothing about it
+        return f"BernoulliDirty(p_per_page_per_ms={self.p_per_page_per_ms!r})"
 
     def draw(self, image: MemoryImage, duration_us: int) -> int:
         q = 1.0 - (1.0 - self.p_per_page_per_ms) ** (duration_us / 1000.0)

@@ -33,15 +33,13 @@ clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import InvariantViolation, StrategyInapplicableError, check_bound
+from .errors import InvariantViolation, StrategyInapplicableError, check_bound, checked
 from .memory import (
     MICROS_PER_SECOND,
     DirtyProcess,
@@ -64,8 +62,8 @@ class Strategy(str, Enum):
     NO_MIGRATION_REDEPLOY = "redeploy"
 
 
-@dataclass(frozen=True)
-class MigrationParams:
+@checked
+class MigrationParams(NamedTuple):
     """Overheads and knobs shared by the strategy state machines.
 
     The phase overheads (freeze, restart, replica activation) are design
@@ -82,9 +80,9 @@ class MigrationParams:
     ppm_sync_interval_us: int = 100_000
     handover_signal_roundtrips: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         # The clock counts whole microseconds, so every field is an integer.
-        for name, value in vars(self).items():
+        for name, value in zip(self._fields, self):
             check_bound(name, value, *_PARAM_BOUNDS.get(name, (0,)), integer=True)
 
 
@@ -102,13 +100,8 @@ class Phase(NamedTuple):
     down: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class MigrationReport:
-    """A migration's outcome; its phases run back to back from the migration's start.
-
-    ``downtime_us`` is the sum of the down phases' spans, counted once when
-    the report is built.
-    """
+class MigrationReport(NamedTuple):
+    """A migration's outcome; its phases run back to back from the migration's start."""
 
     strategy: Strategy
     bytes_transferred: int
@@ -117,11 +110,15 @@ class MigrationReport:
     rounds: int = 0
     failure_reason: str | None = None  # None: the migration succeeded
     phases: tuple[Phase, ...] = ()
-    downtime_us: int = field(init=False)
 
-    def __post_init__(self):
-        downtime = sum([span for _, span, down in self.phases if down])
-        object.__setattr__(self, "downtime_us", downtime)
+    @property
+    def downtime_us(self) -> int:
+        """The sum of the down phases' spans."""
+        return sum([span for _, span, down in self.phases if down])
+
+    def __repr__(self) -> str:  # every field, then the downtime
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"MigrationReport({fields}, downtime_us={self.downtime_us})"
 
     @property
     def migration_time_us(self) -> int:
@@ -269,8 +266,7 @@ def migrate_pre_copy(
     )
 
 
-@dataclass(frozen=True)
-class PreCopyEstimate:
+class PreCopyEstimate(NamedTuple):
     """Closed-form pre-copy outcome for the constant-rate dirty model."""
 
     rounds: int
@@ -295,6 +291,8 @@ def analytic_pre_copy(
     the same whole-microsecond round durations and fractional-page carry,
     without any event or page bookkeeping.
     """
+    from fractions import Fraction  # only this oracle needs it
+
     check_bound("num_pages", num_pages, 0, math.inf)
     check_bound("bandwidth", bandwidth_pages_per_s, high=math.inf, above=0)
     check_bound("rate_pages_per_s", dirty_rate_pages_per_s, 0, math.inf)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DanglingReferenceError,
@@ -26,6 +25,7 @@ from .errors import (
     InvariantViolation,
     NoPathError,
     check_bound,
+    checked,
     shown,
 )
 from .memory import MemoryImage
@@ -52,14 +52,14 @@ class IsolationLevel(str, Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class NetworkDriverProfile:
+@checked
+class NetworkDriverProfile(NamedTuple):
     kind: DriverKind
     rtt_inter_host_us: int
     carries_l2: bool
     isolation: IsolationLevel
 
-    def __post_init__(self):
+    def _check(self):
         entity, rtt = f"driver '{self.kind.value}'", self.rtt_inter_host_us
         check_bound(
             "rtt_inter_host_us", rtt, high=MAX_LATENCY_US, above=0, integer=True, entity=entity
@@ -112,20 +112,20 @@ STATEFUL_VARIANTS: Mapping[NfKind, tuple[bool, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class HostNode:
+@checked
+class HostNode(NamedTuple):
     id: str
     hall: str
     cpu_capacity: float
     attached_driver: DriverKind
 
-    def __post_init__(self):
+    def _check(self):
         capacity = self.cpu_capacity
         check_bound("cpu_capacity", capacity, 0, math.inf, number=True, entity=shown(self.id))
 
 
-@dataclass(frozen=True)
-class Link:
+@checked
+class Link(NamedTuple):
     """A link between two hosts: ``int`` bytes per second (``bandwidth_bps``, despite its
     name) and ``int`` µs of extra latency, as a document holds them, so route sums are exact."""
 
@@ -134,7 +134,7 @@ class Link:
     bandwidth_bps: int
     extra_latency_us: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         entity = self.label
         check_bound("bandwidth_bps", self.bandwidth_bps, above=0, integer=True, entity=entity)
         latency = self.extra_latency_us
@@ -145,16 +145,15 @@ class Link:
         return f"link ({shown(self.a)}, {shown(self.b)})"
 
 
-@dataclass(frozen=True)
-class PduSession:
+class PduSession(NamedTuple):
     id: str
     session_type: SessionType
     ue_id: str
     anchor_upf: str
 
 
-@dataclass(frozen=True)
-class NfInstance:
+@checked
+class NfInstance(NamedTuple):
     """A running network function.
 
     An instance is stateful exactly when it carries a memory image.  The
@@ -168,7 +167,7 @@ class NfInstance:
     memory: MemoryImage | None = None
     cpu_demand: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         demand = self.cpu_demand
         check_bound("cpu_demand", demand, 0, math.inf, number=True, entity=shown(self.id))
 
@@ -177,8 +176,8 @@ class NfInstance:
         return self.memory is not None
 
 
-@dataclass(frozen=True)
-class Channel:
+@checked
+class Channel(NamedTuple):
     """A transfer conduit between two placements.
 
     ``bandwidth_bps`` is a positive ``int`` of bytes per second, despite its
@@ -189,7 +188,7 @@ class Channel:
     bandwidth_bps: int | None
     latency_us: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.bandwidth_bps is not None:
             check_bound("bandwidth_bps", self.bandwidth_bps, above=0, integer=True)
         check_bound("latency_us", self.latency_us, 0, math.inf)

@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import EnumMeta
 from pathlib import Path
 from types import GenericAlias
@@ -286,14 +286,14 @@ _LINK_KEYS = {
     "a": (str,),
     "b": (str,),
     "bandwidth_bps": (int,),
-    "extra_latency_us": (int, Link.extra_latency_us),
+    "extra_latency_us": (int, Link._field_defaults["extra_latency_us"]),
 }
 _UE_KEYS = {"id": (str,), "zone": (str,)}
 _NF_KEYS = {
     "id": (str,),
     "kind": (NfKind,),
     "stateful": (bool, None),  # the kind's default variant
-    "cpu_demand": (float, NfInstance.cpu_demand),
+    "cpu_demand": (float, NfInstance._field_defaults["cpu_demand"]),
     "host": (str,),
     "memory": (_Reader, {}),
 }
@@ -315,7 +315,9 @@ _SESSION_KEYS = {
     "ue_id": (str,),
     "anchor_upf": (str,),
 }
-_MIGRATION_PARAMS_KEYS = {field.name: (int, field.default) for field in fields(MigrationParams)}
+_MIGRATION_PARAMS_KEYS = {
+    name: (int, default) for name, default in MigrationParams._field_defaults.items()
+}
 _TRIGGER_KEYS = {
     "time_us": (int,),
     "affected_kinds": (list[NfKind], MigrationTrigger.affected_kinds),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -120,9 +122,9 @@ BOUNDS = {
         integer=True,
     ),
     **{
-        f"MigrationParams.{f.name}": Bound(_params(f.name), ValueError, f.name, 0, integer=True)
-        for f in dataclasses.fields(MigrationParams)
-        if f.name != "precopy_max_rounds"
+        f"MigrationParams.{name}": Bound(_params(name), ValueError, name, 0, integer=True)
+        for name in MigrationParams._fields
+        if name != "precopy_max_rounds"
     },
     "MigrationParams.precopy_max_rounds": Bound(
         _params("precopy_max_rounds"),
@@ -247,6 +249,79 @@ def test_each_bound_raises_its_owners_type_with_a_short_message(bound, value):
     assert type(info.value) is bound.owner
     message = str(info.value)
     assert len(message) < 120 and bound.field in message
+
+
+# Each record with a bound: a valid record, a field, a value past the field's bound and the
+# message its constructor raises for that value.
+_RECORDS = {
+    "NetworkDriverProfile": (
+        NetworkDriverProfile(DriverKind.HOST, 522, True, IsolationLevel.NONE),
+        "rtt_inter_host_us",
+        0,
+        "driver 'host': rtt_inter_host_us must be positive, got 0",
+    ),
+    "HostNode": (
+        HostNode("h1", "z", 4.0, DriverKind.MACVLAN),
+        "cpu_capacity",
+        math.inf,
+        "'h1': cpu_capacity must be finite and >= 0, got inf",
+    ),
+    "Link": (
+        Link("h1", "h2", 1000, 5),
+        "extra_latency_us",
+        1.5,
+        "link ('h1', 'h2'): extra_latency_us must be an integer, got 1.5",
+    ),
+    "NfInstance": (
+        NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=2.0),
+        "cpu_demand",
+        -1,
+        "'upf-1': cpu_demand must be finite and >= 0, got -1",
+    ),
+    "Channel": (Channel(100, 5.0), "bandwidth_bps", 0, "bandwidth_bps must be positive, got 0"),
+    "MigrationParams": (
+        MigrationParams(),
+        "precopy_max_rounds",
+        MAX_PRECOPY_ROUNDS + 1,
+        "precopy_max_rounds must be <= 1000, got 1001",
+    ),
+    "BernoulliDirty": (
+        BernoulliDirty(0.1, Random(1)),
+        "p_per_page_per_ms",
+        1.5,
+        "p_per_page_per_ms must be <= 1, got 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_a_copy_keeps_every_bound(name):
+    record, field, value, message = _RECORDS[name]
+    kept = getattr(record, field)
+    with pytest.raises((ValueError, InvariantViolation)) as built:
+        type(record)(**{**record._asdict(), field: value})
+    with pytest.raises((ValueError, InvariantViolation)) as copied:
+        record._replace(**{field: value})
+    assert type(copied.value) is type(built.value)
+    assert str(copied.value) == str(built.value) == message
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) == kept
+
+
+@pytest.mark.parametrize("rate", [7, 0.1, 1 / 3, Fraction(1, 3), Decimal("0.1")], ids=repr)
+def test_a_constant_rate_is_read_as_its_exact_ratio(rate):
+    # The ratio and the draws that ``Fraction(rate)`` gives, for each type a rate may take.
+    num, den = Fraction(rate).as_integer_ratio()
+    process = ConstantRateDirty(rate)
+    assert process._ratio == (num, den * 10**6)
+    image = MemoryImage(10**4, 1)
+    elapsed = 0
+    for duration_us in (1, 999_999, 333_333, 7, 10**6, 2_500_001):
+        before = Fraction(num, den) * elapsed // 10**6
+        elapsed += duration_us
+        expected = Fraction(num, den) * elapsed // 10**6 - before
+        assert advance_dirty(image, process, duration_us) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Dirty-page bookkeeping: batch filters, carry arithmetic, conservation."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -199,7 +198,7 @@ class TestConstantRate:
         image = clean_image(100)
         process = ConstantRateDirty(10)
         assert advance_dirty(image, process, 50_000) == 0  # 0.5 pages carried
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             process.rate_pages_per_s = -5.0
         assert repr(process) == "ConstantRateDirty(rate_pages_per_s=10)"
         assert advance_dirty(image, process, 50_000) == 1  # the carry was kept
@@ -255,7 +254,7 @@ class TestBernoulli:
         with pytest.raises(TypeError):
             BernoulliDirty(0.1)
         dirty = BernoulliDirty(0.1, rng_stream("w", 5))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             dirty.p_per_page_per_ms = 5.0
         assert dirty.p_per_page_per_ms == 0.1
 

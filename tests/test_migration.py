@@ -1,6 +1,5 @@
 """Strategy state machines: worked examples, oracle agreement, edge cases."""
 
-import dataclasses
 import math
 import os
 import random
@@ -86,7 +85,7 @@ class TestMigrationParams:
     def test_every_field_is_an_integer(self, value):
         # The clock counts whole microseconds: a 1.5 us freeze once gave a
         # downtime with a fraction, and an infinite one was accepted.
-        for name in MigrationParams.__dataclass_fields__:
+        for name in MigrationParams._fields:
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
                 MigrationParams(**{name: value})
 
@@ -97,7 +96,7 @@ class TestMigrationParams:
 
     def test_round_cap_cannot_be_assigned_past_its_bound(self):
         params = MigrationParams()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             params.precopy_max_rounds = 10**9
         assert params.precopy_max_rounds == 10
 
@@ -1026,9 +1025,10 @@ def test_downtime_sums_the_down_phases(migrate, down):
 def test_a_report_is_slotted_and_frozen():
     report = redeploy_stateless(stateless_upf(), MigrationParams())
     assert not hasattr(report, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.rounds = 1
-    assert report == dataclasses.replace(report)
+    assert report.rounds == 0
+    assert report == report._replace()
     assert repr(report).startswith("MigrationReport(strategy=<Strategy.NO_MIGRATION_REDEPLOY")
 
 

@@ -1,6 +1,5 @@
 """Driver profiles, latency lookup, derived function state and topology validation."""
 
-import dataclasses
 import math
 import random
 from collections import deque
@@ -68,7 +67,7 @@ class TestDriverProfiles:
 
     def test_override_flips_l2_capability(self):
         overlay = BUILTIN_DRIVER_PROFILES[DriverKind.OVERLAY]
-        l2_overlay = dataclasses.replace(overlay, carries_l2=True)
+        l2_overlay = overlay._replace(carries_l2=True)
         default = two_host_topology(DriverKind.HOST, DriverKind.OVERLAY)
         assert default.drivers[DriverKind.OVERLAY].carries_l2 is False
         overrides = {DriverKind.OVERLAY: l2_overlay}
@@ -251,7 +250,7 @@ def test_inter_host_latencies_are_exact_half_integers(graph, kinds, rtts):
     # order of adding a route's links can change a latency by a last bit.
     ids, links = graph
     drivers = {
-        kind: dataclasses.replace(BUILTIN_DRIVER_PROFILES[kind], rtt_inter_host_us=rtt)
+        kind: BUILTIN_DRIVER_PROFILES[kind]._replace(rtt_inter_host_us=rtt)
         for kind, rtt in zip(DriverKind, rtts)
     }
     hosts = [HostNode(i, "z", 4, kind) for i, kind in zip(ids, kinds)]
@@ -531,7 +530,7 @@ class TestDerivedState:
     def test_nan_cpu_demand_assignment_rejected(self):
         nf = NfInstance("upf-1", NfKind.UPF, "h1", cpu_demand=2.0)
         for value in (float("nan"), -1, 0.5, float("inf"), True):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 nf.cpu_demand = value
         assert nf.cpu_demand == 2.0
         with pytest.raises(

@@ -35,6 +35,13 @@ def test_import_loads_only_the_data_plane():
     assert json.loads(fresh(f"import json, sys, nfmigsim; {LOADED}")) == DATA_PLANE
 
 
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # The data plane's records are NamedTuples, and only an oracle that no strategy calls reads
+    # exact fractions, so a strategy-API import pays for none of these modules.
+    loaded = "sorted({'dataclasses', 'fractions', 'decimal'} & {*sys.modules})"
+    assert fresh(f"import sys, nfmigsim; print({loaded})").strip() == "[]"
+
+
 def test_every_exported_name_is_its_home_modules_object():
     # Each name is read from the package first, so a lazy one loads through it.
     code = f"""
