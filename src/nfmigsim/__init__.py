@@ -67,7 +67,6 @@ _LAZY = {
     "engine": ("Event", "Simulator", "rng_stream"),
     "policy": (
         "HostLoad",
-        "Objective",
         "PlacementViolation",
         "StrategyDecision",
         "ViolationKind",
@@ -79,6 +78,7 @@ _LAZY = {
     "runner": ("MetricsBundle", "RecordedMigration", "export_metrics", "run_scenario"),
     "scenario": (
         "MigrationTrigger",
+        "Objective",
         "Scenario",
         "UeSpec",
         "build_scenario",

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import gc
 import itertools
 import json
@@ -15,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .errors import ScenarioParseError, SimulatorError, os_error_text, shown
-from .policy import Objective, policy_table_text
+from .policy import policy_table_text
 from .runner import export_metrics, run_scenario
-from .scenario import build_scenario, load_scenario, read_document
+from .scenario import Objective, build_scenario, load_scenario, read_document
 
 
 def _one_line(text: str) -> str:
@@ -54,7 +53,7 @@ def _parse_param(spec: str) -> tuple[str, list]:
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.objective is not None:
-        scenario = dataclasses.replace(scenario, objective=Objective(args.objective))
+        scenario = scenario._replace(objective=Objective(args.objective))
     bundle = run_scenario(scenario, seed=args.seed)
     paths = export_metrics(bundle, args.out)
     print(f"scenario '{_one_line(bundle.scenario_name)}' seed={bundle.seed}")

@@ -10,19 +10,22 @@ functions take the single bulk copy, which minimizes migration time and
 sends each byte exactly once; the repository function switches between bulk
 copy and the iterative/replica approaches depending on the objective.  Each
 decision is built once, at import; :func:`select_strategy` looks it up.
+:class:`~nfmigsim.scenario.Objective` is defined with the scenario records,
+since a scenario document names it, and imported here.
 
 Placement feasibility is data, not an error: a check returns the list of
 violated constraints (Ethernet PDU sessions need an L2-capable attachment,
 the authentication server needs high isolation, hosts have finite compute).
+:class:`HostLoad` keeps each host's load as an exact ``int`` count of one
+unit, so ``fractions`` and ``decimal`` load only to report a capacity
+violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidCombinationError, shown
@@ -37,12 +40,7 @@ from .model import (
     SessionType,
     ValidatedTopology,
 )
-
-
-class Objective(str, Enum):
-    MINIMIZE_DOWNTIME = "downtime"
-    MINIMIZE_MIGRATION_TIME = "migration-time"
-    MINIMIZE_BYTES = "bytes"
+from .scenario import Objective
 
 
 @dataclass(frozen=True)
@@ -137,13 +135,20 @@ class PlacementViolation:
     detail: str
 
 
-def _exact(x: float) -> Fraction:
-    """An ``int`` as itself and a ``float`` as the decimal it prints as, ``Fraction(repr(x))``.
+def _exact(x: float) -> tuple[int, int]:
+    """An exact ``(numerator, denominator)`` pair: ``(x, 1)`` for an ``int``, and for a ``float``
+    the decimal it prints as, read from ``repr(x)`` in integer arithmetic (``0.1`` is ``1/10``).
 
     An ``int`` never goes through a string, so one past 4,300 digits, which
     only a host or function made in code can have, is read too.
     """
-    return Fraction(x) if isinstance(x, int) else Fraction(repr(x))
+    if isinstance(x, int):
+        return x, 1
+    digits, _, exponent = repr(x).partition("e")
+    whole, _, decimals = digits.partition(".")
+    power = int(exponent or 0) - len(decimals)
+    numerator = int(whole + decimals)
+    return (numerator * 10**power, 1) if power >= 0 else (numerator, 10**-power)
 
 
 class HostLoad:
@@ -158,10 +163,9 @@ class HostLoad:
     def __init__(self, topology: ValidatedTopology):
         demand = {nf.id: _exact(nf.cpu_demand) for nf in topology.nfs.values()}
         capacity = {h.id: _exact(h.cpu_capacity) for h in topology.hosts.values()}
-        exact = (*demand.values(), *capacity.values())
-        unit = self._unit = math.lcm(*(x.denominator for x in exact))
-        self._demand = {nf_id: int(x * unit) for nf_id, x in demand.items()}
-        self._capacity = {host_id: int(x * unit) for host_id, x in capacity.items()}
+        unit = self._unit = math.lcm(*(den for _, den in (*demand.values(), *capacity.values())))
+        self._demand = {nf_id: num * (unit // den) for nf_id, (num, den) in demand.items()}
+        self._capacity = {host_id: num * (unit // den) for host_id, (num, den) in capacity.items()}
         self._host = {nf.id: nf.host for nf in topology.nfs.values()}
         self._used = dict.fromkeys(topology.hosts, 0)
         for nf_id, host_id in self._host.items():
@@ -169,6 +173,8 @@ class HostLoad:
 
     def used_by_others(self, host_id: str, nf_id: str) -> Fraction:
         """Exact compute in use on ``host_id`` by the functions there other than ``nf_id``."""
+        from fractions import Fraction  # loaded on first use, not with the module
+
         used = self._used[host_id]
         if self._host.get(nf_id) == host_id:
             used -= self._demand[nf_id]
@@ -176,11 +182,15 @@ class HostLoad:
 
     def fits(self, nf: NfInstance, host_id: str) -> bool:
         """The one capacity rule: ``host_id``'s load with ``nf`` on it is within its capacity."""
-        used = self._used[host_id]
-        if self._host.get(nf.id) != host_id:
-            demand = self._demand.get(nf.id)  # None for a function outside the topology
-            used += _exact(nf.cpu_demand) * self._unit if demand is None else demand
-        return used <= self._capacity[host_id]
+        nf_id = nf.id
+        used, capacity = self._used[host_id], self._capacity[host_id]
+        if self._host.get(nf_id) == host_id:
+            return used <= capacity
+        demand = self._demand.get(nf_id)
+        if demand is None:  # a function outside the topology
+            num, den = _exact(nf.cpu_demand)
+            return used * den + num * self._unit <= capacity * den
+        return used + demand <= capacity
 
     def host(self, nf_id: str) -> str:
         """The host ``nf_id`` is assigned to."""
@@ -261,6 +271,8 @@ def check_placement(
     if load is None:
         load = HostLoad(topology)
     if not load.fits(nf, host.id):
+        from decimal import Decimal
+
         used = load.used_by_others(host.id, nf.id)  # printed as 0.6, not 0.6000000000000001
         violations.append(
             PlacementViolation(

@@ -120,8 +120,8 @@ class MetricsBundle:
 
     def totals_by_kind(self) -> dict[str, dict[str, int]]:
         by_kind: dict[NfKind, list[MigrationReport]] = {}
-        for rec in self.reports:
-            by_kind.setdefault(rec.kind, []).append(rec.report)
+        for _, _, kind, _, _, report in self.reports:
+            by_kind.setdefault(kind, []).append(report)
         totals = {
             kind.value: {name: total(reports) for name, (_, total) in SUMMARY_COLUMNS.items()}
             for kind, reports in by_kind.items()
@@ -150,7 +150,7 @@ class TargetSelector:
     def __init__(self, topology: ValidatedTopology, load: HostLoad):
         self._topology = topology
         self._load = load
-        self._candidates: dict[tuple, tuple[HostNode, ...]] = {}
+        self._candidates: dict[tuple, tuple[tuple[str, HostNode], ...]] = {}
         self._static_keys = {
             nf.id: static_key(nf, topology.sessions) for nf in topology.nfs.values()
         }
@@ -170,9 +170,9 @@ class TargetSelector:
                 if not static_violations(nf, host, sessions, topology)
             ]
             feasible.sort(key=lambda host: (topology.one_way_latency_us(host.id, rep), host.id))
-            hosts = self._candidates[key] = tuple(feasible)
-        for host in hosts:
-            if load.fits(nf, host.id) and not check_placement(nf, host, sessions, topology, load):
+            hosts = self._candidates[key] = tuple((host.id, host) for host in feasible)
+        for host_id, host in hosts:
+            if load.fits(nf, host_id) and not check_placement(nf, host, sessions, topology, load):
                 return host
         return None
 
@@ -221,18 +221,17 @@ class _Run:
     def on_trigger(self, sim: Simulator, event: Event) -> None:
         (index,) = event.values
         trigger = self.scenario.triggers[index]
-        self.ue_zone = trigger.new_zone  # every trigger moves the scenario's UE
-        affected = sorted(
-            (nf for nf in self.topology.nfs.values() if nf.kind in trigger.affected_kinds),
-            key=lambda nf: nf.id,
-        )
-        for nf in affected:
-            flight = self.in_flight.get(nf.id)
+        kinds, zone = trigger.affected_kinds, trigger.new_zone
+        self.ue_zone = zone  # every trigger moves the scenario's UE
+        for nf_id, nf in sorted(self.topology.nfs.items()):
+            if nf.kind not in kinds:
+                continue
+            flight = self.in_flight.get(nf_id)
             if flight is None:
                 self.place(sim, nf, index)
             else:
-                self.in_flight[nf.id] = (flight[0], index)
-                sim.schedule(sim.now, "migration-queued", None, trigger.new_zone, nf.id)
+                self.in_flight[nf_id] = (flight[0], index)
+                sim.schedule(sim.now, "migration-queued", None, zone, nf_id)
 
     def complete(self, sim: Simulator, event: Event) -> None:
         _, nf_id, _, _ = event.values
@@ -242,29 +241,31 @@ class _Run:
 
     def place(self, sim: Simulator, nf: NfInstance, index: int) -> None:
         """Move ``nf`` into trigger ``index``'s hall now: migrate, skip or record a failure."""
-        trigger = self.scenario.triggers[index]
-        source = self.load.host(nf.id)
-        decision = select_strategy(nf.kind, nf.stateful, trigger.objective or self.scenario.objective)
-        target = self.targets.choose(nf, trigger.new_zone)
+        _, _, zone, _, objective = self.scenario.triggers[index]
+        nf_id, kind = nf.id, nf.kind
+        source = self.load.host(nf_id)
+        decision = select_strategy(kind, nf.stateful, objective or self.scenario.objective)
+        target = self.targets.choose(nf, zone)
         if target is None:
-            reason = f"no feasible host in hall '{trigger.new_zone}'"
+            reason = f"no feasible host in hall '{zone}'"
             report = MigrationReport(decision.chosen, 0, failure_reason=reason)
-            record = (index, nf.id, nf.kind, source, None, report)
+            record = (index, nf_id, kind, source, None, report)
             self.reports.append(tuple.__new__(RecordedMigration, record))
-            sim.schedule(sim.now, "migration-infeasible", None, trigger.new_zone, nf.id)
+            sim.schedule(sim.now, "migration-infeasible", None, zone, nf_id)
             return
-        if target.id == source:
-            sim.schedule(sim.now, "migration-skipped", None, source, nf.id, "already-on-target")
+        target_id = target.id
+        if target_id == source:
+            sim.schedule(sim.now, "migration-skipped", None, source, nf_id, "already-on-target")
             return
 
         # Each strategy is called as a module global, so a wrapper installed here sees every call.
-        channel = self.topology.channel(source, target.id)
+        channel = self.topology.channel(source, target_id)
         if decision.chosen is Strategy.PARALLEL:
-            replica = start_replica_sync(nf, channel, self.params, self.dirty_procs[nf.id])
+            replica = start_replica_sync(nf, channel, self.params, self.dirty_procs[nf_id])
             replica.run_until_ticks(1)  # hand over after one tick: a delta at most one interval old
             report = migrate_parallel(replica, self.params)
         elif decision.chosen is Strategy.PRE_COPY:
-            report = migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf.id])
+            report = migrate_pre_copy(nf, channel, self.params, self.dirty_procs[nf_id])
         elif decision.chosen is Strategy.INTER_COPY:
             report = migrate_inter_copy(nf, channel, self.params)
         else:
@@ -273,28 +274,28 @@ class _Run:
             sim.now,
             "migration-started",
             None,
-            nf.id,
+            nf_id,
             decision.rationale,
             source,
             report.strategy.value,
-            target.id,
+            target_id,
         )
         at = sim.now  # the strategies count from their own start
         for name, span_us, _ in report.phases:
-            sim.schedule(at, "migration-phase", None, at + span_us, nf.id, name)
+            sim.schedule(at, "migration-phase", None, at + span_us, nf_id, name)
             at += span_us
-        self.load.move(nf.id, target.id)
-        self.in_flight[nf.id] = (source, None)
+        self.load.move(nf_id, target_id)
+        self.in_flight[nf_id] = (source, None)
         sim.schedule(
             at,
             "migration-complete",
             self.complete,
             report.downtime_us,
-            nf.id,
+            nf_id,
             report.outcome_label(),
-            target.id,
+            target_id,
         )
-        record = (index, nf.id, nf.kind, source, target.id, report)
+        record = (index, nf_id, kind, source, target_id, report)
         self.reports.append(tuple.__new__(RecordedMigration, record))
 
 
@@ -390,16 +391,17 @@ def export_metrics(bundle: MetricsBundle, out_dir: str | Path) -> dict[str, Path
                 index,
                 nf_id,
                 kind.value,
-                report.strategy.value,
+                strategy.value,
                 report.downtime_us,
                 report.migration_time_us,
-                report.bytes_transferred,
-                report.sync_bytes,
-                report.stall_time_us,
-                report.rounds,
+                nbytes,
+                sync_bytes,
+                stall_us,
+                rounds,
                 report.outcome_label(),
             )
             for index, nf_id, kind, _, _, report in bundle.reports
+            for strategy, nbytes, sync_bytes, stall_us, rounds, _, _ in (report,)  # one unpack
         )
 
     with paths["rtt"].open("w", encoding="utf-8", newline="") as fh:

@@ -24,11 +24,11 @@ import json
 import re
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
-from enum import EnumMeta
+from enum import Enum, EnumMeta
+from functools import wraps
 from pathlib import Path
 from types import GenericAlias
-from typing import Any, get_args
+from typing import Any, NamedTuple, get_args
 
 from .errors import (
     InvariantViolation,
@@ -36,6 +36,7 @@ from .errors import (
     ScenarioValidationError,
     SimulatorError,
     check_bound,
+    checked,
     os_error_text,
     shown,
 )
@@ -62,7 +63,6 @@ from .model import (
     ValidatedTopology,
     validate_topology,
 )
-from .policy import Objective
 
 #: The most RTT samples a run may take, past the one at time 0.
 MAX_RTT_SAMPLES = 10**6
@@ -73,14 +73,18 @@ MAX_SEED = 2**63 - 1
 DEFAULT_AFFECTED_KINDS = (NfKind.SMF, NfKind.AMF)
 
 
-@dataclass(frozen=True)
-class UeSpec:
+class Objective(str, Enum):
+    MINIMIZE_DOWNTIME = "downtime"
+    MINIMIZE_MIGRATION_TIME = "migration-time"
+    MINIMIZE_BYTES = "bytes"
+
+
+class UeSpec(NamedTuple):
     id: str
     zone: str
 
 
-@dataclass(frozen=True)
-class DirtyModelSpec:
+class DirtyModelSpec(NamedTuple):
     model: str
     value: float  # the model's one number: rate_pages_per_s or p_per_page_per_ms
 
@@ -90,22 +94,19 @@ class DirtyModelSpec:
         return BernoulliDirty(self.value, rng)
 
 
-@dataclass(frozen=True)
-class MigrationTrigger:
+@checked
+class MigrationTrigger(NamedTuple):
     time_us: int
     ue_id: str
     new_zone: str
     affected_kinds: tuple[NfKind, ...] = DEFAULT_AFFECTED_KINDS
     objective: Objective | None = None  # overrides the scenario objective
 
-    def __post_init__(self):
+    def _check(self):
         check_bound("time_us", self.time_us, 0, integer=True)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A checked scenario; its triggers, given in any order, are kept in time order."""
-
+class _ScenarioFields(NamedTuple):
     name: str
     seed: int
     duration_us: int
@@ -117,15 +118,38 @@ class Scenario:
     triggers: tuple[MigrationTrigger, ...]
     dirty_specs: Mapping[str, DirtyModelSpec]
 
-    def __post_init__(self):
-        check_bound("seed", self.seed, -MAX_SEED, MAX_SEED, integer=True)
-        check_bound("duration_us", self.duration_us, 0, integer=True)
-        check_bound("rtt_sample_interval_us", self.rtt_sample_interval_us, above=0, integer=True)
-        samples = self.duration_us // self.rtt_sample_interval_us
+
+# A wrong argument count raises from this function, so its TypeError names the public class.
+_ScenarioFields.__new__.__qualname__ = "Scenario.__new__"
+
+
+class Scenario(_ScenarioFields):
+    """A checked scenario; its triggers, given in any order, are kept in time order.
+
+    The constructor and ``_make``, and so ``_replace``, check its bounds and
+    the rules that tie its objects together, then sort the triggers.  A
+    ``typing.NamedTuple`` class body cannot define ``__new__`` or ``_make``,
+    so the fields are declared in a base class.
+    """
+
+    __slots__ = ()
+
+    @wraps(_ScenarioFields.__new__)
+    def __new__(cls, *args, **kwargs):
+        return cls._make(_ScenarioFields(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, values) -> Scenario:
+        fields = _ScenarioFields._make(values)
+        seed, duration_us, interval = fields.seed, fields.duration_us, fields.rtt_sample_interval_us
+        ue, topology, triggers = fields.ue, fields.topology, fields.triggers
+        check_bound("seed", seed, -MAX_SEED, MAX_SEED, integer=True)
+        check_bound("duration_us", duration_us, 0, integer=True)
+        check_bound("rtt_sample_interval_us", interval, above=0, integer=True)
+        samples = duration_us // interval
         check_bound("duration_us // rtt_sample_interval_us", samples, high=MAX_RTT_SAMPLES)
-        ue, topology, duration_us = self.ue, self.topology, self.duration_us
         # Checked in the order given, so an error names the trigger's index there.
-        for i, t in enumerate(self.triggers):
+        for i, t in enumerate(triggers):
             if t.time_us > duration_us:
                 raise ScenarioValidationError(
                     f"triggers[{i}].time_us={shown(t.time_us)} exceeds"
@@ -135,7 +159,7 @@ class Scenario:
                 raise ScenarioValidationError(
                     f"triggers[{i}] references unknown UE {shown(t.ue_id)}"
                 )
-        zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(self.triggers)]
+        zones = [(f"triggers[{i}].new_zone", t.new_zone) for i, t in enumerate(triggers)]
         if ue is not None:
             zones.append(("ue.zone", ue.zone))
         # Functions only ever run on hosts reachable from where they started.
@@ -156,8 +180,8 @@ class Scenario:
                 raise ScenarioValidationError(
                     f"sessions[{i}] references unknown UE {shown(s.ue_id)}"
                 )
-        by_time = tuple(sorted(self.triggers, key=lambda t: t.time_us))
-        object.__setattr__(self, "triggers", by_time)
+        by_time = tuple(sorted(triggers, key=lambda t: t.time_us))
+        return tuple.__new__(cls, fields._replace(triggers=by_time))
 
 
 class _Reader:
@@ -320,8 +344,8 @@ _MIGRATION_PARAMS_KEYS = {
 }
 _TRIGGER_KEYS = {
     "time_us": (int,),
-    "affected_kinds": (list[NfKind], MigrationTrigger.affected_kinds),
-    "objective": (Objective, MigrationTrigger.objective),  # None: the scenario's
+    "affected_kinds": (list[NfKind], MigrationTrigger._field_defaults["affected_kinds"]),
+    "objective": (Objective, MigrationTrigger._field_defaults["objective"]),  # None: the scenario's
     "ue_id": (str,),
     "new_zone": (str,),
 }

@@ -194,7 +194,7 @@ BOUNDS = {
     ),
     # With the drone's sample interval, the sample cap bounds the duration too.
     "Scenario.duration_us": Bound(
-        lambda v: dataclasses.replace(DRONE, triggers=(), duration_us=v),
+        lambda v: DRONE._replace(triggers=(), duration_us=v),
         ValueError,
         "duration_us",
         0,
@@ -202,16 +202,14 @@ BOUNDS = {
         integer=True,
     ),
     "Scenario.rtt_sample_interval_us": Bound(
-        lambda v: dataclasses.replace(
-            DRONE, triggers=(), duration_us=100, rtt_sample_interval_us=v
-        ),
+        lambda v: DRONE._replace(triggers=(), duration_us=100, rtt_sample_interval_us=v),
         ValueError,
         "rtt_sample_interval_us",
         above=0,
         integer=True,
     ),
     "Scenario.seed": Bound(
-        lambda v: dataclasses.replace(DRONE, seed=v), ValueError, "seed", -MAX_SEED, MAX_SEED,
+        lambda v: DRONE._replace(seed=v), ValueError, "seed", -MAX_SEED, MAX_SEED,
         integer=True,
     ),
     # A fresh scenario for each run that goes ahead: a run changes its images' page state.
@@ -290,6 +288,13 @@ _RECORDS = {
         "p_per_page_per_ms",
         1.5,
         "p_per_page_per_ms must be <= 1, got 1.5",
+    ),
+    "MigrationTrigger": (DRONE.triggers[0], "time_us", -1, "time_us must be >= 0, got -1"),
+    "Scenario": (
+        DRONE,
+        "seed",
+        MAX_SEED + 1,
+        f"seed must be <= {MAX_SEED}, got {MAX_SEED + 1}",
     ),
 }
 

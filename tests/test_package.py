@@ -14,7 +14,7 @@ import nfmigsim
 SRC = Path(nfmigsim.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
 DATA_PLANE = ["nfmigsim", "nfmigsim.errors", "nfmigsim.memory", "nfmigsim.migration", "nfmigsim.model"]
-CONTROL_PLANE = ("engine", "policy", "scenario", "runner")  # in import order
+CONTROL_PLANE = ("engine", "scenario", "policy", "runner")  # in import order
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'nfmigsim')))"
 
 
@@ -40,6 +40,25 @@ def test_import_loads_neither_dataclasses_nor_fractions():
     # exact fractions, so a strategy-API import pays for none of these modules.
     loaded = "sorted({'dataclasses', 'fractions', 'decimal'} & {*sys.modules})"
     assert fresh(f"import sys, nfmigsim; print({loaded})").strip() == "[]"
+
+
+def test_loading_a_scenario_loads_no_dataclasses_fractions_or_run_modules():
+    # The scenario's records are NamedTuples and placement is read only by a run, so a study
+    # that loads a document pays for none of these modules.
+    avoided = {"dataclasses", "fractions", "decimal"}
+    avoided |= {"nfmigsim.policy", "nfmigsim.runner", "nfmigsim.engine"}
+    code = f"""
+import sys, nfmigsim
+nfmigsim.load_scenario(nfmigsim.bundled_scenario_path())
+print(sorted({avoided!r} & {{*sys.modules}}))
+"""
+    assert fresh(code).strip() == "[]"
+
+
+def test_the_cli_loads_neither_fractions_nor_decimal():
+    # Host loads are exact ints; only a capacity violation's message reads a Fraction.
+    loaded = "sorted({'fractions', 'decimal'} & {*sys.modules})"
+    assert fresh(f"import sys, nfmigsim.cli; print({loaded})").strip() == "[]"
 
 
 def test_every_exported_name_is_its_home_modules_object():

@@ -388,3 +388,28 @@ class TestHostLoad:
         for nf in nfs:
             load.move(nf.id, nf.host)
         assert loads() == deployed
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**30), 10**30))
+def test_a_number_is_read_as_the_decimal_it_prints_as(x):
+    num, den = policy._exact(x)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == (Fraction(x) if isinstance(x, int) else Fraction(repr(x)))
+    if isinstance(x, int):
+        assert (num, den) == (x, 1)
+
+
+@given(
+    capacity=st.sampled_from([0.7, 1.0, 3, 2.5e-7]),
+    deployed=st.lists(st.sampled_from([0.1, 0.2, 0.3, 2, 1e-7]), max_size=4),
+    demand=st.sampled_from([0.1, 0.3, 0.4, 1, 1e-7, 0.6000000000000001]),
+)
+def test_a_function_outside_the_topology_fits_by_exact_arithmetic(capacity, deployed, demand):
+    hosts = [HostNode("h0", "hall-A", capacity, DriverKind.MACVLAN)]
+    nfs = [
+        NfInstance(f"upf-{i}", NfKind.UPF, "h0", cpu_demand=d) for i, d in enumerate(deployed)
+    ]
+    load = HostLoad(validate_topology(hosts, [], nfs))
+    outsider = NfInstance("upf-new", NfKind.UPF, "h1", cpu_demand=demand)
+    used = sum(Fraction(repr(d)) for d in deployed)
+    assert load.fits(outsider, "h0") == (used + Fraction(repr(demand)) <= Fraction(repr(capacity)))

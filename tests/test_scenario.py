@@ -1,7 +1,6 @@
 """Scenario loading, end-to-end runs, metric export and the CLI."""
 
 import copy
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -36,7 +35,7 @@ from nfmigsim import scenario as scenario_module
 from nfmigsim.cli import main
 from nfmigsim.errors import shown
 from nfmigsim.runner import MIGRATIONS_CSV_HEADER, TRACE_KINDS
-from nfmigsim.scenario import MigrationTrigger, UeSpec, read_document
+from nfmigsim.scenario import MigrationTrigger, Scenario, UeSpec, read_document
 
 MINIMAL = {
     "duration_us": 500_000,
@@ -436,14 +435,14 @@ def _drone_with_an_isolated_hall():
 
 
 def _moved_trigger(scenario, **changes):
-    """The ``dataclasses.replace`` changes that edit the scenario's one trigger."""
+    """The ``_replace`` changes that edit the scenario's one trigger."""
     (trigger,) = scenario.triggers
-    return {"triggers": (dataclasses.replace(trigger, **changes),)}
+    return {"triggers": (trigger._replace(**changes),)}
 
 
 _UNREACHED = "host 'edge-c1' cannot be reached from the hosts that run functions"
 # Each rule that ties a scenario's objects together: a document edit, the same
-# fault made in code with ``dataclasses.replace``, and the message both raise.
+# fault made in code with ``_replace``, and the message both raise.
 _CROSS_OBJECT_FAULTS = {
     "trigger-after-the-run": (
         lambda d: d["triggers"][0].update(time_us=5_000_000),
@@ -503,20 +502,58 @@ def test_a_cross_object_fault_fails_alike_in_a_document_and_in_code(fault):
     with pytest.raises(ScenarioValidationError) as from_document:
         build_scenario(data)
     with pytest.raises(ScenarioValidationError) as from_code:
-        dataclasses.replace(scenario, **changes(scenario))
+        scenario._replace(**changes(scenario))
     assert str(from_document.value) == str(from_code.value) == message
 
 
 def test_a_scenario_made_in_code_keeps_its_triggers_in_time_order():
     scenario = load_scenario(bundled_scenario_path())
     (trigger,) = scenario.triggers
-    late, early = (dataclasses.replace(trigger, time_us=t) for t in (1_500_000, 500_000))
-    moved = dataclasses.replace(scenario, triggers=(late, early))
+    late, early = (trigger._replace(time_us=t) for t in (1_500_000, 500_000))
+    moved = scenario._replace(triggers=(late, early))
     assert moved.triggers == (early, late)
     # The index an error names is the one given, not the one in time order.
     with pytest.raises(ScenarioValidationError) as info:
-        dataclasses.replace(scenario, triggers=(late, dataclasses.replace(early, new_zone="x")))
+        scenario._replace(triggers=(late, early._replace(new_zone="x")))
     assert str(info.value) == "triggers[1].new_zone 'x' matches no host hall"
+
+
+@pytest.mark.parametrize("fault", list(_CROSS_OBJECT_FAULTS))
+def test_a_scenario_copy_raises_the_constructors_message(fault):
+    _, changes, message = _CROSS_OBJECT_FAULTS[fault]
+    scenario = build_scenario(_drone_with_an_isolated_hall())
+    fields = {**scenario._asdict(), **changes(scenario)}
+    with pytest.raises(ScenarioValidationError) as built:
+        Scenario(**fields)
+    with pytest.raises(ScenarioValidationError) as made:
+        Scenario._make(fields.values())
+    with pytest.raises(ScenarioValidationError) as copied:
+        scenario._replace(**changes(scenario))
+    assert str(built.value) == str(made.value) == str(copied.value) == message
+
+
+def test_every_way_to_build_a_scenario_sorts_its_triggers():
+    scenario = load_scenario(bundled_scenario_path())
+    (trigger,) = scenario.triggers
+    late, early = (trigger._replace(time_us=t) for t in (1_500_000, 500_000))
+    fields = {**scenario._asdict(), "triggers": (late, early)}
+    for built in (
+        Scenario(**fields),
+        Scenario(*fields.values()),
+        Scenario._make(fields.values()),
+        scenario._replace(triggers=(late, early)),
+    ):
+        assert type(built) is Scenario
+        assert built == (*scenario[:8], (early, late), scenario.dirty_specs)
+    # A deep copy is rebuilt through the constructor.
+    copied = copy.deepcopy(built)
+    assert type(copied) is Scenario and copied.triggers == (early, late)
+
+
+def test_a_wrong_argument_count_names_scenario():
+    with pytest.raises(TypeError) as info:
+        Scenario("drone")
+    assert str(info.value).startswith("Scenario.__new__() missing 9 required positional")
 
 
 @pytest.mark.parametrize(
@@ -531,7 +568,7 @@ def test_a_scenario_made_in_code_keeps_its_triggers_in_time_order():
 def test_a_scenario_bound_made_in_code_rejects_nan(changes, message):
     drone = load_scenario(bundled_scenario_path())
     with pytest.raises(ValueError) as info:
-        dataclasses.replace(drone, **changes)
+        drone._replace(**changes)
     assert str(info.value) == message
 
 
@@ -551,7 +588,7 @@ def test_a_fractional_trigger_time_is_rejected_not_truncated():
 def test_a_fractional_duration_made_in_code_is_rejected():
     drone = load_scenario(bundled_scenario_path())
     with pytest.raises(ValueError) as info:
-        dataclasses.replace(drone, duration_us=2000000.5)
+        drone._replace(duration_us=2000000.5)
     assert str(info.value) == "duration_us must be an integer, got 2000000.5"
 
 
@@ -560,10 +597,10 @@ def test_a_fractional_sample_interval_fails_instead_of_running_on():
     # returned, its trace growing without bound, and must fail this test
     # rather than hang the suite.
     code = (
-        "import dataclasses; from nfmigsim import *; "
+        "from nfmigsim import *; "
         "drone = load_scenario(bundled_scenario_path()); "
-        "run_scenario(dataclasses.replace("
-        "drone, triggers=(), duration_us=100, rtt_sample_interval_us=0.5))"
+        "run_scenario(drone._replace("
+        "triggers=(), duration_us=100, rtt_sample_interval_us=0.5))"
     )
     src = str(Path(scenario_module.__file__).parents[1])
     child = subprocess.run(
